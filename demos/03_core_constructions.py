@@ -39,8 +39,9 @@ def main():
     print(f"true top clique: {sorted(true_top)}")
 
     shells = k_shell_decompose(graph)
-    print(f"\nk-shell decomposition: k_max = {shells.k_max}")
-    top_shell = sorted(v for v in graph.vertices if shells[v] == shells.k_max)
+    k_max = max(shells.values())
+    print(f"\nk-shell decomposition: k_max = {k_max}")
+    top_shell = sorted(v for v in graph.vertices if shells[v] == k_max)
     print(f"  vertices at k_max: {top_shell}")
 
     cores = {

@@ -10,7 +10,6 @@ fixpoint.  See :mod:`asrel.pipeline` for the high level entry point and
 
 from .core import (
     CoreGraph,
-    KShellIndex,
     corrupt_core,
     greedy_max_clique,
     grow_core,
@@ -69,7 +68,6 @@ __all__ = [
     "GroundTruth",
     "HeuristicConfig",
     "InferenceConfig",
-    "KShellIndex",
     "NoiseConfig",
     "ParameterError",
     "ParseError",

@@ -5,8 +5,9 @@ and metric files, ``build-core`` constructs and saves a core, and
 ``experiment`` drives the robustness studies (core-sweep, corruption,
 window-stability).
 
-Exit codes: 0 success, 1 input error, 2 configuration error, 3 requested
-construction infeasible (for example an empty core).
+Exit codes: 0 success, otherwise the ``exit_code`` of the error raised: 1
+input error, 2 configuration error, 3 requested construction infeasible
+(for example an empty core). See :mod:`asrel.errors`.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from .core import (
     write_core_file,
 )
 from .engine import InferenceConfig
-from .errors import (
-    AsrelError,
-    ConfigurationError,
-    CorruptionInfeasibleError,
-    EmptyCoreError,
-    ParameterError,
-    ParseError,
-)
+from .errors import AsrelError, ConfigurationError, ParseError
 from .graph import AsGraph, AsPath
 from .heuristics import HeuristicConfig
 from .ingest import IngestReport, SiblingSet, build_graph, load_corpus, load_sibling_pairs
@@ -152,15 +146,21 @@ def _read_lines(path: str) -> list[str]:
             return handle.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def _load_siblings(args) -> SiblingSet | None:
-    if not args.siblings:
-        return None
-    return load_sibling_pairs(_read_lines(args.siblings), args.siblings)
+def _load_graph(
+    args, suffix: str = ""
+) -> tuple[SiblingSet | None, list[AsPath], IngestReport, AsGraph]:
+    """Siblings, cleaned paths, ingest report and graph of one corpus.
 
-
-def _load_paths(args, siblings, suffix: str = "") -> tuple[list[AsPath], IngestReport]:
+    ``suffix`` selects the corpus flags: "" for the main corpus, "_b" for
+    the second window of window-stability.
+    """
+    siblings = None
+    if args.siblings:
+        siblings = load_sibling_pairs(_read_lines(args.siblings), args.siblings)
     bgp_files = getattr(args, f"paths_bgp{suffix}")
     trace_files = getattr(args, f"paths_trace{suffix}")
     bgp = [(name, _read_lines(name)) for name in bgp_files]
@@ -168,7 +168,7 @@ def _load_paths(args, siblings, suffix: str = "") -> tuple[list[AsPath], IngestR
     paths, report = load_corpus(bgp, trace, siblings)
     if not paths:
         raise ParseError("no usable paths in the input corpus")
-    return paths, report
+    return siblings, paths, report, build_graph(paths)
 
 
 def _build_core(args, graph: AsGraph) -> CoreGraph:
@@ -222,9 +222,7 @@ def _write_json(payload: dict, path: str) -> None:
 
 
 def _run_window(args, suffix: str = ""):
-    siblings = _load_siblings(args)
-    paths, report = _load_paths(args, siblings, suffix)
-    graph = build_graph(paths)
+    siblings, paths, report, graph = _load_graph(args, suffix)
     core = _build_core(args, graph)
     engine_config, heuristic_config = _configs(args)
     result = run_inference(
@@ -258,9 +256,7 @@ def cmd_infer(args) -> int:
 
 def cmd_build_core(args) -> int:
     out = _ensure_out(args)
-    siblings = _load_siblings(args)
-    paths, _report = _load_paths(args, siblings)
-    graph = build_graph(paths)
+    _siblings, _paths, _report, graph = _load_graph(args)
     core = _build_core(args, graph)
 
     core_path = os.path.join(out, "core.txt")
@@ -328,9 +324,7 @@ def cmd_experiment(args) -> int:
             }
         ]
     else:
-        siblings = _load_siblings(args)
-        paths, _report = _load_paths(args, siblings)
-        graph = build_graph(paths)
+        siblings, paths, _report, graph = _load_graph(args)
         engine_config, heuristic_config = _configs(args)
         reference = _load_reference(args, siblings)
         if args.kind == "core-sweep":
@@ -362,19 +356,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigurationError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EmptyCoreError, CorruptionInfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AsrelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

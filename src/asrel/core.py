@@ -74,23 +74,6 @@ class CoreGraph:
         return self.preassigned.get(key, RelType.P2P)
 
 
-@dataclass
-class KShellIndex:
-    """Shell number per vertex from the k-core decomposition."""
-
-    shell: dict[int, int]
-
-    @property
-    def k_max(self) -> int:
-        return max(self.shell.values(), default=0)
-
-    def __getitem__(self, v: int) -> int:
-        return self.shell[v]
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.shell
-
-
 def _induced_edges(graph: AsGraph, members: set[int]) -> set[EdgeKey]:
     edges = set()
     for v in members:
@@ -117,7 +100,7 @@ def greedy_max_clique(graph: AsGraph) -> CoreGraph:
     return CoreGraph(members, _induced_edges(graph, members))
 
 
-def k_shell_decompose(graph: AsGraph) -> KShellIndex:
+def k_shell_decompose(graph: AsGraph) -> dict[int, int]:
     """Shell number of every vertex.
 
     shell(v) is the largest k such that v survives iterated pruning of
@@ -141,17 +124,17 @@ def k_shell_decompose(graph: AsGraph) -> KShellIndex:
                     if degree[w] < k:
                         peel.append(w)
         k += 1
-    return KShellIndex(shell)
+    return shell
 
 
-def k_max_core(graph: AsGraph, index: KShellIndex | None = None) -> CoreGraph:
+def k_max_core(graph: AsGraph, index: dict[int, int] | None = None) -> CoreGraph:
     """The innermost k-core: all vertices whose shell equals the maximum."""
     if graph.n_vertices == 0:
         raise EmptyCoreError("cannot build a k-core from an empty graph")
     if index is None:
         index = k_shell_decompose(graph)
-    k = index.k_max
-    members = {v for v, s in index.shell.items() if s == k}
+    k = max(index.values(), default=0)
+    members = {v for v, s in index.items() if s == k}
     return CoreGraph(members, _induced_edges(graph, members))
 
 
@@ -232,7 +215,7 @@ def grow_core(
     graph: AsGraph,
     strategy: str,
     size: int,
-    index: KShellIndex | None = None,
+    index: dict[int, int] | None = None,
 ) -> CoreGraph:
     """Take the first ``size`` vertices of a ranking as the core.
 
@@ -373,9 +356,3 @@ def read_core_file(
         raise EmptyCoreError("core file contains no vertices")
     return CoreGraph(vertices, edges, preassigned)
 
-
-def restrict_to_graph(core: CoreGraph, graph: AsGraph) -> CoreGraph:
-    """Drop core edges that the graph does not contain."""
-    edges = {k for k in core.edges if graph.has_edge(*k)}
-    preassigned = {k: r for k, r in core.preassigned.items() if k in edges}
-    return CoreGraph(set(core.vertices), edges, preassigned)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .core import KShellIndex
 from .errors import ConfigurationError
 from .graph import (
     METHOD_DEGREE_TIEBREAK,
@@ -22,26 +21,23 @@ from .graph import (
 TIEBREAK_DEGREE = "degree"
 TIEBREAK_KSHELL = "kshell"
 
+# The degree tie-break peers two ASes when the smaller degree is at least
+# this share of the larger one.
+PEER_DEGREE_RATIO = 0.8
+
 
 @dataclass
 class HeuristicConfig:
-    """Degree-ratio band and tie-break selector.
+    """Tie-break selector.
 
     tiebreak None leaves sub-threshold edges unclassified; "degree" and
     "kshell" pick a winner for every remaining edge that is not valley
     flagged.
     """
 
-    degree_ratio_low: float = 0.8
-    degree_ratio_high: float = 1.2
     tiebreak: str | None = None
 
     def __post_init__(self):
-        if not 0 < self.degree_ratio_low <= 1 <= self.degree_ratio_high:
-            raise ConfigurationError(
-                "degree ratio band must satisfy 0 < low <= 1 <= high, got "
-                f"[{self.degree_ratio_low}, {self.degree_ratio_high}]"
-            )
         if self.tiebreak not in (None, TIEBREAK_DEGREE, TIEBREAK_KSHELL):
             raise ConfigurationError(f"unknown tiebreak {self.tiebreak!r}")
 
@@ -89,15 +85,16 @@ def tiebreak(
     edge: EdgeKey,
     graph: AsGraph,
     config: HeuristicConfig,
-    kshell: KShellIndex | None = None,
+    kshell: Mapping[int, int] | None = None,
 ) -> tuple[RelType, str]:
     """Pick a relationship for one edge from structural rank alone.
 
-    Degree mode: if the endpoint degree ratio falls inside the configured
-    band the edge is a peering, otherwise the higher-degree endpoint is
-    the provider. K-shell mode does the same with shell numbers, peering
-    on equal shells. The result is reported in canonical low->high order,
-    so it cannot depend on argument order.
+    Degree mode: if the smaller endpoint degree is at least
+    PEER_DEGREE_RATIO of the larger one the edge is a peering, otherwise
+    the higher-degree endpoint is the provider. K-shell mode does the same
+    with shell numbers, peering on equal shells. Both tests are symmetric
+    in the endpoints, and the result is reported in canonical low->high
+    order, so it cannot depend on argument order or AS numbering.
     """
     low, high = edge
     if config.tiebreak == TIEBREAK_KSHELL:
@@ -111,8 +108,7 @@ def tiebreak(
         return RelType.C2P, METHOD_KSHELL_TIEBREAK
     if config.tiebreak == TIEBREAK_DEGREE:
         deg_low, deg_high = graph.degree(low), graph.degree(high)
-        ratio = deg_low / deg_high
-        if config.degree_ratio_low <= ratio <= config.degree_ratio_high:
+        if min(deg_low, deg_high) / max(deg_low, deg_high) >= PEER_DEGREE_RATIO:
             return RelType.P2P, METHOD_DEGREE_TIEBREAK
         if deg_low > deg_high:
             return RelType.P2C, METHOD_DEGREE_TIEBREAK
@@ -124,7 +120,7 @@ def apply_tiebreaks(
     graph: AsGraph,
     classifications: Mapping[EdgeKey, Classification],
     config: HeuristicConfig,
-    kshell: KShellIndex | None = None,
+    kshell: Mapping[int, int] | None = None,
 ) -> dict[EdgeKey, Classification]:
     """Tie-break every unclassified edge except valley-flagged ones.
 

@@ -18,7 +18,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -156,14 +156,7 @@ class IngestReport:
     paths_split: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "paths_read": self.paths_read,
-            "paths_dropped_loop": self.paths_dropped_loop,
-            "paths_dropped_short": self.paths_dropped_short,
-            "paths_truncated_loop": self.paths_truncated_loop,
-            "edges_filtered_single_agent": self.edges_filtered_single_agent,
-            "paths_split": self.paths_split,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import CoreGraph, KShellIndex, corrupt_core, grow_core, k_shell_decompose
+from .core import CoreGraph, corrupt_core, grow_core, k_shell_decompose
 from .engine import (
     InferenceConfig,
     PathPartition,
@@ -28,7 +28,7 @@ from .graph import (
     EdgeKey,
     RelType,
 )
-from .heuristics import HeuristicConfig, apply_tiebreaks, infer_gap_p2p
+from .heuristics import TIEBREAK_KSHELL, HeuristicConfig, apply_tiebreaks, infer_gap_p2p
 from .ingest import SiblingSet
 from .metrics import (
     ReferenceSet,
@@ -59,13 +59,24 @@ class RunResult:
         return records
 
 
+def _kshell_index(
+    graph: AsGraph, heuristic_config: HeuristicConfig | None, strategy: str = ""
+) -> dict[int, int] | None:
+    """The k-shell index if the tie-break or the core growth strategy ranks
+    by shell, else None. Each sweep calls this once and shares the result."""
+    tiebreak = heuristic_config.tiebreak if heuristic_config is not None else None
+    if tiebreak == TIEBREAK_KSHELL or strategy == "kshell":
+        return k_shell_decompose(graph)
+    return None
+
+
 def run_inference(
     graph: AsGraph,
     paths: Sequence[AsPath],
     core: CoreGraph,
     engine_config: InferenceConfig | None = None,
     heuristic_config: HeuristicConfig | None = None,
-    kshell: KShellIndex | None = None,
+    kshell: dict[int, int] | None = None,
     siblings: SiblingSet | None = None,
 ) -> RunResult:
     """Run the full pipeline without mutating the input graph.
@@ -84,9 +95,9 @@ def run_inference(
 
     classifications.update(infer_gap_p2p(partition.periphery, classifications))
 
+    if kshell is None:
+        kshell = _kshell_index(graph, heuristic_config)
     if heuristic_config.tiebreak is not None:
-        if heuristic_config.tiebreak == "kshell" and kshell is None:
-            kshell = k_shell_decompose(graph)
         classifications.update(
             apply_tiebreaks(work, classifications, heuristic_config, kshell)
         )
@@ -152,9 +163,7 @@ def corruption_sweep(
     Each row holds one (fraction, seed) cell; fraction 0 is re-run as-is,
     so its row equals the uncorrupted run.
     """
-    kshell = None
-    if heuristic_config is not None and heuristic_config.tiebreak == "kshell":
-        kshell = k_shell_decompose(graph)
+    kshell = _kshell_index(graph, heuristic_config)
     rows: list[dict[str, object]] = []
     for fraction in fractions:
         replace = round(fraction * len(core.vertices))
@@ -184,12 +193,7 @@ def core_size_sweep(
     reference: ReferenceSet | None = None,
 ) -> list[dict[str, object]]:
     """Grow cores of increasing size and record how the run responds."""
-    kshell = k_shell_decompose(graph) if strategy == "kshell" else None
-    tiebreak_kshell = (
-        heuristic_config is not None and heuristic_config.tiebreak == "kshell"
-    )
-    if tiebreak_kshell and kshell is None:
-        kshell = k_shell_decompose(graph)
+    kshell = _kshell_index(graph, heuristic_config, strategy)
     rows: list[dict[str, object]] = []
     for size in sizes:
         core = grow_core(graph, strategy, size, kshell)

@@ -157,6 +157,20 @@ class TestInferErrors:
         assert code == 1
         assert "bad.txt:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--paths-bgp", "--siblings"])
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys, flag):
+        paths = write(tmp_path / "p.txt", "1 2 3\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2 3\n\xff 4\n")
+        code = cli.main(
+            [
+                "infer", "--paths-bgp", paths, flag, str(bad),
+                "--core-method", "clique", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "bad.txt" in capsys.readouterr().err
+
     def test_bad_threshold_is_configuration_error(self, tmp_path):
         paths = write(tmp_path / "p.txt", "1 2 3\n")
         code = cli.main(

@@ -13,7 +13,6 @@ from asrel.core import (
     k_shell_decompose,
     load_external_core,
     read_core_file,
-    restrict_to_graph,
     write_core_file,
 )
 from asrel.errors import (
@@ -108,17 +107,16 @@ class TestGreedyMaxClique:
 class TestKShell:
     def test_k4_with_pendant(self):
         index = k_shell_decompose(k4_with_pendant())
-        assert index.shell == {1: 3, 2: 3, 3: 3, 4: 3, 5: 1}
-        assert index.k_max == 3
+        assert index == {1: 3, 2: 3, 3: 3, 4: 3, 5: 1}
 
     def test_cycle_is_uniform_shell_two(self):
         g = graph_of([(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
         index = k_shell_decompose(g)
-        assert set(index.shell.values()) == {2}
+        assert set(index.values()) == {2}
 
     def test_path_graph_shell_one(self):
         index = k_shell_decompose(graph_of([(1, 2), (2, 3)]))
-        assert set(index.shell.values()) == {1}
+        assert set(index.values()) == {1}
 
     def test_isolated_vertex_shell_zero(self):
         index = k_shell_decompose(graph_of([(1, 2)], extra_vertices=[9]))
@@ -138,7 +136,7 @@ class TestKShell:
     def test_matches_brute_force_oracle(self, edges):
         g = graph_of(edges)
         index = k_shell_decompose(g)
-        assert index.shell == brute_force_core_numbers(adjacency_from_edges(edges))
+        assert index == brute_force_core_numbers(adjacency_from_edges(edges))
 
 
 class TestGrowCore:
@@ -326,10 +324,3 @@ class TestCoreFiles:
     def test_empty_file_rejected(self):
         with pytest.raises(EmptyCoreError):
             read_core_file(["# just a comment\n"])
-
-    def test_restrict_to_graph(self):
-        core = CoreGraph({1, 2, 3}, {(1, 2), (2, 3)}, {(2, 3): RelType.P2P})
-        restricted = restrict_to_graph(core, graph_of([(1, 2)]))
-        assert restricted.edges == {(1, 2)}
-        assert restricted.preassigned == {}
-        assert restricted.vertices == {1, 2, 3}

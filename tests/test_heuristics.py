@@ -1,6 +1,5 @@
 import pytest
 
-from asrel.core import KShellIndex
 from asrel.errors import ConfigurationError
 from asrel.graph import AsGraph, AsPath, Classification, RelType
 from asrel.heuristics import (
@@ -35,16 +34,6 @@ class TestHeuristicConfig:
     def test_defaults(self):
         config = HeuristicConfig()
         assert config.tiebreak is None
-        assert config.degree_ratio_low == 0.8
-        assert config.degree_ratio_high == 1.2
-
-    def test_band_must_straddle_one(self):
-        with pytest.raises(ConfigurationError):
-            HeuristicConfig(degree_ratio_low=1.1)
-        with pytest.raises(ConfigurationError):
-            HeuristicConfig(degree_ratio_high=0.9)
-        with pytest.raises(ConfigurationError):
-            HeuristicConfig(degree_ratio_low=0.0)
 
     def test_unknown_tiebreak(self):
         with pytest.raises(ConfigurationError):
@@ -155,18 +144,22 @@ class TestTiebreak:
         rel, _ = tiebreak((1, 2), g, HeuristicConfig(tiebreak="degree"))
         assert rel is RelType.P2C
 
-    def test_band_is_closed(self):
+    @pytest.mark.parametrize("deg_1, deg_2", [(4, 5), (5, 4)])
+    def test_band_is_closed(self, deg_1, deg_2):
+        # A 4:5 degree ratio sits exactly on the band edge, whichever
+        # endpoint has the lower AS number.
         g = AsGraph()
-        # deg(1) = 4, deg(2) = 5: ratio 0.8 sits exactly on the low edge.
-        for w in (2, 10, 11, 12):
+        g.add_edge(1, 2)
+        for w in range(10, 9 + deg_1):
             g.add_edge(1, w)
-        for w in (20, 21, 22, 23):
+        for w in range(20, 19 + deg_2):
             g.add_edge(2, w)
+        assert (g.degree(1), g.degree(2)) == (deg_1, deg_2)
         rel, _ = tiebreak((1, 2), g, HeuristicConfig(tiebreak="degree"))
         assert rel is RelType.P2P
 
     def test_kshell_equal_shells_peer(self):
-        index = KShellIndex({1: 3, 2: 3})
+        index = {1: 3, 2: 3}
         rel, method = tiebreak(
             (1, 2), AsGraph(), HeuristicConfig(tiebreak="kshell"), index
         )
@@ -174,12 +167,12 @@ class TestTiebreak:
         assert method == "kshell-tiebreak"
 
     def test_kshell_higher_shell_is_provider(self):
-        index = KShellIndex({1: 5, 2: 2})
+        index = {1: 5, 2: 2}
         rel, _ = tiebreak((1, 2), AsGraph(), HeuristicConfig(tiebreak="kshell"), index)
         assert rel is RelType.P2C
         rel, _ = tiebreak(
             (1, 2), AsGraph(), HeuristicConfig(tiebreak="kshell"),
-            KShellIndex({1: 2, 2: 5}),
+            {1: 2, 2: 5},
         )
         assert rel is RelType.C2P
 

@@ -1,5 +1,7 @@
 import pytest
 
+from asrel import core as core_module
+from asrel import pipeline as pipeline_module
 from asrel.core import CoreGraph
 from asrel.graph import AsPath, RelType
 from asrel.heuristics import HeuristicConfig
@@ -159,7 +161,33 @@ class TestSweeps:
         assert all(r["core_vertices"] == r["size"] for r in rows)
         assert all(r["strategy"] == "degree" for r in rows)
 
-    def test_kshell_sweep_uses_shared_index(self, corpus):
+    @pytest.fixture
+    def kshell_calls(self, monkeypatch):
+        calls = []
+        real = core_module.k_shell_decompose
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(core_module, "k_shell_decompose", counting)
+        monkeypatch.setattr(pipeline_module, "k_shell_decompose", counting)
+        return calls
+
+    def test_kshell_sweep_uses_shared_index(self, corpus, kshell_calls):
         _, graph, paths = corpus
-        rows = core_size_sweep(graph, paths, "kshell", [4, 6])
+        rows = core_size_sweep(
+            graph, paths, "kshell", [4, 6],
+            heuristic_config=HeuristicConfig(tiebreak="kshell"),
+        )
         assert len(rows) == 2
+        assert len(kshell_calls) == 1
+
+    def test_corruption_sweep_uses_shared_index(self, corpus, kshell_calls):
+        truth, graph, paths = corpus
+        rows = corruption_sweep(
+            graph, paths, truth.true_core(), [0.0, 0.5], seeds=[1, 2],
+            heuristic_config=HeuristicConfig(tiebreak="kshell"),
+        )
+        assert len(rows) == 4
+        assert len(kshell_calls) == 1
