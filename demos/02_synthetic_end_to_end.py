@@ -46,7 +46,8 @@ def main():
     print("ingest cleanup:")
     for key, value in report.as_dict().items():
         print(f"  {key}: {value}")
-    print(f"  kept {len(paths)} paths")
+    print(f"  kept {len(paths)} distinct paths, "
+          f"{sum(p.weight for p in paths)} observations")
 
     graph = build_graph(paths)
     print(f"\nobserved graph: {graph.n_vertices} ASes, {graph.n_edges} edges "

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
 )
 from .graph import AsGraph, EdgeKey, RelType, edge_key, oriented
+from .ingest import parse_asn
 
 
 @dataclass
@@ -312,7 +313,7 @@ def read_core_file(
 
     When a graph is given, core edges that do not exist in it are dropped
     so that the core never references unobserved links; vertices are kept
-    either way.
+    either way, but at least one of them must be in the graph.
     """
     vertices: set[int] = set()
     edges: set[EdgeKey] = set()
@@ -324,9 +325,9 @@ def read_core_file(
         tokens = line.split()
         try:
             if tokens[0] == "v" and len(tokens) == 2:
-                vertices.add(int(tokens[1]))
+                vertices.add(parse_asn(tokens[1]))
             elif tokens[0] == "e" and len(tokens) in (3, 4):
-                a, b = int(tokens[1]), int(tokens[2])
+                a, b = parse_asn(tokens[1]), parse_asn(tokens[2])
                 if a == b:
                     raise ValueError(f"self-loop core edge on AS {a}")
                 key = edge_key(a, b)
@@ -348,11 +349,13 @@ def read_core_file(
         except ValueError as exc:
             raise ParseError(str(exc), source, lineno) from None
 
+    if not vertices:
+        raise EmptyCoreError("core file contains no vertices")
     if graph is not None:
+        if not any(v in graph.vertices for v in vertices):
+            raise EmptyCoreError("no core vertex appears in the observed graph")
         kept = {k for k in edges if graph.has_edge(*k)}
         preassigned = {k: r for k, r in preassigned.items() if k in kept}
         edges = kept
-    if not vertices:
-        raise EmptyCoreError("core file contains no vertices")
     return CoreGraph(vertices, edges, preassigned)
 

@@ -35,6 +35,7 @@ from .graph import (
     EdgeKey,
     RelType,
     oriented,
+    total_weight,
 )
 
 ANCHOR_THRESHOLD = "threshold"
@@ -84,7 +85,12 @@ class PathPartition:
 
     @property
     def total(self) -> int:
-        return len(self.through_core) + len(self.periphery) + len(self.invalid)
+        """Observations in all three classes: each path counts its weight."""
+        return (
+            total_weight(self.through_core)
+            + total_weight(self.periphery)
+            + total_weight(path for path, _ in self.invalid)
+        )
 
 
 def partition_paths(
@@ -120,6 +126,9 @@ def partition_paths(
 
 @dataclass
 class Phase1Result:
+    """Edges phase 1 voted on; valley_paths sums the weights of paths that
+    drew an invalid vote."""
+
     voted_edges: set[EdgeKey] = field(default_factory=set)
     valley_paths: int = 0
 
@@ -157,7 +166,7 @@ def phase1(
                 pre_dir = oriented(pre, u, v) if pre is not None else None
                 if state == _DOWNHILL and pre_dir is not RelType.P2C:
                     graph.vote_invalid(u, v, weight)
-                    result.valley_paths += 1
+                    result.valley_paths += weight
                     break
                 if pre_dir is RelType.P2C:
                     state = _DOWNHILL
@@ -173,7 +182,7 @@ def phase1(
                 result.voted_edges.add(key)
             elif state == _DOWNHILL and v in core_vertices:
                 graph.vote_invalid(u, v, weight)
-                result.valley_paths += 1
+                result.valley_paths += weight
                 break
             else:
                 if state == _UPHILL:
@@ -232,18 +241,26 @@ def phase2(
     periphery: Iterable[AsPath],
     config: InferenceConfig,
 ) -> Phase2Result:
-    """Fixpoint vote propagation over paths that never touch the core."""
+    """Fixpoint vote propagation over paths that never touch the core.
+
+    Votes only fill edges that had none, so the set of unvoted edges only
+    shrinks, and a path with no unvoted edge in one round can never vote
+    again. Each round therefore walks only the paths that still had an
+    unvoted edge in the round before.
+    """
     periphery = list(periphery)
     result = Phase2Result()
     while True:
         result.rounds += 1
         anchors, unvoted = _snapshot(graph, config)
         pending: list[tuple[int, int, RelType, int]] = []
+        still_open: list[AsPath] = []
         for path in periphery:
             weight = path.weight
             suspects_up: list[tuple[int, int]] = []
             suspects_down: list[tuple[int, int]] = []
             passed_p2c = False
+            is_open = False
             for u, v in path.edges():
                 key = (u, v) if u < v else (v, u)
                 anchor = anchors.get(key)
@@ -256,14 +273,18 @@ def phase2(
                     suspects_up = []
                     passed_p2c = True
                 if key in unvoted:
+                    is_open = True
                     if passed_p2c:
                         suspects_down.append((u, v))
                     else:
                         suspects_up.append((u, v))
+            if is_open:
+                still_open.append(path)
             for su, sv in suspects_down:
                 pending.append((su, sv, RelType.P2C, weight))
         if not pending:
             break
+        periphery = still_open
         for u, v, rel, weight in pending:
             graph.vote(u, v, rel, weight)
             result.voted_edges.add((u, v) if u < v else (v, u))

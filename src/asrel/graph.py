@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ParameterError, SelfLoopError, UnknownEdgeError
 
@@ -91,7 +91,7 @@ class VoteTally:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsPath:
     """One observed AS-level path.
 
@@ -123,6 +123,11 @@ class AsPath:
         return zip(self.hops, self.hops[1:])
 
 
+def total_weight(paths: Iterable[AsPath]) -> int:
+    """Number of observations behind the paths: the sum of their weights."""
+    return sum(path.weight for path in paths)
+
+
 METHOD_DETERMINISTIC_P1 = "deterministic-p1"
 METHOD_DETERMINISTIC_P2 = "deterministic-p2"
 METHOD_GAP_P2P = "gap-p2p"
@@ -140,7 +145,7 @@ DETERMINISTIC_METHODS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     """Final label for one edge, read in canonical low->high order."""
 

@@ -14,6 +14,12 @@ merged, and a path that revisits an AS is cut just before the hop that
 closes the loop. Traceroute-only edges reported by fewer than two
 measurement agents are dropped and the affected paths are split around
 them.
+
+Repeated observations are merged rather than replayed: identical lines of
+a file become one path whose weight counts them, and paths that normalize
+to the same hops, source and agent become one path whose weight is the sum
+of theirs. Every path count is a count of observations, so a path of
+weight k counts as k paths everywhere.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ def load_sibling_pairs(lines: Iterable[str], source: str = "<siblings>") -> Sibl
                 f"expected two AS numbers, got {line!r}", source, lineno
             )
         try:
-            a, b = (_parse_asn(t) for t in tokens)
+            a, b = (parse_asn(t) for t in tokens)
         except ValueError as exc:
             raise ParseError(str(exc), source, lineno) from None
         if a == b:
@@ -95,7 +101,8 @@ def load_sibling_pairs(lines: Iterable[str], source: str = "<siblings>") -> Sibl
     return siblings
 
 
-def _parse_asn(token: str) -> int:
+def parse_asn(token: str) -> int:
+    """The AS number a token names; ValueError if it is not one."""
     value = int(token)
     # AS 0 is reserved and never routes, so it marks a malformed line.
     if not (1 <= value <= MAX_ASN):
@@ -103,7 +110,7 @@ def _parse_asn(token: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedPath:
     """Outcome of normalizing one raw hop sequence."""
 
@@ -126,6 +133,10 @@ def normalize_path(
     else:
         mapped = list(raw_hops)
 
+    if len(mapped) >= 2 and len(set(mapped)) == len(mapped):
+        # No AS repeats, so there is nothing to collapse or truncate.
+        return NormalizedPath(tuple(mapped), False, None)
+
     collapsed = [h for i, h in enumerate(mapped) if i == 0 or h != mapped[i - 1]]
 
     truncated = False
@@ -146,7 +157,12 @@ def normalize_path(
 
 @dataclass
 class IngestReport:
-    """Counters describing what ingestion kept, trimmed, and discarded."""
+    """Counters describing what ingestion kept, trimmed, and discarded.
+
+    Path counters count observations: a path of weight k, from a repeated
+    line or a ``weight=k`` token, adds k. edges_filtered_single_agent
+    counts edges.
+    """
 
     paths_read: int = 0
     paths_dropped_loop: int = 0
@@ -159,7 +175,7 @@ class IngestReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawPath:
     hops: tuple[int, ...]
     source: str
@@ -201,22 +217,33 @@ def parse_path_line(line: str, source: str) -> RawPath | None:
     if not tokens:
         raise ValueError("no hops on line")
 
-    hops = tuple(_parse_asn(t) for t in tokens)
+    hops = tuple(parse_asn(t) for t in tokens)
     return RawPath(hops, source, agent, weight)
 
 
 def read_path_file(
     stream: Iterable[str], source: str, name: str = "<paths>"
 ) -> list[RawPath]:
-    raws = []
+    """One RawPath per distinct path line, in order of first occurrence.
+
+    A line that occurs n times is parsed once and its weight multiplied by
+    n. A malformed line is reported at its first occurrence.
+    """
+    raws: dict[str, RawPath | None] = {}
+    repeats: dict[str, int] = {}
     for lineno, line in enumerate(stream, 1):
+        if line in raws:
+            repeats[line] = repeats.get(line, 1) + 1
+            continue
         try:
-            raw = parse_path_line(line, source)
+            raws[line] = parse_path_line(line, source)
         except ValueError as exc:
             raise ParseError(str(exc), name, lineno) from None
+    for line, n in repeats.items():
+        raw = raws[line]
         if raw is not None:
-            raws.append(raw)
-    return raws
+            raws[line] = RawPath(raw.hops, raw.source, raw.agent, raw.weight * n)
+    return [raw for raw in raws.values() if raw is not None]
 
 
 @dataclass
@@ -236,15 +263,18 @@ def filter_single_agent_edges(
     two hops; BGP paths pass through untouched.
     """
     paths = list(paths)
+    # AsPath has no repeated consecutive hop, so an inline canonical key
+    # needs no self-loop check.
     bgp_edges: set[EdgeKey] = set()
     agents: dict[EdgeKey, set[str]] = {}
     for path in paths:
         if path.source == "bgp":
             for u, v in path.edges():
-                bgp_edges.add(edge_key(u, v))
+                bgp_edges.add((u, v) if u < v else (v, u))
         else:
             for u, v in path.edges():
-                agents.setdefault(edge_key(u, v), set()).add(path.agent)
+                key = (u, v) if u < v else (v, u)
+                agents.setdefault(key, set()).add(path.agent)
 
     removed = {
         key
@@ -264,12 +294,12 @@ def filter_single_agent_edges(
         cut = [
             i
             for i, (u, v) in enumerate(path.edges())
-            if edge_key(u, v) in removed
+            if ((u, v) if u < v else (v, u)) in removed
         ]
         if not cut:
             kept.append(path)
             continue
-        stats.paths_split += 1
+        stats.paths_split += path.weight
         segment_start = 0
         for i in cut:
             segment = path.hops[segment_start : i + 1]
@@ -289,21 +319,31 @@ def ingest_paths(
     siblings: SiblingSet | None = None,
     min_agents: int = 2,
 ) -> tuple[list[AsPath], IngestReport]:
-    """Normalize raw paths and apply the multi-agent edge filter."""
+    """Normalize raw paths, merge repeats and apply the multi-agent edge filter.
+
+    Paths that normalize to the same hops, source and agent become one
+    AsPath, at the place of the first, whose weight is the sum of theirs.
+    """
     report = IngestReport()
-    normalized: list[AsPath] = []
+    merged: dict[tuple[tuple[int, ...], str, str], int] = {}
     for raw in raw_paths:
-        report.paths_read += 1
+        weight = raw.weight
+        report.paths_read += weight
         result = normalize_path(raw.hops, siblings)
         if result.truncated:
-            report.paths_truncated_loop += 1
+            report.paths_truncated_loop += weight
         if result.hops is None:
             if result.drop_reason == DROP_LOOP:
-                report.paths_dropped_loop += 1
+                report.paths_dropped_loop += weight
             else:
-                report.paths_dropped_short += 1
+                report.paths_dropped_short += weight
             continue
-        normalized.append(AsPath(result.hops, raw.source, raw.agent, raw.weight))
+        key = (result.hops, raw.source, raw.agent)
+        merged[key] = merged.get(key, 0) + weight
+    normalized = [
+        AsPath(hops, source, agent, weight)
+        for (hops, source, agent), weight in merged.items()
+    ]
 
     kept, stats = filter_single_agent_edges(normalized, min_agents)
     report.edges_filtered_single_agent = stats.edges_removed

@@ -182,6 +182,8 @@ class RunMetrics:
     denominator; percentages over paths use the partition total (valid,
     periphery, and invalid paths together). pct_invalid_paths counts both
     paths over the core hop limit and paths that drew an invalid vote.
+    Every path count counts observations: a path of weight k, from repeated
+    lines or a ``weight=k`` token, counts k times.
     """
 
     edges: int = 0

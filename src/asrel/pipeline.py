@@ -27,6 +27,7 @@ from .graph import (
     Classification,
     EdgeKey,
     RelType,
+    total_weight,
 )
 from .heuristics import TIEBREAK_KSHELL, HeuristicConfig, apply_tiebreaks, infer_gap_p2p
 from .ingest import SiblingSet
@@ -125,20 +126,23 @@ def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMe
     edges, counts, pct_classified, pct_deterministic, pct_heuristic = (
         summarize_classifications(result.all_records())
     )
+    total_paths = result.partition.total
     metrics = RunMetrics(
         edges=edges,
-        paths_total=result.partition.total,
+        paths_total=total_paths,
         pct_classified=pct_classified,
         pct_deterministic=pct_deterministic,
         pct_heuristic=pct_heuristic,
         method_counts=counts,
         histogram=vote_share_histogram(result.graph),
     )
-    total_paths = result.partition.total
     if total_paths:
-        invalid = len(result.partition.invalid) + result.valley_paths
+        invalid = (
+            total_weight(path for path, _ in result.partition.invalid)
+            + result.valley_paths
+        )
         metrics.pct_through_core = (
-            100.0 * len(result.partition.through_core) / total_paths
+            100.0 * total_weight(result.partition.through_core) / total_paths
         )
         metrics.pct_invalid_paths = 100.0 * invalid / total_paths
     if reference is not None:

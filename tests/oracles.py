@@ -2,7 +2,8 @@
 
 Everything here is written against the problem statement alone, with the
 slowest most obvious algorithm available, so a disagreement with the
-library points at the library.
+library points at the library. The one exception is phase2_unpruned, the
+straightforward form of an optimized library loop, kept as its reference.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import graphlib
 import re
 from itertools import combinations
+
+from asrel.engine import InferenceConfig, _snapshot
+from asrel.graph import AsGraph, AsPath, EdgeKey, RelType, oriented
 
 Adjacency = dict[int, set[int]]
 
@@ -95,3 +99,46 @@ def digraph_is_acyclic(edges: list[tuple[int, int]]) -> bool:
     except graphlib.CycleError:
         return False
     return True
+
+
+def phase2_unpruned(
+    graph: AsGraph, periphery: list[AsPath], config: InferenceConfig
+) -> tuple[set[EdgeKey], int]:
+    """Phase 2 walking every periphery path in every round.
+
+    Returns the voted edges and the round count. engine.phase2 skips paths
+    that can no longer vote and must cast exactly the same votes.
+    """
+    voted: set[EdgeKey] = set()
+    rounds = 0
+    while True:
+        rounds += 1
+        anchors, unvoted = _snapshot(graph, config)
+        pending: list[tuple[int, int, RelType, int]] = []
+        for path in periphery:
+            suspects_up: list[tuple[int, int]] = []
+            suspects_down: list[tuple[int, int]] = []
+            passed_p2c = False
+            for u, v in path.edges():
+                key = (u, v) if u < v else (v, u)
+                anchor = anchors.get(key)
+                rel = oriented(anchor, u, v) if anchor is not None else None
+                if rel is RelType.C2P and suspects_up:
+                    for su, sv in suspects_up:
+                        pending.append((su, sv, RelType.C2P, path.weight))
+                    suspects_up = []
+                elif rel is RelType.P2C:
+                    suspects_up = []
+                    passed_p2c = True
+                if key in unvoted:
+                    if passed_p2c:
+                        suspects_down.append((u, v))
+                    else:
+                        suspects_up.append((u, v))
+            for su, sv in suspects_down:
+                pending.append((su, sv, RelType.P2C, path.weight))
+        if not pending:
+            return voted, rounds
+        for u, v, rel, weight in pending:
+            graph.vote(u, v, rel, weight)
+            voted.add((u, v) if u < v else (v, u))

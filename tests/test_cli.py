@@ -210,6 +210,22 @@ class TestInferErrors:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "line, expected",
+        [("v -5", 1), ("v 99999999999999999999", 1), ("v 777", 3)],
+    )
+    def test_unusable_core_file(self, tmp_path, capsys, line, expected):
+        # Out-of-range ASNs are input errors; a core that names no AS of
+        # the observed graph is infeasible, as for an external peer list.
+        paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n4 5\n")
+        core = write(tmp_path / "c.txt", line + "\n")
+        code = cli.main(
+            ["infer", "--paths-bgp", paths, "--core", core, "--out", str(tmp_path / "o")]
+        )
+        assert code == expected
+        if expected == 1:
+            assert "c.txt:1" in capsys.readouterr().err
+
     def test_unknown_choice_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["infer", "--core-method", "oracle", "--out", "x"])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asrel.core import CoreGraph
 from asrel.engine import (
@@ -10,6 +12,7 @@ from asrel.engine import (
 )
 from asrel.errors import ConfigurationError
 from asrel.graph import AsGraph, AsPath, RelType
+from oracles import phase2_unpruned
 
 
 def trace(*hops):
@@ -253,6 +256,54 @@ class TestPhase2:
         result = phase2(g, [], self.config())
         assert result.rounds == 1
         assert result.voted_edges == set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 9), min_size=2, max_size=7),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.data(),
+        st.sampled_from(["threshold", "plurality"]),
+    )
+    def test_matches_unpruned_reference(self, spec, data, anchor):
+        # Few ASes, so paths share edges and anchors chain across rounds.
+        paths = []
+        for hops, weight in spec:
+            hops = [h for i, h in enumerate(hops) if i == 0 or h != hops[i - 1]]
+            if len(hops) >= 2:
+                paths.append(AsPath(tuple(hops), "trace", "a", weight))
+        if not paths:
+            return
+        config = InferenceConfig(phase2_anchor=anchor)
+        fast, slow = graph_for(paths), graph_for(paths)
+        edges = sorted(fast.edges)
+        seeds = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(edges),
+                    st.booleans(),
+                    st.sampled_from([RelType.C2P, RelType.P2C, RelType.P2P]),
+                    st.integers(1, 4),
+                ),
+                max_size=len(edges),
+            )
+        )
+        for (a, b), flip, rel, weight in seeds:
+            if flip:
+                a, b = b, a
+            fast.vote(a, b, rel, weight)
+            slow.vote(a, b, rel, weight)
+
+        result = phase2(fast, paths, config)
+        voted, rounds = phase2_unpruned(slow, paths, config)
+        assert result.voted_edges == voted
+        assert result.rounds == rounds
+        assert all(fast.tally(k) == slow.tally(k) for k in edges)
 
 
 class TestFinalize:

@@ -179,6 +179,24 @@ class TestParsePathLine:
         assert "paths.txt:2" in str(err.value)
 
 
+class TestReadPathFile:
+    def test_identical_lines_merge_into_one_weighted_path(self):
+        raws = read_path_file(["1 2 3\n", "4 5\n", "1 2 3\n"], "bgp")
+        assert raws == [
+            RawPath((1, 2, 3), "bgp", "", 2),
+            RawPath((4, 5), "bgp", "", 1),
+        ]
+
+    def test_repeated_weight_tokens_multiply(self):
+        raws = read_path_file(["1 2 weight=3\n", "1 2 weight=3\n"], "bgp")
+        assert raws == [RawPath((1, 2), "bgp", "", 6)]
+
+    def test_repeated_malformed_line_reported_at_first_occurrence(self):
+        with pytest.raises(ParseError) as err:
+            read_path_file(["1 2\n", "oops\n", "3 4\n", "oops\n"], "bgp", "p.txt")
+        assert "p.txt:2" in str(err.value)
+
+
 def trace(hops, agent):
     return AsPath(tuple(hops), "trace", agent, 1)
 
@@ -258,7 +276,22 @@ class TestIngestPipeline:
         assert report.paths_dropped_short == 2
         assert report.paths_truncated_loop == 1
         assert report.paths_dropped_loop == 0
-        assert [p.hops for p in paths] == [(1, 2, 3), (1, 2, 3)]
+        assert [(p.hops, p.weight) for p in paths] == [((1, 2, 3), 2)]
+
+    def test_merge_keeps_agents_and_sources_apart(self):
+        raws = [
+            RawPath((1, 2), "trace", "a", 1),
+            RawPath((1, 2), "trace", "b", 1),
+            RawPath((1, 2), "bgp", "", 1),
+            RawPath((1, 1, 2), "trace", "a", 2),  # normalizes onto the first
+        ]
+        paths, report = ingest_paths(raws)
+        assert [(p.source, p.agent, p.weight) for p in paths] == [
+            ("trace", "a", 3),
+            ("trace", "b", 1),
+            ("bgp", "", 1),
+        ]
+        assert report.paths_read == 5
 
     def test_load_corpus_mixes_sources(self):
         paths, report = load_corpus(

@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from asrel import core as core_module
 from asrel import pipeline as pipeline_module
-from asrel.core import CoreGraph
+from asrel.core import CoreGraph, corrupt_core
+from asrel.engine import InferenceConfig
+from asrel.errors import CorruptionInfeasibleError
 from asrel.graph import AsPath, RelType
 from asrel.heuristics import HeuristicConfig
-from asrel.ingest import SiblingSet, build_graph, ingest_paths
+from asrel.ingest import RawPath, SiblingSet, build_graph, ingest_paths
 from asrel.metrics import ReferenceSet
 from asrel.pipeline import (
     core_size_sweep,
@@ -13,7 +17,7 @@ from asrel.pipeline import (
     run_inference,
     summarize,
 )
-from asrel.synth import GenConfig, generate, sample_paths
+from asrel.synth import GenConfig, NoiseConfig, generate, sample_paths
 
 
 def trace(*hops):
@@ -191,3 +195,75 @@ class TestSweeps:
         )
         assert len(rows) == 4
         assert len(kshell_calls) == 1
+
+
+NOISY = NoiseConfig(loop_prob=0.1, valley_prob=0.1, prepend_prob=0.1)
+
+
+def full_run(raws, truth, replace, tiebreak, anchor):
+    """Ingest, graph, a corrupted true core, inference and its metrics."""
+    paths, report = ingest_paths(raws)
+    graph = build_graph(paths)
+    try:
+        core = corrupt_core(truth.true_core(), graph, replace, seed=1)
+    except CorruptionInfeasibleError:
+        reject()
+    result = run_inference(
+        graph, paths, core,
+        InferenceConfig(phase2_anchor=anchor), HeuristicConfig(tiebreak),
+    )
+    return result, summarize(result), report
+
+
+class TestMetamorphic:
+    """Labels follow from the corpus, not from its order or batching."""
+
+    runs = st.fixed_dictionaries(
+        {
+            "replace": st.integers(0, 4),
+            "tiebreak": st.sampled_from([None, "degree", "kshell"]),
+            "anchor": st.sampled_from(["threshold", "plurality"]),
+        }
+    )
+
+    @staticmethod
+    def corpus(seed):
+        config = GenConfig(
+            tier_sizes=(4, 8, 20), paths=60, noise=NOISY, seed=seed, agents=3
+        )
+        truth = generate(config)
+        return truth, sample_paths(truth, config)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.randoms(use_true_random=False), runs)
+    def test_shuffling_paths_changes_nothing(self, seed, rng, run):
+        truth, raws = self.corpus(seed)
+        shuffled = list(raws)
+        rng.shuffle(shuffled)
+        a, metrics_a, _ = full_run(raws, truth, **run)
+        b, metrics_b, _ = full_run(shuffled, truth, **run)
+        assert a.all_records() == b.all_records()
+        assert a.phase2_rounds == b.phase2_rounds
+        assert metrics_a.row() == metrics_b.row()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.integers(1, 4), min_size=60, max_size=60),
+        runs,
+    )
+    def test_weight_k_equals_k_copies(self, seed, weights, run):
+        truth, raws = self.corpus(seed)
+        weighted = [
+            RawPath(raw.hops, raw.source, raw.agent, k)
+            for raw, k in zip(raws, weights)
+        ]
+        copies = list(raws) + [
+            raw for raw, k in zip(raws, weights) for _ in range(k - 1)
+        ]
+        a, metrics_a, report_a = full_run(weighted, truth, **run)
+        b, metrics_b, report_b = full_run(copies, truth, **run)
+        assert a.all_records() == b.all_records()
+        assert metrics_a.row() == metrics_b.row()
+        assert metrics_a.histogram == metrics_b.histogram
+        assert report_a == report_b
