@@ -288,9 +288,12 @@ def _parse_sizes(spec: str) -> list[int]:
             raise ConfigurationError(f"bad --sweep-sizes {spec!r}")
         return list(range(lo, hi + 1, step))
     try:
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
+        sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise ConfigurationError(f"bad --sweep-sizes {spec!r}") from None
+    if not sizes:
+        raise ConfigurationError(f"--sweep-sizes {spec!r} names no size")
+    return sizes
 
 
 def _parse_fractions(spec: str) -> list[float]:

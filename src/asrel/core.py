@@ -76,8 +76,10 @@ class CoreGraph:
 
 
 def _induced_edges(graph: AsGraph, members: set[int]) -> set[EdgeKey]:
+    """Graph edges between members. A member the graph does not contain, as
+    a core file may name, contributes none."""
     edges = set()
-    for v in members:
+    for v in members & graph.vertices:
         for w in graph.neighbors(v):
             if v < w and w in members:
                 edges.add((v, w))
@@ -161,14 +163,14 @@ def load_external_core(
                 fields = line.split("|")
                 if len(fields) != 3:
                     raise ValueError(f"expected ASN|ASN|code, got {line!r}")
+                a, b = parse_asn(fields[0]), parse_asn(fields[1])
                 if int(fields[2]) != 0:
                     continue
-                a, b = int(fields[0]), int(fields[1])
             else:
                 tokens = line.split()
                 if len(tokens) != 2:
                     raise ValueError(f"expected two AS numbers, got {line!r}")
-                a, b = int(tokens[0]), int(tokens[1])
+                a, b = parse_asn(tokens[0]), parse_asn(tokens[1])
             if a == b:
                 raise ValueError(f"self-loop peer edge on AS {a}")
             key = edge_key(a, b)

@@ -34,6 +34,7 @@ from .graph import (
     Classification,
     EdgeKey,
     RelType,
+    VoteTally,
     oriented,
     total_weight,
 )
@@ -201,6 +202,20 @@ class Phase2Result:
     rounds: int = 0
 
 
+def _label(tally: VoteTally, threshold: float) -> RelType:
+    """The relationship whose vote share reaches the threshold, else
+    UNCLASSIFIED. The threshold exceeds 0.5, so at most one share can."""
+    total = tally.low_customer + tally.high_customer + tally.p2p
+    if total:
+        if tally.low_customer / total >= threshold:
+            return RelType.C2P
+        if tally.high_customer / total >= threshold:
+            return RelType.P2C
+        if tally.p2p / total >= threshold:
+            return RelType.P2P
+    return RelType.UNCLASSIFIED
+
+
 def _snapshot(
     graph: AsGraph, config: InferenceConfig
 ) -> tuple[dict[EdgeKey, RelType], set[EdgeKey]]:
@@ -219,20 +234,17 @@ def _snapshot(
         low_c = tally.low_customer
         high_c = tally.high_customer
         p2p = tally.p2p
-        total = low_c + high_c + p2p
-        if total == 0:
+        if low_c + high_c + p2p == 0:
             unvoted.add(key)
-            continue
-        if plurality:
+        elif plurality:
             if low_c > high_c and low_c > p2p:
                 anchors[key] = RelType.C2P
             elif high_c > low_c and high_c > p2p:
                 anchors[key] = RelType.P2C
         else:
-            if low_c / total >= threshold:
-                anchors[key] = RelType.C2P
-            elif high_c / total >= threshold:
-                anchors[key] = RelType.P2C
+            rel = _label(tally, threshold)
+            if rel is RelType.C2P or rel is RelType.P2C:
+                anchors[key] = rel
     return anchors, unvoted
 
 
@@ -300,53 +312,32 @@ def finalize(
     """Turn tallies into one Classification per edge.
 
     Core preassignments win outright. Otherwise an edge is classified when
-    its strongest share reaches the threshold, tagged by whether any
-    phase 1 vote contributed; everything else stays unclassified for the
-    heuristics to look at.
+    one share reaches the threshold, tagged by whether any phase 1 vote
+    contributed; everything else stays unclassified for the heuristics to
+    look at.
     """
     phase1_voted = phase1_voted or set()
     threshold = config.threshold
     out: dict[EdgeKey, Classification] = {}
     for key in graph.edges:
         tally = graph.tally(key)
-        share_c2p, share_p2c, share_p2p = tally.shares()
-        votes = tally.classification_votes()
-        if key in core.preassigned:
-            out[key] = Classification(
-                key,
-                core.preassigned[key],
-                METHOD_CORE_PREASSIGNED,
-                share_c2p,
-                share_p2c,
-                share_p2p,
-                votes,
-                tally.invalid,
-            )
-            continue
-        rel = RelType.UNCLASSIFIED
-        method = METHOD_UNCLASSIFIED
-        if votes > 0:
-            best_share, best_rel = max(
-                (share_c2p, RelType.C2P),
-                (share_p2c, RelType.P2C),
-                (share_p2p, RelType.P2P),
-                key=lambda item: item[0],
-            )
-            if best_share >= threshold:
-                rel = best_rel
-                method = (
-                    METHOD_DETERMINISTIC_P1
-                    if key in phase1_voted
-                    else METHOD_DETERMINISTIC_P2
-                )
+        rel = core.preassigned.get(key)
+        if rel is not None:
+            method = METHOD_CORE_PREASSIGNED
+        else:
+            rel = _label(tally, threshold)
+            if rel is RelType.UNCLASSIFIED:
+                method = METHOD_UNCLASSIFIED
+            elif key in phase1_voted:
+                method = METHOD_DETERMINISTIC_P1
+            else:
+                method = METHOD_DETERMINISTIC_P2
         out[key] = Classification(
             key,
             rel,
             method,
-            share_c2p,
-            share_p2c,
-            share_p2p,
-            votes,
+            *tally.shares(),
+            tally.classification_votes(),
             tally.invalid,
         )
     return out

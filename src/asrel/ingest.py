@@ -33,6 +33,8 @@ from .graph import MAX_ASN, AsGraph, AsPath, EdgeKey, edge_key
 DROP_SHORT = "short"
 DROP_LOOP = "loop"
 
+MIN_AGENTS = 2
+
 
 class SiblingSet:
     """Union-find over AS numbers; the representative is the smallest member.
@@ -253,11 +255,11 @@ class FilterStats:
 
 
 def filter_single_agent_edges(
-    paths: Iterable[AsPath], min_agents: int = 2
+    paths: Iterable[AsPath]
 ) -> tuple[list[AsPath], FilterStats]:
-    """Drop traceroute-only edges observed by fewer than min_agents agents.
+    """Drop traceroute-only edges observed by fewer than MIN_AGENTS agents.
 
-    An edge survives if at least min_agents distinct agents reported it or
+    An edge survives if at least MIN_AGENTS distinct agents reported it or
     if it appears in any BGP path. Traceroute paths containing a removed
     edge are split at the removed edges into maximal sub-paths of at least
     two hops; BGP paths pass through untouched.
@@ -279,7 +281,7 @@ def filter_single_agent_edges(
     removed = {
         key
         for key, seen_by in agents.items()
-        if len(seen_by) < min_agents and key not in bgp_edges
+        if len(seen_by) < MIN_AGENTS and key not in bgp_edges
     }
 
     stats = FilterStats(edges_removed=len(removed))
@@ -317,7 +319,6 @@ def filter_single_agent_edges(
 def ingest_paths(
     raw_paths: Iterable[RawPath],
     siblings: SiblingSet | None = None,
-    min_agents: int = 2,
 ) -> tuple[list[AsPath], IngestReport]:
     """Normalize raw paths, merge repeats and apply the multi-agent edge filter.
 
@@ -345,7 +346,7 @@ def ingest_paths(
         for (hops, source, agent), weight in merged.items()
     ]
 
-    kept, stats = filter_single_agent_edges(normalized, min_agents)
+    kept, stats = filter_single_agent_edges(normalized)
     report.edges_filtered_single_agent = stats.edges_removed
     report.paths_split = stats.paths_split
     return kept, report
@@ -355,7 +356,6 @@ def load_corpus(
     bgp_streams: Sequence[tuple[str, Iterable[str]]] = (),
     trace_streams: Sequence[tuple[str, Iterable[str]]] = (),
     siblings: SiblingSet | None = None,
-    min_agents: int = 2,
 ) -> tuple[list[AsPath], IngestReport]:
     """Read, normalize, and filter a whole corpus.
 
@@ -367,7 +367,7 @@ def load_corpus(
         raws.extend(read_path_file(stream, "bgp", name))
     for name, stream in trace_streams:
         raws.extend(read_path_file(stream, "trace", name))
-    return ingest_paths(raws, siblings, min_agents)
+    return ingest_paths(raws, siblings)
 
 
 def build_graph(paths: Iterable[AsPath]) -> AsGraph:

@@ -6,11 +6,10 @@ A is a provider of B, 0 means peering, and 1 means the pair are siblings.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, TextIO
-
-import numpy as np
 
 from .errors import ParseError
 from .graph import (
@@ -23,9 +22,13 @@ from .graph import (
     RelType,
     edge_key,
 )
-from .ingest import SiblingSet
+from .ingest import SiblingSet, parse_asn
 
 HISTOGRAM_BINS = 20
+# Bin i is [edge i, edge i + 1); the last bin also holds 1.0. Edge i is
+# i * (1 / 20), not i / 20: edge 3 is 0.15000000000000002, so a share of
+# exactly 3/20 lands in bin 2.
+_HISTOGRAM_EDGES = [i * (1.0 / HISTOGRAM_BINS) for i in range(HISTOGRAM_BINS)] + [1.0]
 
 
 @dataclass
@@ -61,9 +64,10 @@ def load_reference(
         if len(fields_) != 3:
             raise ParseError(f"expected A|B|code, got {line!r}", source, lineno)
         try:
-            a, b, code = int(fields_[0]), int(fields_[1]), int(fields_[2])
-        except ValueError:
-            raise ParseError(f"bad record {line!r}", source, lineno) from None
+            a, b = parse_asn(fields_[0]), parse_asn(fields_[1])
+            code = int(fields_[2])
+        except ValueError as exc:
+            raise ParseError(f"bad record {line!r}: {exc}", source, lineno) from None
         if siblings is not None:
             a = siblings.representative(a)
             b = siblings.representative(b)
@@ -152,26 +156,21 @@ def stability(
     return agree / len(shared), len(shared)
 
 
-def vote_share_histogram(
-    graph: AsGraph, bins: int = HISTOGRAM_BINS
-) -> list[tuple[float, float, int]]:
+def vote_share_histogram(graph: AsGraph) -> list[tuple[float, float, int]]:
     """Histogram of per-edge p2c vote shares (low->high reading).
 
     Only edges with at least one classification vote are counted, so the
     bin counts sum to the number of voted edges. A clean corpus is bimodal:
     everything lands in the bins containing 0 and 1.
     """
-    shares = []
+    edges = _HISTOGRAM_EDGES
+    counts = [0] * HISTOGRAM_BINS
     for key in graph.edges:
         tally = graph.tally(key)
-        total = tally.classification_votes()
-        if total:
-            shares.append(tally.high_customer / total)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    counts, _ = np.histogram(shares, bins=edges)
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)
-    ]
+        if tally.classification_votes():
+            i = bisect.bisect_right(edges, tally.shares()[1]) - 1
+            counts[min(i, HISTOGRAM_BINS - 1)] += 1
+    return [(edges[i], edges[i + 1], counts[i]) for i in range(HISTOGRAM_BINS)]
 
 
 @dataclass

@@ -226,6 +226,32 @@ class TestInferErrors:
         if expected == 1:
             assert "c.txt:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--reference", "1|2|0\n{a}|{b}|0\n"),
+            ("--peer-edges", "2 3\n{a} {b}\n"),
+            ("--peer-edges", "2|3|0\n{a}|{b}|-1\n"),
+        ],
+        ids=["reference", "peers", "peers-dump"],
+    )
+    @pytest.mark.parametrize(
+        "a, b", [("0", "2"), ("-4", "3"), ("99999999999999999999", "2")]
+    )
+    def test_out_of_range_asn(self, tmp_path, capsys, flag, text, a, b):
+        # Line 1 is valid, so only the range check on line 2 can fail.
+        paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n")
+        bad = write(tmp_path / "bad.txt", text.format(a=a, b=b))
+        method = "external" if flag == "--peer-edges" else "clique"
+        code = cli.main(
+            [
+                "infer", "--paths-bgp", paths, "--core-method", method,
+                flag, bad, "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "bad.txt:2" in capsys.readouterr().err
+
     def test_unknown_choice_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["infer", "--core-method", "oracle", "--out", "x"])
@@ -316,6 +342,19 @@ class TestExperiment:
         assert len(rows) == 6
         assert rows[0]["fraction"] == "0.0"
 
+    def test_corruption_with_unobserved_core_vertex(self, tmp_path):
+        # A core file may name an AS no path contains; it has no edges.
+        paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n")
+        core = write(tmp_path / "c.txt", "v 1\nv 2\nv 7\n")
+        code = cli.main(
+            [
+                "experiment", "corruption", "--paths-bgp", paths,
+                "--core", core, "--fractions", "0",
+                "--corruption-seeds", "1", "--out", str(tmp_path / "exp"),
+            ]
+        )
+        assert code == 0
+
     def test_sweep_sizes_range_syntax(self, tmp_path):
         paths, core = self.synth_files(tmp_path)
         out = tmp_path / "exp"
@@ -343,13 +382,14 @@ class TestExperiment:
 
     def test_sweep_needs_sizes(self, tmp_path):
         paths, core = self.synth_files(tmp_path)
-        code = cli.main(
-            [
-                "experiment", "core-sweep", "--paths-trace", paths,
-                "--out", str(tmp_path / "exp"),
-            ]
-        )
-        assert code == 2
+        for sizes in ([], ["--sweep-sizes", ","]):
+            code = cli.main(
+                [
+                    "experiment", "core-sweep", "--paths-trace", paths,
+                    *sizes, "--out", str(tmp_path / "exp"),
+                ]
+            )
+            assert code == 2
 
     def test_window_stability_zero_noise_is_one(self, tmp_path):
         paths_a, core, paths_b = self.synth_files(tmp_path, seed_b=77)

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -216,6 +220,38 @@ class TestHistogram:
         histogram = vote_share_histogram(g)
         mid = [b for b in histogram if b[0] <= 0.5 < b[1]]
         assert mid[0][2] == 1
+
+    @pytest.mark.parametrize(
+        "k, expected_bin",
+        [(0, 0), (1, 1), (3, 2), (6, 5), (7, 6), (12, 11), (14, 13),
+         (17, 16), (19, 18), (20, 19)],
+    )
+    def test_share_on_a_bin_edge(self, k, expected_bin):
+        # Edge i is i * (1 / 20). For k = 3, 6, 7, 12, 14, 17 and 19 that
+        # lies just above k / 20, so a share of exactly k / 20 falls in the
+        # bin below; a share of 1 falls in the last bin.
+        g = AsGraph()
+        g.add_edge(1, 2)
+        g.vote(1, 2, RelType.P2C, k)
+        g.vote(1, 2, RelType.C2P, 20 - k)
+        counts = [count for _, _, count in vote_share_histogram(g)]
+        assert counts.index(1) == expected_bin
+        assert sum(counts) == 1
+
+
+def test_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, asrel, asrel.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestSummaries:
