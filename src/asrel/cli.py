@@ -29,7 +29,7 @@ from .core import (
 )
 from .engine import InferenceConfig
 from .errors import AsrelError, ConfigurationError, ParseError
-from .graph import AsGraph, AsPath
+from .graph import AsGraph, Corpus, compile_corpus
 from .heuristics import HeuristicConfig
 from .ingest import IngestReport, SiblingSet, build_graph, load_corpus, load_sibling_pairs
 from .metrics import (
@@ -152,8 +152,9 @@ def _read_lines(path: str) -> list[str]:
 
 def _load_graph(
     args, suffix: str = ""
-) -> tuple[SiblingSet | None, list[AsPath], IngestReport, AsGraph]:
-    """Siblings, cleaned paths, ingest report and graph of one corpus.
+) -> tuple[SiblingSet | None, Corpus, IngestReport, AsGraph]:
+    """Siblings, cleaned paths compiled against the graph, ingest report
+    and graph of one corpus.
 
     ``suffix`` selects the corpus flags: "" for the main corpus, "_b" for
     the second window of window-stability.
@@ -168,7 +169,8 @@ def _load_graph(
     paths, report = load_corpus(bgp, trace, siblings)
     if not paths:
         raise ParseError("no usable paths in the input corpus")
-    return siblings, paths, report, build_graph(paths)
+    graph = build_graph(paths)
+    return siblings, compile_corpus(graph, paths), report, graph
 
 
 def _build_core(args, graph: AsGraph) -> CoreGraph:

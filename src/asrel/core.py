@@ -70,10 +70,6 @@ class CoreGraph:
             return 0.0
         return len(self.edges) / (n * (n - 1) / 2)
 
-    def relationship(self, key: EdgeKey) -> RelType:
-        """Effective relationship of a core edge; p2p unless preassigned."""
-        return self.preassigned.get(key, RelType.P2P)
-
 
 def _induced_edges(graph: AsGraph, members: set[int]) -> set[EdgeKey]:
     """Graph edges between members. A member the graph does not contain, as

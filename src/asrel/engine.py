@@ -15,12 +15,18 @@ c2p (they sit in the uphill segment); edges with no votes after the first
 p2c-classified edge must be p2c. Rounds repeat against a snapshot frozen
 at the start of each round until no new votes appear, so the outcome does
 not depend on path order.
+
+Every stage works on a Corpus, the paths compiled once into edge ids, and
+on the graph's flat per-edge counters. A path's votes depend only on the
+labels of its own edges, so phase 2 re-walks, after its first round, only
+the paths through an edge voted in the round before (semi-naive
+evaluation): every other path would cast the votes it cast before, none.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .core import CoreGraph
 from .errors import ConfigurationError
@@ -30,20 +36,15 @@ from .graph import (
     METHOD_DETERMINISTIC_P2,
     METHOD_UNCLASSIFIED,
     AsGraph,
-    AsPath,
     Classification,
+    Corpus,
     EdgeKey,
     RelType,
     VoteTally,
-    oriented,
-    total_weight,
 )
 
 ANCHOR_THRESHOLD = "threshold"
 ANCHOR_PLURALITY = "plurality"
-
-REASON_CORE_HOP_LIMIT = "core-hop-limit"
-
 
 @dataclass
 class InferenceConfig:
@@ -78,24 +79,21 @@ class InferenceConfig:
 
 @dataclass
 class PathPartition:
-    """Paths split by how they relate to the core."""
+    """Paths split by how they relate to the core. The invalid paths are
+    those whose run of consecutive core vertices exceeds the hop limit."""
 
-    through_core: list[AsPath] = field(default_factory=list)
-    periphery: list[AsPath] = field(default_factory=list)
-    invalid: list[tuple[AsPath, str]] = field(default_factory=list)
+    through_core: Corpus
+    periphery: Corpus
+    invalid: Corpus
 
     @property
     def total(self) -> int:
         """Observations in all three classes: each path counts its weight."""
-        return (
-            total_weight(self.through_core)
-            + total_weight(self.periphery)
-            + total_weight(path for path, _ in self.invalid)
-        )
+        return self.through_core.weight + self.periphery.weight + self.invalid.weight
 
 
 def partition_paths(
-    paths: Iterable[AsPath], core: CoreGraph, max_core_hops: int = 3
+    paths: Corpus, core: CoreGraph, max_core_hops: int = 3
 ) -> PathPartition:
     """Split paths into core-traversing, periphery, and invalid.
 
@@ -103,26 +101,27 @@ def partition_paths(
     longest run of consecutive core vertices exceeds max_core_hops is set
     aside as invalid and never votes.
     """
-    partition = PathPartition()
     core_vertices = core.vertices
-    for path in paths:
-        longest = run = 0
-        touches = False
-        for h in path.hops:
+    classes = (array("i"), array("i"), array("i"))
+    through_core, periphery, invalid = classes
+    all_paths = paths.paths
+    for p in paths.members:
+        hops = all_paths[p].hops
+        if core_vertices.isdisjoint(hops):
+            periphery.append(p)
+            continue
+        run = 0
+        for h in hops:
             if h in core_vertices:
-                touches = True
                 run += 1
-                if run > longest:
-                    longest = run
+                if run > max_core_hops:
+                    invalid.append(p)
+                    break
             else:
                 run = 0
-        if not touches:
-            partition.periphery.append(path)
-        elif longest > max_core_hops:
-            partition.invalid.append((path, REASON_CORE_HOP_LIMIT))
         else:
-            partition.through_core.append(path)
-    return partition
+            through_core.append(p)
+    return PathPartition(*(paths.subset(members) for members in classes))
 
 
 @dataclass
@@ -141,11 +140,11 @@ _DOWNHILL = 2
 
 def phase1(
     graph: AsGraph,
-    through_core: Iterable[AsPath],
+    through_core: Corpus,
     core: CoreGraph,
     config: InferenceConfig | None = None,
 ) -> Phase1Result:
-    """Cast votes from every core-traversing path.
+    """Cast votes from every core-traversing path, on a graph without votes.
 
     Core edges with a preassigned label are not re-voted, but their
     direction still drives the walk state: descending over a preassigned
@@ -153,154 +152,178 @@ def phase1(
     core vertex draws an invalid vote. An invalid vote always ends the
     path's contribution.
     """
-    result = Phase1Result()
+    paths, weights = through_core.paths, through_core.weights
+    edge_ids, offsets = through_core.edge_ids, through_core.offsets
+    low, high, p2p, invalid = graph.counters
     core_vertices = core.vertices
-    core_edges = core.edges
-    preassigned = core.preassigned
-    for path in through_core:
+    # Core edge id -> its preassigned label (low->high), or None.
+    core_edges = {
+        graph.edge_index[key]: core.preassigned.get(key)
+        for key in core.edges
+        if key in graph.edge_index
+    }
+    valley_paths = 0
+    for p in through_core.members:
+        hops = paths[p].hops
+        weight = weights[p]
         state = _UPHILL
-        weight = path.weight
-        for u, v in path.edges():
-            key = (u, v) if u < v else (v, u)
-            if key in core_edges:
-                pre = preassigned.get(key)
-                pre_dir = oriented(pre, u, v) if pre is not None else None
-                if state == _DOWNHILL and pre_dir is not RelType.P2C:
-                    graph.vote_invalid(u, v, weight)
-                    result.valley_paths += weight
+        for e, u, v in zip(edge_ids[offsets[p] : offsets[p + 1]], hops, hops[1:]):
+            # A c2p vote in walk order makes u the customer, a p2c vote v.
+            if e in core_edges:
+                pre = core_edges[e]
+                descends = pre is (RelType.P2C if u < v else RelType.C2P)
+                if state == _DOWNHILL and not descends:
+                    invalid[e] += weight
+                    valley_paths += weight
                     break
-                if pre_dir is RelType.P2C:
+                if descends:
                     state = _DOWNHILL
-                elif pre_dir is not None:
-                    state = _IN_CORE
                 else:
                     state = _IN_CORE
-                    graph.vote(u, v, RelType.P2P, weight)
-                    result.voted_edges.add(key)
+                    if pre is None:
+                        p2p[e] += weight
             elif u in core_vertices and v not in core_vertices:
                 state = _DOWNHILL
-                graph.vote(u, v, RelType.P2C, weight)
-                result.voted_edges.add(key)
-            elif state == _DOWNHILL and v in core_vertices:
-                graph.vote_invalid(u, v, weight)
-                result.valley_paths += weight
-                break
-            else:
-                if state == _UPHILL:
-                    graph.vote(u, v, RelType.C2P, weight)
-                elif state == _IN_CORE:
-                    graph.vote(u, v, RelType.P2P, weight)
+                if u < v:
+                    high[e] += weight
                 else:
-                    graph.vote(u, v, RelType.P2C, weight)
-                result.voted_edges.add(key)
-    return result
+                    low[e] += weight
+            elif state == _DOWNHILL and v in core_vertices:
+                invalid[e] += weight
+                valley_paths += weight
+                break
+            elif state == _IN_CORE:
+                p2p[e] += weight
+            elif (state == _UPHILL) == (u < v):
+                low[e] += weight
+            else:
+                high[e] += weight
+    # Every phase-1 vote has weight >= 1 and the graph had none before, so
+    # the voted edges are those with a nonzero count.
+    voted = {
+        key
+        for key, lc, hc, pp in zip(graph.edge_keys, low, high, p2p)
+        if lc or hc or pp
+    }
+    return Phase1Result(voted, valley_paths)
 
 
 @dataclass
 class Phase2Result:
-    voted_edges: set[EdgeKey] = field(default_factory=set)
     rounds: int = 0
 
 
-def _label(tally: VoteTally, threshold: float) -> RelType:
+def _label(low: int, high: int, p2p: int, threshold: float) -> RelType:
     """The relationship whose vote share reaches the threshold, else
     UNCLASSIFIED. The threshold exceeds 0.5, so at most one share can."""
-    total = tally.low_customer + tally.high_customer + tally.p2p
+    total = low + high + p2p
     if total:
-        if tally.low_customer / total >= threshold:
+        if low / total >= threshold:
             return RelType.C2P
-        if tally.high_customer / total >= threshold:
+        if high / total >= threshold:
             return RelType.P2C
-        if tally.p2p / total >= threshold:
+        if p2p / total >= threshold:
             return RelType.P2P
     return RelType.UNCLASSIFIED
 
 
-def _snapshot(
-    graph: AsGraph, config: InferenceConfig
-) -> tuple[dict[EdgeKey, RelType], set[EdgeKey]]:
-    """Classification snapshot: directional anchors and vote-less edges.
-
-    An anchor is an edge whose tally already decides c2p or p2c under the
-    configured rule. Edges with no classification votes at all are the
-    candidates phase 2 may vote on.
-    """
-    threshold = config.threshold
-    plurality = config.phase2_anchor == ANCHOR_PLURALITY
-    anchors: dict[EdgeKey, RelType] = {}
-    unvoted: set[EdgeKey] = set()
-    for key in graph.edges:
-        tally = graph.tally(key)
-        low_c = tally.low_customer
-        high_c = tally.high_customer
-        p2p = tally.p2p
-        if low_c + high_c + p2p == 0:
-            unvoted.add(key)
-        elif plurality:
-            if low_c > high_c and low_c > p2p:
-                anchors[key] = RelType.C2P
-            elif high_c > low_c and high_c > p2p:
-                anchors[key] = RelType.P2C
-        else:
-            rel = _label(tally, threshold)
-            if rel is RelType.C2P or rel is RelType.P2C:
-                anchors[key] = rel
-    return anchors, unvoted
+# What phase 2 knows of an edge: voted without a direction, an anchor with
+# the low or the high endpoint as the customer, or not voted at all.
+_VOTED = 0
+_LOW_CUSTOMER = 1
+_HIGH_CUSTOMER = 2
+_UNVOTED = 3
 
 
-def phase2(
-    graph: AsGraph,
-    periphery: Iterable[AsPath],
-    config: InferenceConfig,
-) -> Phase2Result:
+def _status(low: int, high: int, p2p: int, config: InferenceConfig) -> int:
+    """An anchor is an edge whose counts already decide c2p or p2c under
+    the configured rule; phase 2 votes only on unvoted edges."""
+    if low + high + p2p == 0:
+        return _UNVOTED
+    if config.phase2_anchor == ANCHOR_PLURALITY:
+        if low > high and low > p2p:
+            return _LOW_CUSTOMER
+        if high > low and high > p2p:
+            return _HIGH_CUSTOMER
+        return _VOTED
+    rel = _label(low, high, p2p, config.threshold)
+    if rel is RelType.C2P:
+        return _LOW_CUSTOMER
+    if rel is RelType.P2C:
+        return _HIGH_CUSTOMER
+    return _VOTED
+
+
+def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2Result:
     """Fixpoint vote propagation over paths that never touch the core.
 
-    Votes only fill edges that had none, so the set of unvoted edges only
-    shrinks, and a path with no unvoted edge in one round can never vote
-    again. Each round therefore walks only the paths that still had an
-    unvoted edge in the round before.
+    Each round reads the edge statuses frozen at its start and sums its
+    votes per edge; they land when the round ends. The first round walks
+    the periphery paths through an unvoted edge, and round r + 1 only those
+    through an edge voted in round r.
     """
-    periphery = list(periphery)
-    result = Phase2Result()
+    paths, weights = periphery.paths, periphery.weights
+    edge_ids, offsets = periphery.edge_ids, periphery.offsets
+    path_starts, path_ids = periphery.path_starts, periphery.path_ids
+    low, high, p2p = graph.low_customer, graph.high_customer, graph.p2p
+    status = bytearray(_status(*counts, config) for counts in zip(low, high, p2p))
+    # 1 marks a periphery path, 2 one already on the round's worklist.
+    marks = bytearray(len(paths))
+    for p in periphery.members:
+        marks[p] = 1
+    # Votes fill only unvoted edges, so the first round needs only the paths
+    # through one.
+    changed = [e for e, s in enumerate(status) if s == _UNVOTED]
+    rounds = 0
     while True:
-        result.rounds += 1
-        anchors, unvoted = _snapshot(graph, config)
-        pending: list[tuple[int, int, RelType, int]] = []
-        still_open: list[AsPath] = []
-        for path in periphery:
-            weight = path.weight
-            suspects_up: list[tuple[int, int]] = []
-            suspects_down: list[tuple[int, int]] = []
+        worklist = []
+        for e in changed:
+            for p in path_ids[path_starts[e] : path_starts[e + 1]]:
+                if marks[p] == 1:
+                    marks[p] = 2
+                    worklist.append(p)
+        for p in worklist:
+            marks[p] = 1
+        rounds += 1
+        # Votes summed per edge: under e when they make the low endpoint the
+        # customer, under ~e when they make the high one.
+        pending: dict[int, int] = {}
+        for p in worklist:
+            hops = paths[p].hops
+            weight = weights[p]
+            cast: list[int] = []
+            suspects_up: list[int] = []
             passed_p2c = False
-            is_open = False
-            for u, v in path.edges():
-                key = (u, v) if u < v else (v, u)
-                anchor = anchors.get(key)
-                rel = oriented(anchor, u, v) if anchor is not None else None
-                if rel is RelType.C2P and suspects_up:
-                    for su, sv in suspects_up:
-                        pending.append((su, sv, RelType.C2P, weight))
+            for e, u, v in zip(edge_ids[offsets[p] : offsets[p + 1]], hops, hops[1:]):
+                s = status[e]
+                if s == _UNVOTED:
+                    # Downhill an unvoted edge is p2c in walk order, so v is
+                    # the customer; uphill it would be c2p, making u one.
+                    if passed_p2c:
+                        cast.append(e if v < u else ~e)
+                    else:
+                        suspects_up.append(e if u < v else ~e)
+                elif s == _VOTED:
+                    continue
+                elif (s == _LOW_CUSTOMER) == (u < v):
+                    # A c2p anchor in walk order.
+                    cast += suspects_up
                     suspects_up = []
-                elif rel is RelType.P2C:
+                else:
                     suspects_up = []
                     passed_p2c = True
-                if key in unvoted:
-                    is_open = True
-                    if passed_p2c:
-                        suspects_down.append((u, v))
-                    else:
-                        suspects_up.append((u, v))
-            if is_open:
-                still_open.append(path)
-            for su, sv in suspects_down:
-                pending.append((su, sv, RelType.P2C, weight))
+            for x in cast:
+                pending[x] = pending.get(x, 0) + weight
         if not pending:
-            break
-        periphery = still_open
-        for u, v, rel, weight in pending:
-            graph.vote(u, v, rel, weight)
-            result.voted_edges.add((u, v) if u < v else (v, u))
-    return result
+            return Phase2Result(rounds)
+        for x, weight in pending.items():
+            if x >= 0:
+                low[x] += weight
+            else:
+                high[~x] += weight
+        changed = {x if x >= 0 else ~x for x in pending}
+        for e in changed:
+            status[e] = _status(low[e], high[e], p2p[e], config)
 
 
 def finalize(
@@ -319,13 +342,13 @@ def finalize(
     phase1_voted = phase1_voted or set()
     threshold = config.threshold
     out: dict[EdgeKey, Classification] = {}
-    for key in graph.edges:
-        tally = graph.tally(key)
+    for key, *counts in zip(graph.edge_keys, *graph.counters):
+        tally = VoteTally(*counts)
         rel = core.preassigned.get(key)
         if rel is not None:
             method = METHOD_CORE_PREASSIGNED
         else:
-            rel = _label(tally, threshold)
+            rel = _label(tally.low_customer, tally.high_customer, tally.p2p, threshold)
             if rel is RelType.UNCLASSIFIED:
                 method = METHOD_UNCLASSIFIED
             elif key in phase1_voted:

@@ -3,13 +3,18 @@
 Edges are undirected and stored once under a canonical (low, high) key.
 Relationship semantics are directional, expressed relative to a vertex
 order, so votes cast while traversing a path are mapped through the
-canonical orientation before they are tallied.
+canonical orientation before they are tallied. Each edge has a dense id,
+and a path corpus is compiled once into those ids (Corpus) so that the
+engine works on flat arrays and counters rather than on tuple keys.
 """
 
 from __future__ import annotations
 
+from array import array
+from copy import copy
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import ParameterError, SelfLoopError, UnknownEdgeError
@@ -58,9 +63,9 @@ def oriented(rel: RelType, a: int, b: int) -> RelType:
     return rel if a < b else rel.flipped()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class VoteTally:
-    """Vote counters for one edge, keyed to the canonical orientation.
+    """The four vote counters of one edge, keyed to the canonical orientation.
 
     low_customer counts votes that make the lower-numbered endpoint the
     customer (a c2p vote in low->high order), high_customer the opposite.
@@ -123,11 +128,6 @@ class AsPath:
         return zip(self.hops, self.hops[1:])
 
 
-def total_weight(paths: Iterable[AsPath]) -> int:
-    """Number of observations behind the paths: the sum of their weights."""
-    return sum(path.weight for path in paths)
-
-
 METHOD_DETERMINISTIC_P1 = "deterministic-p1"
 METHOD_DETERMINISTIC_P2 = "deterministic-p2"
 METHOD_GAP_P2P = "gap-p2p"
@@ -169,11 +169,31 @@ class Classification:
 
 
 class AsGraph:
-    """Undirected AS graph; one VoteTally per vertex pair."""
+    """Undirected AS graph with four vote counters per edge.
+
+    Each edge gets a dense id, in insertion order: edge_index maps an edge
+    key to its id and edge_keys lists the keys by id. The counters
+    low_customer, high_customer, p2p and invalid are lists indexed by edge
+    id, with the meaning of the VoteTally fields of the same names.
+    """
 
     def __init__(self):
         self._adj: dict[int, set[int]] = {}
-        self._tallies: dict[EdgeKey, VoteTally] = {}
+        self.edge_index: dict[EdgeKey, int] = {}
+        self.edge_keys: list[EdgeKey] = []
+        self._zero_counters()
+
+    def _zero_counters(self) -> None:
+        n = len(self.edge_keys)
+        self.low_customer = [0] * n
+        self.high_customer = [0] * n
+        self.p2p = [0] * n
+        self.invalid = [0] * n
+
+    @property
+    def counters(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(low_customer, high_customer, p2p, invalid)"""
+        return self.low_customer, self.high_customer, self.p2p, self.invalid
 
     @property
     def vertices(self):
@@ -181,7 +201,7 @@ class AsGraph:
 
     @property
     def edges(self):
-        return self._tallies.keys()
+        return self.edge_index.keys()
 
     @property
     def n_vertices(self) -> int:
@@ -189,7 +209,7 @@ class AsGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._tallies)
+        return len(self.edge_keys)
 
     def add_vertex(self, v: int) -> None:
         if not (0 <= v <= MAX_ASN):
@@ -199,17 +219,20 @@ class AsGraph:
     def add_edge(self, a: int, b: int) -> EdgeKey:
         """Insert the undirected edge (a, b); a no-op if it already exists."""
         key = edge_key(a, b)
-        if key not in self._tallies:
+        if key not in self.edge_index:
             self.add_vertex(a)
             self.add_vertex(b)
             self._adj[a].add(b)
             self._adj[b].add(a)
-            self._tallies[key] = VoteTally()
+            self.edge_index[key] = len(self.edge_keys)
+            self.edge_keys.append(key)
+            for counter in self.counters:
+                counter.append(0)
         return key
 
     def has_edge(self, a: int, b: int) -> bool:
         try:
-            return edge_key(a, b) in self._tallies
+            return edge_key(a, b) in self.edge_index
         except SelfLoopError:
             return False
 
@@ -221,52 +244,93 @@ class AsGraph:
         return 0 if adj is None else len(adj)
 
     def tally(self, key: EdgeKey) -> VoteTally:
+        """The counters of one edge, copied out."""
         try:
-            return self._tallies[key]
+            e = self.edge_index[key]
         except KeyError:
             raise UnknownEdgeError(f"edge {key} not in graph") from None
+        return VoteTally(*(counter[e] for counter in self.counters))
 
     def add_path_edges(self, path: AsPath) -> None:
         for u, v in path.edges():
             self.add_edge(u, v)
 
-    def vote(self, a: int, b: int, rel: RelType, weight: int = 1) -> None:
-        """Cast a relationship vote for the edge (a, b) in traversal order.
-
-        A C2P vote makes a the customer, a P2C vote makes b the customer,
-        and P2P is orientation free. The vote lands on the counter matching
-        the canonical orientation of the edge.
-        """
-        key = edge_key(a, b)
-        tally = self._tallies.get(key)
-        if tally is None:
-            raise UnknownEdgeError(f"edge {key} not in graph")
-        if rel is RelType.P2P:
-            tally.p2p += weight
-            return
-        if rel is RelType.C2P:
-            customer = a
-        elif rel is RelType.P2C:
-            customer = b
-        else:
-            raise ParameterError(f"cannot vote {rel} on an edge")
-        if customer == key[0]:
-            tally.low_customer += weight
-        else:
-            tally.high_customer += weight
-
-    def vote_invalid(self, a: int, b: int, weight: int = 1) -> None:
-        key = edge_key(a, b)
-        tally = self._tallies.get(key)
-        if tally is None:
-            raise UnknownEdgeError(f"edge {key} not in graph")
-        tally.invalid += weight
-
     def copy_unvoted(self) -> "AsGraph":
-        """Structural copy of the graph with all tallies reset to zero."""
-        fresh = AsGraph()
-        for v, nbrs in self._adj.items():
-            fresh._adj[v] = set(nbrs)
-        for key in self._tallies:
-            fresh._tallies[key] = VoteTally()
+        """A graph with the same vertices, edges and edge ids, and zero counters.
+
+        The copy shares this graph's adjacency and edge index instead of
+        copying them, so neither graph may gain edges afterwards.
+        """
+        fresh = copy(self)
+        fresh._zero_counters()
         return fresh
+
+
+class Corpus:
+    """Paths compiled against one graph's edge ids; the graph must not gain
+    edges afterwards.
+
+    paths is the AsPath list it was built from and weights their weights.
+    edge_ids holds the edge id of every hop of every path in one 4-byte
+    array: path p's hops are edge_ids[offsets[p]:offsets[p + 1]]. A hop's
+    direction is not stored; it is hops[j] < hops[j + 1] of the AsPath. The
+    edge-to-path incidence is in CSR form: the paths through edge e are
+    path_ids[path_starts[e]:path_starts[e + 1]], a path once per traversal.
+
+    A corpus stands for the paths whose ids are in members: all of them,
+    unless it came from subset(). It iterates as those AsPath objects.
+    """
+
+    def __init__(self, graph: AsGraph, paths: Iterable[AsPath]):
+        self.paths = list(paths)
+        self.members = range(len(self.paths))
+        self.weights = array("q", [path.weight for path in self.paths])
+        self.edge_index = index = graph.edge_index
+        self.edge_keys = graph.edge_keys
+        self.edge_ids = edge_ids = array("i")
+        self.offsets = offsets = array("i", [0])
+        try:
+            for path in self.paths:
+                hops = path.hops
+                edge_ids.extend(
+                    [index[(u, v) if u < v else (v, u)] for u, v in zip(hops, hops[1:])]
+                )
+                offsets.append(len(edge_ids))
+        except KeyError as exc:
+            raise UnknownEdgeError(f"edge {exc.args[0]} not in graph") from None
+        counts = array("i", [0]) * len(self.edge_keys)
+        for e in edge_ids:
+            counts[e] += 1
+        self.path_starts = array("i", accumulate(counts, initial=0))
+        self.path_ids = path_ids = array("i", [0]) * len(edge_ids)
+        fill = self.path_starts[:-1]
+        for p in self.members:
+            for e in edge_ids[offsets[p] : offsets[p + 1]]:
+                path_ids[fill[e]] = p
+                fill[e] += 1
+
+    def subset(self, members: Iterable[int]) -> "Corpus":
+        """This compiled corpus, standing for the paths in members."""
+        view = copy(self)
+        view.members = members
+        return view
+
+    def __iter__(self) -> Iterator[AsPath]:
+        paths = self.paths
+        return (paths[p] for p in self.members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    @property
+    def weight(self) -> int:
+        """Number of observations behind the paths: the sum of their weights."""
+        return sum(map(self.weights.__getitem__, self.members))
+
+
+def compile_corpus(graph: AsGraph, paths: Iterable[AsPath]) -> Corpus:
+    """paths compiled against graph's edge ids. A corpus already compiled
+    against them, or against a copy_unvoted of the graph, is returned as is."""
+    if isinstance(paths, Corpus) and paths.edge_index is graph.edge_index:
+        return paths
+    return Corpus(graph, paths)

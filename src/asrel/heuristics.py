@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ConfigurationError
 from .graph import (
@@ -11,8 +11,8 @@ from .graph import (
     METHOD_GAP_P2P,
     METHOD_KSHELL_TIEBREAK,
     AsGraph,
-    AsPath,
     Classification,
+    Corpus,
     EdgeKey,
     RelType,
     oriented,
@@ -43,7 +43,7 @@ class HeuristicConfig:
 
 
 def infer_gap_p2p(
-    periphery: Iterable[AsPath],
+    periphery: Corpus,
     classifications: Mapping[EdgeKey, Classification],
 ) -> dict[EdgeKey, Classification]:
     """Label single unclassified edges wedged between uphill and downhill.
@@ -53,31 +53,44 @@ def infer_gap_p2p(
     edge at the top of the path, where the only consistent reading is a
     peering. Edges at the path boundary have no such context and are left
     alone, as are paths with two or more open edges. Existing labels are
-    never overwritten.
+    never overwritten. classifications holds records of edges of the
+    periphery's graph; only the paths through an unclassified one are
+    visited, since no other path has a gap.
     """
+    edge_ids, offsets = periphery.edge_ids, periphery.offsets
+    path_starts, path_ids = periphery.path_starts, periphery.path_ids
+    # Edge id -> label in low->high order, None while open.
+    labels: list[RelType | None] = [None] * len(periphery.edge_keys)
+    open_edges = []
+    for key, cls in classifications.items():
+        e = periphery.edge_index[key]
+        if cls.rel is RelType.UNCLASSIFIED:
+            open_edges.append(e)
+        else:
+            labels[e] = cls.rel
+    unvisited = bytearray(len(periphery.paths))
+    for p in periphery.members:
+        unvisited[p] = 1
     updates: dict[EdgeKey, Classification] = {}
-    for path in periphery:
-        keys: list[EdgeKey] = []
-        rels: list[RelType | None] = []
-        for u, v in path.edges():
-            key = (u, v) if u < v else (v, u)
-            cls = classifications.get(key)
-            if cls is None or cls.rel is RelType.UNCLASSIFIED:
-                rels.append(None)
-            else:
-                rels.append(oriented(cls.rel, u, v))
-            keys.append(key)
-        gaps = [i for i, r in enumerate(rels) if r is None]
-        if len(gaps) != 1:
-            continue
-        i = gaps[0]
-        if i == 0 or i == len(rels) - 1:
-            continue
-        if rels[i - 1] is RelType.C2P and rels[i + 1] is RelType.P2C:
-            key = keys[i]
-            base = classifications.get(key)
-            if base is not None and key not in updates:
-                updates[key] = replace(base, rel=RelType.P2P, method=METHOD_GAP_P2P)
+    for e in open_edges:
+        for p in path_ids[path_starts[e] : path_starts[e + 1]]:
+            if not unvisited[p]:
+                continue
+            unvisited[p] = 0
+            ids = edge_ids[offsets[p] : offsets[p + 1]]
+            gaps = [i for i, f in enumerate(ids) if labels[f] is None]
+            if len(gaps) != 1 or gaps[0] in (0, len(ids) - 1):
+                continue
+            i = gaps[0]
+            hops = periphery.paths[p].hops
+            before = oriented(labels[ids[i - 1]], hops[i - 1], hops[i])
+            after = oriented(labels[ids[i + 1]], hops[i + 1], hops[i + 2])
+            if before is RelType.C2P and after is RelType.P2C:
+                key = periphery.edge_keys[ids[i]]
+                if key not in updates:
+                    updates[key] = replace(
+                        classifications[key], rel=RelType.P2P, method=METHOD_GAP_P2P
+                    )
     return updates
 
 

@@ -185,10 +185,14 @@ class RawPath:
     weight: int
 
 
-def parse_path_line(line: str, source: str) -> RawPath | None:
+def parse_path_line(
+    line: str, source: str, asns: dict[str, int] | None = None
+) -> RawPath | None:
     """Parse one line of a path file; returns None for blanks and comments.
 
-    Raises ValueError on malformed content; callers add file/line context.
+    asns maps each token already parsed to its AS number, so that equal
+    tokens on many lines share one int. Raises ValueError on malformed
+    content; callers add file/line context.
     """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -219,8 +223,11 @@ def parse_path_line(line: str, source: str) -> RawPath | None:
     if not tokens:
         raise ValueError("no hops on line")
 
-    hops = tuple(parse_asn(t) for t in tokens)
-    return RawPath(hops, source, agent, weight)
+    asns = {} if asns is None else asns
+    for token in tokens:
+        if token not in asns:
+            asns[token] = parse_asn(token)
+    return RawPath(tuple([asns[t] for t in tokens]), source, agent, weight)
 
 
 def read_path_file(
@@ -229,8 +236,10 @@ def read_path_file(
     """One RawPath per distinct path line, in order of first occurrence.
 
     A line that occurs n times is parsed once and its weight multiplied by
-    n. A malformed line is reported at its first occurrence.
+    n. A malformed line is reported at its first occurrence. Equal AS
+    numbers share one int object.
     """
+    asns: dict[str, int] = {}
     raws: dict[str, RawPath | None] = {}
     repeats: dict[str, int] = {}
     for lineno, line in enumerate(stream, 1):
@@ -238,7 +247,7 @@ def read_path_file(
             repeats[line] = repeats.get(line, 1) + 1
             continue
         try:
-            raws[line] = parse_path_line(line, source)
+            raws[line] = parse_path_line(line, source, asns)
         except ValueError as exc:
             raise ParseError(str(exc), name, lineno) from None
     for line, n in repeats.items():

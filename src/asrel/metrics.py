@@ -165,10 +165,10 @@ def vote_share_histogram(graph: AsGraph) -> list[tuple[float, float, int]]:
     """
     edges = _HISTOGRAM_EDGES
     counts = [0] * HISTOGRAM_BINS
-    for key in graph.edges:
-        tally = graph.tally(key)
-        if tally.classification_votes():
-            i = bisect.bisect_right(edges, tally.shares()[1]) - 1
+    for low, high, p2p in zip(graph.low_customer, graph.high_customer, graph.p2p):
+        total = low + high + p2p
+        if total:
+            i = bisect.bisect_right(edges, high / total) - 1
             counts[min(i, HISTOGRAM_BINS - 1)] += 1
     return [(edges[i], edges[i + 1], counts[i]) for i in range(HISTOGRAM_BINS)]
 

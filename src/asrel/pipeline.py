@@ -9,7 +9,7 @@ thresholding, then heuristics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import CoreGraph, corrupt_core, grow_core, k_shell_decompose
 from .engine import (
@@ -27,7 +27,7 @@ from .graph import (
     Classification,
     EdgeKey,
     RelType,
-    total_weight,
+    compile_corpus,
 )
 from .heuristics import TIEBREAK_KSHELL, HeuristicConfig, apply_tiebreaks, infer_gap_p2p
 from .ingest import SiblingSet
@@ -73,7 +73,7 @@ def _kshell_index(
 
 def run_inference(
     graph: AsGraph,
-    paths: Sequence[AsPath],
+    paths: Iterable[AsPath],
     core: CoreGraph,
     engine_config: InferenceConfig | None = None,
     heuristic_config: HeuristicConfig | None = None,
@@ -82,12 +82,15 @@ def run_inference(
 ) -> RunResult:
     """Run the full pipeline without mutating the input graph.
 
-    Votes accumulate on a structural copy, so repeated runs over the same
-    graph (as in the sweeps) stay independent.
+    Votes accumulate on a copy with its own counters, so repeated runs over
+    the same graph (as in the sweeps) stay independent. paths may be a
+    Corpus compiled against graph, which callers that run many cores over
+    one corpus pass to compile it only once; other paths are compiled here.
     """
     engine_config = engine_config or InferenceConfig()
     heuristic_config = heuristic_config or HeuristicConfig()
 
+    paths = compile_corpus(graph, paths)
     work = graph.copy_unvoted()
     partition = partition_paths(paths, core, engine_config.max_core_hops)
     p1 = phase1(work, partition.through_core, core, engine_config)
@@ -137,12 +140,9 @@ def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMe
         histogram=vote_share_histogram(result.graph),
     )
     if total_paths:
-        invalid = (
-            total_weight(path for path, _ in result.partition.invalid)
-            + result.valley_paths
-        )
+        invalid = result.partition.invalid.weight + result.valley_paths
         metrics.pct_through_core = (
-            100.0 * total_weight(result.partition.through_core) / total_paths
+            100.0 * result.partition.through_core.weight / total_paths
         )
         metrics.pct_invalid_paths = 100.0 * invalid / total_paths
     if reference is not None:
@@ -154,7 +154,7 @@ def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMe
 
 def corruption_sweep(
     graph: AsGraph,
-    paths: Sequence[AsPath],
+    paths: Iterable[AsPath],
     core: CoreGraph,
     fractions: Sequence[float],
     seeds: Sequence[int],
@@ -165,8 +165,9 @@ def corruption_sweep(
     """Re-run inference with progressively randomized cores.
 
     Each row holds one (fraction, seed) cell; fraction 0 is re-run as-is,
-    so its row equals the uncorrupted run.
+    so its row equals the uncorrupted run. The corpus is compiled once.
     """
+    paths = compile_corpus(graph, paths)
     kshell = _kshell_index(graph, heuristic_config)
     rows: list[dict[str, object]] = []
     for fraction in fractions:
@@ -189,14 +190,16 @@ def corruption_sweep(
 
 def core_size_sweep(
     graph: AsGraph,
-    paths: Sequence[AsPath],
+    paths: Iterable[AsPath],
     strategy: str,
     sizes: Sequence[int],
     engine_config: InferenceConfig | None = None,
     heuristic_config: HeuristicConfig | None = None,
     reference: ReferenceSet | None = None,
 ) -> list[dict[str, object]]:
-    """Grow cores of increasing size and record how the run responds."""
+    """Grow cores of increasing size and record how the run responds. The
+    corpus is compiled once."""
+    paths = compile_corpus(graph, paths)
     kshell = _kshell_index(graph, heuristic_config, strategy)
     rows: list[dict[str, object]] = []
     for size in sizes:

@@ -310,51 +310,6 @@ def sample_paths(
     return paths
 
 
-def label_sequence(
-    hops: Sequence[int], labels: Mapping[EdgeKey, RelType]
-) -> list[RelType]:
-    """Per-hop relationship sequence in traversal order.
-
-    Consecutive duplicate hops (prepending artifacts) are skipped since
-    they name no edge. Raises KeyError for edges without a label.
-    """
-    collapsed = [h for i, h in enumerate(hops) if i == 0 or h != hops[i - 1]]
-    out = []
-    for u, v in zip(collapsed, collapsed[1:]):
-        out.append(oriented(labels[edge_key(u, v)], u, v))
-    return out
-
-
-def is_valley_free(rels: Iterable[RelType]) -> bool:
-    """Check the up, at most one across, down grammar.
-
-    Sibling edges are transparent: they extend whatever segment the path
-    is in. An unclassified edge fails the check.
-    """
-    state = 0  # 0 uphill, 1 crossed the top, 2 downhill
-    for rel in rels:
-        if rel is RelType.S2S:
-            continue
-        if rel is RelType.C2P:
-            if state != 0:
-                return False
-        elif rel is RelType.P2P:
-            if state != 0:
-                return False
-            state = 1
-        elif rel is RelType.P2C:
-            state = 2
-        else:
-            return False
-    return True
-
-
-def path_is_valley_free(
-    hops: Sequence[int], labels: Mapping[EdgeKey, RelType]
-) -> bool:
-    return is_valley_free(label_sequence(hops, labels))
-
-
 def write_paths_file(paths: Iterable[RawPath], stream: TextIO) -> None:
     """Write paths in the format ingest reads; agent prefixes appear only
     for traceroute paths, so a file should hold one kind of path."""

@@ -2,18 +2,38 @@
 
 Everything here is written against the problem statement alone, with the
 slowest most obvious algorithm available, so a disagreement with the
-library points at the library. The one exception is phase2_unpruned, the
-straightforward form of an optimized library loop, kept as its reference.
+library points at the library. The exception is the reference engine
+(partition_paths through infer_gap_p2p, and run_engine): the engine as it
+was before it was compiled to edge ids, walking AsPath objects with tuple
+keys and casting one vote at a time, kept to check the compiled engine.
 """
 
 from __future__ import annotations
 
 import graphlib
 import re
+from dataclasses import replace
 from itertools import combinations
+from typing import Iterable, Mapping, Sequence
 
-from asrel.engine import InferenceConfig, _snapshot
-from asrel.graph import AsGraph, AsPath, EdgeKey, RelType, oriented
+from asrel.core import CoreGraph
+from asrel.engine import ANCHOR_PLURALITY, InferenceConfig
+from asrel.errors import ParameterError, UnknownEdgeError
+from asrel.graph import (
+    METHOD_CORE_PREASSIGNED,
+    METHOD_DETERMINISTIC_P1,
+    METHOD_DETERMINISTIC_P2,
+    METHOD_GAP_P2P,
+    METHOD_UNCLASSIFIED,
+    AsGraph,
+    AsPath,
+    Classification,
+    EdgeKey,
+    RelType,
+    VoteTally,
+    edge_key,
+    oriented,
+)
 
 Adjacency = dict[int, set[int]]
 
@@ -101,19 +121,210 @@ def digraph_is_acyclic(edges: list[tuple[int, int]]) -> bool:
     return True
 
 
+def vote(graph: AsGraph, a: int, b: int, rel: RelType, weight: int = 1) -> None:
+    """Cast a relationship vote for the edge (a, b) in traversal order.
+
+    A C2P vote makes a the customer, a P2C vote makes b the customer,
+    and P2P is orientation free. The vote lands on the counter matching
+    the canonical orientation of the edge.
+    """
+    key = edge_key(a, b)
+    e = graph.edge_index.get(key)
+    if e is None:
+        raise UnknownEdgeError(f"edge {key} not in graph")
+    if rel is RelType.P2P:
+        graph.p2p[e] += weight
+        return
+    if rel is RelType.C2P:
+        customer = a
+    elif rel is RelType.P2C:
+        customer = b
+    else:
+        raise ParameterError(f"cannot vote {rel} on an edge")
+    if customer == key[0]:
+        graph.low_customer[e] += weight
+    else:
+        graph.high_customer[e] += weight
+
+
+def vote_invalid(graph: AsGraph, a: int, b: int, weight: int = 1) -> None:
+    key = edge_key(a, b)
+    e = graph.edge_index.get(key)
+    if e is None:
+        raise UnknownEdgeError(f"edge {key} not in graph")
+    graph.invalid[e] += weight
+
+
+def core_relationship(core: CoreGraph, key: EdgeKey) -> RelType:
+    """Effective relationship of a core edge; p2p unless preassigned."""
+    return core.preassigned.get(key, RelType.P2P)
+
+
+def label_sequence(
+    hops: Sequence[int], labels: Mapping[EdgeKey, RelType]
+) -> list[RelType]:
+    """Per-hop relationship sequence in traversal order.
+
+    Consecutive duplicate hops (prepending artifacts) are skipped since
+    they name no edge. Raises KeyError for edges without a label.
+    """
+    collapsed = [h for i, h in enumerate(hops) if i == 0 or h != hops[i - 1]]
+    out = []
+    for u, v in zip(collapsed, collapsed[1:]):
+        out.append(oriented(labels[edge_key(u, v)], u, v))
+    return out
+
+
+def is_valley_free(rels: Iterable[RelType]) -> bool:
+    """Check the up, at most one across, down grammar.
+
+    Sibling edges are transparent: they extend whatever segment the path
+    is in. An unclassified edge fails the check.
+    """
+    state = 0  # 0 uphill, 1 crossed the top, 2 downhill
+    for rel in rels:
+        if rel is RelType.S2S:
+            continue
+        if rel is RelType.C2P:
+            if state != 0:
+                return False
+        elif rel is RelType.P2P:
+            if state != 0:
+                return False
+            state = 1
+        elif rel is RelType.P2C:
+            state = 2
+        else:
+            return False
+    return True
+
+
+def path_is_valley_free(
+    hops: Sequence[int], labels: Mapping[EdgeKey, RelType]
+) -> bool:
+    return is_valley_free(label_sequence(hops, labels))
+
+
+def partition_paths(
+    paths: Iterable[AsPath], core: CoreGraph, max_core_hops: int = 3
+) -> tuple[list[AsPath], list[AsPath], list[AsPath]]:
+    """(through_core, periphery, invalid): a path touching the core whose
+    longest run of consecutive core vertices exceeds max_core_hops is
+    invalid."""
+    through_core, periphery, invalid = [], [], []
+    for path in paths:
+        longest = run = 0
+        touches = False
+        for h in path.hops:
+            if h in core.vertices:
+                touches = True
+                run += 1
+                longest = max(longest, run)
+            else:
+                run = 0
+        if not touches:
+            periphery.append(path)
+        elif longest > max_core_hops:
+            invalid.append(path)
+        else:
+            through_core.append(path)
+    return through_core, periphery, invalid
+
+
+_UPHILL, _IN_CORE, _DOWNHILL = 0, 1, 2
+
+
+def phase1(
+    graph: AsGraph, through_core: Iterable[AsPath], core: CoreGraph
+) -> tuple[set[EdgeKey], int]:
+    """Phase-1 votes, one vote() call per hop. Returns the voted edges and
+    the weight of the paths that drew an invalid vote."""
+    voted: set[EdgeKey] = set()
+    valley_paths = 0
+    for path in through_core:
+        state = _UPHILL
+        weight = path.weight
+        for u, v in path.edges():
+            key = edge_key(u, v)
+            if key in core.edges:
+                pre = core.preassigned.get(key)
+                pre_dir = oriented(pre, u, v) if pre is not None else None
+                if state == _DOWNHILL and pre_dir is not RelType.P2C:
+                    vote_invalid(graph, u, v, weight)
+                    valley_paths += weight
+                    break
+                if pre_dir is RelType.P2C:
+                    state = _DOWNHILL
+                elif pre_dir is not None:
+                    state = _IN_CORE
+                else:
+                    state = _IN_CORE
+                    vote(graph, u, v, RelType.P2P, weight)
+                    voted.add(key)
+            elif u in core.vertices and v not in core.vertices:
+                state = _DOWNHILL
+                vote(graph, u, v, RelType.P2C, weight)
+                voted.add(key)
+            elif state == _DOWNHILL and v in core.vertices:
+                vote_invalid(graph, u, v, weight)
+                valley_paths += weight
+                break
+            else:
+                rel = (RelType.C2P, RelType.P2P, RelType.P2C)[state]
+                vote(graph, u, v, rel, weight)
+                voted.add(key)
+    return voted, valley_paths
+
+
+def label(tally: VoteTally, threshold: float) -> RelType:
+    total = tally.classification_votes()
+    if total:
+        if tally.low_customer / total >= threshold:
+            return RelType.C2P
+        if tally.high_customer / total >= threshold:
+            return RelType.P2C
+        if tally.p2p / total >= threshold:
+            return RelType.P2P
+    return RelType.UNCLASSIFIED
+
+
+def snapshot(
+    graph: AsGraph, config: InferenceConfig
+) -> tuple[dict[EdgeKey, RelType], set[EdgeKey]]:
+    """Directional anchors (edges whose tally decides c2p or p2c) and
+    unvoted edges."""
+    anchors: dict[EdgeKey, RelType] = {}
+    unvoted: set[EdgeKey] = set()
+    for key in graph.edges:
+        tally = graph.tally(key)
+        low_c, high_c, p2p = tally.low_customer, tally.high_customer, tally.p2p
+        if low_c + high_c + p2p == 0:
+            unvoted.add(key)
+        elif config.phase2_anchor == ANCHOR_PLURALITY:
+            if low_c > high_c and low_c > p2p:
+                anchors[key] = RelType.C2P
+            elif high_c > low_c and high_c > p2p:
+                anchors[key] = RelType.P2C
+        else:
+            rel = label(tally, config.threshold)
+            if rel is RelType.C2P or rel is RelType.P2C:
+                anchors[key] = rel
+    return anchors, unvoted
+
+
 def phase2_unpruned(
     graph: AsGraph, periphery: list[AsPath], config: InferenceConfig
 ) -> tuple[set[EdgeKey], int]:
     """Phase 2 walking every periphery path in every round.
 
-    Returns the voted edges and the round count. engine.phase2 skips paths
-    that can no longer vote and must cast exactly the same votes.
+    Returns the voted edges and the round count. engine.phase2 walks only
+    the paths that can still vote and must cast exactly the same votes.
     """
     voted: set[EdgeKey] = set()
     rounds = 0
     while True:
         rounds += 1
-        anchors, unvoted = _snapshot(graph, config)
+        anchors, unvoted = snapshot(graph, config)
         pending: list[tuple[int, int, RelType, int]] = []
         for path in periphery:
             suspects_up: list[tuple[int, int]] = []
@@ -140,5 +351,77 @@ def phase2_unpruned(
         if not pending:
             return voted, rounds
         for u, v, rel, weight in pending:
-            graph.vote(u, v, rel, weight)
+            vote(graph, u, v, rel, weight)
             voted.add((u, v) if u < v else (v, u))
+
+
+def finalize(
+    graph: AsGraph,
+    config: InferenceConfig,
+    core: CoreGraph,
+    phase1_voted: set[EdgeKey],
+) -> dict[EdgeKey, Classification]:
+    out: dict[EdgeKey, Classification] = {}
+    for key in graph.edges:
+        tally = graph.tally(key)
+        rel = core.preassigned.get(key)
+        if rel is not None:
+            method = METHOD_CORE_PREASSIGNED
+        else:
+            rel = label(tally, config.threshold)
+            if rel is RelType.UNCLASSIFIED:
+                method = METHOD_UNCLASSIFIED
+            elif key in phase1_voted:
+                method = METHOD_DETERMINISTIC_P1
+            else:
+                method = METHOD_DETERMINISTIC_P2
+        out[key] = Classification(
+            key, rel, method, *tally.shares(), tally.classification_votes(), tally.invalid
+        )
+    return out
+
+
+def infer_gap_p2p(
+    periphery: Iterable[AsPath], classifications: Mapping[EdgeKey, Classification]
+) -> dict[EdgeKey, Classification]:
+    """Every periphery path with exactly one open edge, not at either end,
+    entered by a c2p edge and left by a p2c edge (in walk order) makes that
+    edge p2p."""
+    updates: dict[EdgeKey, Classification] = {}
+    for path in periphery:
+        keys: list[EdgeKey] = []
+        rels: list[RelType | None] = []
+        for u, v in path.edges():
+            key = edge_key(u, v)
+            cls = classifications.get(key)
+            if cls is None or cls.rel is RelType.UNCLASSIFIED:
+                rels.append(None)
+            else:
+                rels.append(oriented(cls.rel, u, v))
+            keys.append(key)
+        gaps = [i for i, r in enumerate(rels) if r is None]
+        if len(gaps) != 1:
+            continue
+        i = gaps[0]
+        if i == 0 or i == len(rels) - 1:
+            continue
+        if rels[i - 1] is RelType.C2P and rels[i + 1] is RelType.P2C:
+            key = keys[i]
+            base = classifications.get(key)
+            if base is not None and key not in updates:
+                updates[key] = replace(base, rel=RelType.P2P, method=METHOD_GAP_P2P)
+    return updates
+
+
+def run_engine(
+    graph: AsGraph, paths: list[AsPath], core: CoreGraph, config: InferenceConfig
+) -> tuple[dict[EdgeKey, Classification], int, int, set[EdgeKey]]:
+    """The reference engine end to end on a copy of graph: classifications
+    after the gap pass, phase-2 rounds, valley paths and phase-1 edges."""
+    work = graph.copy_unvoted()
+    through_core, periphery, _invalid = partition_paths(paths, core, config.max_core_hops)
+    voted, valley_paths = phase1(work, through_core, core)
+    _, rounds = phase2_unpruned(work, periphery, config)
+    classifications = finalize(work, config, core, voted)
+    classifications.update(infer_gap_p2p(periphery, classifications))
+    return classifications, rounds, valley_paths, voted

@@ -27,6 +27,7 @@ from oracles import (
     adjacency_from_edges,
     brute_force_core_numbers,
     brute_force_max_clique,
+    core_relationship,
     is_clique,
 )
 
@@ -66,8 +67,8 @@ class TestCoreGraph:
 
     def test_default_relationship_is_p2p(self):
         core = CoreGraph({1, 2, 3}, {(1, 2), (2, 3)}, {(2, 3): RelType.C2P})
-        assert core.relationship((1, 2)) is RelType.P2P
-        assert core.relationship((2, 3)) is RelType.C2P
+        assert core_relationship(core, (1, 2)) is RelType.P2P
+        assert core_relationship(core, (2, 3)) is RelType.C2P
 
     def test_density(self):
         assert CoreGraph({1, 2, 3}, {(1, 2), (2, 3)}).density() == pytest.approx(2 / 3)

@@ -11,8 +11,9 @@ from asrel.engine import (
     phase2,
 )
 from asrel.errors import ConfigurationError
-from asrel.graph import AsGraph, AsPath, RelType
-from oracles import phase2_unpruned
+from asrel.graph import AsGraph, AsPath, RelType, compile_corpus, edge_key
+from asrel.pipeline import run_inference
+from oracles import phase2_unpruned, run_engine, vote, vote_invalid
 
 
 def trace(*hops):
@@ -28,6 +29,17 @@ def graph_for(paths):
 
 def noedge_core(*vertices):
     return CoreGraph(set(vertices))
+
+
+def corpus_of(*paths):
+    return compile_corpus(graph_for(paths), paths)
+
+
+def phase2_votes(g, paths, config):
+    """phase2's result and the edges whose tallies it changed."""
+    before = {key: g.tally(key) for key in g.edges}
+    result = phase2(g, compile_corpus(g, paths), config)
+    return result, {key for key in g.edges if g.tally(key) != before[key]}
 
 
 class TestInferenceConfig:
@@ -60,29 +72,29 @@ class TestPartition:
         core = noedge_core(10)
         through = trace(1, 10, 2)
         outside = trace(3, 4, 5)
-        partition = partition_paths([through, outside], core)
-        assert partition.through_core == [through]
-        assert partition.periphery == [outside]
+        partition = partition_paths(corpus_of(through, outside), core)
+        assert list(partition.through_core) == [through]
+        assert list(partition.periphery) == [outside]
         assert partition.total == 2
 
     def test_long_core_run_is_invalid(self):
         core = noedge_core(10, 11, 12, 13)
         path = trace(1, 10, 11, 12, 13, 2)
-        partition = partition_paths([path], core, max_core_hops=3)
-        assert partition.invalid == [(path, "core-hop-limit")]
+        partition = partition_paths(corpus_of(path), core, max_core_hops=3)
+        assert list(partition.invalid) == [path]
 
     def test_run_at_limit_is_kept(self):
         core = noedge_core(10, 11, 12)
         path = trace(1, 10, 11, 12, 2)
-        partition = partition_paths([path], core, max_core_hops=3)
-        assert partition.through_core == [path]
+        partition = partition_paths(corpus_of(path), core, max_core_hops=3)
+        assert list(partition.through_core) == [path]
 
     def test_separate_runs_not_summed(self):
         # Two separate two-hop visits are fine under a limit of 3.
         core = noedge_core(10, 11, 20, 21)
         path = trace(1, 10, 11, 2, 20, 21, 3)
-        partition = partition_paths([path], core, max_core_hops=3)
-        assert partition.through_core == [path]
+        partition = partition_paths(corpus_of(path), core, max_core_hops=3)
+        assert list(partition.through_core) == [path]
 
 
 class TestPhase1:
@@ -91,7 +103,7 @@ class TestPhase1:
         path = trace(1, 2, 3, 4, 5, 6, 7)
         g = graph_for([path])
         core = CoreGraph({4, 5}, {(4, 5)})
-        result = phase1(g, [path], core)
+        result = phase1(g, compile_corpus(g, [path]), core)
         assert result.valley_paths == 0
         assert g.tally((1, 2)).low_customer == 1
         assert g.tally((3, 4)).low_customer == 1
@@ -103,7 +115,7 @@ class TestPhase1:
     def test_vertex_only_core_splits_at_the_member(self):
         path = trace(2, 3, 8, 5, 6)
         g = graph_for([path])
-        result = phase1(g, [path], noedge_core(8))
+        result = phase1(g, compile_corpus(g, [path]), noedge_core(8))
         assert result.voted_edges == {(2, 3), (3, 8), (5, 8), (5, 6)}
         assert g.tally((2, 3)).low_customer == 1        # c2p
         assert g.tally((3, 8)).low_customer == 1        # c2p into the core
@@ -113,7 +125,7 @@ class TestPhase1:
     def test_reentering_core_after_descent_is_invalid(self):
         path = trace(1, 10, 2, 11)
         g = graph_for([path])
-        result = phase1(g, [path], noedge_core(10, 11))
+        result = phase1(g, compile_corpus(g, [path]), noedge_core(10, 11))
         assert result.valley_paths == 1
         tally = g.tally((2, 11))
         assert tally.invalid == 1
@@ -125,7 +137,7 @@ class TestPhase1:
         path = trace(1, 4, 5, 2)
         g = graph_for([path])
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2P})
-        result = phase1(g, [path], core)
+        result = phase1(g, compile_corpus(g, [path]), core)
         assert g.tally((4, 5)).classification_votes() == 0
         assert (4, 5) not in result.voted_edges
 
@@ -140,7 +152,7 @@ class TestPhase1:
             {(4, 5), (5, 6)},
             {(4, 5): RelType.P2C, (5, 6): RelType.C2P},
         )
-        result = phase1(g, [path], core)
+        result = phase1(g, compile_corpus(g, [path]), core)
         assert result.valley_paths == 1
         assert g.tally((5, 6)).invalid == 1
 
@@ -148,14 +160,14 @@ class TestPhase1:
         path = trace(4, 5, 9)
         g = graph_for([path])
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2C})
-        phase1(g, [path], core)
+        phase1(g, compile_corpus(g, [path]), core)
         assert g.tally((5, 9)).low_customer == 0
         assert g.tally((5, 9)).high_customer == 1       # p2c away from the core
 
     def test_weight_scales_votes(self):
         path = AsPath((1, 10), "bgp", "", 4)
         g = graph_for([path])
-        phase1(g, [path], noedge_core(10))
+        phase1(g, compile_corpus(g, [path]), noedge_core(10))
         assert g.tally((1, 10)).low_customer == 4
 
 
@@ -164,21 +176,21 @@ class TestPhase2:
         return InferenceConfig()
 
     def seed_anchor(self, g, a, b, rel):
-        g.vote(a, b, rel)
+        vote(g, a, b, rel)
 
     def test_uphill_suspects_adopt_following_c2p(self):
         p = trace(1, 2, 3)
         g = graph_for([p])
         self.seed_anchor(g, 2, 3, RelType.C2P)
-        result = phase2(g, [p], self.config())
-        assert (1, 2) in result.voted_edges
+        result, voted = phase2_votes(g, [p], self.config())
+        assert (1, 2) in voted
         assert g.tally((1, 2)).low_customer == 1
 
     def test_downhill_suspects_after_first_p2c(self):
         p = trace(1, 2, 3)
         g = graph_for([p])
         self.seed_anchor(g, 1, 2, RelType.P2C)
-        result = phase2(g, [p], self.config())
+        result, voted = phase2_votes(g, [p], self.config())
         assert g.tally((2, 3)).low_customer == 0
         assert g.tally((2, 3)).high_customer == 1
 
@@ -189,8 +201,8 @@ class TestPhase2:
         g = graph_for([p])
         self.seed_anchor(g, 1, 2, RelType.C2P)
         self.seed_anchor(g, 4, 5, RelType.P2C)
-        result = phase2(g, [p], self.config())
-        assert result.voted_edges == set()
+        result, voted = phase2_votes(g, [p], self.config())
+        assert voted == set()
         assert g.tally((2, 3)).classification_votes() == 0
         assert g.tally((3, 4)).classification_votes() == 0
 
@@ -199,16 +211,16 @@ class TestPhase2:
         g = graph_for([p])
         self.seed_anchor(g, 1, 2, RelType.C2P)
         self.seed_anchor(g, 3, 4, RelType.C2P)
-        result = phase2(g, [p], self.config())
-        assert result.voted_edges == {(2, 3)}
+        result, voted = phase2_votes(g, [p], self.config())
+        assert voted == {(2, 3)}
         assert g.tally((2, 3)).low_customer == 1
 
     def test_trailing_suspects_without_anchor_stay_unvoted(self):
         p = trace(1, 2, 3)
         g = graph_for([p])
         self.seed_anchor(g, 1, 2, RelType.C2P)
-        result = phase2(g, [p], self.config())
-        assert result.voted_edges == set()
+        result, voted = phase2_votes(g, [p], self.config())
+        assert voted == set()
 
     def test_propagation_chains_across_rounds(self):
         # (2, 3) is anchored from the start; (1, 2) adopts it in round
@@ -217,7 +229,7 @@ class TestPhase2:
         inner = trace(1, 2, 3)
         g = graph_for([chain, inner])
         self.seed_anchor(g, 2, 3, RelType.C2P)
-        result = phase2(g, [chain, inner], self.config())
+        result, voted = phase2_votes(g, [chain, inner], self.config())
         assert result.rounds == 3
         assert g.tally((1, 2)).low_customer == 1
         assert g.tally((1, 5)).high_customer == 1       # 5 is 1's customer
@@ -227,7 +239,7 @@ class TestPhase2:
             paths = [trace(5, 1, 2), trace(1, 2, 3)]
             g = graph_for(paths)
             self.seed_anchor(g, 2, 3, RelType.C2P)
-            result = phase2(g, [paths[i] for i in order], self.config())
+            result, voted = phase2_votes(g, [paths[i] for i in order], self.config())
             assert result.rounds == 3
             assert g.tally((1, 5)).high_customer == 1
 
@@ -236,26 +248,26 @@ class TestPhase2:
         g = graph_for([p])
         # (2, 3) votes 3:1 c2p = 75%, below the 0.8 anchor bar.
         for _ in range(3):
-            g.vote(2, 3, RelType.C2P)
-        g.vote(2, 3, RelType.P2P)
-        result = phase2(g, [p], self.config())
-        assert result.voted_edges == set()
+            vote(g, 2, 3, RelType.C2P)
+        vote(g, 2, 3, RelType.P2P)
+        result, voted = phase2_votes(g, [p], self.config())
+        assert voted == set()
 
     def test_plurality_mode_anchors_on_any_lead(self):
         p = trace(1, 2, 3)
         g = graph_for([p])
         for _ in range(3):
-            g.vote(2, 3, RelType.C2P)
-        g.vote(2, 3, RelType.P2P)
+            vote(g, 2, 3, RelType.C2P)
+        vote(g, 2, 3, RelType.P2P)
         config = InferenceConfig(phase2_anchor="plurality")
-        result = phase2(g, [p], config)
-        assert result.voted_edges == {(1, 2)}
+        result, voted = phase2_votes(g, [p], config)
+        assert voted == {(1, 2)}
 
     def test_no_periphery_paths_single_empty_round(self):
         g = graph_for([trace(1, 2)])
-        result = phase2(g, [], self.config())
+        result, voted = phase2_votes(g, [], self.config())
         assert result.rounds == 1
-        assert result.voted_edges == set()
+        assert voted == set()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -296,12 +308,12 @@ class TestPhase2:
         for (a, b), flip, rel, weight in seeds:
             if flip:
                 a, b = b, a
-            fast.vote(a, b, rel, weight)
-            slow.vote(a, b, rel, weight)
+            vote(fast, a, b, rel, weight)
+            vote(slow, a, b, rel, weight)
 
-        result = phase2(fast, paths, config)
-        voted, rounds = phase2_unpruned(slow, paths, config)
-        assert result.voted_edges == voted
+        result, voted = phase2_votes(fast, paths, config)
+        expected_voted, rounds = phase2_unpruned(slow, paths, config)
+        assert voted == expected_voted
         assert result.rounds == rounds
         assert all(fast.tally(k) == slow.tally(k) for k in edges)
 
@@ -310,8 +322,8 @@ class TestFinalize:
     def test_threshold_met_classifies(self):
         g = graph_for([trace(1, 2)])
         for _ in range(4):
-            g.vote(1, 2, RelType.C2P)
-        g.vote(1, 2, RelType.P2P)
+            vote(g, 1, 2, RelType.C2P)
+        vote(g, 1, 2, RelType.P2P)
         out = finalize(g, InferenceConfig(), noedge_core(99), {(1, 2)})
         cls = out[(1, 2)]
         assert cls.rel is RelType.C2P
@@ -322,8 +334,8 @@ class TestFinalize:
     def test_threshold_missed_stays_unclassified(self):
         g = graph_for([trace(1, 2)])
         for _ in range(3):
-            g.vote(1, 2, RelType.C2P)
-        g.vote(1, 2, RelType.P2P)
+            vote(g, 1, 2, RelType.C2P)
+        vote(g, 1, 2, RelType.P2P)
         out = finalize(g, InferenceConfig(), noedge_core(99))
         cls = out[(1, 2)]
         assert cls.rel is RelType.UNCLASSIFIED
@@ -332,14 +344,14 @@ class TestFinalize:
 
     def test_phase2_votes_tagged_p2(self):
         g = graph_for([trace(1, 2)])
-        g.vote(1, 2, RelType.P2C)
+        vote(g, 1, 2, RelType.P2C)
         out = finalize(g, InferenceConfig(), noedge_core(99), phase1_voted=set())
         assert out[(1, 2)].method == "deterministic-p2"
         assert out[(1, 2)].rel is RelType.P2C
 
     def test_preassignment_overrides_votes(self):
         g = graph_for([trace(4, 5)])
-        g.vote(4, 5, RelType.C2P)
+        vote(g, 4, 5, RelType.C2P)
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2P})
         out = finalize(g, InferenceConfig(), core)
         assert out[(4, 5)].rel is RelType.P2P
@@ -347,7 +359,7 @@ class TestFinalize:
 
     def test_valley_only_edge_recorded(self):
         g = graph_for([trace(1, 2)])
-        g.vote_invalid(1, 2)
+        vote_invalid(g, 1, 2)
         out = finalize(g, InferenceConfig(), noedge_core(99))
         cls = out[(1, 2)]
         assert cls.rel is RelType.UNCLASSIFIED
@@ -401,3 +413,62 @@ class TestWorkedCorpora:
         out = self.run(paths, noedge_core(9))
         assert out[(3, 4)].rel is RelType.P2P
         assert out[(3, 4)].method == "gap-p2p"
+
+
+class TestAgainstReference:
+    """The compiled engine against the reference engine in oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 10), min_size=2, max_size=8),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        st.data(),
+        st.integers(1, 4),
+        st.sampled_from(["threshold", "plurality"]),
+        st.sampled_from([0.6, 0.8, 1.0]),
+    )
+    def test_same_labels_rounds_and_valleys(
+        self, spec, data, max_core_hops, anchor, threshold
+    ):
+        # Few ASes, so paths share edges, revisit ASes and cross the core
+        # in every way; weights make the tallies uneven.
+        paths = []
+        for hops, weight in spec:
+            hops = [h for i, h in enumerate(hops) if i == 0 or h != hops[i - 1]]
+            if len(hops) >= 2:
+                paths.append(AsPath(tuple(hops), "trace", "a", weight))
+        if not paths:
+            return
+        graph = graph_for(paths)
+        vertices = sorted(graph.vertices)
+        members = data.draw(st.sets(st.sampled_from(vertices), max_size=5))
+        pairs = sorted(
+            edge_key(a, b) for a in members for b in members if a < b
+        )
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        preassigned = {}
+        for key in sorted(edges):
+            rel = data.draw(
+                st.sampled_from([None, RelType.C2P, RelType.P2C, RelType.P2P])
+            )
+            if rel is not None:
+                preassigned[key] = rel
+        core = CoreGraph(set(members), set(edges), preassigned)
+        config = InferenceConfig(
+            threshold=threshold, max_core_hops=max_core_hops, phase2_anchor=anchor
+        )
+
+        result = run_inference(graph, paths, core, config)
+        classifications, rounds, valley_paths, voted = run_engine(
+            graph, paths, core, config
+        )
+        assert result.classifications == classifications
+        assert result.phase2_rounds == rounds
+        assert result.valley_paths == valley_paths
+        assert result.phase1_voted == voted

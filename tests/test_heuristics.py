@@ -1,13 +1,14 @@
 import pytest
 
 from asrel.errors import ConfigurationError
-from asrel.graph import AsGraph, AsPath, Classification, RelType
+from asrel.graph import AsGraph, AsPath, Classification, RelType, compile_corpus
 from asrel.heuristics import (
     HeuristicConfig,
     apply_tiebreaks,
     infer_gap_p2p,
     tiebreak,
 )
+from asrel.ingest import build_graph
 
 
 def trace(*hops):
@@ -24,6 +25,10 @@ def cls(key, rel, method="deterministic-p1", votes=1, invalid=0):
     if rel is RelType.UNCLASSIFIED:
         method = "unclassified"
     return Classification(key, rel, method, *shares, votes, invalid)
+
+
+def gap_p2p(paths, classifications):
+    return infer_gap_p2p(compile_corpus(build_graph(paths), paths), classifications)
 
 
 def table(*entries):
@@ -48,7 +53,7 @@ class TestGapP2P:
             cls((2, 3), RelType.UNCLASSIFIED, votes=0),
             cls((3, 4), RelType.P2C),
         )
-        updates = infer_gap_p2p([path], classifications)
+        updates = gap_p2p([path], classifications)
         assert set(updates) == {(2, 3)}
         assert updates[(2, 3)].rel is RelType.P2P
         assert updates[(2, 3)].method == "gap-p2p"
@@ -62,13 +67,13 @@ class TestGapP2P:
             cls((2, 3), RelType.UNCLASSIFIED, votes=0),
             cls((1, 2), RelType.P2C),   # 2 -> 1 is p2c
         )
-        assert set(infer_gap_p2p([path], classifications)) == set()
+        assert set(gap_p2p([path], classifications)) == set()
         flipped = table(
             cls((3, 4), RelType.P2C),   # 4 -> 3 is c2p in traversal order
             cls((2, 3), RelType.UNCLASSIFIED, votes=0),
             cls((1, 2), RelType.C2P),   # 2 -> 1 is p2c in traversal order
         )
-        updates = infer_gap_p2p([path], flipped)
+        updates = gap_p2p([path], flipped)
         assert set(updates) == {(2, 3)}
 
     def test_boundary_gap_ignored(self):
@@ -77,7 +82,7 @@ class TestGapP2P:
             cls((1, 2), RelType.UNCLASSIFIED, votes=0),
             cls((2, 3), RelType.P2C),
         )
-        assert infer_gap_p2p([path], classifications) == {}
+        assert gap_p2p([path], classifications) == {}
 
     def test_two_gaps_ignored(self):
         path = trace(1, 2, 3, 4, 5)
@@ -87,7 +92,7 @@ class TestGapP2P:
             cls((3, 4), RelType.UNCLASSIFIED, votes=0),
             cls((4, 5), RelType.P2C),
         )
-        assert infer_gap_p2p([path], classifications) == {}
+        assert gap_p2p([path], classifications) == {}
 
     def test_wrong_context_ignored(self):
         path = trace(1, 2, 3, 4)
@@ -96,7 +101,7 @@ class TestGapP2P:
             cls((2, 3), RelType.UNCLASSIFIED, votes=0),
             cls((3, 4), RelType.P2C),
         )
-        assert infer_gap_p2p([path], classifications) == {}
+        assert gap_p2p([path], classifications) == {}
 
     def test_never_relabels_classified_edges(self):
         path = trace(1, 2, 3, 4)
@@ -105,7 +110,7 @@ class TestGapP2P:
             cls((2, 3), RelType.C2P),
             cls((3, 4), RelType.P2C),
         )
-        assert infer_gap_p2p([path], classifications) == {}
+        assert gap_p2p([path], classifications) == {}
 
     def test_shares_carried_from_base_record(self):
         base = Classification(
@@ -114,7 +119,7 @@ class TestGapP2P:
         classifications = table(
             cls((1, 2), RelType.C2P), base, cls((3, 4), RelType.P2C)
         )
-        updates = infer_gap_p2p([trace(1, 2, 3, 4)], classifications)
+        updates = gap_p2p([trace(1, 2, 3, 4)], classifications)
         updated = updates[(2, 3)]
         assert updated.share_c2p == 0.5
         assert updated.votes == 4

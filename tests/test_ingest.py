@@ -196,6 +196,12 @@ class TestReadPathFile:
             read_path_file(["1 2\n", "oops\n", "3 4\n", "oops\n"], "bgp", "p.txt")
         assert "p.txt:2" in str(err.value)
 
+    def test_equal_asns_share_one_int(self):
+        # Ints above 256 are not cached by the interpreter, so two parses
+        # of "70000" give two objects unless the reader interns them.
+        raws = read_path_file(["70000 70001\n", "70002 70000\n"], "bgp")
+        assert raws[0].hops[0] is raws[1].hops[1]
+
 
 def trace(hops, agent):
     return AsPath(tuple(hops), "trace", agent, 1)

@@ -24,6 +24,8 @@ from asrel.metrics import (
     write_metrics_csv,
 )
 
+from oracles import vote, vote_invalid
+
 
 def cls(key, rel, method="deterministic-p1", votes=1, invalid=0):
     if rel is RelType.UNCLASSIFIED:
@@ -193,9 +195,9 @@ class TestHistogram:
         g.add_edge(1, 2)
         g.add_edge(3, 4)
         g.add_edge(5, 6)
-        g.vote(1, 2, RelType.C2P)
-        g.vote(3, 4, RelType.P2C)
-        g.vote_invalid(5, 6)
+        vote(g, 1, 2, RelType.C2P)
+        vote(g, 3, 4, RelType.P2C)
+        vote_invalid(g, 5, 6)
         histogram = vote_share_histogram(g)
         assert len(histogram) == 20
         assert sum(count for _, _, count in histogram) == 2
@@ -205,8 +207,8 @@ class TestHistogram:
         g.add_edge(1, 2)
         g.add_edge(3, 4)
         for _ in range(5):
-            g.vote(1, 2, RelType.C2P)   # low customer: p2c share 0
-            g.vote(3, 4, RelType.P2C)   # high customer: p2c share 1
+            vote(g, 1, 2, RelType.C2P)   # low customer: p2c share 0
+            vote(g, 3, 4, RelType.P2C)   # high customer: p2c share 1
         histogram = vote_share_histogram(g)
         assert histogram[0][2] == 1
         assert histogram[-1][2] == 1
@@ -215,8 +217,8 @@ class TestHistogram:
     def test_split_vote_lands_mid_bin(self):
         g = AsGraph()
         g.add_edge(1, 2)
-        g.vote(1, 2, RelType.C2P)
-        g.vote(1, 2, RelType.P2C)
+        vote(g, 1, 2, RelType.C2P)
+        vote(g, 1, 2, RelType.P2C)
         histogram = vote_share_histogram(g)
         mid = [b for b in histogram if b[0] <= 0.5 < b[1]]
         assert mid[0][2] == 1
@@ -232,8 +234,8 @@ class TestHistogram:
         # bin below; a share of 1 falls in the last bin.
         g = AsGraph()
         g.add_edge(1, 2)
-        g.vote(1, 2, RelType.P2C, k)
-        g.vote(1, 2, RelType.C2P, 20 - k)
+        vote(g, 1, 2, RelType.P2C, k)
+        vote(g, 1, 2, RelType.C2P, 20 - k)
         counts = [count for _, _, count in vote_share_histogram(g)]
         assert counts.index(1) == expected_bin
         assert sum(counts) == 1

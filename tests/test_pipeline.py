@@ -7,7 +7,7 @@ from asrel import pipeline as pipeline_module
 from asrel.core import CoreGraph, corrupt_core
 from asrel.engine import InferenceConfig
 from asrel.errors import CorruptionInfeasibleError
-from asrel.graph import AsPath, RelType
+from asrel.graph import AsPath, RelType, edge_key
 from asrel.heuristics import HeuristicConfig
 from asrel.ingest import RawPath, SiblingSet, build_graph, ingest_paths
 from asrel.metrics import ReferenceSet
@@ -267,3 +267,58 @@ class TestMetamorphic:
         assert metrics_a.row() == metrics_b.row()
         assert metrics_a.histogram == metrics_b.histogram
         assert report_a == report_b
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), runs, st.data())
+    def test_relabel_swaps_c2p_and_p2c(self, seed, run, data):
+        # a -> M - a reverses the order of every pair of ASes, so each edge
+        # is read from its other end: c2p and p2c swap and nothing else may
+        # change. Preassigned core labels make the walk follow them.
+        truth, raws = self.corpus(seed)
+        paths, _ = ingest_paths(raws)
+        graph = build_graph(paths)
+        try:
+            core = corrupt_core(truth.true_core(), graph, run["replace"], seed=1)
+        except CorruptionInfeasibleError:
+            reject()
+        preassigned = {}
+        for key in sorted(core.edges):
+            rel = data.draw(
+                st.sampled_from([None, RelType.C2P, RelType.P2C, RelType.P2P])
+            )
+            if rel is not None:
+                preassigned[key] = rel
+        core = CoreGraph(core.vertices, core.edges, preassigned)
+
+        m = 10_000
+        mirror = lambda key: edge_key(m - key[0], m - key[1])
+        mirrored_paths = [
+            AsPath(tuple(m - h for h in p.hops), p.source, p.agent, p.weight)
+            for p in paths
+        ]
+        mirrored_core = CoreGraph(
+            {m - v for v in core.vertices},
+            {mirror(key) for key in core.edges},
+            {mirror(key): rel.flipped() for key, rel in core.preassigned.items()},
+        )
+        configs = (
+            InferenceConfig(phase2_anchor=run["anchor"]),
+            HeuristicConfig(run["tiebreak"]),
+        )
+        a = run_inference(graph, paths, core, *configs)
+        b = run_inference(
+            build_graph(mirrored_paths), mirrored_paths, mirrored_core, *configs
+        )
+        assert a.phase2_rounds == b.phase2_rounds
+        assert a.valley_paths == b.valley_paths
+        assert len(a.classifications) == len(b.classifications)
+        for key, cls in a.classifications.items():
+            other = b.classifications[mirror(key)]
+            assert other.rel is cls.rel.flipped()
+            assert other.method == cls.method
+            assert (other.votes, other.invalid_votes) == (cls.votes, cls.invalid_votes)
+            assert (other.share_c2p, other.share_p2c, other.share_p2p) == (
+                cls.share_p2c,
+                cls.share_c2p,
+                cls.share_p2p,
+            )

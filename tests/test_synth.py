@@ -10,15 +10,18 @@ from asrel.synth import (
     GenConfig,
     NoiseConfig,
     generate,
-    is_valley_free,
-    label_sequence,
-    path_is_valley_free,
     sample_paths,
     write_paths_file,
     write_reference_file,
 )
 
-from oracles import digraph_is_acyclic, valley_free_by_regex
+from oracles import (
+    digraph_is_acyclic,
+    is_valley_free,
+    label_sequence,
+    path_is_valley_free,
+    valley_free_by_regex,
+)
 
 
 def config(**kwargs):
