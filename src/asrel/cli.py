@@ -16,7 +16,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, Sequence, TextIO
 
 from .core import (
     CoreGraph,
@@ -140,14 +141,31 @@ def _manifest(args: argparse.Namespace) -> dict[str, object]:
     return out
 
 
-def _read_lines(path: str) -> list[str]:
+@contextmanager
+def _reading(*names: str) -> Iterator[list[tuple[str, Iterator[str]]]]:
+    """Open every named file, then yield one (name, lines) pair per file.
+
+    All files are open before any line is read, so a missing or unreadable
+    file is reported before a malformed line of another. Lines are read as
+    they are consumed; bytes that are not UTF-8 end the read with a
+    ParseError naming the file.
+    """
+    with ExitStack() as stack:
+        streams = []
+        for name in names:
+            try:
+                handle = stack.enter_context(open(name, "r", encoding="utf-8"))
+            except OSError as exc:
+                raise ParseError(f"cannot read {name}: {exc.strerror}") from None
+            streams.append((name, _lines(name, handle)))
+        yield streams
+
+
+def _lines(name: str, handle: TextIO) -> Iterator[str]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+        yield from handle
     except UnicodeDecodeError:
-        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
+        raise ParseError(f"cannot read {name}: not UTF-8 text") from None
 
 
 def _load_graph(
@@ -161,12 +179,13 @@ def _load_graph(
     """
     siblings = None
     if args.siblings:
-        siblings = load_sibling_pairs(_read_lines(args.siblings), args.siblings)
+        with _reading(args.siblings) as [(name, lines)]:
+            siblings = load_sibling_pairs(lines, name)
     bgp_files = getattr(args, f"paths_bgp{suffix}")
     trace_files = getattr(args, f"paths_trace{suffix}")
-    bgp = [(name, _read_lines(name)) for name in bgp_files]
-    trace = [(name, _read_lines(name)) for name in trace_files]
-    paths, report = load_corpus(bgp, trace, siblings)
+    with _reading(*bgp_files, *trace_files) as streams:
+        n_bgp = len(bgp_files)
+        paths, report = load_corpus(streams[:n_bgp], streams[n_bgp:], siblings)
     if not paths:
         raise ParseError("no usable paths in the input corpus")
     graph = build_graph(paths)
@@ -177,7 +196,8 @@ def _build_core(args, graph: AsGraph) -> CoreGraph:
     if args.core and args.core_method:
         raise ConfigurationError("--core and --core-method are mutually exclusive")
     if args.core:
-        return read_core_file(_read_lines(args.core), graph, args.core)
+        with _reading(args.core) as [(name, lines)]:
+            return read_core_file(lines, graph, name)
     method = args.core_method
     if method is None:
         raise ConfigurationError("one of --core or --core-method is required")
@@ -188,9 +208,8 @@ def _build_core(args, graph: AsGraph) -> CoreGraph:
     if method == "external":
         if not args.peer_edges:
             raise ConfigurationError("--core-method external needs --peer-edges")
-        return load_external_core(
-            _read_lines(args.peer_edges), graph, args.peer_edges
-        )
+        with _reading(args.peer_edges) as [(name, lines)]:
+            return load_external_core(lines, graph, name)
     if args.core_size is None:
         raise ConfigurationError("--core-method grow needs --core-size")
     return grow_core(graph, args.grow_strategy, args.core_size)
@@ -209,7 +228,8 @@ def _configs(args) -> tuple[InferenceConfig, HeuristicConfig]:
 def _load_reference(args, siblings) -> ReferenceSet | None:
     if not args.reference:
         return None
-    return load_reference(_read_lines(args.reference), siblings, args.reference)
+    with _reading(args.reference) as [(name, lines)]:
+        return load_reference(lines, siblings, name)
 
 
 def _ensure_out(args) -> str:

@@ -15,6 +15,7 @@ from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import ne
 from typing import Iterable, Iterator
 
 from .errors import ParameterError, SelfLoopError, UnknownEdgeError
@@ -116,12 +117,13 @@ class AsPath:
             raise ParameterError(f"unknown path source {self.source!r}")
         if self.weight < 1:
             raise ParameterError(f"path weight must be >= 1, got {self.weight}")
-        for h in self.hops:
-            if not (1 <= h <= MAX_ASN):
-                raise ParameterError(f"AS number out of range: {h}")
-        for u, v in zip(self.hops, self.hops[1:]):
-            if u == v:
-                raise ParameterError(f"consecutive duplicate hop {u} in {self.hops!r}")
+        hops = self.hops
+        if min(hops) < 1 or max(hops) > MAX_ASN:
+            bad = next(h for h in hops if not 1 <= h <= MAX_ASN)
+            raise ParameterError(f"AS number out of range: {bad}")
+        if not all(map(ne, hops, hops[1:])):
+            dup = next(u for u, v in zip(hops, hops[1:]) if u == v)
+            raise ParameterError(f"consecutive duplicate hop {dup} in {hops!r}")
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Consecutive hop pairs in traversal order."""

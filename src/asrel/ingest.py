@@ -16,14 +16,15 @@ measurement agents are dropped and the affected paths are split around
 them.
 
 Repeated observations are merged rather than replayed: identical lines of
-a file become one path whose weight counts them, and paths that normalize
-to the same hops, source and agent become one path whose weight is the sum
-of theirs. Every path count is a count of observations, so a path of
-weight k counts as k paths everywhere.
+one source, in one file or across several, become one path whose weight
+counts them, and paths that normalize to the same hops, source and agent
+become one path whose weight is the sum of theirs. Every path count is a
+count of observations, so a path of weight k counts as k paths everywhere.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -45,6 +46,7 @@ class SiblingSet:
     def __init__(self):
         self._parent: dict[int, int] = {}
         self._pairs: set[EdgeKey] = set()
+        self._mapping: dict[int, int] | None = None
 
     def representative(self, asn: int) -> int:
         parent = self._parent
@@ -57,9 +59,20 @@ class SiblingSet:
             parent[asn], asn = root, parent[asn]
         return root
 
+    def mapping(self) -> dict[int, int]:
+        """Every AS named in a sibling pair, mapped to its representative.
+
+        Built on first use and kept until the next merge, so hops are
+        mapped with one dict lookup each: ``map(flat.get, hops, hops)``.
+        """
+        if self._mapping is None:
+            self._mapping = {asn: self.representative(asn) for asn in self._parent}
+        return self._mapping
+
     def merge(self, a: int, b: int) -> None:
         """Declare a and b siblings. Records the pair for later reporting."""
         self._pairs.add(edge_key(a, b))
+        self._mapping = None
         ra = self.representative(a)
         rb = self.representative(b)
         self._parent.setdefault(ra, ra)
@@ -131,7 +144,8 @@ def normalize_path(
     prefix before it. Results with fewer than two hops are dropped.
     """
     if siblings is not None:
-        mapped = [siblings.representative(h) for h in raw_hops]
+        flat = siblings.mapping()
+        mapped = list(map(flat.get, raw_hops, raw_hops))
     else:
         mapped = list(raw_hops)
 
@@ -231,30 +245,46 @@ def parse_path_line(
 
 
 def read_path_file(
-    stream: Iterable[str], source: str, name: str = "<paths>"
+    streams: Iterable[tuple[str, Iterable[str]]], source: str
 ) -> list[RawPath]:
-    """One RawPath per distinct path line, in order of first occurrence.
+    """One RawPath per distinct line of one source's files, in order of
+    first occurrence.
 
-    A line that occurs n times is parsed once and its weight multiplied by
-    n. A malformed line is reported at its first occurrence. Equal AS
-    numbers share one int object.
+    streams are (name, line iterable) pairs, read in order. Lines are
+    counted across all of them before any is parsed, so a line that occurs
+    n times, in one file or several, is parsed once and its weight
+    multiplied by n. A malformed line is reported at the name and line
+    number of its first occurrence. Equal AS numbers share one int object.
     """
+    counts: dict[str, int] = {}
+    # firsts holds (distinct lines seen before the stream, its name);
+    # linenos[j] is the line number of distinct line j's first occurrence.
+    firsts: list[tuple[int, str]] = []
+    linenos = array("q")
+    for name, stream in streams:
+        firsts.append((len(counts), name))
+        for lineno, line in enumerate(stream, 1):
+            n = counts.get(line)
+            if n is None:
+                counts[line] = 1
+                linenos.append(lineno)
+            else:
+                counts[line] = n + 1
+
     asns: dict[str, int] = {}
-    raws: dict[str, RawPath | None] = {}
-    repeats: dict[str, int] = {}
-    for lineno, line in enumerate(stream, 1):
-        if line in raws:
-            repeats[line] = repeats.get(line, 1) + 1
-            continue
+    raws: list[RawPath] = []
+    for j, (line, n) in enumerate(counts.items()):
         try:
-            raws[line] = parse_path_line(line, source, asns)
+            raw = parse_path_line(line, source, asns)
         except ValueError as exc:
-            raise ParseError(str(exc), name, lineno) from None
-    for line, n in repeats.items():
-        raw = raws[line]
-        if raw is not None:
-            raws[line] = RawPath(raw.hops, raw.source, raw.agent, raw.weight * n)
-    return [raw for raw in raws.values() if raw is not None]
+            name = next(name for start, name in reversed(firsts) if start <= j)
+            raise ParseError(str(exc), name, linenos[j]) from None
+        if raw is None:
+            continue
+        if n > 1:
+            raw = RawPath(raw.hops, raw.source, raw.agent, raw.weight * n)
+        raws.append(raw)
+    return raws
 
 
 @dataclass
@@ -274,6 +304,8 @@ def filter_single_agent_edges(
     two hops; BGP paths pass through untouched.
     """
     paths = list(paths)
+    if all(path.source == "bgp" for path in paths):
+        return paths, FilterStats()
     # AsPath has no repeated consecutive hop, so an inline canonical key
     # needs no self-loop check.
     bgp_edges: set[EdgeKey] = set()
@@ -369,13 +401,10 @@ def load_corpus(
     """Read, normalize, and filter a whole corpus.
 
     Streams are given as (name, line iterable) pairs; the name is only used
-    in parse error messages.
+    in parse error messages. The lines of each source are merged across
+    its streams before parsing (see read_path_file).
     """
-    raws: list[RawPath] = []
-    for name, stream in bgp_streams:
-        raws.extend(read_path_file(stream, "bgp", name))
-    for name, stream in trace_streams:
-        raws.extend(read_path_file(stream, "trace", name))
+    raws = read_path_file(bgp_streams, "bgp") + read_path_file(trace_streams, "trace")
     return ingest_paths(raws, siblings)
 
 

@@ -56,6 +56,7 @@ def load_reference(
     raise a parse error.
     """
     rels: dict[EdgeKey, RelType] = {}
+    flat = siblings.mapping() if siblings is not None else {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -68,9 +69,8 @@ def load_reference(
             code = int(fields_[2])
         except ValueError as exc:
             raise ParseError(f"bad record {line!r}: {exc}", source, lineno) from None
-        if siblings is not None:
-            a = siblings.representative(a)
-            b = siblings.representative(b)
+        a = flat.get(a, a)
+        b = flat.get(b, b)
         if a == b:
             continue
         if code == -1:

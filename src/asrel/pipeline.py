@@ -126,8 +126,10 @@ def run_inference(
 
 
 def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMetrics:
+    # Counting needs no order, so the records are not sorted here.
+    records = [*result.classifications.values(), *result.sibling_records]
     edges, counts, pct_classified, pct_deterministic, pct_heuristic = (
-        summarize_classifications(result.all_records())
+        summarize_classifications(records)
     )
     total_paths = result.partition.total
     metrics = RunMetrics(
@@ -146,7 +148,7 @@ def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMe
         )
         metrics.pct_invalid_paths = 100.0 * invalid / total_paths
     if reference is not None:
-        cmp = compare(result.all_records(), reference)
+        cmp = compare(records, reference)
         metrics.pct_match_reference_overall = cmp.pct_match_overall
         metrics.pct_match_reference_both = cmp.pct_match_both
     return metrics
@@ -164,26 +166,27 @@ def corruption_sweep(
 ) -> list[dict[str, object]]:
     """Re-run inference with progressively randomized cores.
 
-    Each row holds one (fraction, seed) cell; fraction 0 is re-run as-is,
-    so its row equals the uncorrupted run. The corpus is compiled once.
+    Each row holds one (fraction, seed) cell. A fraction that replaces no
+    vertex gives the same core for every seed, so it runs once, for the
+    first seed, and its row equals the uncorrupted run; the other seeds get
+    a copy. The corpus is compiled once.
     """
     paths = compile_corpus(graph, paths)
     kshell = _kshell_index(graph, heuristic_config)
     rows: list[dict[str, object]] = []
     for fraction in fractions:
         replace = round(fraction * len(core.vertices))
+        row: dict[str, object] | None = None
         for seed in seeds:
-            corrupted = corrupt_core(core, graph, replace, seed)
-            result = run_inference(
-                graph, paths, corrupted, engine_config, heuristic_config, kshell
-            )
-            metrics = summarize(result, reference)
-            row: dict[str, object] = {
-                "fraction": fraction,
-                "seed": seed,
-                "replaced": replace,
-            }
-            row.update(metrics.row())
+            if row is not None and replace == 0:
+                row = {**row, "seed": seed}
+            else:
+                corrupted = corrupt_core(core, graph, replace, seed)
+                result = run_inference(
+                    graph, paths, corrupted, engine_config, heuristic_config, kshell
+                )
+                row = {"fraction": fraction, "seed": seed, "replaced": replace}
+                row.update(summarize(result, reference).row())
             rows.append(row)
     return rows
 

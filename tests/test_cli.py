@@ -171,6 +171,45 @@ class TestInferErrors:
         assert code == 1
         assert "bad.txt" in capsys.readouterr().err
 
+    def infer_bgp(self, tmp_path, *files):
+        return cli.main(
+            [
+                "infer", "--paths-bgp", *files,
+                "--core-method", "clique", "--out", str(tmp_path / "o"),
+            ]
+        )
+
+    def test_malformed_line_first_seen_in_second_file(self, tmp_path, capsys):
+        a = write(tmp_path / "a.txt", "1 2 3\n4 5\n")
+        b = write(tmp_path / "b.txt", "4 5\n1 2 3\nbanana\n")
+        assert self.infer_bgp(tmp_path, a, b) == 1
+        assert "b.txt:3:" in capsys.readouterr().err
+
+    def test_line_malformed_in_both_files_reported_in_first(self, tmp_path, capsys):
+        a = write(tmp_path / "a.txt", "1 2 3\n4 5\nbanana\n")
+        b = write(tmp_path / "b.txt", "banana\n")
+        assert self.infer_bgp(tmp_path, a, b) == 1
+        err = capsys.readouterr().err
+        assert "a.txt:3:" in err
+        assert "b.txt" not in err
+
+    def test_missing_file_reported_before_malformed_line(self, tmp_path, capsys):
+        a = write(tmp_path / "a.txt", "banana\n")
+        absent = str(tmp_path / "absent.txt")
+        assert self.infer_bgp(tmp_path, a, absent) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read {absent}" in err
+        assert "a.txt" not in err
+
+    def test_non_utf8_deep_in_second_file(self, tmp_path, capsys):
+        a = write(tmp_path / "a.txt", "1 2 3\n")
+        bad = tmp_path / "bad.txt"
+        valid = "".join(f"{i} {i + 1} {i + 2}\n" for i in range(1, 1001))
+        bad.write_bytes(valid.encode() + b"7 \xff 8\n")
+        assert self.infer_bgp(tmp_path, a, str(bad)) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read {bad}: not UTF-8 text" in err
+
     def test_bad_threshold_is_configuration_error(self, tmp_path):
         paths = write(tmp_path / "p.txt", "1 2 3\n")
         code = cli.main(

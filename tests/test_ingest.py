@@ -175,31 +175,54 @@ class TestParsePathLine:
 
     def test_read_path_file_adds_context(self):
         with pytest.raises(ParseError) as err:
-            list(read_path_file(["1 2\n", "oops\n"], "bgp", "paths.txt"))
+            list(read_path_file([("paths.txt", ["1 2\n", "oops\n"])], "bgp"))
         assert "paths.txt:2" in str(err.value)
 
 
 class TestReadPathFile:
     def test_identical_lines_merge_into_one_weighted_path(self):
-        raws = read_path_file(["1 2 3\n", "4 5\n", "1 2 3\n"], "bgp")
+        raws = read_path_file([("p", ["1 2 3\n", "4 5\n", "1 2 3\n"])], "bgp")
         assert raws == [
             RawPath((1, 2, 3), "bgp", "", 2),
             RawPath((4, 5), "bgp", "", 1),
         ]
 
     def test_repeated_weight_tokens_multiply(self):
-        raws = read_path_file(["1 2 weight=3\n", "1 2 weight=3\n"], "bgp")
+        raws = read_path_file([("p", ["1 2 weight=3\n", "1 2 weight=3\n"])], "bgp")
         assert raws == [RawPath((1, 2), "bgp", "", 6)]
 
     def test_repeated_malformed_line_reported_at_first_occurrence(self):
         with pytest.raises(ParseError) as err:
-            read_path_file(["1 2\n", "oops\n", "3 4\n", "oops\n"], "bgp", "p.txt")
+            read_path_file([("p.txt", ["1 2\n", "oops\n", "3 4\n", "oops\n"])], "bgp")
         assert "p.txt:2" in str(err.value)
+
+    def test_lines_merge_across_streams(self):
+        raws = read_path_file(
+            [("a", ["1 2\n", "3 4\n"]), ("b", ["5 6\n", "1 2\n", "1 2\n"])],
+            "bgp",
+        )
+        assert raws == [
+            RawPath((1, 2), "bgp", "", 3),
+            RawPath((3, 4), "bgp", "", 1),
+            RawPath((5, 6), "bgp", "", 1),
+        ]
+
+    def test_malformed_line_reported_in_first_stream_holding_it(self):
+        # b adds no new line, so c's lines follow a's in first-seen order.
+        streams = [
+            ("a", ["1 2\n"]),
+            ("b", ["1 2\n"]),
+            ("c", ["3 4\n", "oops\n"]),
+            ("d", ["oops\n"]),
+        ]
+        with pytest.raises(ParseError) as err:
+            read_path_file(streams, "bgp")
+        assert str(err.value).startswith("c:2:")
 
     def test_equal_asns_share_one_int(self):
         # Ints above 256 are not cached by the interpreter, so two parses
         # of "70000" give two objects unless the reader interns them.
-        raws = read_path_file(["70000 70001\n", "70002 70000\n"], "bgp")
+        raws = read_path_file([("p", ["70000 70001\n", "70002 70000\n"])], "bgp")
         assert raws[0].hops[0] is raws[1].hops[1]
 
 

@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from asrel import cli
 from asrel import core as core_module
 from asrel import pipeline as pipeline_module
 from asrel.core import CoreGraph, corrupt_core
@@ -158,6 +162,26 @@ class TestSweeps:
         half = [r for r in rows if r["fraction"] == 0.5]
         assert all(r["replaced"] == 2 for r in half)
 
+    def test_unreplaced_fraction_runs_once(self, corpus, monkeypatch):
+        # Replacing nothing gives the same core for every seed.
+        truth, graph, paths = corpus
+        calls = []
+        real = pipeline_module.run_inference
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "run_inference", counting)
+        rows = corruption_sweep(
+            graph, paths, truth.true_core(), [0.0, 0.5], seeds=[1, 2]
+        )
+        assert len(calls) == 3
+        assert [(r["fraction"], r["seed"]) for r in rows] == [
+            (0.0, 1), (0.0, 2), (0.5, 1), (0.5, 2)
+        ]
+        assert {**rows[1], "seed": 1} == rows[0]
+
     def test_core_size_sweep_rows(self, corpus):
         _, graph, paths = corpus
         rows = core_size_sweep(graph, paths, "degree", [4, 8])
@@ -267,6 +291,54 @@ class TestMetamorphic:
         assert metrics_a.row() == metrics_b.row()
         assert metrics_a.histogram == metrics_b.histogram
         assert report_a == report_b
+
+    @staticmethod
+    def infer_outputs(root, files):
+        """Bytes of the order-stable outputs of ``asrel infer`` run on the
+        given files, each a list of lines, passed as --paths-bgp in order."""
+        run = Path(tempfile.mkdtemp(dir=root))
+        names = []
+        for i, lines in enumerate(files):
+            path = run / f"paths{i}.txt"
+            path.write_text("".join(lines), encoding="utf-8")
+            names.append(str(path))
+        out = run / "out"
+        argv = [
+            "infer", "--paths-bgp", *names, "--core-method", "clique",
+            "--tiebreak", "kshell", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        return {
+            name: (out / name).read_bytes()
+            for name in (
+                "classifications.csv", "metrics.csv", "histogram.csv",
+                "ingest_report.json",
+            )
+        }
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.data())
+    def test_batching_into_files_changes_nothing(self, seed, data):
+        # Lines are merged across the files of a source before parsing, so
+        # how they are split into files, and whether a line repeats or
+        # carries a weight, must not show in any output.
+        _, raws = self.corpus(seed)
+        pool = [" ".join(map(str, raw.hops)) + "\n" for raw in raws]
+        lines = pool + data.draw(st.lists(st.sampled_from(pool), max_size=40))
+        other = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        cut = data.draw(st.integers(0, len(lines)))
+        k = data.draw(st.integers(2, 4))
+        weighted = [line[:-1] + f" weight={k}\n" for line in lines]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            one = self.infer_outputs(root, [lines])
+            assert self.infer_outputs(root, [lines[:cut], lines[cut:]]) == one
+            assert self.infer_outputs(root, [lines, other]) == self.infer_outputs(
+                root, [lines + other]
+            )
+            assert self.infer_outputs(root, [lines * k]) == self.infer_outputs(
+                root, [weighted]
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), runs, st.data())
