@@ -40,7 +40,6 @@ from .graph import (
     Corpus,
     EdgeKey,
     RelType,
-    VoteTally,
 )
 
 ANCHOR_THRESHOLD = "threshold"
@@ -213,17 +212,25 @@ class Phase2Result:
     rounds: int = 0
 
 
-def _label(low: int, high: int, p2p: int, threshold: float) -> RelType:
-    """The relationship whose vote share reaches the threshold, else
-    UNCLASSIFIED. The threshold exceeds 0.5, so at most one share can."""
+def _shares(low: int, high: int, p2p: int) -> tuple[float, float, float]:
+    """(share_c2p, share_p2c, share_p2p) of an edge's counts, in low->high
+    order; all zeros when it has no classification votes."""
     total = low + high + p2p
     if total:
-        if low / total >= threshold:
-            return RelType.C2P
-        if high / total >= threshold:
-            return RelType.P2C
-        if p2p / total >= threshold:
-            return RelType.P2P
+        return (low / total, high / total, p2p / total)
+    return (0.0, 0.0, 0.0)
+
+
+def _label(shares: tuple[float, float, float], threshold: float) -> RelType:
+    """The relationship whose vote share reaches the threshold, else
+    UNCLASSIFIED. The threshold exceeds 0.5, so at most one share can."""
+    c2p, p2c, p2p = shares
+    if c2p >= threshold:
+        return RelType.C2P
+    if p2c >= threshold:
+        return RelType.P2C
+    if p2p >= threshold:
+        return RelType.P2P
     return RelType.UNCLASSIFIED
 
 
@@ -246,7 +253,7 @@ def _status(low: int, high: int, p2p: int, config: InferenceConfig) -> int:
         if high > low and high > p2p:
             return _HIGH_CUSTOMER
         return _VOTED
-    rel = _label(low, high, p2p, config.threshold)
+    rel = _label(_shares(low, high, p2p), config.threshold)
     if rel is RelType.C2P:
         return _LOW_CUSTOMER
     if rel is RelType.P2C:
@@ -264,7 +271,7 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
     """
     paths, weights = periphery.paths, periphery.weights
     edge_ids, offsets = periphery.edge_ids, periphery.offsets
-    path_starts, path_ids = periphery.path_starts, periphery.path_ids
+    path_starts, path_ids = periphery.incidence
     low, high, p2p = graph.low_customer, graph.high_customer, graph.p2p
     status = bytearray(_status(*counts, config) for counts in zip(low, high, p2p))
     # 1 marks a periphery path, 2 one already on the round's worklist.
@@ -342,25 +349,18 @@ def finalize(
     phase1_voted = phase1_voted or set()
     threshold = config.threshold
     out: dict[EdgeKey, Classification] = {}
-    for key, *counts in zip(graph.edge_keys, *graph.counters):
-        tally = VoteTally(*counts)
+    for key, low, high, p2p, invalid in zip(graph.edge_keys, *graph.counters):
+        shares = _shares(low, high, p2p)
         rel = core.preassigned.get(key)
         if rel is not None:
             method = METHOD_CORE_PREASSIGNED
         else:
-            rel = _label(tally.low_customer, tally.high_customer, tally.p2p, threshold)
+            rel = _label(shares, threshold)
             if rel is RelType.UNCLASSIFIED:
                 method = METHOD_UNCLASSIFIED
             elif key in phase1_voted:
                 method = METHOD_DETERMINISTIC_P1
             else:
                 method = METHOD_DETERMINISTIC_P2
-        out[key] = Classification(
-            key,
-            rel,
-            method,
-            *tally.shares(),
-            tally.classification_votes(),
-            tally.invalid,
-        )
+        out[key] = Classification(key, rel, method, *shares, low + high + p2p, invalid)
     return out

@@ -14,6 +14,7 @@ from array import array
 from copy import copy
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 from operator import ne
 from typing import Iterable, Iterator
@@ -183,6 +184,8 @@ class AsGraph:
         self._adj: dict[int, set[int]] = {}
         self.edge_index: dict[EdgeKey, int] = {}
         self.edge_keys: list[EdgeKey] = []
+        # The paths the graph was built from, compiled (see build_graph).
+        self.corpus: Corpus | None = None
         self._zero_counters()
 
     def _zero_counters(self) -> None:
@@ -253,10 +256,6 @@ class AsGraph:
             raise UnknownEdgeError(f"edge {key} not in graph") from None
         return VoteTally(*(counter[e] for counter in self.counters))
 
-    def add_path_edges(self, path: AsPath) -> None:
-        for u, v in path.edges():
-            self.add_edge(u, v)
-
     def copy_unvoted(self) -> "AsGraph":
         """A graph with the same vertices, edges and edge ids, and zero counters.
 
@@ -275,15 +274,17 @@ class Corpus:
     paths is the AsPath list it was built from and weights their weights.
     edge_ids holds the edge id of every hop of every path in one 4-byte
     array: path p's hops are edge_ids[offsets[p]:offsets[p + 1]]. A hop's
-    direction is not stored; it is hops[j] < hops[j + 1] of the AsPath. The
-    edge-to-path incidence is in CSR form: the paths through edge e are
-    path_ids[path_starts[e]:path_starts[e + 1]], a path once per traversal.
+    direction is not stored; it is hops[j] < hops[j + 1] of the AsPath.
+    n_edges is the graph's edge count once the paths were compiled.
 
     A corpus stands for the paths whose ids are in members: all of them,
     unless it came from subset(). It iterates as those AsPath objects.
     """
 
-    def __init__(self, graph: AsGraph, paths: Iterable[AsPath]):
+    def __init__(self, graph: AsGraph, paths: Iterable[AsPath], grow: bool = False):
+        """Walk paths once, recording each hop's edge id. An edge missing
+        from graph is an UnknownEdgeError, or with grow, is added to graph
+        as add_edge would."""
         self.paths = list(paths)
         self.members = range(len(self.paths))
         self.weights = array("q", [path.weight for path in self.paths])
@@ -291,25 +292,36 @@ class Corpus:
         self.edge_keys = graph.edge_keys
         self.edge_ids = edge_ids = array("i")
         self.offsets = offsets = array("i", [0])
-        try:
-            for path in self.paths:
-                hops = path.hops
-                edge_ids.extend(
-                    [index[(u, v) if u < v else (v, u)] for u, v in zip(hops, hops[1:])]
-                )
-                offsets.append(len(edge_ids))
-        except KeyError as exc:
-            raise UnknownEdgeError(f"edge {exc.args[0]} not in graph") from None
+        for path in self.paths:
+            hops = path.hops
+            for u, v in zip(hops, hops[1:]):
+                key = (u, v) if u < v else (v, u)
+                e = index.get(key)
+                if e is None:
+                    if not grow:
+                        raise UnknownEdgeError(f"edge {key} not in graph")
+                    e = index[graph.add_edge(u, v)]
+                edge_ids.append(e)
+            offsets.append(len(edge_ids))
+        self.n_edges = len(self.edge_keys)
+
+    @cached_property
+    def incidence(self) -> tuple[array, array]:
+        """The edge-to-path index in CSR form, (path_starts, path_ids): the
+        paths through edge e are path_ids[path_starts[e]:path_starts[e + 1]],
+        a path once per traversal. Built on first use."""
+        edge_ids, offsets = self.edge_ids, self.offsets
         counts = array("i", [0]) * len(self.edge_keys)
         for e in edge_ids:
             counts[e] += 1
-        self.path_starts = array("i", accumulate(counts, initial=0))
-        self.path_ids = path_ids = array("i", [0]) * len(edge_ids)
-        fill = self.path_starts[:-1]
-        for p in self.members:
+        path_starts = array("i", accumulate(counts, initial=0))
+        path_ids = array("i", [0]) * len(edge_ids)
+        fill = path_starts[:-1]
+        for p in range(len(self.paths)):
             for e in edge_ids[offsets[p] : offsets[p + 1]]:
                 path_ids[fill[e]] = p
                 fill[e] += 1
+        return path_starts, path_ids
 
     def subset(self, members: Iterable[int]) -> "Corpus":
         """This compiled corpus, standing for the paths in members."""
@@ -331,8 +343,18 @@ class Corpus:
 
 
 def compile_corpus(graph: AsGraph, paths: Iterable[AsPath]) -> Corpus:
-    """paths compiled against graph's edge ids. A corpus already compiled
-    against them, or against a copy_unvoted of the graph, is returned as is."""
+    """paths compiled against graph's edge ids, with the edge-to-path index.
+
+    A corpus already compiled against them, or against a copy_unvoted of
+    the graph, is returned as is. So is the corpus build_graph compiled,
+    when paths equal the paths the graph was built from and the graph has
+    gained no edge since.
+    """
     if isinstance(paths, Corpus) and paths.edge_index is graph.edge_index:
         return paths
-    return Corpus(graph, paths)
+    corpus = graph.corpus
+    if corpus is None or corpus.n_edges != graph.n_edges or corpus.paths != paths:
+        corpus = Corpus(graph, paths)
+    # Built before any subset() is taken, so that the subsets share it.
+    corpus.incidence
+    return corpus

@@ -58,7 +58,7 @@ def infer_gap_p2p(
     visited, since no other path has a gap.
     """
     edge_ids, offsets = periphery.edge_ids, periphery.offsets
-    path_starts, path_ids = periphery.path_starts, periphery.path_ids
+    path_starts, path_ids = periphery.incidence
     # Edge id -> label in low->high order, None while open.
     labels: list[RelType | None] = [None] * len(periphery.edge_keys)
     open_edges = []

@@ -24,12 +24,13 @@ count of observations, so a path of weight k counts as k paths everywhere.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .graph import MAX_ASN, AsGraph, AsPath, EdgeKey, edge_key
+from .graph import MAX_ASN, AsGraph, AsPath, Corpus, EdgeKey, edge_key
 
 DROP_SHORT = "short"
 DROP_LOOP = "loop"
@@ -60,13 +61,15 @@ class SiblingSet:
         return root
 
     def mapping(self) -> dict[int, int]:
-        """Every AS named in a sibling pair, mapped to its representative.
+        """Every AS that is not its own representative, mapped to it.
 
         Built on first use and kept until the next merge, so hops are
-        mapped with one dict lookup each: ``map(flat.get, hops, hops)``.
+        mapped with one dict lookup each: ``map(flat.get, hops, hops)``,
+        and a path none of whose hops is a key maps to itself.
         """
         if self._mapping is None:
-            self._mapping = {asn: self.representative(asn) for asn in self._parent}
+            rep = self.representative
+            self._mapping = {asn: r for asn in self._parent if (r := rep(asn)) != asn}
         return self._mapping
 
     def merge(self, a: int, b: int) -> None:
@@ -141,17 +144,18 @@ def normalize_path(
 
     Steps, in order: map every hop to its sibling representative, merge
     consecutive duplicates, and if a hop closes a loop keep only the strict
-    prefix before it. Results with fewer than two hops are dropped.
+    prefix before it. Results with fewer than two hops are dropped. A
+    tuple that none of these steps changes is returned as is, not copied.
     """
+    mapped = tuple(raw_hops)
     if siblings is not None:
         flat = siblings.mapping()
-        mapped = list(map(flat.get, raw_hops, raw_hops))
-    else:
-        mapped = list(raw_hops)
+        if not flat.keys().isdisjoint(mapped):
+            mapped = tuple(map(flat.get, mapped, mapped))
 
     if len(mapped) >= 2 and len(set(mapped)) == len(mapped):
         # No AS repeats, so there is nothing to collapse or truncate.
-        return NormalizedPath(tuple(mapped), False, None)
+        return NormalizedPath(mapped, False, None)
 
     collapsed = [h for i, h in enumerate(mapped) if i == 0 or h != mapped[i - 1]]
 
@@ -200,13 +204,14 @@ class RawPath:
 
 
 def parse_path_line(
-    line: str, source: str, asns: dict[str, int] | None = None
+    line: str, source: str, asns: dict[str, int] | None = None, count: int = 1
 ) -> RawPath | None:
     """Parse one line of a path file; returns None for blanks and comments.
 
     asns maps each token already parsed to its AS number, so that equal
-    tokens on many lines share one int. Raises ValueError on malformed
-    content; callers add file/line context.
+    tokens on many lines share one int, and equal agent ids share one str.
+    count is how many times the line occurs; it multiplies the weight.
+    Raises ValueError on malformed content; callers add file/line context.
     """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -218,7 +223,7 @@ def parse_path_line(
         if "|" not in stripped:
             raise ValueError("traceroute line is missing the agent_id| prefix")
         agent, body = stripped.split("|", 1)
-        agent = agent.strip()
+        agent = sys.intern(agent.strip())
         if not agent:
             raise ValueError("empty agent id")
     if "|" in body:
@@ -241,7 +246,7 @@ def parse_path_line(
     for token in tokens:
         if token not in asns:
             asns[token] = parse_asn(token)
-    return RawPath(tuple([asns[t] for t in tokens]), source, agent, weight)
+    return RawPath(tuple([asns[t] for t in tokens]), source, agent, weight * count)
 
 
 def read_path_file(
@@ -275,15 +280,12 @@ def read_path_file(
     raws: list[RawPath] = []
     for j, (line, n) in enumerate(counts.items()):
         try:
-            raw = parse_path_line(line, source, asns)
+            raw = parse_path_line(line, source, asns, n)
         except ValueError as exc:
             name = next(name for start, name in reversed(firsts) if start <= j)
             raise ParseError(str(exc), name, linenos[j]) from None
-        if raw is None:
-            continue
-        if n > 1:
-            raw = RawPath(raw.hops, raw.source, raw.agent, raw.weight * n)
-        raws.append(raw)
+        if raw is not None:
+            raws.append(raw)
     return raws
 
 
@@ -315,9 +317,14 @@ def filter_single_agent_edges(
             for u, v in path.edges():
                 bgp_edges.add((u, v) if u < v else (v, u))
         else:
+            agent = path.agent
             for u, v in path.edges():
                 key = (u, v) if u < v else (v, u)
-                agents.setdefault(key, set()).add(path.agent)
+                seen_by = agents.get(key)
+                if seen_by is None:
+                    agents[key] = {agent}
+                else:
+                    seen_by.add(agent)
 
     removed = {
         key
@@ -409,8 +416,11 @@ def load_corpus(
 
 
 def build_graph(paths: Iterable[AsPath]) -> AsGraph:
-    """Union of all path edges, with zeroed vote tallies."""
+    """Union of all path edges, with zeroed vote tallies.
+
+    One walk over the hops adds the edges and compiles the paths against
+    their ids; the graph keeps that corpus for compile_corpus to reuse.
+    """
     graph = AsGraph()
-    for path in paths:
-        graph.add_path_edges(path)
+    graph.corpus = Corpus(graph, paths, grow=True)
     return graph

@@ -83,9 +83,9 @@ def run_inference(
     """Run the full pipeline without mutating the input graph.
 
     Votes accumulate on a copy with its own counters, so repeated runs over
-    the same graph (as in the sweeps) stay independent. paths may be a
-    Corpus compiled against graph, which callers that run many cores over
-    one corpus pass to compile it only once; other paths are compiled here.
+    the same graph (as in the sweeps) stay independent. paths are compiled
+    by compile_corpus, which reuses a Corpus compiled against graph and the
+    corpus build_graph compiled from the same path list.
     """
     engine_config = engine_config or InferenceConfig()
     heuristic_config = heuristic_config or HeuristicConfig()
@@ -169,7 +169,7 @@ def corruption_sweep(
     Each row holds one (fraction, seed) cell. A fraction that replaces no
     vertex gives the same core for every seed, so it runs once, for the
     first seed, and its row equals the uncorrupted run; the other seeds get
-    a copy. The corpus is compiled once.
+    a copy.
     """
     paths = compile_corpus(graph, paths)
     kshell = _kshell_index(graph, heuristic_config)
@@ -200,8 +200,7 @@ def core_size_sweep(
     heuristic_config: HeuristicConfig | None = None,
     reference: ReferenceSet | None = None,
 ) -> list[dict[str, object]]:
-    """Grow cores of increasing size and record how the run responds. The
-    corpus is compiled once."""
+    """Grow cores of increasing size and record how the run responds."""
     paths = compile_corpus(graph, paths)
     kshell = _kshell_index(graph, heuristic_config, strategy)
     rows: list[dict[str, object]] = []

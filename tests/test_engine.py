@@ -11,7 +11,8 @@ from asrel.engine import (
     phase2,
 )
 from asrel.errors import ConfigurationError
-from asrel.graph import AsGraph, AsPath, RelType, compile_corpus, edge_key
+from asrel.graph import AsPath, RelType, compile_corpus, edge_key
+from asrel.ingest import build_graph
 from asrel.pipeline import run_inference
 from oracles import phase2_unpruned, run_engine, vote, vote_invalid
 
@@ -20,19 +21,12 @@ def trace(*hops):
     return AsPath(tuple(hops), "trace", "a", 1)
 
 
-def graph_for(paths):
-    g = AsGraph()
-    for p in paths:
-        g.add_path_edges(p)
-    return g
-
-
 def noedge_core(*vertices):
     return CoreGraph(set(vertices))
 
 
 def corpus_of(*paths):
-    return compile_corpus(graph_for(paths), paths)
+    return compile_corpus(build_graph(paths), paths)
 
 
 def phase2_votes(g, paths, config):
@@ -101,7 +95,7 @@ class TestPhase1:
     def test_uphill_core_downhill(self):
         # Climb to a two-vertex core, cross it, descend.
         path = trace(1, 2, 3, 4, 5, 6, 7)
-        g = graph_for([path])
+        g = build_graph([path])
         core = CoreGraph({4, 5}, {(4, 5)})
         result = phase1(g, compile_corpus(g, [path]), core)
         assert result.valley_paths == 0
@@ -114,7 +108,7 @@ class TestPhase1:
 
     def test_vertex_only_core_splits_at_the_member(self):
         path = trace(2, 3, 8, 5, 6)
-        g = graph_for([path])
+        g = build_graph([path])
         result = phase1(g, compile_corpus(g, [path]), noedge_core(8))
         assert result.voted_edges == {(2, 3), (3, 8), (5, 8), (5, 6)}
         assert g.tally((2, 3)).low_customer == 1        # c2p
@@ -124,7 +118,7 @@ class TestPhase1:
 
     def test_reentering_core_after_descent_is_invalid(self):
         path = trace(1, 10, 2, 11)
-        g = graph_for([path])
+        g = build_graph([path])
         result = phase1(g, compile_corpus(g, [path]), noedge_core(10, 11))
         assert result.valley_paths == 1
         tally = g.tally((2, 11))
@@ -135,7 +129,7 @@ class TestPhase1:
 
     def test_preassigned_core_edge_not_revoted(self):
         path = trace(1, 4, 5, 2)
-        g = graph_for([path])
+        g = build_graph([path])
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2P})
         result = phase1(g, compile_corpus(g, [path]), core)
         assert g.tally((4, 5)).classification_votes() == 0
@@ -146,7 +140,7 @@ class TestPhase1:
         # downhill at 5; the climb back up over c2p-preassigned (5, 6)
         # violates valley-freeness.
         path = trace(4, 5, 6)
-        g = graph_for([path])
+        g = build_graph([path])
         core = CoreGraph(
             {4, 5, 6},
             {(4, 5), (5, 6)},
@@ -158,7 +152,7 @@ class TestPhase1:
 
     def test_preassigned_p2c_then_leaving_core_stays_downhill(self):
         path = trace(4, 5, 9)
-        g = graph_for([path])
+        g = build_graph([path])
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2C})
         phase1(g, compile_corpus(g, [path]), core)
         assert g.tally((5, 9)).low_customer == 0
@@ -166,7 +160,7 @@ class TestPhase1:
 
     def test_weight_scales_votes(self):
         path = AsPath((1, 10), "bgp", "", 4)
-        g = graph_for([path])
+        g = build_graph([path])
         phase1(g, compile_corpus(g, [path]), noedge_core(10))
         assert g.tally((1, 10)).low_customer == 4
 
@@ -180,7 +174,7 @@ class TestPhase2:
 
     def test_uphill_suspects_adopt_following_c2p(self):
         p = trace(1, 2, 3)
-        g = graph_for([p])
+        g = build_graph([p])
         self.seed_anchor(g, 2, 3, RelType.C2P)
         result, voted = phase2_votes(g, [p], self.config())
         assert (1, 2) in voted
@@ -188,7 +182,7 @@ class TestPhase2:
 
     def test_downhill_suspects_after_first_p2c(self):
         p = trace(1, 2, 3)
-        g = graph_for([p])
+        g = build_graph([p])
         self.seed_anchor(g, 1, 2, RelType.P2C)
         result, voted = phase2_votes(g, [p], self.config())
         assert g.tally((2, 3)).low_customer == 0
@@ -198,7 +192,7 @@ class TestPhase2:
         # c2p ... gap ... p2c brackets the summit; the gap edge could be
         # either side of it, so phase 2 must not guess.
         p = trace(1, 2, 3, 4, 5)
-        g = graph_for([p])
+        g = build_graph([p])
         self.seed_anchor(g, 1, 2, RelType.C2P)
         self.seed_anchor(g, 4, 5, RelType.P2C)
         result, voted = phase2_votes(g, [p], self.config())
@@ -208,7 +202,7 @@ class TestPhase2:
 
     def test_gap_between_two_c2p_anchors_votes_c2p(self):
         p = trace(1, 2, 3, 4)
-        g = graph_for([p])
+        g = build_graph([p])
         self.seed_anchor(g, 1, 2, RelType.C2P)
         self.seed_anchor(g, 3, 4, RelType.C2P)
         result, voted = phase2_votes(g, [p], self.config())
@@ -217,7 +211,7 @@ class TestPhase2:
 
     def test_trailing_suspects_without_anchor_stay_unvoted(self):
         p = trace(1, 2, 3)
-        g = graph_for([p])
+        g = build_graph([p])
         self.seed_anchor(g, 1, 2, RelType.C2P)
         result, voted = phase2_votes(g, [p], self.config())
         assert voted == set()
@@ -227,7 +221,7 @@ class TestPhase2:
         # one, (5, 1) adopts (1, 2) in round two, round three is empty.
         chain = trace(5, 1, 2)
         inner = trace(1, 2, 3)
-        g = graph_for([chain, inner])
+        g = build_graph([chain, inner])
         self.seed_anchor(g, 2, 3, RelType.C2P)
         result, voted = phase2_votes(g, [chain, inner], self.config())
         assert result.rounds == 3
@@ -237,7 +231,7 @@ class TestPhase2:
     def test_round_count_order_independent(self):
         for order in ([0, 1], [1, 0]):
             paths = [trace(5, 1, 2), trace(1, 2, 3)]
-            g = graph_for(paths)
+            g = build_graph(paths)
             self.seed_anchor(g, 2, 3, RelType.C2P)
             result, voted = phase2_votes(g, [paths[i] for i in order], self.config())
             assert result.rounds == 3
@@ -245,7 +239,7 @@ class TestPhase2:
 
     def test_below_threshold_edge_is_not_an_anchor(self):
         p = trace(1, 2, 3)
-        g = graph_for([p])
+        g = build_graph([p])
         # (2, 3) votes 3:1 c2p = 75%, below the 0.8 anchor bar.
         for _ in range(3):
             vote(g, 2, 3, RelType.C2P)
@@ -255,7 +249,7 @@ class TestPhase2:
 
     def test_plurality_mode_anchors_on_any_lead(self):
         p = trace(1, 2, 3)
-        g = graph_for([p])
+        g = build_graph([p])
         for _ in range(3):
             vote(g, 2, 3, RelType.C2P)
         vote(g, 2, 3, RelType.P2P)
@@ -264,7 +258,7 @@ class TestPhase2:
         assert voted == {(1, 2)}
 
     def test_no_periphery_paths_single_empty_round(self):
-        g = graph_for([trace(1, 2)])
+        g = build_graph([trace(1, 2)])
         result, voted = phase2_votes(g, [], self.config())
         assert result.rounds == 1
         assert voted == set()
@@ -292,7 +286,7 @@ class TestPhase2:
         if not paths:
             return
         config = InferenceConfig(phase2_anchor=anchor)
-        fast, slow = graph_for(paths), graph_for(paths)
+        fast, slow = build_graph(paths), build_graph(paths)
         edges = sorted(fast.edges)
         seeds = data.draw(
             st.lists(
@@ -320,7 +314,7 @@ class TestPhase2:
 
 class TestFinalize:
     def test_threshold_met_classifies(self):
-        g = graph_for([trace(1, 2)])
+        g = build_graph([trace(1, 2)])
         for _ in range(4):
             vote(g, 1, 2, RelType.C2P)
         vote(g, 1, 2, RelType.P2P)
@@ -332,7 +326,7 @@ class TestFinalize:
         assert cls.votes == 5
 
     def test_threshold_missed_stays_unclassified(self):
-        g = graph_for([trace(1, 2)])
+        g = build_graph([trace(1, 2)])
         for _ in range(3):
             vote(g, 1, 2, RelType.C2P)
         vote(g, 1, 2, RelType.P2P)
@@ -343,14 +337,14 @@ class TestFinalize:
         assert cls.share_c2p == pytest.approx(0.75)
 
     def test_phase2_votes_tagged_p2(self):
-        g = graph_for([trace(1, 2)])
+        g = build_graph([trace(1, 2)])
         vote(g, 1, 2, RelType.P2C)
         out = finalize(g, InferenceConfig(), noedge_core(99), phase1_voted=set())
         assert out[(1, 2)].method == "deterministic-p2"
         assert out[(1, 2)].rel is RelType.P2C
 
     def test_preassignment_overrides_votes(self):
-        g = graph_for([trace(4, 5)])
+        g = build_graph([trace(4, 5)])
         vote(g, 4, 5, RelType.C2P)
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2P})
         out = finalize(g, InferenceConfig(), core)
@@ -358,7 +352,7 @@ class TestFinalize:
         assert out[(4, 5)].method == "core-preassigned"
 
     def test_valley_only_edge_recorded(self):
-        g = graph_for([trace(1, 2)])
+        g = build_graph([trace(1, 2)])
         vote_invalid(g, 1, 2)
         out = finalize(g, InferenceConfig(), noedge_core(99))
         cls = out[(1, 2)]
@@ -367,7 +361,7 @@ class TestFinalize:
         assert cls.invalid_votes == 1
 
     def test_every_graph_edge_gets_a_record(self):
-        g = graph_for([trace(1, 2, 3), trace(7, 8)])
+        g = build_graph([trace(1, 2, 3), trace(7, 8)])
         out = finalize(g, InferenceConfig(), noedge_core(99))
         assert set(out) == {(1, 2), (2, 3), (7, 8)}
 
@@ -378,7 +372,7 @@ class TestWorkedCorpora:
     def run(self, paths, core, heuristics=False):
         from asrel.pipeline import run_inference
 
-        g = graph_for(paths)
+        g = build_graph(paths)
         return run_inference(g, paths, core).classifications
 
     def test_single_path_through_core_edge(self):
@@ -445,7 +439,7 @@ class TestAgainstReference:
                 paths.append(AsPath(tuple(hops), "trace", "a", weight))
         if not paths:
             return
-        graph = graph_for(paths)
+        graph = build_graph(paths)
         vertices = sorted(graph.vertices)
         members = data.draw(st.sets(st.sampled_from(vertices), max_size=5))
         pairs = sorted(

@@ -8,11 +8,14 @@ from asrel.graph import (
     AsGraph,
     AsPath,
     Classification,
+    Corpus,
     RelType,
     VoteTally,
+    compile_corpus,
     edge_key,
     oriented,
 )
+from asrel.ingest import build_graph
 
 from oracles import vote, vote_invalid
 
@@ -197,10 +200,74 @@ class TestAsGraph:
         assert g.tally((2, 3)).classification_votes() == 0
         assert g.tally((1, 2)).p2p == 1
 
-    def test_add_path_edges(self):
-        g = AsGraph()
-        g.add_path_edges(AsPath((5, 6, 7), "bgp", "", 1))
-        assert g.edges == {(5, 6), (6, 7)}
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 12), min_size=2, max_size=8)
+            .map(lambda h: tuple(x for i, x in enumerate(h) if i == 0 or x != h[i - 1]))
+            .filter(lambda hops: len(hops) >= 2),
+            max_size=10,
+        )
+    )
+    def test_build_graph_matches_add_edge_per_hop(self, hop_lists):
+        paths = [AsPath(hops) for hops in hop_lists]
+        expected = AsGraph()
+        for path in paths:
+            for u, v in path.edges():
+                expected.add_edge(u, v)
+        built = build_graph(paths)
+        assert list(built.vertices) == list(expected.vertices)
+        assert built.edge_keys == expected.edge_keys
+        assert built.edge_index == expected.edge_index
+        assert all(built.neighbors(v) == expected.neighbors(v) for v in expected.vertices)
+        assert built.counters == expected.counters
+        assert list(built.corpus.edge_ids) == [
+            expected.edge_index[edge_key(u, v)] for path in paths for u, v in path.edges()
+        ]
+
+
+def corpus_fields(corpus):
+    return (
+        corpus.paths,
+        list(corpus.members),
+        corpus.weights,
+        corpus.edge_ids,
+        corpus.offsets,
+        corpus.n_edges,
+        corpus.incidence,
+    )
+
+
+class TestCompileCorpus:
+    paths = [AsPath((1, 2, 3)), AsPath((4, 2, 3), weight=2), AsPath((3, 5))]
+
+    def test_corpus_of_build_graph_reused(self):
+        g = build_graph(self.paths)
+        assert compile_corpus(g, self.paths) is compile_corpus(g, self.paths)
+        assert compile_corpus(g, list(self.paths)) is g.corpus
+        assert compile_corpus(g.copy_unvoted(), self.paths) is g.corpus
+        assert corpus_fields(g.corpus) == corpus_fields(Corpus(g, self.paths))
+
+    @pytest.mark.parametrize("cut", [slice(None, None, -1), slice(1, None)])
+    def test_other_paths_compiled_fresh(self, cut):
+        g = build_graph(self.paths)
+        other = self.paths[cut]
+        corpus = compile_corpus(g, other)
+        assert corpus is not g.corpus
+        assert corpus_fields(corpus) == corpus_fields(Corpus(g, other))
+
+    def test_graph_that_gained_an_edge_compiles_fresh(self):
+        g = build_graph(self.paths)
+        g.add_edge(5, 6)
+        corpus = compile_corpus(g, self.paths)
+        assert corpus is not g.corpus
+        assert corpus.n_edges == 5
+        assert corpus_fields(corpus) == corpus_fields(Corpus(g, self.paths))
+        assert len(corpus.incidence[0]) == 6
+
+    def test_path_off_the_graph_rejected(self):
+        g = build_graph(self.paths)
+        with pytest.raises(UnknownEdgeError):
+            compile_corpus(g, [AsPath((1, 5))])
 
 
 class TestClassification:

@@ -114,6 +114,17 @@ class TestNormalizePath:
         assert result.hops == (20, 5)
         assert result.truncated
 
+    def test_clean_tuple_returned_uncopied(self):
+        hops = (1, 20, 3)
+        assert normalize_path(hops, None).hops is hops
+        s = SiblingSet()
+        s.merge(30, 31)
+        s.merge(1, 40)
+        # 1 is its group's representative, so no hop changes.
+        assert normalize_path(hops, s).hops is hops
+        s.merge(20, 2)
+        assert normalize_path(hops, s).hops == (1, 2, 3)
+
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=12))
     def test_output_has_no_adjacent_dups_or_revisits(self, raw):
         result = normalize_path(raw, None)
@@ -329,6 +340,13 @@ class TestIngestPipeline:
         )
         assert report.paths_read == 3
         assert {p.source for p in paths} == {"bgp", "trace"}
+
+    def test_agent_ids_shared_across_lines(self):
+        lines = ["probe-7|1 2 3\n", "probe-8|1 2 3\n", "probe-7|2 3\n", "probe-8|2 3\n"]
+        paths, _ = load_corpus(trace_streams=[("t", lines)])
+        assert [p.agent for p in paths] == ["probe-7", "probe-8"] * 2
+        assert paths[0].agent is paths[2].agent
+        assert paths[1].agent is paths[3].agent
 
     def test_build_graph_unions_edges(self):
         paths, _ = load_corpus(bgp_streams=[("b", ["1 2 3\n", "2 3 4\n"])])

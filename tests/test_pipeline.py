@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from asrel import cli
 from asrel import core as core_module
+from asrel import graph as graph_module
 from asrel import pipeline as pipeline_module
 from asrel.core import CoreGraph, corrupt_core
 from asrel.engine import InferenceConfig
@@ -182,6 +183,26 @@ class TestSweeps:
         ]
         assert {**rows[1], "seed": 1} == rows[0]
 
+    def test_graph_and_both_sweeps_compile_one_corpus(self, monkeypatch):
+        # build_graph compiles the corpus while it adds the edges, and both
+        # sweeps reuse it when given the same plain path list.
+        config = GenConfig(tier_sizes=(4, 12, 40), paths=200, seed=5)
+        truth = generate(config)
+        paths, _ = ingest_paths(sample_paths(truth, config))
+        built = []
+        real = graph_module.Corpus.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(graph_module.Corpus, "__init__", counting)
+        graph = build_graph(paths)
+        corruption_sweep(graph, paths, truth.true_core(), [0.0, 0.5], seeds=[1])
+        core_size_sweep(graph, paths, "degree", [4, 8])
+        assert len(built) == 1
+        assert built[0] is graph.corpus
+
     def test_core_size_sweep_rows(self, corpus):
         _, graph, paths = corpus
         rows = core_size_sweep(graph, paths, "degree", [4, 8])
@@ -293,9 +314,10 @@ class TestMetamorphic:
         assert report_a == report_b
 
     @staticmethod
-    def infer_outputs(root, files):
+    def infer_outputs(root, files, siblings=None):
         """Bytes of the order-stable outputs of ``asrel infer`` run on the
-        given files, each a list of lines, passed as --paths-bgp in order."""
+        given files, each a list of lines, passed as --paths-bgp in order,
+        and on the sibling file whose lines are siblings, if given."""
         run = Path(tempfile.mkdtemp(dir=root))
         names = []
         for i, lines in enumerate(files):
@@ -307,6 +329,9 @@ class TestMetamorphic:
             "infer", "--paths-bgp", *names, "--core-method", "clique",
             "--tiebreak", "kshell", "--out", str(out),
         ]
+        if siblings is not None:
+            (run / "siblings.txt").write_text("".join(siblings), encoding="utf-8")
+            argv += ["--siblings", str(run / "siblings.txt")]
         assert cli.main(argv) == 0
         return {
             name: (out / name).read_bytes()
@@ -339,6 +364,45 @@ class TestMetamorphic:
             assert self.infer_outputs(root, [lines * k]) == self.infer_outputs(
                 root, [weighted]
             )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.data())
+    def test_siblings_merged_in_input_or_by_file_agree(self, seed, data):
+        # Mapping each sibling onto its group's smallest member in the
+        # input lines must give what --siblings gives, apart from the
+        # sibling-db records that only the file declares.
+        _, raws = self.corpus(seed)
+        ases = sorted({h for raw in raws for h in raw.hops})
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(ases), st.sampled_from(ases)).filter(
+                    lambda pair: pair[0] != pair[1]
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        merged = SiblingSet()
+        for a, b in pairs:
+            merged.merge(a, b)
+        rep = merged.representative
+        lines = [" ".join(map(str, raw.hops)) + "\n" for raw in raws]
+        premerged = [
+            " ".join(str(rep(h)) for h in raw.hops) + "\n" for raw in raws
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            by_file = self.infer_outputs(
+                root, [lines], [f"{a} {b}\n" for a, b in pairs]
+            )
+            in_input = self.infer_outputs(root, [premerged])
+        for name in ("histogram.csv", "ingest_report.json"):
+            assert by_file[name] == in_input[name]
+        records = by_file["classifications.csv"].decode().splitlines()
+        assert [r for r in records if "sibling-db" not in r] == (
+            in_input["classifications.csv"].decode().splitlines()
+        )
+        assert sum("sibling-db" in r for r in records) == len(merged)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), runs, st.data())
