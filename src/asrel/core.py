@@ -19,18 +19,20 @@ that defaults to peering during inference.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
-from .errors import (
-    CorruptionInfeasibleError,
-    EmptyCoreError,
-    ParameterError,
-    ParseError,
-)
+from .errors import CorruptionInfeasibleError, EmptyCoreError, ParameterError
 from .graph import AsGraph, EdgeKey, RelType, edge_key, oriented
-from .ingest import parse_asn
+from .ingest import (
+    SiblingSet,
+    parse_asn,
+    parse_pair,
+    parse_relationship,
+    read_records,
+    set_label,
+)
 
 
 @dataclass
@@ -142,7 +144,7 @@ def load_external_core(
 ) -> CoreGraph:
     """Build a core from an external peering edge list.
 
-    Accepted line shapes: ``ASN ASN`` or ``ASN|ASN|0``. Pipe-format lines
+    Accepted line shapes: ``ASN ASN`` or ``ASN|ASN|code``. Pipe-format lines
     whose relationship code is not 0 are skipped, which lets a full
     relationship dump double as a peer list. Edges absent from the graph
     are dropped, the largest connected component of what remains becomes
@@ -150,64 +152,34 @@ def load_external_core(
     retained edge is preassigned p2p.
     """
     candidate: set[EdgeKey] = set()
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            if "|" in line:
-                fields = line.split("|")
-                if len(fields) != 3:
-                    raise ValueError(f"expected ASN|ASN|code, got {line!r}")
-                a, b = parse_asn(fields[0]), parse_asn(fields[1])
-                if int(fields[2]) != 0:
-                    continue
-            else:
-                tokens = line.split()
-                if len(tokens) != 2:
-                    raise ValueError(f"expected two AS numbers, got {line!r}")
-                a, b = parse_asn(tokens[0]), parse_asn(tokens[1])
-            if a == b:
-                raise ValueError(f"self-loop peer edge on AS {a}")
-            key = edge_key(a, b)
-        except ValueError as exc:
-            raise ParseError(str(exc), source, lineno) from None
+
+    def parse(line: str) -> None:
+        if "|" in line:
+            a, b, code = parse_relationship(line)
+            if code != 0:
+                return
+        else:
+            a, b = parse_pair(line.split())
+        key = edge_key(a, b)
         if graph.has_edge(*key):
             candidate.add(key)
 
+    read_records(lines, source, parse)
     if not candidate:
         raise EmptyCoreError("no usable peer edges after intersecting with the graph")
 
-    adjacency: dict[int, set[int]] = {}
+    # Components by union-find, each named by its smallest ASN.
+    components = SiblingSet()
     for a, b in candidate:
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-
-    seen: set[int] = set()
-    components: list[set[int]] = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        component = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in component:
-                    component.add(w)
-                    queue.append(w)
-        seen |= component
-        components.append(component)
-
-    def component_edges(component: set[int]) -> set[EdgeKey]:
-        return {k for k in candidate if k[0] in component}
-
-    best = min(
-        components,
-        key=lambda c: (-len(c), -len(component_edges(c)), min(c)),
+        components.merge(a, b)
+    rep = components.representative
+    n_vertices = Counter(map(rep, {v for key in candidate for v in key}))
+    n_edges = Counter(rep(a) for a, _ in candidate)
+    best = min(n_edges, key=lambda r: (-n_vertices[r], -n_edges[r], r))
+    edges = {key for key in candidate if rep(key[0]) == best}
+    return CoreGraph(
+        {v for key in edges for v in key}, edges, {k: RelType.P2P for k in edges}
     )
-    edges = component_edges(best)
-    return CoreGraph(set(best), edges, {k: RelType.P2P for k in edges})
 
 
 def grow_core(
@@ -309,6 +281,8 @@ def read_core_file(
 ) -> CoreGraph:
     """Parse a core file.
 
+    Two ``e`` lines that give one edge different relationships are an
+    error; an ``e`` line without one leaves an edge's relationship as is.
     When a graph is given, core edges that do not exist in it are dropped
     so that the core never references unobserved links; vertices are kept
     either way, but at least one of them must be in the graph.
@@ -316,37 +290,28 @@ def read_core_file(
     vertices: set[int] = set()
     edges: set[EdgeKey] = set()
     preassigned: dict[EdgeKey, RelType] = {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        try:
-            if tokens[0] == "v" and len(tokens) == 2:
-                vertices.add(parse_asn(tokens[1]))
-            elif tokens[0] == "e" and len(tokens) in (3, 4):
-                a, b = parse_asn(tokens[1]), parse_asn(tokens[2])
-                if a == b:
-                    raise ValueError(f"self-loop core edge on AS {a}")
-                key = edge_key(a, b)
-                rel = None
-                if len(tokens) == 4:
-                    if tokens[3] not in _REL_TOKENS:
-                        raise ValueError(f"unknown relationship {tokens[3]!r}")
-                    # The file stores the relationship in written (a, b)
-                    # order; oriented() is its own inverse, so it also
-                    # canonicalizes back to low->high.
-                    rel = oriented(_REL_TOKENS[tokens[3]], a, b)
-                vertices.add(a)
-                vertices.add(b)
-                edges.add(key)
-                if rel is not None:
-                    preassigned[key] = rel
-            else:
-                raise ValueError(f"unrecognized core line {line!r}")
-        except ValueError as exc:
-            raise ParseError(str(exc), source, lineno) from None
 
+    def parse(line: str) -> None:
+        kind, *tokens = line.split()
+        if kind == "v" and len(tokens) == 1:
+            vertices.add(parse_asn(tokens[0]))
+        elif kind == "e" and len(tokens) in (2, 3):
+            a, b = parse_pair(tokens[:2])
+            key = edge_key(a, b)
+            vertices.update(key)
+            edges.add(key)
+            if len(tokens) == 3:
+                rel = _REL_TOKENS.get(tokens[2])
+                if rel is None:
+                    raise ValueError(f"unknown relationship {tokens[2]!r}")
+                # The file stores the relationship in written (a, b) order;
+                # oriented() is its own inverse, so it also canonicalizes
+                # back to low->high.
+                set_label(preassigned, key, oriented(rel, a, b))
+        else:
+            raise ValueError(f"unrecognized core line {line!r}")
+
+    read_records(lines, source, parse)
     if not vertices:
         raise EmptyCoreError("core file contains no vertices")
     if graph is not None:

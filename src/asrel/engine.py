@@ -40,6 +40,7 @@ from .graph import (
     Corpus,
     EdgeKey,
     RelType,
+    vote_shares,
 )
 
 ANCHOR_THRESHOLD = "threshold"
@@ -212,15 +213,6 @@ class Phase2Result:
     rounds: int = 0
 
 
-def _shares(low: int, high: int, p2p: int) -> tuple[float, float, float]:
-    """(share_c2p, share_p2c, share_p2p) of an edge's counts, in low->high
-    order; all zeros when it has no classification votes."""
-    total = low + high + p2p
-    if total:
-        return (low / total, high / total, p2p / total)
-    return (0.0, 0.0, 0.0)
-
-
 def _label(shares: tuple[float, float, float], threshold: float) -> RelType:
     """The relationship whose vote share reaches the threshold, else
     UNCLASSIFIED. The threshold exceeds 0.5, so at most one share can."""
@@ -253,7 +245,7 @@ def _status(low: int, high: int, p2p: int, config: InferenceConfig) -> int:
         if high > low and high > p2p:
             return _HIGH_CUSTOMER
         return _VOTED
-    rel = _label(_shares(low, high, p2p), config.threshold)
+    rel = _label(vote_shares(low, high, p2p), config.threshold)
     if rel is RelType.C2P:
         return _LOW_CUSTOMER
     if rel is RelType.P2C:
@@ -350,7 +342,7 @@ def finalize(
     threshold = config.threshold
     out: dict[EdgeKey, Classification] = {}
     for key, low, high, p2p, invalid in zip(graph.edge_keys, *graph.counters):
-        shares = _shares(low, high, p2p)
+        shares = vote_shares(low, high, p2p)
         rel = core.preassigned.get(key)
         if rel is not None:
             method = METHOD_CORE_PREASSIGNED

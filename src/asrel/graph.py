@@ -65,6 +65,15 @@ def oriented(rel: RelType, a: int, b: int) -> RelType:
     return rel if a < b else rel.flipped()
 
 
+def vote_shares(low: int, high: int, p2p: int) -> tuple[float, float, float]:
+    """(share_c2p, share_p2c, share_p2p) of an edge's counts, in low->high
+    order; all zeros when it has no classification votes."""
+    total = low + high + p2p
+    if total:
+        return (low / total, high / total, p2p / total)
+    return (0.0, 0.0, 0.0)
+
+
 @dataclass(frozen=True, slots=True)
 class VoteTally:
     """The four vote counters of one edge, keyed to the canonical orientation.
@@ -84,18 +93,8 @@ class VoteTally:
         return self.low_customer + self.high_customer + self.p2p
 
     def shares(self) -> tuple[float, float, float]:
-        """(share_c2p, share_p2c, share_p2p) in low->high order.
-
-        All zeros when the edge has no classification votes.
-        """
-        total = self.low_customer + self.high_customer + self.p2p
-        if total == 0:
-            return (0.0, 0.0, 0.0)
-        return (
-            self.low_customer / total,
-            self.high_customer / total,
-            self.p2p / total,
-        )
+        """(share_c2p, share_p2c, share_p2p) in low->high order."""
+        return vote_shares(self.low_customer, self.high_customer, self.p2p)
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,6 +8,12 @@ Input conventions:
 * Sibling files: two AS numbers per line; each line declares the pair to
   belong to one organisation.
 
+Sibling, core, peer and reference files are line files of one kind: blank
+lines and ``#`` lines are skipped, every other line is one record, and a
+malformed record is a ParseError at its file and line (read_records). A
+record that names an AS pair names two distinct ASes (parse_pair), and two
+records that give one pair different labels are an error (set_label).
+
 Paths are normalized before use: sibling ASes are collapsed onto one
 representative, consecutive duplicate hops (prepending artifacts) are
 merged, and a path that revisits an AS is cut just before the hop that
@@ -27,13 +33,10 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError
-from .graph import MAX_ASN, AsGraph, AsPath, Corpus, EdgeKey, edge_key
-
-DROP_SHORT = "short"
-DROP_LOOP = "loop"
+from .graph import MAX_ASN, AsGraph, AsPath, Corpus, EdgeKey, RelType, edge_key
 
 MIN_AGENTS = 2
 
@@ -93,30 +96,19 @@ class SiblingSet:
         return len(self._pairs)
 
 
-def load_sibling_pairs(lines: Iterable[str], source: str = "<siblings>") -> SiblingSet:
-    """Parse a sibling file into a SiblingSet.
-
-    A pair naming the same AS twice is rejected: a self-sibling carries no
-    information and usually indicates a malformed file.
-    """
-    siblings = SiblingSet()
+def read_records(
+    lines: Iterable[str], source: str, parse: Callable[[str], None]
+) -> None:
+    """Call parse on every record line, stripped, skipping blank and ``#``
+    lines. A ValueError that parse raises becomes a ParseError at source
+    and the line's 1-based number."""
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"expected two AS numbers, got {line!r}", source, lineno
-            )
-        try:
-            a, b = (parse_asn(t) for t in tokens)
-        except ValueError as exc:
-            raise ParseError(str(exc), source, lineno) from None
-        if a == b:
-            raise ParseError(f"AS {a} declared sibling of itself", source, lineno)
-        siblings.merge(a, b)
-    return siblings
+        if line and not line.startswith("#"):
+            try:
+                parse(line)
+            except ValueError as exc:
+                raise ParseError(str(exc), source, lineno) from None
 
 
 def parse_asn(token: str) -> int:
@@ -128,13 +120,58 @@ def parse_asn(token: str) -> int:
     return value
 
 
+def parse_pair(tokens: Sequence[str]) -> tuple[int, int]:
+    """The two distinct AS numbers that two tokens name, in written order.
+
+    ValueError for any other number of tokens, a token that is not an AS
+    number, or a pair that names one AS twice: such a pair carries no
+    relationship and usually marks a malformed file.
+    """
+    if len(tokens) != 2:
+        raise ValueError(f"expected two AS numbers, got {' '.join(tokens)!r}")
+    a, b = parse_asn(tokens[0]), parse_asn(tokens[1])
+    if a == b:
+        raise ValueError(f"AS {a} paired with itself")
+    return a, b
+
+
+def parse_relationship(line: str) -> tuple[int, int, int]:
+    """(A, B, code) of one ``A|B|code`` record, the relationship format of
+    reference and peer files; the code is not checked."""
+    fields = line.split("|")
+    if len(fields) != 3:
+        raise ValueError(f"expected A|B|code, got {line!r}")
+    a, b = parse_pair(fields[:2])
+    return a, b, int(fields[2])
+
+
+def set_label(labels: dict[EdgeKey, RelType], key: EdgeKey, rel: RelType) -> None:
+    """labels[key] = rel; ValueError if key already has another label."""
+    existing = labels.setdefault(key, rel)
+    if existing is not rel:
+        raise ValueError(
+            f"conflicting records for pair {key}: {existing.value} vs {rel.value}"
+        )
+
+
+def load_sibling_pairs(lines: Iterable[str], source: str = "<siblings>") -> SiblingSet:
+    """Parse a sibling file, one ``ASN ASN`` pair per line, into a SiblingSet."""
+    siblings = SiblingSet()
+    read_records(lines, source, lambda line: siblings.merge(*parse_pair(line.split())))
+    return siblings
+
+
 @dataclass(frozen=True, slots=True)
 class NormalizedPath:
-    """Outcome of normalizing one raw hop sequence."""
+    """Outcome of normalizing one raw hop sequence.
+
+    hops is None when the path was dropped. truncated says a loop was cut,
+    so a dropped path was cut at a loop exactly when it is truncated, and
+    was too short to begin with otherwise.
+    """
 
     hops: tuple[int, ...] | None
     truncated: bool = False
-    drop_reason: str | None = None
 
 
 def normalize_path(
@@ -155,7 +192,7 @@ def normalize_path(
 
     if len(mapped) >= 2 and len(set(mapped)) == len(mapped):
         # No AS repeats, so there is nothing to collapse or truncate.
-        return NormalizedPath(mapped, False, None)
+        return NormalizedPath(mapped)
 
     collapsed = [h for i, h in enumerate(mapped) if i == 0 or h != mapped[i - 1]]
 
@@ -169,10 +206,7 @@ def normalize_path(
         seen.add(h)
         hops.append(h)
 
-    if len(hops) < 2:
-        reason = DROP_LOOP if truncated else DROP_SHORT
-        return NormalizedPath(None, truncated, reason)
-    return NormalizedPath(tuple(hops), truncated, None)
+    return NormalizedPath(tuple(hops) if len(hops) >= 2 else None, truncated)
 
 
 @dataclass
@@ -382,7 +416,7 @@ def ingest_paths(
         if result.truncated:
             report.paths_truncated_loop += weight
         if result.hops is None:
-            if result.drop_reason == DROP_LOOP:
+            if result.truncated:
                 report.paths_dropped_loop += weight
             else:
                 report.paths_dropped_short += weight

@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .errors import ParseError
 from .graph import (
     DETERMINISTIC_METHODS,
     HEURISTIC_METHODS,
@@ -21,8 +20,9 @@ from .graph import (
     EdgeKey,
     RelType,
     edge_key,
+    oriented,
 )
-from .ingest import SiblingSet, parse_asn
+from .ingest import SiblingSet, parse_relationship, read_records, set_label
 
 HISTOGRAM_BINS = 20
 # Bin i is [edge i, edge i + 1); the last bin also holds 1.0. Edge i is
@@ -31,17 +31,11 @@ HISTOGRAM_BINS = 20
 _HISTOGRAM_EDGES = [i * (1.0 / HISTOGRAM_BINS) for i in range(HISTOGRAM_BINS)] + [1.0]
 
 
-@dataclass
-class ReferenceSet:
-    """External relationship labels in canonical low->high order."""
+# External relationship labels in canonical low->high order.
+ReferenceSet = dict[EdgeKey, RelType]
 
-    rels: dict[EdgeKey, RelType] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.rels)
-
-    def get(self, key: EdgeKey) -> RelType | None:
-        return self.rels.get(key)
+# A reference code's relationship of A to B, read in (A, B) order.
+_REFERENCE_CODES = {-1: RelType.P2C, 0: RelType.P2P, 1: RelType.S2S}
 
 
 def load_reference(
@@ -55,42 +49,22 @@ def load_reference(
     records that disagree about the same pair make the file unusable and
     raise a parse error.
     """
-    rels: dict[EdgeKey, RelType] = {}
+    rels: ReferenceSet = {}
     flat = siblings.mapping() if siblings is not None else {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields_ = line.split("|")
-        if len(fields_) != 3:
-            raise ParseError(f"expected A|B|code, got {line!r}", source, lineno)
-        try:
-            a, b = parse_asn(fields_[0]), parse_asn(fields_[1])
-            code = int(fields_[2])
-        except ValueError as exc:
-            raise ParseError(f"bad record {line!r}: {exc}", source, lineno) from None
+
+    def parse(line: str) -> None:
+        a, b, code = parse_relationship(line)
         a = flat.get(a, a)
         b = flat.get(b, b)
         if a == b:
-            continue
-        if code == -1:
-            rel = RelType.P2C if a < b else RelType.C2P
-        elif code == 0:
-            rel = RelType.P2P
-        elif code == 1:
-            rel = RelType.S2S
-        else:
-            raise ParseError(f"unknown relationship code {code}", source, lineno)
-        key = edge_key(a, b)
-        existing = rels.get(key)
-        if existing is not None and existing is not rel:
-            raise ParseError(
-                f"conflicting records for pair {key}: {existing.value} vs {rel.value}",
-                source,
-                lineno,
-            )
-        rels[key] = rel
-    return ReferenceSet(rels)
+            return
+        rel = _REFERENCE_CODES.get(code)
+        if rel is None:
+            raise ValueError(f"unknown relationship code {code}")
+        set_label(rels, edge_key(a, b), oriented(rel, a, b))
+
+    read_records(lines, source, parse)
+    return rels
 
 
 @dataclass
@@ -139,7 +113,7 @@ def compare(
         result.both_classified += 1
         if cls.rel is ref:
             result.matches += 1
-    result.reference_only = sum(1 for key in reference.rels if key not in seen)
+    result.reference_only = sum(1 for key in reference if key not in seen)
     return result
 
 

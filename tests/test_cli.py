@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from asrel import cli
 from asrel.core import write_core_file
@@ -291,6 +297,30 @@ class TestInferErrors:
         assert code == 1
         assert "bad.txt:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--reference", "1|2|0\n3|3|0\n"),
+            ("--core", "e 2 3 c2p\ne 3 2 c2p\n"),
+            ("--siblings", "5 6\n7 7\n"),
+            ("--peer-edges", "2 3\n3|3|0\n"),
+        ],
+        ids=["reference-self-pair", "core-conflict", "sibling-self-pair", "peer-self-pair"],
+    )
+    def test_one_pair_rule(self, tmp_path, capsys, flag, text):
+        # Line 1 is valid; line 2 names one AS twice or contradicts line 1.
+        paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n")
+        bad = write(tmp_path / "bad.txt", text)
+        core = (
+            [] if flag == "--core"
+            else ["--core-method", "external" if flag == "--peer-edges" else "clique"]
+        )
+        code = cli.main(
+            ["infer", "--paths-bgp", paths, *core, flag, bad, "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "bad.txt:2" in capsys.readouterr().err
+
     def test_unknown_choice_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["infer", "--core-method", "oracle", "--out", "x"])
@@ -465,3 +495,159 @@ class TestExperiment:
             ]
         )
         assert code == 2
+
+
+# The fuzz below writes files of well-formed records over a few ASes, so
+# that most runs reach the engine, and now and then puts one malformed
+# line among them: a token no format accepts, a pair naming one AS twice,
+# or a line of the wrong shape.
+asns = st.sampled_from(["1", "2", "3", "4", "5", "6", "7", "8"])
+bad_asns = st.sampled_from(["0", "-3", "x", "1.5", "{1,2}", "4294967296", "9" * 20])
+junk_lines = st.sampled_from(
+    ["", "# comment", "|", "1|2", "1|2|z", "1|2|7", "a b c d", "1 1", "2|2|0",
+     "1 2 weight=0", "x|1 2"]
+)
+
+
+def joined(*parts, sep=" "):
+    """Tokens drawn from parts, the empty ones left out, joined by sep."""
+    return st.tuples(*parts).map(lambda tokens: sep.join(t for t in tokens if t))
+
+
+def pairs(tokens, sep=" "):
+    return st.lists(tokens, min_size=2, max_size=2, unique=True).map(sep.join)
+
+
+def fuzz_file(record, min_size=0):
+    """Records drawn from record(asns), and one time in four a malformed
+    line at a drawn place among them."""
+
+    def text(records, malformed, line, at):
+        if malformed:
+            records.insert(at, line)
+        return "".join(f"{r}\n" for r in records)
+
+    return st.builds(
+        text,
+        st.lists(record(asns), min_size=min_size, max_size=6),
+        st.sampled_from([False, False, False, True]),
+        record(bad_asns) | junk_lines,
+        st.integers(0, 6),
+    )
+
+
+def path_file(prefix):
+    return fuzz_file(
+        lambda tokens: joined(
+            prefix,
+            st.lists(tokens, min_size=2, max_size=6).map(" ".join),
+            st.sampled_from(["", "", "weight=2"]),
+        ),
+        min_size=1,
+    )
+
+
+codes = st.sampled_from(["-1", "0", "1"])
+fuzz_files = {
+    "--paths-bgp": path_file(st.just("")),
+    "--paths-trace": path_file(st.sampled_from(["a|", "b|", "c|"])),
+    "--paths-bgp-b": path_file(st.just("")),
+    "--siblings": fuzz_file(pairs),
+    "--core": fuzz_file(
+        lambda tokens: joined(st.just("v"), tokens)
+        | joined(
+            st.sampled_from(["e", "e", "e", "q"]),
+            pairs(tokens),
+            st.sampled_from(["", "", "c2p", "p2c", "p2p", "s2s"]),
+        ),
+        min_size=1,
+    ),
+    "--peer-edges": fuzz_file(
+        lambda tokens: joined(pairs(tokens, "|"), codes | st.just("2"), sep="|")
+        | pairs(tokens)
+    ),
+    "--reference": fuzz_file(lambda tokens: joined(pairs(tokens, "|"), codes, sep="|")),
+}
+
+
+def flags(**values):
+    """One value, or no flag, per option; underscores become dashes."""
+    options = [
+        st.sampled_from([None, None, None, *choices]).map(
+            lambda v, name=name: [] if v is None else ["--" + name.replace("_", "-"), v]
+        )
+        for name, choices in values.items()
+    ]
+    return st.tuples(*options).map(lambda args: [arg for pair in args for arg in pair])
+
+
+common_flags = flags(
+    core_size=["4", "4", "5", "2", "100"],
+    grow_strategy=["degree", "kshell"],
+    threshold=["0.51", "0.7", "1.0", "0.4", "1.5"],
+    max_core_hops=["1", "2", "4", "0"],
+    tiebreak=["degree", "kshell"],
+    phase2_anchor=["threshold", "plurality"],
+)
+experiment_flags = flags(
+    fractions=["0", "0,0.5", "1", "2", "x", ""],
+    sweep_sizes=["4", "4:6", "4:6:2", "3:2", "4:6:0", ",", "a"],
+    corruption_seeds=["0", "1", "2"],
+)
+core_sources = st.sampled_from(
+    [["--core"]] * 3
+    + [["--core-method", method] for method in cli.CORE_METHODS]
+    + [["--core", "--core-method", "clique"], []]
+)
+
+
+@st.composite
+def cli_runs(draw):
+    """An argument list, and the contents of each file flag it adds."""
+    kind = draw(
+        st.sampled_from(["infer", "build-core", "corruption", "core-sweep", "window-stability"])
+    )
+    required = ["--paths-bgp"]
+    optional = ["--paths-trace", "--siblings", "--peer-edges", "--reference"]
+    if kind in ("infer", "build-core"):
+        argv = [kind]
+    else:
+        argv = ["experiment", kind, *draw(experiment_flags)]
+        if kind == "window-stability":
+            required.append("--paths-bgp-b")
+    argv += draw(common_flags)
+    files = {name: draw(fuzz_files[name]) for name in required}
+    for name in optional:
+        files[name] = draw(st.none() | fuzz_files[name])
+    core = draw(core_sources)
+    if "--core" in core:
+        files["--core"] = draw(fuzz_files["--core"])
+    argv += [arg for arg in core if arg != "--core"]
+    return argv, files
+
+
+class TestFuzz:
+    @given(cli_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_run_exits_cleanly(self, run):
+        # Every input ends in exit 0, 1, 2 or 3; a failure is one "error:"
+        # line on stderr, never a traceback.
+        argv, files = run
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [*argv, "--out", os.path.join(tmp, "out")]
+            for name, text in files.items():
+                if text is not None:
+                    path = os.path.join(tmp, name[2:])
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                    argv += [name, path]
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
+        lines = stderr.getvalue().splitlines()
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert lines == []

@@ -220,6 +220,39 @@ class TestExternalCore:
         with pytest.raises(ParseError):
             load_external_core(["7 7\n"], self.graph())
 
+    @given(random_edge_lists, random_edge_lists, st.booleans())
+    @settings(max_examples=150)
+    def test_choice_matches_brute_force(self, edges, peers, pipes):
+        # The graph holds edges; the peer list names peers, some of which
+        # the graph lacks, and some more than once.
+        graph = graph_of(edges)
+        candidate = {(min(e), max(e)) for e in peers if graph.has_edge(*e)}
+        lines = [f"{a}|{b}|0" if pipes else f"{a} {b}" for a, b in peers]
+        if not candidate:
+            with pytest.raises(EmptyCoreError):
+                load_external_core(lines, graph)
+            return
+        adj = adjacency_from_edges(sorted(candidate))
+        components = []
+        for v in adj:
+            reach = {v}
+            while True:
+                grown = reach.union(*(adj[w] for w in reach))
+                if grown == reach:
+                    break
+                reach = grown
+            if reach not in components:
+                components.append(reach)
+
+        def n_edges(c):
+            return sum(1 for a, _ in candidate if a in c)
+
+        best = min(components, key=lambda c: (-len(c), -n_edges(c), min(c)))
+        core = load_external_core(lines, graph)
+        assert core.vertices == best
+        assert core.edges == {k for k in candidate if k[0] in best}
+        assert core.preassigned == {k: RelType.P2P for k in core.edges}
+
 
 class TestCorruptCore:
     def graph(self):
@@ -321,6 +354,18 @@ class TestCoreFiles:
     def test_unknown_rel_token(self):
         with pytest.raises(ParseError):
             read_core_file(["e 1 2 friend\n"])
+
+    def test_conflicting_labels_rejected(self):
+        # Read in written order, "e 1 2 c2p" makes 1 the customer and
+        # "e 2 1 c2p" makes 2 the customer.
+        with pytest.raises(ParseError) as err:
+            read_core_file(["e 1 2 c2p\n", "e 2 1 c2p\n"], source="core.txt")
+        assert "core.txt:2" in str(err.value)
+
+    def test_repeated_label_and_unlabeled_line_agree(self):
+        lines = ["e 1 2 c2p\n", "e 2 1 p2c\n", "e 1 2\n", "e 3 4\n", "e 4 3 p2p\n"]
+        core = read_core_file(lines)
+        assert core.preassigned == {(1, 2): RelType.C2P, (3, 4): RelType.P2P}
 
     def test_empty_file_rejected(self):
         with pytest.raises(EmptyCoreError):

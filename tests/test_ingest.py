@@ -93,7 +93,7 @@ class TestNormalizePath:
     def test_too_short_after_cleaning_dropped(self):
         result = normalize_path([5, 5, 5], None)
         assert result.hops is None
-        assert result.drop_reason == "short"
+        assert not result.truncated
 
     def test_single_hop_dropped(self):
         assert normalize_path([9], None).hops is None

@@ -50,6 +50,11 @@ class TestLoadReference:
         ref = load_reference(["21|5|0\n"], siblings)
         assert ref.get((5, 20)) is RelType.P2P
 
+    def test_self_pair_rejected(self):
+        with pytest.raises(ParseError) as err:
+            load_reference(["1|2|0\n", "5|5|0\n"], source="ref.txt")
+        assert "ref.txt:2" in str(err.value)
+
     def test_pair_collapsing_to_one_as_skipped(self):
         siblings = SiblingSet()
         siblings.merge(20, 21)
