@@ -24,6 +24,7 @@ from .core import (
     greedy_max_clique,
     grow_core,
     k_max_core,
+    k_shell_decompose,
     load_external_core,
     read_core_file,
     write_core_file,
@@ -45,52 +46,67 @@ from .pipeline import core_size_sweep, corruption_sweep, run_inference, summariz
 
 CORE_METHODS = ("clique", "kcore", "external", "grow")
 
+_PATH_FILES = dict(action="extend", nargs="+", default=[], metavar="FILE")
 
-def _add_corpus_flags(parser: argparse.ArgumentParser, suffix: str = "") -> None:
-    flag = lambda name: f"--{name}{suffix}"
-    parser.add_argument(
-        flag("paths-bgp"), action="extend", nargs="+", default=[], metavar="FILE",
-        help="BGP path file(s): space separated AS numbers per line",
-    )
-    parser.add_argument(
-        flag("paths-trace"), action="extend", nargs="+", default=[], metavar="FILE",
+# Every flag, by name. A subcommand adds only the flags it reads, so a flag
+# it would ignore is an argparse error (exit 2) instead of a silent no-op.
+FLAGS: dict[str, dict] = {
+    "--paths-bgp": dict(
+        _PATH_FILES, help="BGP path file(s): space separated AS numbers per line"
+    ),
+    "--paths-trace": dict(
+        _PATH_FILES,
         help="traceroute path file(s): agent_id| prefix before the AS numbers",
-    )
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    _add_corpus_flags(parser)
-    parser.add_argument("--siblings", metavar="FILE", help="sibling AS pairs")
-    parser.add_argument("--core", metavar="FILE", help="use a prebuilt core file")
-    parser.add_argument(
-        "--core-method", choices=CORE_METHODS,
-        help="construct the core from the ingested graph",
-    )
-    parser.add_argument(
-        "--core-size", type=int, metavar="N",
-        help="target size for --core-method grow",
-    )
-    parser.add_argument(
-        "--grow-strategy", choices=("degree", "kshell"), default="degree",
-        help="vertex ranking used by --core-method grow (default degree)",
-    )
-    parser.add_argument(
-        "--peer-edges", metavar="FILE",
-        help="external peer edge list for --core-method external",
-    )
-    parser.add_argument("--threshold", type=float, default=0.8, metavar="F")
-    parser.add_argument("--max-core-hops", type=int, default=3, metavar="N")
-    parser.add_argument(
-        "--tiebreak", choices=("degree", "kshell"),
+    ),
+    "--siblings": dict(metavar="FILE", help="sibling AS pairs"),
+    "--core": dict(metavar="FILE", help="use a prebuilt core file"),
+    "--core-method": dict(
+        choices=CORE_METHODS, help="construct the core from the ingested graph"
+    ),
+    "--core-size": dict(type=int, metavar="N", help="target size for --core-method grow"),
+    "--grow-strategy": dict(
+        choices=("degree", "kshell"), default="degree",
+        help="vertex ranking used to grow a core (default degree)",
+    ),
+    "--peer-edges": dict(
+        metavar="FILE", help="external peer edge list for --core-method external"
+    ),
+    "--threshold": dict(type=float, default=0.8, metavar="F"),
+    "--max-core-hops": dict(type=int, default=3, metavar="N"),
+    "--tiebreak": dict(
+        choices=("degree", "kshell"),
         help="classify leftover edges by structural rank (off by default)",
-    )
-    parser.add_argument(
-        "--phase2-anchor", choices=("threshold", "plurality"), default="threshold",
+    ),
+    "--phase2-anchor": dict(
+        choices=("threshold", "plurality"), default="threshold",
         help="how propagation decides an edge already has a winner",
-    )
-    parser.add_argument("--reference", metavar="FILE", help="labels to compare against")
-    parser.add_argument("--seed", type=int, default=0, metavar="N")
-    parser.add_argument("--out", metavar="DIR", required=True, help="output directory")
+    ),
+    "--reference": dict(metavar="FILE", help="labels to compare against"),
+    "--seed": dict(type=int, default=0, metavar="N", help="first corruption seed"),
+    "--sweep-sizes": dict(
+        default="", metavar="SPEC",
+        help="core sizes: comma list (4,8,12) or range lo:hi[:step]",
+    ),
+    "--fractions": dict(
+        default="0,0.5,1.0", metavar="LIST",
+        help="corruption fractions of the core to replace",
+    ),
+    "--corruption-seeds": dict(
+        type=int, default=5, metavar="N", help="number of seeds per corruption fraction"
+    ),
+    "--out": dict(metavar="DIR", required=True, help="output directory"),
+}
+CORPUS = ("--paths-bgp", "--paths-trace")
+FLAGS.update({f"{flag}-b": FLAGS[flag] for flag in CORPUS})
+CORE = ("--core", "--core-method", "--core-size", "--grow-strategy", "--peer-edges")
+INFERENCE = ("--threshold", "--max-core-hops", "--tiebreak", "--phase2-anchor")
+
+
+def _add_command(subparsers, name: str, help_text: str, func, flags) -> None:
+    parser = subparsers.add_parser(name, help=help_text)
+    for flag in (*flags, "--out"):
+        parser.add_argument(flag, **FLAGS[flag])
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,46 +115,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Infer commercial relationships between ASes from path corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_infer = sub.add_parser("infer", help="run inference over a path corpus")
-    _add_common_flags(p_infer)
-    p_infer.set_defaults(func=cmd_infer)
-
-    p_core = sub.add_parser("build-core", help="construct a core and save it")
-    _add_common_flags(p_core)
-    p_core.set_defaults(func=cmd_build_core)
-
-    p_exp = sub.add_parser("experiment", help="robustness experiments")
-    p_exp.add_argument(
-        "kind", choices=("core-sweep", "corruption", "window-stability")
+    _add_command(
+        sub, "infer", "run inference over a path corpus", cmd_infer,
+        (*CORPUS, "--siblings", *CORE, *INFERENCE, "--reference"),
     )
-    _add_common_flags(p_exp)
-    _add_corpus_flags(p_exp, suffix="-b")
-    p_exp.add_argument(
-        "--sweep-sizes", default="", metavar="SPEC",
-        help="core sizes: comma list (4,8,12) or range lo:hi[:step]",
+    _add_command(
+        sub, "build-core", "construct a core and save it", cmd_build_core,
+        (*CORPUS, "--siblings", *CORE),
     )
-    p_exp.add_argument(
-        "--fractions", default="0,0.5,1.0", metavar="LIST",
-        help="corruption fractions of the core to replace",
+    kinds = sub.add_parser("experiment", help="robustness experiments").add_subparsers(
+        dest="kind", required=True
     )
-    p_exp.add_argument(
-        "--corruption-seeds", type=int, default=5, metavar="N",
-        help="number of seeds per corruption fraction",
+    _add_command(
+        kinds, "core-sweep", "grow cores of several sizes", cmd_core_sweep,
+        (*CORPUS, "--siblings", "--grow-strategy", *INFERENCE, "--reference",
+         "--sweep-sizes"),
     )
-    p_exp.set_defaults(func=cmd_experiment)
-
+    _add_command(
+        kinds, "corruption", "replace part of the core at random", cmd_corruption,
+        (*CORPUS, "--siblings", *CORE, *INFERENCE, "--reference", "--seed",
+         "--fractions", "--corruption-seeds"),
+    )
+    _add_command(
+        kinds, "window-stability", "compare the labels of two corpora",
+        cmd_window_stability,
+        (*CORPUS, "--paths-bgp-b", "--paths-trace-b", "--siblings", *CORE, *INFERENCE),
+    )
     return parser
-
-
-def _manifest(args: argparse.Namespace) -> dict[str, object]:
-    skip = {"func"}
-    out: dict[str, object] = {}
-    for name, value in sorted(vars(args).items()):
-        if name in skip:
-            continue
-        out[name] = value
-    return out
 
 
 @contextmanager
@@ -192,27 +195,39 @@ def _load_graph(
     return siblings, compile_corpus(graph, paths), report, graph
 
 
-def _build_core(args, graph: AsGraph) -> CoreGraph:
+def _core_source(args) -> str:
+    """"file" for --core, else the --core method; ConfigurationError unless
+    exactly one source is named and every core flag given is one it reads."""
     if args.core and args.core_method:
         raise ConfigurationError("--core and --core-method are mutually exclusive")
-    if args.core:
+    source = "file" if args.core else args.core_method
+    if source is None:
+        raise ConfigurationError("one of --core or --core-method is required")
+    if args.core_size is not None and source != "grow":
+        raise ConfigurationError("--core-size needs --core-method grow")
+    if args.peer_edges and source != "external":
+        raise ConfigurationError("--peer-edges needs --core-method external")
+    if source == "external" and not args.peer_edges:
+        raise ConfigurationError("--core-method external needs --peer-edges")
+    if source == "grow" and args.core_size is None:
+        raise ConfigurationError("--core-method grow needs --core-size")
+    return source
+
+
+def _build_core(args, source: str, graph: AsGraph, kshell: dict | None = None) -> CoreGraph:
+    """The core that source names. kcore and kshell growth rank by the
+    k-shell index kshell when it is given."""
+    if source == "file":
         with _reading(args.core) as [(name, lines)]:
             return read_core_file(lines, graph, name)
-    method = args.core_method
-    if method is None:
-        raise ConfigurationError("one of --core or --core-method is required")
-    if method == "clique":
+    if source == "clique":
         return greedy_max_clique(graph)
-    if method == "kcore":
-        return k_max_core(graph)
-    if method == "external":
-        if not args.peer_edges:
-            raise ConfigurationError("--core-method external needs --peer-edges")
+    if source == "kcore":
+        return k_max_core(graph, kshell)
+    if source == "external":
         with _reading(args.peer_edges) as [(name, lines)]:
             return load_external_core(lines, graph, name)
-    if args.core_size is None:
-        raise ConfigurationError("--core-method grow needs --core-size")
-    return grow_core(graph, args.grow_strategy, args.core_size)
+    return grow_core(graph, args.grow_strategy, args.core_size, kshell)
 
 
 def _configs(args) -> tuple[InferenceConfig, HeuristicConfig]:
@@ -232,11 +247,6 @@ def _load_reference(args, siblings) -> ReferenceSet | None:
         return load_reference(lines, siblings, name)
 
 
-def _ensure_out(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _write_json(payload: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -245,20 +255,26 @@ def _write_json(payload: dict, path: str) -> None:
 
 def _run_window(args, suffix: str = ""):
     siblings, paths, report, graph = _load_graph(args, suffix)
-    core = _build_core(args, graph)
+    source = _core_source(args)
+    # One k-shell index serves the core and the tie-break alike.
+    by_shell = args.tiebreak == "kshell" or source == "kcore" or (
+        source == "grow" and args.grow_strategy == "kshell"
+    )
+    kshell = k_shell_decompose(graph) if by_shell else None
+    core = _build_core(args, source, graph, kshell)
     engine_config, heuristic_config = _configs(args)
     result = run_inference(
-        graph, paths, core, engine_config, heuristic_config, siblings=siblings
+        graph, paths, core, engine_config, heuristic_config,
+        kshell=kshell, siblings=siblings,
     )
     return result, report, siblings
 
 
-def cmd_infer(args) -> int:
-    out = _ensure_out(args)
+def cmd_infer(args) -> str:
     result, report, siblings = _run_window(args)
-    reference = _load_reference(args, siblings)
-    metrics = summarize(result, reference)
+    metrics = summarize(result, _load_reference(args, siblings))
 
+    out = args.out
     with open(os.path.join(out, "classifications.csv"), "w", encoding="utf-8") as fh:
         write_classifications_csv(result.all_records(), fh)
     with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as fh:
@@ -266,31 +282,23 @@ def cmd_infer(args) -> int:
     with open(os.path.join(out, "histogram.csv"), "w", encoding="utf-8") as fh:
         write_histogram_csv(metrics.histogram, fh)
     _write_json(report.as_dict(), os.path.join(out, "ingest_report.json"))
-    _write_json(_manifest(args), os.path.join(out, "manifest.json"))
-
-    print(
+    return (
         f"classified {metrics.pct_classified:.1f}% of {metrics.edges} edges "
         f"({metrics.pct_deterministic:.1f}% deterministic), "
         f"{metrics.pct_invalid_paths:.2f}% invalid paths"
     )
-    return 0
 
 
-def cmd_build_core(args) -> int:
-    out = _ensure_out(args)
+def cmd_build_core(args) -> str:
     _siblings, _paths, _report, graph = _load_graph(args)
-    core = _build_core(args, graph)
+    core = _build_core(args, _core_source(args), graph)
 
-    core_path = os.path.join(out, "core.txt")
-    with open(core_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "core.txt"), "w", encoding="utf-8") as fh:
         write_core_file(core, fh)
-    _write_json(_manifest(args), os.path.join(out, "manifest.json"))
-
-    print(
+    return (
         f"core vertices={core.n_vertices} edges={core.n_edges} "
         f"density={core.density():.4f}"
     )
-    return 0
 
 
 def _parse_sizes(spec: str) -> list[int]:
@@ -328,65 +336,74 @@ def _parse_fractions(spec: str) -> list[float]:
     return fractions
 
 
-def cmd_experiment(args) -> int:
-    out = _ensure_out(args)
-    rows: list[dict[str, object]]
-
-    if args.kind == "window-stability":
-        result_a, _, siblings = _run_window(args)
-        if not (args.paths_bgp_b or args.paths_trace_b):
-            raise ConfigurationError(
-                "window-stability needs --paths-bgp-b or --paths-trace-b"
-            )
-        result_b, _, _ = _run_window(args, suffix="_b")
-        value, shared = stability(result_a.all_records(), result_b.all_records())
-        rows = [
-            {
-                "stability": "" if value is None else round(value, 6),
-                "shared_edges": shared,
-                "edges_a": result_a.graph.n_edges,
-                "edges_b": result_b.graph.n_edges,
-            }
-        ]
-    else:
-        siblings, paths, _report, graph = _load_graph(args)
-        engine_config, heuristic_config = _configs(args)
-        reference = _load_reference(args, siblings)
-        if args.kind == "core-sweep":
-            sizes = _parse_sizes(args.sweep_sizes)
-            rows = core_size_sweep(
-                graph, paths, args.grow_strategy, sizes,
-                engine_config, heuristic_config, reference,
-            )
-        else:
-            core = _build_core(args, graph)
-            fractions = _parse_fractions(args.fractions)
-            if args.corruption_seeds < 1:
-                raise ConfigurationError("--corruption-seeds must be >= 1")
-            seeds = [args.seed + i for i in range(args.corruption_seeds)]
-            rows = corruption_sweep(
-                graph, paths, core, fractions, seeds,
-                engine_config, heuristic_config, reference,
-            )
-
-    with open(os.path.join(out, "experiment.csv"), "w", encoding="utf-8") as fh:
+def _write_experiment(args, rows: list[dict[str, object]]) -> str:
+    path = os.path.join(args.out, "experiment.csv")
+    with open(path, "w", encoding="utf-8") as fh:
         write_metrics_csv(rows, fh)
-    _write_json(_manifest(args), os.path.join(out, "manifest.json"))
-    print(f"wrote {len(rows)} rows to {os.path.join(out, 'experiment.csv')}")
-    return 0
+    return f"wrote {len(rows)} rows to {path}"
+
+
+def cmd_core_sweep(args) -> str:
+    siblings, paths, _report, graph = _load_graph(args)
+    engine_config, heuristic_config = _configs(args)
+    reference = _load_reference(args, siblings)
+    sizes = _parse_sizes(args.sweep_sizes)
+    rows = core_size_sweep(
+        graph, paths, args.grow_strategy, sizes,
+        engine_config, heuristic_config, reference,
+    )
+    return _write_experiment(args, rows)
+
+
+def cmd_corruption(args) -> str:
+    siblings, paths, _report, graph = _load_graph(args)
+    engine_config, heuristic_config = _configs(args)
+    reference = _load_reference(args, siblings)
+    core = _build_core(args, _core_source(args), graph)
+    fractions = _parse_fractions(args.fractions)
+    if args.corruption_seeds < 1:
+        raise ConfigurationError("--corruption-seeds must be >= 1")
+    seeds = [args.seed + i for i in range(args.corruption_seeds)]
+    rows = corruption_sweep(
+        graph, paths, core, fractions, seeds,
+        engine_config, heuristic_config, reference,
+    )
+    return _write_experiment(args, rows)
+
+
+def cmd_window_stability(args) -> str:
+    if not (args.paths_bgp_b or args.paths_trace_b):
+        raise ConfigurationError("window-stability needs --paths-bgp-b or --paths-trace-b")
+    result_a, _, _ = _run_window(args)
+    result_b, _, _ = _run_window(args, suffix="_b")
+    value, shared = stability(result_a.all_records(), result_b.all_records())
+    row = {
+        "stability": "" if value is None else round(value, 6),
+        "shared_edges": shared,
+        "edges_a": result_a.graph.n_edges,
+        "edges_b": result_b.graph.n_edges,
+    }
+    return _write_experiment(args, [row])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand. It writes its files under --out and returns a
+    summary line; main adds manifest.json, then prints the line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        os.makedirs(args.out, exist_ok=True)
+        summary = args.func(args)
+        manifest = {name: value for name, value in vars(args).items() if name != "func"}
+        _write_json(manifest, os.path.join(args.out, "manifest.json"))
     except AsrelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

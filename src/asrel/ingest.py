@@ -112,7 +112,10 @@ def read_records(
 
 
 def parse_asn(token: str) -> int:
-    """The AS number a token names; ValueError if it is not one."""
+    """The AS number a token of ASCII digits names; ValueError for any
+    other token, such as ``+7``, ``1_0`` or non-ASCII digits."""
+    if not (token.isdigit() and token.isascii()):
+        raise ValueError(f"not an AS number: {token!r}")
     value = int(token)
     # AS 0 is reserved and never routes, so it marks a malformed line.
     if not (1 <= value <= MAX_ASN):
@@ -266,10 +269,10 @@ def parse_path_line(
     tokens = body.split()
     weight = 1
     if tokens and tokens[-1].startswith("weight="):
-        try:
-            weight = int(tokens[-1][len("weight="):])
-        except ValueError:
-            raise ValueError(f"bad weight token {tokens[-1]!r}") from None
+        digits = tokens[-1][len("weight="):]
+        if not (digits.isdigit() and digits.isascii()):
+            raise ValueError(f"bad weight token {tokens[-1]!r}")
+        weight = int(digits)
         if weight < 1:
             raise ValueError(f"weight must be >= 1, got {weight}")
         tokens = tokens[:-1]

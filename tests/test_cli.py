@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -321,10 +322,121 @@ class TestInferErrors:
         assert code == 1
         assert "bad.txt:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--paths-bgp", "1 2 3\n{n} 2 3\n"),
+            ("--paths-bgp", "1 2 3\n1 2 weight={n}\n"),
+            ("--siblings", "5 6\n{n} 6\n"),
+            ("--core", "v 2\nv {n}\n"),
+            ("--reference", "1|2|0\n{n}|2|0\n"),
+        ],
+        ids=["path", "weight", "sibling", "core", "reference"],
+    )
+    @pytest.mark.parametrize("n", ["1_0", "+7", "\u0663", "4\u00b2"])
+    def test_numbers_are_ascii_digits(self, tmp_path, capsys, flag, text, n):
+        # int() reads each of these tokens as a number; an input file may not.
+        paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n")
+        bad = write(tmp_path / "bad.txt", text.format(n=n))
+        files = [bad] if flag == "--paths-bgp" else [paths, flag, bad]
+        core = [] if flag == "--core" else ["--core-method", "clique"]
+        code = cli.main(["infer", "--paths-bgp", *files, *core, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "bad.txt:2" in capsys.readouterr().err
+
     def test_unknown_choice_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["infer", "--core-method", "oracle", "--out", "x"])
         assert err.value.code == 2
+
+
+# The flags each subcommand reads, as documented in README "CLI".
+CORPUS = {"--paths-bgp", "--paths-trace"}
+CORE = {"--core", "--core-method", "--core-size", "--grow-strategy", "--peer-edges"}
+INFERENCE = {"--threshold", "--max-core-hops", "--tiebreak", "--phase2-anchor"}
+FLAG_SETS = {
+    "infer": CORPUS | CORE | INFERENCE | {"--siblings", "--reference", "--out"},
+    "build-core": CORPUS | CORE | {"--siblings", "--out"},
+    "core-sweep": CORPUS | INFERENCE
+    | {"--siblings", "--grow-strategy", "--reference", "--sweep-sizes", "--out"},
+    "corruption": CORPUS | CORE | INFERENCE
+    | {"--siblings", "--reference", "--seed", "--fractions", "--corruption-seeds", "--out"},
+    "window-stability": CORPUS | CORE | INFERENCE
+    | {"--paths-bgp-b", "--paths-trace-b", "--siblings", "--out"},
+}
+ALL_FLAGS = set().union(*FLAG_SETS.values())
+SIZE_NEEDS_GROW = "--core-size needs --core-method grow"
+PEERS_NEED_EXTERNAL = "--peer-edges needs --core-method external"
+
+
+def command(kind):
+    return [kind] if kind in ("infer", "build-core") else ["experiment", kind]
+
+
+def leaf_parsers(parser):
+    """(name, parser) of every subcommand that takes no further subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                nested = list(leaf_parsers(sub))
+                yield from nested or [(name, sub)]
+
+
+class TestFlagSets:
+    def test_each_subcommand_takes_the_flags_it_reads(self):
+        accepted = {
+            name: {opt for action in sub._actions for opt in action.option_strings}
+            - {"-h", "--help"}
+            for name, sub in leaf_parsers(cli.build_parser())
+        }
+        assert accepted == FLAG_SETS
+        assert sum(map(len, accepted.values())) == 66
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [(kind, flag) for kind in FLAG_SETS for flag in sorted(ALL_FLAGS - FLAG_SETS[kind])],
+    )
+    def test_flag_not_read_is_exit_two(self, tmp_path, capsys, kind, flag):
+        with pytest.raises(SystemExit) as err:
+            cli.main([*command(kind), flag, "1", "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["infer", "build-core", "corruption"])
+    def test_manifest_holds_only_read_flags(self, tmp_path, uphill_corpus, kind):
+        paths, core = uphill_corpus
+        out = tmp_path / "run"
+        argv = [*command(kind), "--paths-bgp", paths, "--core", core, "--out", str(out)]
+        assert cli.main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        dests = {flag[2:].replace("-", "_") for flag in FLAG_SETS[kind]}
+        kinds = {"kind"} if kind == "corruption" else set()
+        assert set(manifest) == dests | {"command"} | kinds
+
+    @pytest.mark.parametrize("kind", ["infer", "build-core", "corruption", "window-stability"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--core-method", "clique", "--core-size", "4"], SIZE_NEEDS_GROW),
+            (["--core-size", "4"], SIZE_NEEDS_GROW),
+            (["--core-method", "kcore", "--peer-edges"], PEERS_NEED_EXTERNAL),
+            (["--peer-edges"], PEERS_NEED_EXTERNAL),
+        ],
+        ids=["size-clique", "size-file", "peers-kcore", "peers-file"],
+    )
+    def test_core_flag_the_source_ignores_is_exit_two(
+        self, tmp_path, capsys, uphill_corpus, kind, flags, message
+    ):
+        paths, core = uphill_corpus
+        argv = [*command(kind), "--paths-bgp", paths, *flags]
+        if flags[-1] == "--peer-edges":
+            argv.append(write(tmp_path / "peers.txt", "4 5\n"))
+        if "--core-method" not in flags:
+            argv += ["--core", core]
+        if kind == "window-stability":
+            argv += ["--paths-bgp-b", paths]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 class TestBuildCore:
@@ -581,19 +693,31 @@ def flags(**values):
     return st.tuples(*options).map(lambda args: [arg for pair in args for arg in pair])
 
 
-common_flags = flags(
-    core_size=["4", "4", "5", "2", "100"],
-    grow_strategy=["degree", "kshell"],
-    threshold=["0.51", "0.7", "1.0", "0.4", "1.5"],
-    max_core_hops=["1", "2", "4", "0"],
-    tiebreak=["degree", "kshell"],
-    phase2_anchor=["threshold", "plurality"],
-)
-experiment_flags = flags(
-    fractions=["0", "0,0.5", "1", "2", "x", ""],
-    sweep_sizes=["4", "4:6", "4:6:2", "3:2", "4:6:0", ",", "a"],
-    corruption_seeds=["0", "1", "2"],
-)
+# Flag values drawn per flag group; each kind draws only the groups it
+# reads, since any other flag is an argparse error.
+group_flags = {
+    "core": flags(grow_strategy=["degree", "kshell"]),
+    "grow": flags(grow_strategy=["degree", "kshell"]),
+    "inference": flags(
+        threshold=["0.51", "0.7", "1.0", "0.4", "1.5"],
+        max_core_hops=["1", "2", "4", "0"],
+        tiebreak=["degree", "kshell"],
+        phase2_anchor=["threshold", "plurality"],
+    ),
+    "sweep": flags(sweep_sizes=["4", "4:6", "4:6:2", "3:2", "4:6:0", ",", "a"]),
+    "corruption": flags(
+        seed=["0", "7"],
+        fractions=["0", "0,0.5", "1", "2", "x", ""],
+        corruption_seeds=["0", "1", "2"],
+    ),
+}
+KIND_GROUPS = {
+    "infer": ["core", "inference", "--reference"],
+    "build-core": ["core"],
+    "core-sweep": ["grow", "inference", "--reference", "sweep"],
+    "corruption": ["core", "inference", "--reference", "corruption"],
+    "window-stability": ["--paths-bgp-b", "core", "inference"],
+}
 core_sources = st.sampled_from(
     [["--core"]] * 3
     + [["--core-method", method] for method in cli.CORE_METHODS]
@@ -604,25 +728,28 @@ core_sources = st.sampled_from(
 @st.composite
 def cli_runs(draw):
     """An argument list, and the contents of each file flag it adds."""
-    kind = draw(
-        st.sampled_from(["infer", "build-core", "corruption", "core-sweep", "window-stability"])
-    )
-    required = ["--paths-bgp"]
-    optional = ["--paths-trace", "--siblings", "--peer-edges", "--reference"]
-    if kind in ("infer", "build-core"):
-        argv = [kind]
-    else:
-        argv = ["experiment", kind, *draw(experiment_flags)]
-        if kind == "window-stability":
-            required.append("--paths-bgp-b")
-    argv += draw(common_flags)
+    kind = draw(st.sampled_from(sorted(KIND_GROUPS)))
+    groups = KIND_GROUPS[kind]
+    argv = [kind] if kind in ("infer", "build-core") else ["experiment", kind]
+    for group in groups:
+        if group in group_flags:
+            argv += draw(group_flags[group])
+    required = ["--paths-bgp", *[g for g in groups if g == "--paths-bgp-b"]]
+    optional = ["--paths-trace", "--siblings", *[g for g in groups if g == "--reference"]]
+    if "core" in groups:
+        # --core-size and --peer-edges are drawn mostly for the core
+        # method that reads them; for any other source they are exit 2.
+        core = draw(core_sources)
+        grow = "grow" in core
+        argv += draw(flags(core_size=["4", "4", "5", "2", "100"] if grow else ["4"]))
+        if "external" in core or draw(st.integers(0, 3)) == 0:
+            optional.append("--peer-edges")
+        if "--core" in core:
+            required.append("--core")
+        argv += [arg for arg in core if arg != "--core"]
     files = {name: draw(fuzz_files[name]) for name in required}
     for name in optional:
         files[name] = draw(st.none() | fuzz_files[name])
-    core = draw(core_sources)
-    if "--core" in core:
-        files["--core"] = draw(fuzz_files["--core"])
-    argv += [arg for arg in core if arg != "--core"]
     return argv, files
 
 

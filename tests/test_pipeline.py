@@ -241,6 +241,28 @@ class TestSweeps:
         assert len(rows) == 4
         assert len(kshell_calls) == 1
 
+    @pytest.mark.parametrize(
+        "core, tiebreak, calls",
+        [
+            (["--core-method", "kcore"], "kshell", 1),
+            (["--core-method", "grow", "--core-size", "4", "--grow-strategy", "kshell"],
+             "kshell", 1),
+            (["--core-method", "kcore"], "degree", 1),
+            (["--core-method", "clique"], "kshell", 1),
+            (["--core-method", "clique"], "degree", 0),
+        ],
+    )
+    def test_cli_window_computes_index_once(
+        self, tmp_path, monkeypatch, kshell_calls, core, tiebreak, calls
+    ):
+        # kshell_calls put the counting wrapper in asrel.core.
+        monkeypatch.setattr(cli, "k_shell_decompose", core_module.k_shell_decompose)
+        paths = tmp_path / "p.txt"
+        paths.write_text("2 1 3\n2 3 4\n2 4 1\n5 1 2\n", encoding="utf-8")
+        argv = ["infer", "--paths-bgp", str(paths), *core, "--tiebreak", tiebreak]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert len(kshell_calls) == calls
+
 
 NOISY = NoiseConfig(loop_prob=0.1, valley_prob=0.1, prepend_prob=0.1)
 
