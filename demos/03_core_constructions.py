@@ -48,7 +48,7 @@ def main():
         "greedy clique": greedy_max_clique(graph),
         "k-max core": k_max_core(graph),
         "grown by degree, size 6": grow_core(graph, "degree", 6),
-        "grown by k-shell, size 10": grow_core(graph, "kshell", 10, index=shells),
+        "grown by k-shell, size 10": grow_core(graph, "kshell", 10),
     }
 
     # Round-trip an external core list through the text format.

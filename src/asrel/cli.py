@@ -24,7 +24,6 @@ from .core import (
     greedy_max_clique,
     grow_core,
     k_max_core,
-    k_shell_decompose,
     load_external_core,
     read_core_file,
     write_core_file,
@@ -214,20 +213,19 @@ def _core_source(args) -> str:
     return source
 
 
-def _build_core(args, source: str, graph: AsGraph, kshell: dict | None = None) -> CoreGraph:
-    """The core that source names. kcore and kshell growth rank by the
-    k-shell index kshell when it is given."""
+def _build_core(args, source: str, graph: AsGraph) -> CoreGraph:
+    """The core that source names."""
     if source == "file":
         with _reading(args.core) as [(name, lines)]:
             return read_core_file(lines, graph, name)
     if source == "clique":
         return greedy_max_clique(graph)
     if source == "kcore":
-        return k_max_core(graph, kshell)
+        return k_max_core(graph)
     if source == "external":
         with _reading(args.peer_edges) as [(name, lines)]:
             return load_external_core(lines, graph, name)
-    return grow_core(graph, args.grow_strategy, args.core_size, kshell)
+    return grow_core(graph, args.grow_strategy, args.core_size)
 
 
 def _configs(args) -> tuple[InferenceConfig, HeuristicConfig]:
@@ -255,17 +253,10 @@ def _write_json(payload: dict, path: str) -> None:
 
 def _run_window(args, suffix: str = ""):
     siblings, paths, report, graph = _load_graph(args, suffix)
-    source = _core_source(args)
-    # One k-shell index serves the core and the tie-break alike.
-    by_shell = args.tiebreak == "kshell" or source == "kcore" or (
-        source == "grow" and args.grow_strategy == "kshell"
-    )
-    kshell = k_shell_decompose(graph) if by_shell else None
-    core = _build_core(args, source, graph, kshell)
+    core = _build_core(args, _core_source(args), graph)
     engine_config, heuristic_config = _configs(args)
     result = run_inference(
-        graph, paths, core, engine_config, heuristic_config,
-        kshell=kshell, siblings=siblings,
+        graph, paths, core, engine_config, heuristic_config, siblings=siblings
     )
     return result, report, siblings
 

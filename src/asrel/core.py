@@ -105,8 +105,12 @@ def k_shell_decompose(graph: AsGraph) -> dict[int, int]:
     """Shell number of every vertex.
 
     shell(v) is the largest k such that v survives iterated pruning of
-    vertices with degree below k. Isolated vertices get shell 0.
+    vertices with degree below k. Isolated vertices get shell 0. The index
+    is computed once per graph and kept as graph.shells, which adding a
+    vertex or an edge clears.
     """
+    if graph.shells is not None:
+        return graph.shells
     degree = {v: graph.degree(v) for v in graph.vertices}
     remaining = set(graph.vertices)
     shell: dict[int, int] = {}
@@ -125,15 +129,15 @@ def k_shell_decompose(graph: AsGraph) -> dict[int, int]:
                     if degree[w] < k:
                         peel.append(w)
         k += 1
+    graph.shells = shell
     return shell
 
 
-def k_max_core(graph: AsGraph, index: dict[int, int] | None = None) -> CoreGraph:
+def k_max_core(graph: AsGraph) -> CoreGraph:
     """The innermost k-core: all vertices whose shell equals the maximum."""
     if graph.n_vertices == 0:
         raise EmptyCoreError("cannot build a k-core from an empty graph")
-    if index is None:
-        index = k_shell_decompose(graph)
+    index = k_shell_decompose(graph)
     k = max(index.values(), default=0)
     members = {v for v, s in index.items() if s == k}
     return CoreGraph(members, _induced_edges(graph, members))
@@ -182,12 +186,7 @@ def load_external_core(
     )
 
 
-def grow_core(
-    graph: AsGraph,
-    strategy: str,
-    size: int,
-    index: dict[int, int] | None = None,
-) -> CoreGraph:
+def grow_core(graph: AsGraph, strategy: str, size: int) -> CoreGraph:
     """Take the first ``size`` vertices of a ranking as the core.
 
     strategy "degree" ranks by descending degree; "kshell" by descending
@@ -201,8 +200,7 @@ def grow_core(
     if strategy == "degree":
         order = sorted(graph.vertices, key=lambda v: (-graph.degree(v), v))
     elif strategy == "kshell":
-        if index is None:
-            index = k_shell_decompose(graph)
+        index = k_shell_decompose(graph)
         order = sorted(
             graph.vertices, key=lambda v: (-index[v], -graph.degree(v), v)
         )

@@ -185,6 +185,8 @@ class AsGraph:
         self.edge_keys: list[EdgeKey] = []
         # The paths the graph was built from, compiled (see build_graph).
         self.corpus: Corpus | None = None
+        # The k-shell index, kept by core.k_shell_decompose on first use.
+        self.shells: dict[int, int] | None = None
         self._zero_counters()
 
     def _zero_counters(self) -> None:
@@ -218,7 +220,9 @@ class AsGraph:
     def add_vertex(self, v: int) -> None:
         if not (0 <= v <= MAX_ASN):
             raise ParameterError(f"AS number out of range: {v}")
-        self._adj.setdefault(v, set())
+        if v not in self._adj:
+            self._adj[v] = set()
+            self.shells = None
 
     def add_edge(self, a: int, b: int) -> EdgeKey:
         """Insert the undirected edge (a, b); a no-op if it already exists."""
@@ -226,6 +230,7 @@ class AsGraph:
         if key not in self.edge_index:
             self.add_vertex(a)
             self.add_vertex(b)
+            self.shells = None
             self._adj[a].add(b)
             self._adj[b].add(a)
             self.edge_index[key] = len(self.edge_keys)
@@ -258,8 +263,9 @@ class AsGraph:
     def copy_unvoted(self) -> "AsGraph":
         """A graph with the same vertices, edges and edge ids, and zero counters.
 
-        The copy shares this graph's adjacency and edge index instead of
-        copying them, so neither graph may gain edges afterwards.
+        The copy shares this graph's adjacency, edge index and k-shell
+        index instead of copying them, so neither graph may gain edges
+        afterwards.
         """
         fresh = copy(self)
         fresh._zero_counters()

@@ -140,11 +140,15 @@ def parse_pair(tokens: Sequence[str]) -> tuple[int, int]:
 
 def parse_relationship(line: str) -> tuple[int, int, int]:
     """(A, B, code) of one ``A|B|code`` record, the relationship format of
-    reference and peer files; the code is not checked."""
+    reference and peer files. The code is ASCII digits after an optional
+    ``-``; its value is not checked."""
     fields = line.split("|")
     if len(fields) != 3:
         raise ValueError(f"expected A|B|code, got {line!r}")
     a, b = parse_pair(fields[:2])
+    digits = fields[2].removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"not a relationship code: {fields[2]!r}")
     return a, b, int(fields[2])
 
 

@@ -1,4 +1,4 @@
-"""Run metrics, reference comparison, stability, and robustness sweeps.
+"""Run metrics, reference comparison and the stability of two runs.
 
 Reference files use one record per line, ``A|B|code``, where code -1 means
 A is a provider of B, 0 means peering, and 1 means the pair are siblings.
@@ -120,9 +120,12 @@ def compare(
 def stability(
     a: Iterable[Classification], b: Iterable[Classification]
 ) -> tuple[float | None, int]:
-    """Agreement on edges classified in both runs; None when none overlap."""
-    labels_a = {c.edge: c.rel for c in a if c.classified}
-    labels_b = {c.edge: c.rel for c in b if c.classified}
+    """Agreement on edges classified in both runs; None when none overlap.
+    Sibling records are declared pairs, not edges, so they are skipped."""
+    labels_a, labels_b = (
+        {c.edge: c.rel for c in run if c.classified and c.method != METHOD_SIBLING_DB}
+        for run in (a, b)
+    )
     shared = labels_a.keys() & labels_b.keys()
     if not shared:
         return None, 0

@@ -60,17 +60,6 @@ class RunResult:
         return records
 
 
-def _kshell_index(
-    graph: AsGraph, heuristic_config: HeuristicConfig | None, strategy: str = ""
-) -> dict[int, int] | None:
-    """The k-shell index if the tie-break or the core growth strategy ranks
-    by shell, else None. Each sweep calls this once and shares the result."""
-    tiebreak = heuristic_config.tiebreak if heuristic_config is not None else None
-    if tiebreak == TIEBREAK_KSHELL or strategy == "kshell":
-        return k_shell_decompose(graph)
-    return None
-
-
 def run_inference(
     graph: AsGraph,
     paths: Iterable[AsPath],
@@ -85,10 +74,13 @@ def run_inference(
     Votes accumulate on a copy with its own counters, so repeated runs over
     the same graph (as in the sweeps) stay independent. paths are compiled
     by compile_corpus, which reuses a Corpus compiled against graph and the
-    corpus build_graph compiled from the same path list.
+    corpus build_graph compiled from the same path list. The k-shell
+    tie-break ranks by kshell when it is given, else by the graph's index.
     """
     engine_config = engine_config or InferenceConfig()
     heuristic_config = heuristic_config or HeuristicConfig()
+    if kshell is None and heuristic_config.tiebreak == TIEBREAK_KSHELL:
+        kshell = k_shell_decompose(graph)
 
     paths = compile_corpus(graph, paths)
     work = graph.copy_unvoted()
@@ -99,8 +91,6 @@ def run_inference(
 
     classifications.update(infer_gap_p2p(partition.periphery, classifications))
 
-    if kshell is None:
-        kshell = _kshell_index(graph, heuristic_config)
     if heuristic_config.tiebreak is not None:
         classifications.update(
             apply_tiebreaks(work, classifications, heuristic_config, kshell)
@@ -172,7 +162,6 @@ def corruption_sweep(
     a copy.
     """
     paths = compile_corpus(graph, paths)
-    kshell = _kshell_index(graph, heuristic_config)
     rows: list[dict[str, object]] = []
     for fraction in fractions:
         replace = round(fraction * len(core.vertices))
@@ -183,7 +172,7 @@ def corruption_sweep(
             else:
                 corrupted = corrupt_core(core, graph, replace, seed)
                 result = run_inference(
-                    graph, paths, corrupted, engine_config, heuristic_config, kshell
+                    graph, paths, corrupted, engine_config, heuristic_config
                 )
                 row = {"fraction": fraction, "seed": seed, "replaced": replace}
                 row.update(summarize(result, reference).row())
@@ -202,13 +191,10 @@ def core_size_sweep(
 ) -> list[dict[str, object]]:
     """Grow cores of increasing size and record how the run responds."""
     paths = compile_corpus(graph, paths)
-    kshell = _kshell_index(graph, heuristic_config, strategy)
     rows: list[dict[str, object]] = []
     for size in sizes:
-        core = grow_core(graph, strategy, size, kshell)
-        result = run_inference(
-            graph, paths, core, engine_config, heuristic_config, kshell
-        )
+        core = grow_core(graph, strategy, size)
+        result = run_inference(graph, paths, core, engine_config, heuristic_config)
         metrics = summarize(result, reference)
         row: dict[str, object] = {
             "size": size,

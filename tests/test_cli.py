@@ -330,16 +330,24 @@ class TestInferErrors:
             ("--siblings", "5 6\n{n} 6\n"),
             ("--core", "v 2\nv {n}\n"),
             ("--reference", "1|2|0\n{n}|2|0\n"),
+            ("--reference", "1|2|0\n1|3|{n}\n"),
+            ("--peer-edges", "2 3\n1|3|{n}\n"),
         ],
-        ids=["path", "weight", "sibling", "core", "reference"],
+        ids=["path", "weight", "sibling", "core", "reference", "reference-code",
+             "peer-code"],
     )
-    @pytest.mark.parametrize("n", ["1_0", "+7", "\u0663", "4\u00b2"])
+    @pytest.mark.parametrize(
+        "n", ["1_0", "+7", "\u0663", "4\u00b2", "+0", "\u0661", " -1"]
+    )
     def test_numbers_are_ascii_digits(self, tmp_path, capsys, flag, text, n):
         # int() reads each of these tokens as a number; an input file may not.
         paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n")
         bad = write(tmp_path / "bad.txt", text.format(n=n))
         files = [bad] if flag == "--paths-bgp" else [paths, flag, bad]
-        core = [] if flag == "--core" else ["--core-method", "clique"]
+        core = (
+            [] if flag == "--core"
+            else ["--core-method", "external" if flag == "--peer-edges" else "clique"]
+        )
         code = cli.main(["infer", "--paths-bgp", *files, *core, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "bad.txt:2" in capsys.readouterr().err
@@ -586,6 +594,23 @@ class TestExperiment:
         row = read_rows(out / "experiment.csv")[0]
         assert float(row["stability"]) == 1.0
         assert int(row["shared_edges"]) > 0
+
+    def test_window_stability_skips_sibling_pairs(self, tmp_path):
+        # Both windows declare the same two sibling pairs; they are not edges.
+        paths_a = write(tmp_path / "a.txt", "1 2 3\n2 3 4\n3 4 5\n1 3 5\n")
+        paths_b = write(tmp_path / "b.txt", "1 2 3\n2 3 4\n3 4 5\n2 4 5\n")
+        siblings = write(tmp_path / "sib.txt", "1 10\n2 20\n")
+        out = tmp_path / "exp"
+        code = cli.main(
+            [
+                "experiment", "window-stability", "--paths-bgp", paths_a,
+                "--paths-bgp-b", paths_b, "--siblings", siblings,
+                "--core-method", "clique", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        row = read_rows(out / "experiment.csv")[0]
+        assert int(row["shared_edges"]) <= min(int(row["edges_a"]), int(row["edges_b"]))
 
     def test_window_stability_needs_second_corpus(self, tmp_path):
         paths, core = self.synth_files(tmp_path)

@@ -123,6 +123,31 @@ class TestKShell:
         index = k_shell_decompose(graph_of([(1, 2)], extra_vertices=[9]))
         assert index[9] == 0
 
+    def test_index_is_computed_once_per_graph(self):
+        g = k4_with_pendant()
+        index = k_shell_decompose(g)
+        assert g.shells is index
+        assert k_shell_decompose(g) is index
+        assert k_shell_decompose(g.copy_unvoted()) is index
+
+    def test_new_edge_resets_index(self):
+        g = k4_with_pendant()
+        index = k_shell_decompose(g)
+        g.add_edge(2, 1)
+        assert g.shells is index
+        g.add_edge(2, 5)
+        assert g.shells is None
+        assert k_shell_decompose(g)[5] == 2
+
+    def test_new_vertex_resets_index(self):
+        g = k4_with_pendant()
+        index = k_shell_decompose(g)
+        g.add_vertex(5)
+        assert g.shells is index
+        g.add_vertex(9)
+        assert g.shells is None
+        assert k_shell_decompose(g)[9] == 0
+
     def test_k_max_core_of_k4_with_pendant(self):
         core = k_max_core(k4_with_pendant())
         assert core.vertices == {1, 2, 3, 4}

@@ -193,6 +193,14 @@ class TestStability:
         assert shared == 1
         assert value == 1.0
 
+    def test_sibling_records_not_shared(self):
+        sibling = cls((5, 6), RelType.S2S, method="sibling-db", votes=0)
+        a = [cls((1, 2), RelType.P2P), sibling]
+        b = [cls((1, 2), RelType.C2P), sibling]
+        value, shared = stability(a, b)
+        assert shared == 1
+        assert value == 0.0
+
 
 class TestHistogram:
     def test_counts_sum_to_voted_edges(self):

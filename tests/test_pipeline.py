@@ -211,12 +211,17 @@ class TestSweeps:
         assert all(r["strategy"] == "degree" for r in rows)
 
     @pytest.fixture
-    def kshell_calls(self, monkeypatch):
+    def kshell_calls(self, corpus, monkeypatch):
+        """The graphs whose k-shell index was computed: the calls to
+        k_shell_decompose that found graph.shells unset."""
+        # The module's graph may keep the index an earlier test computed.
+        monkeypatch.setattr(corpus[1], "shells", None)
         calls = []
         real = core_module.k_shell_decompose
 
         def counting(graph):
-            calls.append(graph)
+            if graph.shells is None:
+                calls.append(graph)
             return real(graph)
 
         monkeypatch.setattr(core_module, "k_shell_decompose", counting)
@@ -253,15 +258,30 @@ class TestSweeps:
         ],
     )
     def test_cli_window_computes_index_once(
-        self, tmp_path, monkeypatch, kshell_calls, core, tiebreak, calls
+        self, tmp_path, kshell_calls, core, tiebreak, calls
     ):
-        # kshell_calls put the counting wrapper in asrel.core.
-        monkeypatch.setattr(cli, "k_shell_decompose", core_module.k_shell_decompose)
         paths = tmp_path / "p.txt"
         paths.write_text("2 1 3\n2 3 4\n2 4 1\n5 1 2\n", encoding="utf-8")
         argv = ["infer", "--paths-bgp", str(paths), *core, "--tiebreak", tiebreak]
         assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
         assert len(kshell_calls) == calls
+
+    @pytest.mark.parametrize(
+        "core",
+        [
+            ["--core-method", "kcore"],
+            ["--core-method", "grow", "--core-size", "4", "--grow-strategy", "kshell"],
+        ],
+    )
+    def test_cli_corruption_computes_index_once(self, tmp_path, kshell_calls, core):
+        paths = tmp_path / "p.txt"
+        paths.write_text("2 1 3\n2 3 4\n2 4 1\n5 1 2\n", encoding="utf-8")
+        argv = [
+            "experiment", "corruption", "--paths-bgp", str(paths), *core,
+            "--tiebreak", "kshell", "--fractions", "0,0.25", "--corruption-seeds", "2",
+        ]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert len(kshell_calls) == 1
 
 
 NOISY = NoiseConfig(loop_prob=0.1, valley_prob=0.1, prepend_prob=0.1)
