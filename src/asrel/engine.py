@@ -16,17 +16,37 @@ p2c-classified edge must be p2c. Rounds repeat against a snapshot frozen
 at the start of each round until no new votes appear, so the outcome does
 not depend on path order.
 
-Every stage works on a Corpus, the paths compiled once into edge ids, and
-on the graph's flat per-edge counters. A path's votes depend only on the
-labels of its own edges, so phase 2 re-walks, after its first round, only
-the paths through an edge voted in the round before (semi-naive
-evaluation): every other path would cast the votes it cast before, none.
+Every stage works on a Corpus, the paths compiled once into arc ids, and
+on the graph's flat per-edge counters. Arc a is edge a >> 1 walked from
+its lower-numbered endpoint when a is even, from its higher one when odd.
+A vote that makes the walk's tail the customer goes to slot a of the
+customer counts and one that makes its head the customer to slot a ^ 1;
+slot 2e is edge e's low-customer count and slot 2e + 1 its high-customer
+count. No walk compares AS numbers.
+
+Phase 1 runs the walk as a finite automaton driven by transition tables
+(Aho et al., Compilers, 2nd ed., 3.6-3.8): one row per state, uphill, in
+the core, downhill and a sink, each indexed by arc, whose entry gives the
+slot the hop votes into and the next state's row. A valley vote sends the
+walk to the sink, whose entries all vote into a dummy slot, so the loop
+has no branch and each valley path casts exactly one invalid vote. Only
+the arcs with an endpoint in the core depend on the core: each run builds
+the rows for a walk away from the core with array slice operations and
+patches only those arcs.
+
+A path's votes depend only on the labels of its own edges, so phase 2
+re-walks, after its first round, only the paths through an edge voted in
+the round before (semi-naive evaluation): every other path would cast the
+votes it cast before, none. It reads one status per arc: unvoted, voted
+without a direction, or an anchor met ascending or descending.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 
 from .core import CoreGraph
 from .errors import ConfigurationError
@@ -133,9 +153,81 @@ class Phase1Result:
     valley_paths: int = 0
 
 
-_UPHILL = 0
-_IN_CORE = 1
-_DOWNHILL = 2
+# Phase 1 walk states, in the order of their rows in the transition tables.
+_UPHILL, _IN_CORE, _DOWNHILL, _SINK = range(4)
+
+
+def _phase1_rows(graph: AsGraph, core: CoreGraph) -> tuple[array, array]:
+    """Phase 1's transition tables for graph, relative to core.
+
+    Both tables hold one row of 2 * n_edges entries per walk state. Entry a
+    of a row is for arc a: slots gives the vote slot it adds the path's
+    weight to, moves the start of the next state's row. Slot a is the
+    tail-customer vote of arc a, slot a ^ 1 its head-customer vote; slot
+    2 * n_edges + e counts edge e's p2p votes, slot 3 * n_edges + e its
+    invalid votes, and the last slot takes the votes of paths gone to the
+    sink.
+
+    Away from the core the walk keeps its state: uphill the tail is the
+    customer, downhill the head, and in the core the edge is a peering.
+    These default rows are built with slice operations; then only the arcs
+    with an endpoint in core are patched. An arc leaving the core moves
+    every live state downhill with a head-customer vote. Downhill, an arc
+    entering the core, or joining two core members over an edge that is not
+    a core edge, casts an invalid vote and sends the walk to the sink. A
+    core edge follows its preassigned label: walked in its p2c direction it
+    moves the walk downhill, otherwise it keeps the walk in the core, voting
+    p2p only when no label is preassigned; downhill, anything but its p2c
+    direction is invalid.
+    """
+    n_edges = graph.n_edges
+    n = 2 * n_edges
+    states = (_UPHILL, _IN_CORE, _DOWNHILL, _SINK)
+    up, in_core, down, sink = (state * n for state in states)
+    p2p, invalid, dummy = n, 3 * n_edges, 4 * n_edges
+    arcs = array("i", range(n))
+    slots = array("i", [dummy]) * (4 * n)
+    slots[up : up + n] = arcs
+    peers = array("i", range(p2p, p2p + n_edges))
+    slots[in_core : in_core + n : 2] = slots[in_core + 1 : in_core + n : 2] = peers
+    slots[down : down + n : 2] = arcs[1::2]
+    slots[down + 1 : down + n : 2] = arcs[::2]
+    moves = array("i", [0]) * (4 * n)
+    for row in (up, in_core, down, sink):
+        moves[row : row + n] = array("i", [row]) * n
+
+    def patch(rows, b, slot, move):
+        for row in rows:
+            slots[row + b] = slot
+            moves[row + b] = move
+
+    index = graph.edge_index
+    vertices = core.vertices
+    for c in vertices & graph.vertices:
+        for v in graph.neighbors(c):
+            key = (c, v) if c < v else (v, c)
+            e = index[key]
+            a = 2 * e + (c > v)
+            if v not in vertices:
+                # a leaves the core, a ^ 1 enters it.
+                patch((up, in_core, down), a, a ^ 1, down)
+                patch((down,), a ^ 1, invalid + e, sink)
+            elif c > v:
+                continue  # each edge inside the core once, from its low end
+            elif key not in core.edges:
+                for b in (a, a ^ 1):
+                    patch((down,), b, invalid + e, sink)
+            else:
+                pre = core.preassigned.get(key)
+                vote = p2p + e if pre is None else dummy
+                flipped = None if pre is None else pre.flipped()
+                for b, rel in ((a, pre), (a ^ 1, flipped)):
+                    if rel is RelType.P2C:
+                        patch((up, in_core, down), b, dummy, down)
+                    else:
+                        patch((up, in_core), b, vote, in_core)
+                        patch((down,), b, invalid + e, sink)
+    return slots, moves
 
 
 def phase1(
@@ -150,54 +242,27 @@ def phase1(
     direction still drives the walk state: descending over a preassigned
     p2c core edge puts the walk downhill, and any later move back up to a
     core vertex draws an invalid vote. An invalid vote always ends the
-    path's contribution.
+    path's contribution: the walk goes to the sink. So each valley path
+    casts one invalid vote, and valley_paths is their sum.
     """
-    paths, weights = through_core.paths, through_core.weights
-    edge_ids, offsets = through_core.edge_ids, through_core.offsets
-    low, high, p2p, invalid = graph.counters
-    core_vertices = core.vertices
-    # Core edge id -> its preassigned label (low->high), or None.
-    core_edges = {
-        graph.edge_index[key]: core.preassigned.get(key)
-        for key in core.edges
-        if key in graph.edge_index
-    }
-    valley_paths = 0
+    weights, arcs = through_core.weights, through_core.arcs
+    offsets = through_core.offsets
+    slots, moves = _phase1_rows(graph, core)
+    n_edges = graph.n_edges
+    n = 2 * n_edges
+    votes = [0] * (4 * n_edges + 1)
     for p in through_core.members:
-        hops = paths[p].hops
         weight = weights[p]
-        state = _UPHILL
-        for e, u, v in zip(edge_ids[offsets[p] : offsets[p + 1]], hops, hops[1:]):
-            # A c2p vote in walk order makes u the customer, a p2c vote v.
-            if e in core_edges:
-                pre = core_edges[e]
-                descends = pre is (RelType.P2C if u < v else RelType.C2P)
-                if state == _DOWNHILL and not descends:
-                    invalid[e] += weight
-                    valley_paths += weight
-                    break
-                if descends:
-                    state = _DOWNHILL
-                else:
-                    state = _IN_CORE
-                    if pre is None:
-                        p2p[e] += weight
-            elif u in core_vertices and v not in core_vertices:
-                state = _DOWNHILL
-                if u < v:
-                    high[e] += weight
-                else:
-                    low[e] += weight
-            elif state == _DOWNHILL and v in core_vertices:
-                invalid[e] += weight
-                valley_paths += weight
-                break
-            elif state == _IN_CORE:
-                p2p[e] += weight
-            elif (state == _UPHILL) == (u < v):
-                low[e] += weight
-            else:
-                high[e] += weight
+        row = _UPHILL * n
+        for a in arcs[offsets[p] : offsets[p + 1]]:
+            i = row + a
+            votes[slots[i]] += weight
+            row = moves[i]
+    low, high, p2p, invalid = graph.counters
+    low[:] = votes[0:n:2]
+    high[:] = votes[1:n:2]
+    p2p[:] = votes[n : n + n_edges]
+    invalid[:] = votes[n + n_edges : 2 * n]
     # Every phase-1 vote has weight >= 1 and the graph had none before, so
     # the voted edges are those with a nonzero count.
     voted = {
@@ -205,7 +270,7 @@ def phase1(
         for key, lc, hc, pp in zip(graph.edge_keys, low, high, p2p)
         if lc or hc or pp
     }
-    return Phase1Result(voted, valley_paths)
+    return Phase1Result(voted, sum(invalid))
 
 
 @dataclass
@@ -226,56 +291,73 @@ def _label(shares: tuple[float, float, float], threshold: float) -> RelType:
     return RelType.UNCLASSIFIED
 
 
-# What phase 2 knows of an edge: voted without a direction, an anchor with
-# the low or the high endpoint as the customer, or not voted at all.
+# What phase 2 knows of an arc: its edge is voted without a direction, an
+# anchor that makes the walk's tail the customer (ascending) or its head
+# (descending), or not voted at all.
 _VOTED = 0
-_LOW_CUSTOMER = 1
-_HIGH_CUSTOMER = 2
+_ASCENDING = 1
+_DESCENDING = 2
 _UNVOTED = 3
+# The statuses of an edge's two arcs, 2e and 2e + 1.
+_BOTH_UNVOTED = bytes((_UNVOTED, _UNVOTED))
+_BOTH_VOTED = bytes((_VOTED, _VOTED))
+_LOW_CUSTOMER = bytes((_ASCENDING, _DESCENDING))
+_HIGH_CUSTOMER = bytes((_DESCENDING, _ASCENDING))
 
 
-def _status(low: int, high: int, p2p: int, config: InferenceConfig) -> int:
-    """An anchor is an edge whose counts already decide c2p or p2c under
-    the configured rule; phase 2 votes only on unvoted edges."""
+def _arc_status(low: int, high: int, p2p: int, config: InferenceConfig) -> bytes:
+    """The statuses of arcs 2e and 2e + 1 of an edge e with these counts.
+
+    An anchor is an edge whose counts already decide c2p or p2c under the
+    configured rule; phase 2 votes only on unvoted edges.
+    """
     if low + high + p2p == 0:
-        return _UNVOTED
+        return _BOTH_UNVOTED
     if config.phase2_anchor == ANCHOR_PLURALITY:
         if low > high and low > p2p:
             return _LOW_CUSTOMER
         if high > low and high > p2p:
             return _HIGH_CUSTOMER
-        return _VOTED
+        return _BOTH_VOTED
     rel = _label(vote_shares(low, high, p2p), config.threshold)
     if rel is RelType.C2P:
         return _LOW_CUSTOMER
     if rel is RelType.P2C:
         return _HIGH_CUSTOMER
-    return _VOTED
+    return _BOTH_VOTED
 
 
 def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2Result:
     """Fixpoint vote propagation over paths that never touch the core.
 
-    Each round reads the edge statuses frozen at its start and sums its
-    votes per edge; they land when the round ends. The first round walks
-    the periphery paths through an unvoted edge, and round r + 1 only those
-    through an edge voted in round r.
+    Each round reads the arc statuses frozen at its start; its votes land
+    in the counters at once but change the statuses only when the round
+    ends. The first round walks the periphery paths through an unvoted
+    edge, and round r + 1 only those through an edge voted in round r.
     """
-    paths, weights = periphery.paths, periphery.weights
-    edge_ids, offsets = periphery.edge_ids, periphery.offsets
+    weights, arcs, offsets = periphery.weights, periphery.arcs, periphery.offsets
     path_starts, path_ids = periphery.incidence
     low, high, p2p = graph.low_customer, graph.high_customer, graph.p2p
-    status = bytearray(_status(*counts, config) for counts in zip(low, high, p2p))
+    n = 2 * graph.n_edges
+    # The customer counts by slot: edge e's low one in 2e, its high one in
+    # 2e + 1.
+    customer = [0] * n
+    customer[0::2] = low
+    customer[1::2] = high
+    status = bytearray().join(
+        _arc_status(*counts, config) for counts in zip(low, high, p2p)
+    )
     # 1 marks a periphery path, 2 one already on the round's worklist.
-    marks = bytearray(len(paths))
+    marks = bytearray(len(periphery.paths))
     for p in periphery.members:
         marks[p] = 1
     # Votes fill only unvoted edges, so the first round needs only the paths
     # through one.
-    changed = [e for e, s in enumerate(status) if s == _UNVOTED]
+    changed = [e for e in range(graph.n_edges) if status[2 * e] == _UNVOTED]
     rounds = 0
     while True:
-        worklist = []
+        # Path ids as 4-byte ints: a round can hold nearly every path.
+        worklist = array("i")
         for e in changed:
             for p in path_ids[path_starts[e] : path_starts[e + 1]]:
                 if marks[p] == 1:
@@ -284,45 +366,38 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
         for p in worklist:
             marks[p] = 1
         rounds += 1
-        # Votes summed per edge: under e when they make the low endpoint the
-        # customer, under ~e when they make the high one.
-        pending: dict[int, int] = {}
+        before = customer[:]
         for p in worklist:
-            hops = paths[p].hops
             weight = weights[p]
-            cast: list[int] = []
             suspects_up: list[int] = []
             passed_p2c = False
-            for e, u, v in zip(edge_ids[offsets[p] : offsets[p + 1]], hops, hops[1:]):
-                s = status[e]
+            for a in arcs[offsets[p] : offsets[p + 1]]:
+                s = status[a]
                 if s == _UNVOTED:
-                    # Downhill an unvoted edge is p2c in walk order, so v is
-                    # the customer; uphill it would be c2p, making u one.
+                    # Downhill an unvoted hop is p2c in walk order, so its
+                    # head is the customer; uphill it would be c2p, its tail.
                     if passed_p2c:
-                        cast.append(e if v < u else ~e)
+                        customer[a ^ 1] += weight
                     else:
-                        suspects_up.append(e if u < v else ~e)
-                elif s == _VOTED:
-                    continue
-                elif (s == _LOW_CUSTOMER) == (u < v):
-                    # A c2p anchor in walk order.
-                    cast += suspects_up
+                        suspects_up.append(a)
+                elif s == _ASCENDING:
+                    for x in suspects_up:
+                        customer[x] += weight
                     suspects_up = []
-                else:
+                elif s == _DESCENDING:
                     suspects_up = []
                     passed_p2c = True
-            for x in cast:
-                pending[x] = pending.get(x, 0) + weight
-        if not pending:
+        # Every vote has weight >= 1, so the edges voted in this round are
+        # those with a customer count that differs from its value before.
+        changed = {a >> 1 for a in compress(range(n), map(ne, customer, before))}
+        if not changed:
+            low[:] = customer[0::2]
+            high[:] = customer[1::2]
             return Phase2Result(rounds)
-        for x, weight in pending.items():
-            if x >= 0:
-                low[x] += weight
-            else:
-                high[~x] += weight
-        changed = {x if x >= 0 else ~x for x in pending}
         for e in changed:
-            status[e] = _status(low[e], high[e], p2p[e], config)
+            status[2 * e : 2 * e + 2] = _arc_status(
+                customer[2 * e], customer[2 * e + 1], p2p[e], config
+            )
 
 
 def finalize(

@@ -4,8 +4,9 @@ Edges are undirected and stored once under a canonical (low, high) key.
 Relationship semantics are directional, expressed relative to a vertex
 order, so votes cast while traversing a path are mapped through the
 canonical orientation before they are tallied. Each edge has a dense id,
-and a path corpus is compiled once into those ids (Corpus) so that the
-engine works on flat arrays and counters rather than on tuple keys.
+and a path corpus is compiled once into arc ids, an edge id with the
+direction of the hop (Corpus), so that the engine works on flat arrays
+and counters rather than on tuple keys.
 """
 
 from __future__ import annotations
@@ -277,9 +278,11 @@ class Corpus:
     edges afterwards.
 
     paths is the AsPath list it was built from and weights their weights.
-    edge_ids holds the edge id of every hop of every path in one 4-byte
-    array: path p's hops are edge_ids[offsets[p]:offsets[p + 1]]. A hop's
-    direction is not stored; it is hops[j] < hops[j + 1] of the AsPath.
+    arcs holds the arc id of every hop of every path in one 4-byte array:
+    path p's hops are arcs[offsets[p]:offsets[p + 1]]. The hop u -> v over
+    edge e is the arc 2 * e + (u > v), so a >> 1 is the edge and a & 1 the
+    direction: 0 when the walk goes from the lower-numbered endpoint to the
+    higher, 1 the other way. a ^ 1 is the same edge walked backwards.
     n_edges is the graph's edge count once the paths were compiled.
 
     A corpus stands for the paths whose ids are in members: all of them,
@@ -287,7 +290,7 @@ class Corpus:
     """
 
     def __init__(self, graph: AsGraph, paths: Iterable[AsPath], grow: bool = False):
-        """Walk paths once, recording each hop's edge id. An edge missing
+        """Walk paths once, recording each hop's arc id. An edge missing
         from graph is an UnknownEdgeError, or with grow, is added to graph
         as add_edge would."""
         self.paths = list(paths)
@@ -295,7 +298,7 @@ class Corpus:
         self.weights = array("q", [path.weight for path in self.paths])
         self.edge_index = index = graph.edge_index
         self.edge_keys = graph.edge_keys
-        self.edge_ids = edge_ids = array("i")
+        self.arcs = arcs = array("i")
         self.offsets = offsets = array("i", [0])
         for path in self.paths:
             hops = path.hops
@@ -306,8 +309,8 @@ class Corpus:
                     if not grow:
                         raise UnknownEdgeError(f"edge {key} not in graph")
                     e = index[graph.add_edge(u, v)]
-                edge_ids.append(e)
-            offsets.append(len(edge_ids))
+                arcs.append(2 * e + (u > v))
+            offsets.append(len(arcs))
         self.n_edges = len(self.edge_keys)
 
     @cached_property
@@ -315,15 +318,16 @@ class Corpus:
         """The edge-to-path index in CSR form, (path_starts, path_ids): the
         paths through edge e are path_ids[path_starts[e]:path_starts[e + 1]],
         a path once per traversal. Built on first use."""
-        edge_ids, offsets = self.edge_ids, self.offsets
+        arcs, offsets = self.arcs, self.offsets
         counts = array("i", [0]) * len(self.edge_keys)
-        for e in edge_ids:
-            counts[e] += 1
+        for a in arcs:
+            counts[a >> 1] += 1
         path_starts = array("i", accumulate(counts, initial=0))
-        path_ids = array("i", [0]) * len(edge_ids)
+        path_ids = array("i", [0]) * len(arcs)
         fill = path_starts[:-1]
         for p in range(len(self.paths)):
-            for e in edge_ids[offsets[p] : offsets[p + 1]]:
+            for a in arcs[offsets[p] : offsets[p + 1]]:
+                e = a >> 1
                 path_ids[fill[e]] = p
                 fill[e] += 1
         return path_starts, path_ids

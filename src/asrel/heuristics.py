@@ -15,7 +15,6 @@ from .graph import (
     Corpus,
     EdgeKey,
     RelType,
-    oriented,
 )
 
 TIEBREAK_DEGREE = "degree"
@@ -24,6 +23,20 @@ TIEBREAK_KSHELL = "kshell"
 # The degree tie-break peers two ASes when the smaller degree is at least
 # this share of the larger one.
 PEER_DEGREE_RATIO = 0.8
+
+# The gap pass's label bytes, one per arc: c2p or p2c in walk order, a
+# symmetric label, or open.
+_UP, _DOWN, _OTHER, _OPEN = range(4)
+# An edge's label in low->high order -> the labels of its two arcs.
+_ARC_LABELS = {
+    RelType.C2P: bytes((_UP, _DOWN)),
+    RelType.P2C: bytes((_DOWN, _UP)),
+    RelType.P2P: bytes((_OTHER, _OTHER)),
+    RelType.S2S: bytes((_OTHER, _OTHER)),
+    RelType.UNCLASSIFIED: bytes((_OPEN, _OPEN)),
+}
+# An open hop between a c2p hop and a p2c hop.
+_WEDGE = bytes((_UP, _OPEN, _DOWN))
 
 
 @dataclass
@@ -57,36 +70,33 @@ def infer_gap_p2p(
     periphery's graph; only the paths through an unclassified one are
     visited, since no other path has a gap.
     """
-    edge_ids, offsets = periphery.edge_ids, periphery.offsets
+    arcs, offsets = periphery.arcs, periphery.offsets
     path_starts, path_ids = periphery.incidence
-    # Edge id -> label in low->high order, None while open.
-    labels: list[RelType | None] = [None] * len(periphery.edge_keys)
+    edge_index = periphery.edge_index
+    # Edge id -> the labels of its arcs 2e and 2e + 1; open without a record.
+    pairs = [_ARC_LABELS[RelType.UNCLASSIFIED]] * len(periphery.edge_keys)
     open_edges = []
     for key, cls in classifications.items():
-        e = periphery.edge_index[key]
+        e = edge_index[key]
+        pairs[e] = _ARC_LABELS[cls.rel]
         if cls.rel is RelType.UNCLASSIFIED:
             open_edges.append(e)
-        else:
-            labels[e] = cls.rel
+    labels = b"".join(pairs)
     unvisited = bytearray(len(periphery.paths))
     for p in periphery.members:
         unvisited[p] = 1
+    label_of = labels.__getitem__
     updates: dict[EdgeKey, Classification] = {}
     for e in open_edges:
         for p in path_ids[path_starts[e] : path_starts[e + 1]]:
             if not unvisited[p]:
                 continue
             unvisited[p] = 0
-            ids = edge_ids[offsets[p] : offsets[p + 1]]
-            gaps = [i for i, f in enumerate(ids) if labels[f] is None]
-            if len(gaps) != 1 or gaps[0] in (0, len(ids) - 1):
-                continue
-            i = gaps[0]
-            hops = periphery.paths[p].hops
-            before = oriented(labels[ids[i - 1]], hops[i - 1], hops[i])
-            after = oriented(labels[ids[i + 1]], hops[i + 1], hops[i + 2])
-            if before is RelType.C2P and after is RelType.P2C:
-                key = periphery.edge_keys[ids[i]]
+            start = offsets[p]
+            walk = bytes(map(label_of, arcs[start : offsets[p + 1]]))
+            # With one open hop, the wedge can only be around that one.
+            if walk.count(_OPEN) == 1 and _WEDGE in walk:
+                key = periphery.edge_keys[arcs[start + walk.index(_OPEN)] >> 1]
                 if key not in updates:
                     updates[key] = replace(
                         classifications[key], rel=RelType.P2P, method=METHOD_GAP_P2P

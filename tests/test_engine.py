@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asrel.core import CoreGraph
+from asrel.core import CoreGraph, corrupt_core
 from asrel.engine import (
     InferenceConfig,
     finalize,
@@ -12,8 +12,11 @@ from asrel.engine import (
 )
 from asrel.errors import ConfigurationError
 from asrel.graph import AsPath, RelType, compile_corpus, edge_key
-from asrel.ingest import build_graph
+from asrel.ingest import build_graph, ingest_paths
 from asrel.pipeline import run_inference
+from asrel.synth import GenConfig, NoiseConfig, generate, sample_paths
+from oracles import partition_paths as reference_partition
+from oracles import phase1 as reference_phase1
 from oracles import phase2_unpruned, run_engine, vote, vote_invalid
 
 
@@ -163,6 +166,36 @@ class TestPhase1:
         g = build_graph([path])
         phase1(g, compile_corpus(g, [path]), noedge_core(10))
         assert g.tally((1, 10)).low_customer == 4
+
+    def test_no_state_kept_between_cores(self):
+        # Each run patches the transition tables for its own core. Cores
+        # A, B, then A again on one graph must each vote as the reference
+        # phase 1 does on a fresh graph given that core alone.
+        config = GenConfig(
+            tier_sizes=(4, 12, 40), paths=400, seed=3,
+            noise=NoiseConfig(valley_prob=0.2),
+        )
+        truth = generate(config)
+        paths, _ = ingest_paths(sample_paths(truth, config))
+        graph = build_graph(paths)
+        corpus = compile_corpus(graph, paths)
+        true_core = truth.true_core()
+        a = CoreGraph(
+            true_core.vertices,
+            true_core.edges,
+            {key: RelType.P2C for key in sorted(true_core.edges)[::2]},
+        )
+        b = corrupt_core(true_core, graph, 3, seed=1)
+        assert a.vertices != b.vertices
+        for core in (a, b, a):
+            work = graph.copy_unvoted()
+            result = phase1(work, partition_paths(corpus, core).through_core, core)
+            fresh = build_graph(paths)
+            through_core, _, _ = reference_partition(paths, core, 3)
+            voted, valley_paths = reference_phase1(fresh, through_core, core)
+            assert work.counters == fresh.counters
+            assert result.voted_edges == voted
+            assert result.valley_paths == valley_paths > 0
 
 
 class TestPhase2:
@@ -466,3 +499,6 @@ class TestAgainstReference:
         assert result.phase2_rounds == rounds
         assert result.valley_paths == valley_paths
         assert result.phase1_voted == voted
+        # A valley path casts exactly one invalid vote, and only phase 1
+        # casts them.
+        assert result.valley_paths == sum(result.graph.invalid)

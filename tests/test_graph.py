@@ -220,9 +220,13 @@ class TestAsGraph:
         assert built.edge_index == expected.edge_index
         assert all(built.neighbors(v) == expected.neighbors(v) for v in expected.vertices)
         assert built.counters == expected.counters
-        assert list(built.corpus.edge_ids) == [
-            expected.edge_index[edge_key(u, v)] for path in paths for u, v in path.edges()
-        ]
+        hops = [(u, v) for path in paths for u, v in path.edges()]
+        arcs = built.corpus.arcs
+        assert len(arcs) == len(hops)
+        for a, (u, v) in zip(arcs, hops):
+            # The edge add_edge gave the hop, and whether it runs high to low.
+            assert a >> 1 == expected.edge_index[edge_key(u, v)]
+            assert a & 1 == (u > v)
 
 
 def corpus_fields(corpus):
@@ -230,7 +234,7 @@ def corpus_fields(corpus):
         corpus.paths,
         list(corpus.members),
         corpus.weights,
-        corpus.edge_ids,
+        corpus.arcs,
         corpus.offsets,
         corpus.n_edges,
         corpus.incidence,

@@ -163,6 +163,21 @@ class TestSweeps:
         half = [r for r in rows if r["fraction"] == 0.5]
         assert all(r["replaced"] == 2 for r in half)
 
+    def test_reversed_fractions_give_the_same_cells(self, corpus):
+        # Every cell starts from the same tables and a fresh copy of the
+        # graph, so no cell may see what the one before it patched.
+        truth, graph, paths = corpus
+        fractions = [0.0, 0.25, 0.5, 1.0]
+        forward = corruption_sweep(
+            graph, paths, truth.true_core(), fractions, seeds=[1, 2]
+        )
+        backward = corruption_sweep(
+            graph, paths, truth.true_core(), fractions[::-1], seeds=[1, 2]
+        )
+        cell = lambda row: (row["fraction"], row["seed"])
+        assert len(forward) == 8
+        assert sorted(forward, key=cell) == sorted(backward, key=cell)
+
     def test_unreplaced_fraction_runs_once(self, corpus, monkeypatch):
         # Replacing nothing gives the same core for every seed.
         truth, graph, paths = corpus
@@ -446,13 +461,11 @@ class TestMetamorphic:
         )
         assert sum("sibling-db" in r for r in records) == len(merged)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000), runs, st.data())
-    def test_relabel_swaps_c2p_and_p2c(self, seed, run, data):
-        # a -> M - a reverses the order of every pair of ASes, so each edge
-        # is read from its other end: c2p and p2c swap and nothing else may
-        # change. Preassigned core labels make the walk follow them.
-        truth, raws = self.corpus(seed)
+    @staticmethod
+    def labelled_core(seed, run, data):
+        """The corpus's paths and graph, and its true core with run's
+        replacements and preassigned labels drawn for its edges."""
+        truth, raws = TestMetamorphic.corpus(seed)
         paths, _ = ingest_paths(raws)
         graph = build_graph(paths)
         try:
@@ -466,37 +479,70 @@ class TestMetamorphic:
             )
             if rel is not None:
                 preassigned[key] = rel
-        core = CoreGraph(core.vertices, core.edges, preassigned)
+        return paths, graph, CoreGraph(core.vertices, core.edges, preassigned)
 
-        m = 10_000
-        mirror = lambda key: edge_key(m - key[0], m - key[1])
-        mirrored_paths = [
-            AsPath(tuple(m - h for h in p.hops), p.source, p.agent, p.weight)
+    @staticmethod
+    def assert_renumbering_only_flips(paths, graph, core, run, number):
+        """Renumber every AS a as number[a] and rerun: an edge is read from
+        its other end exactly when its endpoints change order, so its c2p
+        and p2c swap then, and nothing else may change."""
+
+        def renumbered(key):
+            a, b = number[key[0]], number[key[1]]
+            return edge_key(a, b), a > b
+
+        def relabel(key, rel):
+            new_key, flips = renumbered(key)
+            return new_key, rel.flipped() if flips else rel
+
+        new_paths = [
+            AsPath(tuple(number[h] for h in p.hops), p.source, p.agent, p.weight)
             for p in paths
         ]
-        mirrored_core = CoreGraph(
-            {m - v for v in core.vertices},
-            {mirror(key) for key in core.edges},
-            {mirror(key): rel.flipped() for key, rel in core.preassigned.items()},
+        new_core = CoreGraph(
+            {number[v] for v in core.vertices},
+            {renumbered(key)[0] for key in core.edges},
+            dict(relabel(key, rel) for key, rel in core.preassigned.items()),
         )
         configs = (
             InferenceConfig(phase2_anchor=run["anchor"]),
             HeuristicConfig(run["tiebreak"]),
         )
         a = run_inference(graph, paths, core, *configs)
-        b = run_inference(
-            build_graph(mirrored_paths), mirrored_paths, mirrored_core, *configs
-        )
+        b = run_inference(build_graph(new_paths), new_paths, new_core, *configs)
         assert a.phase2_rounds == b.phase2_rounds
         assert a.valley_paths == b.valley_paths
         assert len(a.classifications) == len(b.classifications)
         for key, cls in a.classifications.items():
-            other = b.classifications[mirror(key)]
-            assert other.rel is cls.rel.flipped()
+            new_key, flips = renumbered(key)
+            other = b.classifications[new_key]
+            assert other.rel is relabel(key, cls.rel)[1]
             assert other.method == cls.method
             assert (other.votes, other.invalid_votes) == (cls.votes, cls.invalid_votes)
-            assert (other.share_c2p, other.share_p2c, other.share_p2p) == (
-                cls.share_p2c,
-                cls.share_c2p,
-                cls.share_p2p,
-            )
+            shares = (cls.share_c2p, cls.share_p2c, cls.share_p2p)
+            if flips:
+                shares = (cls.share_p2c, cls.share_c2p, cls.share_p2p)
+            assert (other.share_c2p, other.share_p2c, other.share_p2p) == shares
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), runs, st.data())
+    def test_relabel_swaps_c2p_and_p2c(self, seed, run, data):
+        # a -> M - a reverses the order of every pair of ASes, so each edge
+        # is read from its other end: c2p and p2c swap and nothing else may
+        # change. Preassigned core labels make the walk follow them.
+        paths, graph, core = self.labelled_core(seed, run, data)
+        m = 10_000
+        mirror = {a: m - a for a in graph.vertices | core.vertices}
+        self.assert_renumbering_only_flips(paths, graph, core, run, mirror)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), runs, st.data())
+    def test_any_renumbering_flips_exactly_the_reordered_edges(self, seed, run, data):
+        # An arbitrary injective renumbering keeps the order of some pairs
+        # of ASes and reverses others, so it checks every hop's direction
+        # bit on its own, in both directions, with core labels preassigned.
+        paths, graph, core = self.labelled_core(seed, run, data)
+        ases = sorted(graph.vertices | core.vertices)
+        images = data.draw(st.permutations(range(1, 3 * len(ases) + 1)))
+        number = dict(zip(ases, images))
+        self.assert_renumbering_only_flips(paths, graph, core, run, number)
