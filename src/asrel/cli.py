@@ -76,10 +76,6 @@ FLAGS: dict[str, dict] = {
         choices=("degree", "kshell"),
         help="classify leftover edges by structural rank (off by default)",
     ),
-    "--phase2-anchor": dict(
-        choices=("threshold", "plurality"), default="threshold",
-        help="how propagation decides an edge already has a winner",
-    ),
     "--reference": dict(metavar="FILE", help="labels to compare against"),
     "--seed": dict(type=int, default=0, metavar="N", help="first corruption seed"),
     "--sweep-sizes": dict(
@@ -98,7 +94,7 @@ FLAGS: dict[str, dict] = {
 CORPUS = ("--paths-bgp", "--paths-trace")
 FLAGS.update({f"{flag}-b": FLAGS[flag] for flag in CORPUS})
 CORE = ("--core", "--core-method", "--core-size", "--grow-strategy", "--peer-edges")
-INFERENCE = ("--threshold", "--max-core-hops", "--tiebreak", "--phase2-anchor")
+INFERENCE = ("--threshold", "--max-core-hops", "--tiebreak")
 
 
 def _add_command(subparsers, name: str, help_text: str, func, flags) -> None:
@@ -229,13 +225,8 @@ def _build_core(args, source: str, graph: AsGraph) -> CoreGraph:
 
 
 def _configs(args) -> tuple[InferenceConfig, HeuristicConfig]:
-    engine = InferenceConfig(
-        threshold=args.threshold,
-        max_core_hops=args.max_core_hops,
-        phase2_anchor=args.phase2_anchor,
-    )
-    heuristics = HeuristicConfig(tiebreak=args.tiebreak)
-    return engine, heuristics
+    engine = InferenceConfig(args.threshold, args.max_core_hops)
+    return engine, HeuristicConfig(tiebreak=args.tiebreak)
 
 
 def _load_reference(args, siblings) -> ReferenceSet | None:

@@ -231,25 +231,21 @@ def corrupt_core(
     removed = set(rng.sample(original, replace))
     current = set(core.vertices) - removed
 
-    candidates = sorted(v for v in graph.vertices if v not in core.vertices)
-    chosen: set[int] = set()
+    outside = graph.vertices - core.vertices
+    # Non-core vertices adjacent to the evolving core, less those chosen.
+    frontier = outside & set().union(
+        *[graph.neighbors(v) for v in current & graph.vertices]
+    )
     for _ in range(replace):
-        if current:
-            eligible = [
-                c
-                for c in candidates
-                if c not in chosen
-                and not graph.neighbors(c).isdisjoint(current)
-            ]
-        else:
-            eligible = [c for c in candidates if c not in chosen]
+        eligible = sorted(frontier if current else outside)
         if not eligible:
             raise CorruptionInfeasibleError(
                 "no outside vertex is adjacent to the remaining core"
             )
         pick = rng.choice(eligible)
-        chosen.add(pick)
         current.add(pick)
+        frontier |= graph.neighbors(pick) & outside
+        frontier -= current
 
     edges = _induced_edges(graph, current)
     preassigned = {k: rel for k, rel in core.preassigned.items() if k in edges}

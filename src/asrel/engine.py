@@ -37,8 +37,10 @@ patches only those arcs.
 A path's votes depend only on the labels of its own edges, so phase 2
 re-walks, after its first round, only the paths through an edge voted in
 the round before (semi-naive evaluation): every other path would cast the
-votes it cast before, none. It reads one status per arc: unvoted, voted
-without a direction, or an anchor met ascending or descending.
+votes it cast before, none. It reads one label byte per arc, in the
+encoding the gap pass reads (graph.ARC_LABELS): open for an edge without
+votes, up or down for an anchor, an edge whose share reaches the
+threshold for c2p or p2c, and other for any other voted edge.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ from operator import ne
 from .core import CoreGraph
 from .errors import ConfigurationError
 from .graph import (
+    ARC_DOWN,
+    ARC_LABELS,
+    ARC_OPEN,
+    ARC_UP,
     METHOD_CORE_PREASSIGNED,
     METHOD_DETERMINISTIC_P1,
     METHOD_DETERMINISTIC_P2,
@@ -63,24 +69,20 @@ from .graph import (
     vote_shares,
 )
 
-ANCHOR_THRESHOLD = "threshold"
-ANCHOR_PLURALITY = "plurality"
 
 @dataclass
 class InferenceConfig:
     """Inference parameters.
 
     threshold is the vote share an edge must reach to be classified; it
-    must exceed 0.5 so at most one relationship can win. max_core_hops
-    bounds how many consecutive core vertices a path may cross before it
-    is considered invalid. phase2_anchor selects how phase 2 decides that
-    an edge counts as already classified: by the same share threshold
-    (default) or by strict plurality of votes.
+    must exceed 0.5 so at most one relationship can win. Phase 2 takes an
+    edge as classified by the same rule. max_core_hops bounds how many
+    consecutive core vertices a path may cross before it is considered
+    invalid.
     """
 
     threshold: float = 0.8
     max_core_hops: int = 3
-    phase2_anchor: str = ANCHOR_THRESHOLD
 
     def __post_init__(self):
         if not 0.5 < self.threshold <= 1.0:
@@ -90,10 +92,6 @@ class InferenceConfig:
         if self.max_core_hops < 1:
             raise ConfigurationError(
                 f"max_core_hops must be >= 1, got {self.max_core_hops}"
-            )
-        if self.phase2_anchor not in (ANCHOR_THRESHOLD, ANCHOR_PLURALITY):
-            raise ConfigurationError(
-                f"unknown phase2_anchor {self.phase2_anchor!r}"
             )
 
 
@@ -291,49 +289,24 @@ def _label(shares: tuple[float, float, float], threshold: float) -> RelType:
     return RelType.UNCLASSIFIED
 
 
-# What phase 2 knows of an arc: its edge is voted without a direction, an
-# anchor that makes the walk's tail the customer (ascending) or its head
-# (descending), or not voted at all.
-_VOTED = 0
-_ASCENDING = 1
-_DESCENDING = 2
-_UNVOTED = 3
-# The statuses of an edge's two arcs, 2e and 2e + 1.
-_BOTH_UNVOTED = bytes((_UNVOTED, _UNVOTED))
-_BOTH_VOTED = bytes((_VOTED, _VOTED))
-_LOW_CUSTOMER = bytes((_ASCENDING, _DESCENDING))
-_HIGH_CUSTOMER = bytes((_DESCENDING, _ASCENDING))
-
-
-def _arc_status(low: int, high: int, p2p: int, config: InferenceConfig) -> bytes:
-    """The statuses of arcs 2e and 2e + 1 of an edge e with these counts.
-
-    An anchor is an edge whose counts already decide c2p or p2c under the
-    configured rule; phase 2 votes only on unvoted edges.
-    """
+def _arc_labels(low: int, high: int, p2p: int, threshold: float) -> bytes:
+    """The labels phase 2 reads on arcs 2e and 2e + 1 of an edge e with
+    these counts: open without votes, the edge's c2p or p2c labels for an
+    anchor, and other for any other voted edge. Phase 2 votes only on open
+    edges."""
     if low + high + p2p == 0:
-        return _BOTH_UNVOTED
-    if config.phase2_anchor == ANCHOR_PLURALITY:
-        if low > high and low > p2p:
-            return _LOW_CUSTOMER
-        if high > low and high > p2p:
-            return _HIGH_CUSTOMER
-        return _BOTH_VOTED
-    rel = _label(vote_shares(low, high, p2p), config.threshold)
-    if rel is RelType.C2P:
-        return _LOW_CUSTOMER
-    if rel is RelType.P2C:
-        return _HIGH_CUSTOMER
-    return _BOTH_VOTED
+        return ARC_LABELS[RelType.UNCLASSIFIED]
+    rel = _label(vote_shares(low, high, p2p), threshold)
+    return ARC_LABELS[RelType.P2P if rel is RelType.UNCLASSIFIED else rel]
 
 
 def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2Result:
     """Fixpoint vote propagation over paths that never touch the core.
 
-    Each round reads the arc statuses frozen at its start; its votes land
-    in the counters at once but change the statuses only when the round
-    ends. The first round walks the periphery paths through an unvoted
-    edge, and round r + 1 only those through an edge voted in round r.
+    Each round reads the arc labels frozen at its start; its votes land
+    in the counters at once but change the labels only when the round
+    ends. The first round walks the periphery paths through an open edge,
+    and round r + 1 only those through an edge voted in round r.
     """
     weights, arcs, offsets = periphery.weights, periphery.arcs, periphery.offsets
     path_starts, path_ids = periphery.incidence
@@ -344,16 +317,17 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
     customer = [0] * n
     customer[0::2] = low
     customer[1::2] = high
-    status = bytearray().join(
-        _arc_status(*counts, config) for counts in zip(low, high, p2p)
+    threshold = config.threshold
+    labels = bytearray().join(
+        _arc_labels(*counts, threshold) for counts in zip(low, high, p2p)
     )
     # 1 marks a periphery path, 2 one already on the round's worklist.
     marks = bytearray(len(periphery.paths))
     for p in periphery.members:
         marks[p] = 1
-    # Votes fill only unvoted edges, so the first round needs only the paths
+    # Votes fill only open edges, so the first round needs only the paths
     # through one.
-    changed = [e for e in range(graph.n_edges) if status[2 * e] == _UNVOTED]
+    changed = [e for e in range(graph.n_edges) if labels[2 * e] == ARC_OPEN]
     rounds = 0
     while True:
         # Path ids as 4-byte ints: a round can hold nearly every path.
@@ -372,19 +346,19 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
             suspects_up: list[int] = []
             passed_p2c = False
             for a in arcs[offsets[p] : offsets[p + 1]]:
-                s = status[a]
-                if s == _UNVOTED:
-                    # Downhill an unvoted hop is p2c in walk order, so its
-                    # head is the customer; uphill it would be c2p, its tail.
+                s = labels[a]
+                if s == ARC_OPEN:
+                    # Downhill an open hop is p2c in walk order, so its head
+                    # is the customer; uphill it would be c2p, its tail.
                     if passed_p2c:
                         customer[a ^ 1] += weight
                     else:
                         suspects_up.append(a)
-                elif s == _ASCENDING:
+                elif s == ARC_UP:
                     for x in suspects_up:
                         customer[x] += weight
                     suspects_up = []
-                elif s == _DESCENDING:
+                elif s == ARC_DOWN:
                     suspects_up = []
                     passed_p2c = True
         # Every vote has weight >= 1, so the edges voted in this round are
@@ -395,8 +369,8 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
             high[:] = customer[1::2]
             return Phase2Result(rounds)
         for e in changed:
-            status[2 * e : 2 * e + 2] = _arc_status(
-                customer[2 * e], customer[2 * e + 1], p2p[e], config
+            labels[2 * e : 2 * e + 2] = _arc_labels(
+                customer[2 * e], customer[2 * e + 1], p2p[e], threshold
             )
 
 

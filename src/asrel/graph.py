@@ -273,6 +273,20 @@ class AsGraph:
         return fresh
 
 
+# An edge's label read along one of its arcs (see Corpus), one byte per
+# arc: c2p in walk order, so the walk goes up; p2c, so it goes down; any
+# other label; or no label yet, open.
+ARC_UP, ARC_DOWN, ARC_OTHER, ARC_OPEN = range(4)
+# An edge's label in low->high order -> the labels of its arcs 2e and 2e + 1.
+ARC_LABELS = {
+    RelType.C2P: bytes((ARC_UP, ARC_DOWN)),
+    RelType.P2C: bytes((ARC_DOWN, ARC_UP)),
+    RelType.P2P: bytes((ARC_OTHER, ARC_OTHER)),
+    RelType.S2S: bytes((ARC_OTHER, ARC_OTHER)),
+    RelType.UNCLASSIFIED: bytes((ARC_OPEN, ARC_OPEN)),
+}
+
+
 class Corpus:
     """Paths compiled against one graph's edge ids; the graph must not gain
     edges afterwards.

@@ -7,6 +7,10 @@ from typing import Mapping
 
 from .errors import ConfigurationError
 from .graph import (
+    ARC_DOWN,
+    ARC_LABELS,
+    ARC_OPEN,
+    ARC_UP,
     METHOD_DEGREE_TIEBREAK,
     METHOD_GAP_P2P,
     METHOD_KSHELL_TIEBREAK,
@@ -24,19 +28,8 @@ TIEBREAK_KSHELL = "kshell"
 # this share of the larger one.
 PEER_DEGREE_RATIO = 0.8
 
-# The gap pass's label bytes, one per arc: c2p or p2c in walk order, a
-# symmetric label, or open.
-_UP, _DOWN, _OTHER, _OPEN = range(4)
-# An edge's label in low->high order -> the labels of its two arcs.
-_ARC_LABELS = {
-    RelType.C2P: bytes((_UP, _DOWN)),
-    RelType.P2C: bytes((_DOWN, _UP)),
-    RelType.P2P: bytes((_OTHER, _OTHER)),
-    RelType.S2S: bytes((_OTHER, _OTHER)),
-    RelType.UNCLASSIFIED: bytes((_OPEN, _OPEN)),
-}
 # An open hop between a c2p hop and a p2c hop.
-_WEDGE = bytes((_UP, _OPEN, _DOWN))
+_WEDGE = bytes((ARC_UP, ARC_OPEN, ARC_DOWN))
 
 
 @dataclass
@@ -74,11 +67,11 @@ def infer_gap_p2p(
     path_starts, path_ids = periphery.incidence
     edge_index = periphery.edge_index
     # Edge id -> the labels of its arcs 2e and 2e + 1; open without a record.
-    pairs = [_ARC_LABELS[RelType.UNCLASSIFIED]] * len(periphery.edge_keys)
+    pairs = [ARC_LABELS[RelType.UNCLASSIFIED]] * len(periphery.edge_keys)
     open_edges = []
     for key, cls in classifications.items():
         e = edge_index[key]
-        pairs[e] = _ARC_LABELS[cls.rel]
+        pairs[e] = ARC_LABELS[cls.rel]
         if cls.rel is RelType.UNCLASSIFIED:
             open_edges.append(e)
     labels = b"".join(pairs)
@@ -95,8 +88,8 @@ def infer_gap_p2p(
             start = offsets[p]
             walk = bytes(map(label_of, arcs[start : offsets[p + 1]]))
             # With one open hop, the wedge can only be around that one.
-            if walk.count(_OPEN) == 1 and _WEDGE in walk:
-                key = periphery.edge_keys[arcs[start + walk.index(_OPEN)] >> 1]
+            if walk.count(ARC_OPEN) == 1 and _WEDGE in walk:
+                key = periphery.edge_keys[arcs[start + walk.index(ARC_OPEN)] >> 1]
                 if key not in updates:
                     updates[key] = replace(
                         classifications[key], rel=RelType.P2P, method=METHOD_GAP_P2P

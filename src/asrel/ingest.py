@@ -168,28 +168,17 @@ def load_sibling_pairs(lines: Iterable[str], source: str = "<siblings>") -> Sibl
     return siblings
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedPath:
-    """Outcome of normalizing one raw hop sequence.
-
-    hops is None when the path was dropped. truncated says a loop was cut,
-    so a dropped path was cut at a loop exactly when it is truncated, and
-    was too short to begin with otherwise.
-    """
-
-    hops: tuple[int, ...] | None
-    truncated: bool = False
-
-
 def normalize_path(
     raw_hops: Sequence[int], siblings: SiblingSet | None = None
-) -> NormalizedPath:
-    """Normalize a raw hop sequence.
+) -> tuple[tuple[int, ...] | None, bool]:
+    """Normalize a raw hop sequence into (hops, truncated).
 
     Steps, in order: map every hop to its sibling representative, merge
     consecutive duplicates, and if a hop closes a loop keep only the strict
-    prefix before it. Results with fewer than two hops are dropped. A
-    tuple that none of these steps changes is returned as is, not copied.
+    prefix before it. Results with fewer than two hops are dropped: hops is
+    None. truncated says a loop was cut, so a dropped path was cut at a loop
+    exactly when it is truncated, and was too short to begin with otherwise.
+    A tuple that none of these steps changes is returned as is, not copied.
     """
     mapped = tuple(raw_hops)
     if siblings is not None:
@@ -199,7 +188,7 @@ def normalize_path(
 
     if len(mapped) >= 2 and len(set(mapped)) == len(mapped):
         # No AS repeats, so there is nothing to collapse or truncate.
-        return NormalizedPath(mapped)
+        return mapped, False
 
     collapsed = [h for i, h in enumerate(mapped) if i == 0 or h != mapped[i - 1]]
 
@@ -213,7 +202,7 @@ def normalize_path(
         seen.add(h)
         hops.append(h)
 
-    return NormalizedPath(tuple(hops) if len(hops) >= 2 else None, truncated)
+    return (tuple(hops) if len(hops) >= 2 else None), truncated
 
 
 @dataclass
@@ -330,25 +319,20 @@ def read_path_file(
     return raws
 
 
-@dataclass
-class FilterStats:
-    edges_removed: int = 0
-    paths_split: int = 0
-
-
 def filter_single_agent_edges(
     paths: Iterable[AsPath]
-) -> tuple[list[AsPath], FilterStats]:
+) -> tuple[list[AsPath], int, int]:
     """Drop traceroute-only edges observed by fewer than MIN_AGENTS agents.
 
     An edge survives if at least MIN_AGENTS distinct agents reported it or
     if it appears in any BGP path. Traceroute paths containing a removed
     edge are split at the removed edges into maximal sub-paths of at least
-    two hops; BGP paths pass through untouched.
+    two hops; BGP paths pass through untouched. Returns the kept paths, the
+    number of edges removed and the weight of the paths split.
     """
     paths = list(paths)
     if all(path.source == "bgp" for path in paths):
-        return paths, FilterStats()
+        return paths, 0, 0
     # AsPath has no repeated consecutive hop, so an inline canonical key
     # needs no self-loop check.
     bgp_edges: set[EdgeKey] = set()
@@ -373,11 +357,11 @@ def filter_single_agent_edges(
         if len(seen_by) < MIN_AGENTS and key not in bgp_edges
     }
 
-    stats = FilterStats(edges_removed=len(removed))
     if not removed:
-        return paths, stats
+        return paths, 0, 0
 
     kept: list[AsPath] = []
+    paths_split = 0
     for path in paths:
         if path.source == "bgp":
             kept.append(path)
@@ -390,7 +374,7 @@ def filter_single_agent_edges(
         if not cut:
             kept.append(path)
             continue
-        stats.paths_split += path.weight
+        paths_split += path.weight
         segment_start = 0
         for i in cut:
             segment = path.hops[segment_start : i + 1]
@@ -402,7 +386,7 @@ def filter_single_agent_edges(
         tail = path.hops[segment_start:]
         if len(tail) >= 2:
             kept.append(AsPath(tail, path.source, path.agent, path.weight))
-    return kept, stats
+    return kept, len(removed), paths_split
 
 
 def ingest_paths(
@@ -419,25 +403,25 @@ def ingest_paths(
     for raw in raw_paths:
         weight = raw.weight
         report.paths_read += weight
-        result = normalize_path(raw.hops, siblings)
-        if result.truncated:
+        hops, truncated = normalize_path(raw.hops, siblings)
+        if truncated:
             report.paths_truncated_loop += weight
-        if result.hops is None:
-            if result.truncated:
+        if hops is None:
+            if truncated:
                 report.paths_dropped_loop += weight
             else:
                 report.paths_dropped_short += weight
             continue
-        key = (result.hops, raw.source, raw.agent)
+        key = (hops, raw.source, raw.agent)
         merged[key] = merged.get(key, 0) + weight
     normalized = [
         AsPath(hops, source, agent, weight)
         for (hops, source, agent), weight in merged.items()
     ]
 
-    kept, stats = filter_single_agent_edges(normalized)
-    report.edges_filtered_single_agent = stats.edges_removed
-    report.paths_split = stats.paths_split
+    kept, report.edges_filtered_single_agent, report.paths_split = (
+        filter_single_agent_edges(normalized)
+    )
     return kept, report
 
 

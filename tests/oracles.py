@@ -11,14 +11,15 @@ keys and casting one vote at a time, kept to check the compiled engine.
 from __future__ import annotations
 
 import graphlib
+import random
 import re
 from dataclasses import replace
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from asrel.core import CoreGraph
-from asrel.engine import ANCHOR_PLURALITY, InferenceConfig
-from asrel.errors import ParameterError, UnknownEdgeError
+from asrel.engine import InferenceConfig
+from asrel.errors import CorruptionInfeasibleError, ParameterError, UnknownEdgeError
 from asrel.graph import (
     METHOD_CORE_PREASSIGNED,
     METHOD_DETERMINISTIC_P1,
@@ -119,6 +120,31 @@ def digraph_is_acyclic(edges: list[tuple[int, int]]) -> bool:
     except graphlib.CycleError:
         return False
     return True
+
+
+def corrupted_vertices(
+    core: CoreGraph, graph: AsGraph, count: int, seed: int
+) -> set[int]:
+    """The vertices of core.corrupt_core(core, graph, count, seed), found by
+    rescanning every outside vertex before each insertion."""
+    rng = random.Random(seed)
+    removed = set(rng.sample(sorted(core.vertices), count))
+    current = set(core.vertices) - removed
+    candidates = sorted(v for v in graph.vertices if v not in core.vertices)
+    chosen: set[int] = set()
+    for _ in range(count):
+        eligible = [
+            c
+            for c in candidates
+            if c not in chosen
+            and (not current or not graph.neighbors(c).isdisjoint(current))
+        ]
+        if not eligible:
+            raise CorruptionInfeasibleError("no outside vertex is adjacent")
+        pick = rng.choice(eligible)
+        chosen.add(pick)
+        current.add(pick)
+    return current
 
 
 def vote(graph: AsGraph, a: int, b: int, rel: RelType, weight: int = 1) -> None:
@@ -300,11 +326,6 @@ def snapshot(
         low_c, high_c, p2p = tally.low_customer, tally.high_customer, tally.p2p
         if low_c + high_c + p2p == 0:
             unvoted.add(key)
-        elif config.phase2_anchor == ANCHOR_PLURALITY:
-            if low_c > high_c and low_c > p2p:
-                anchors[key] = RelType.C2P
-            elif high_c > low_c and high_c > p2p:
-                anchors[key] = RelType.P2C
         else:
             rel = label(tally, config.threshold)
             if rel is RelType.C2P or rel is RelType.P2C:

@@ -412,26 +412,26 @@ def test_criterion_8_ingest_property_suite():
             else:
                 batch.append(RawPath(tuple(hops), "trace", rng.choice(agents), 1))
 
-            norm = normalize_path(hops, siblings)
+            norm, truncated = normalize_path(hops, siblings)
             collapsed = _collapse([siblings.representative(h) for h in hops])
-            if norm.hops is None:
+            if norm is None:
                 # A drop is a loop cut short, or a path short to begin with.
-                note(norm.truncated or len(collapsed) < 2, "drop without reason")
+                note(truncated or len(collapsed) < 2, "drop without reason")
                 continue
-            again = normalize_path(norm.hops, siblings)
-            note(again.hops == norm.hops, "not idempotent")
-            note(len(set(norm.hops)) == len(norm.hops), "revisit kept")
-            note(len(norm.hops) >= 2, "short path kept")
+            again, _ = normalize_path(norm, siblings)
+            note(again == norm, "not idempotent")
+            note(len(set(norm)) == len(norm), "revisit kept")
+            note(len(norm) >= 2, "short path kept")
             note(
-                all(siblings.representative(h) == h for h in norm.hops),
+                all(siblings.representative(h) == h for h in norm),
                 "non-representative hop",
             )
             note(
-                tuple(collapsed[: len(norm.hops)]) == norm.hops,
+                tuple(collapsed[: len(norm)]) == norm,
                 "not a prefix of collapsed input",
             )
             note(
-                norm.truncated == (len(norm.hops) < len(collapsed)),
+                truncated == (len(norm) < len(collapsed)),
                 "truncation flag wrong",
             )
 
@@ -442,14 +442,14 @@ def test_criterion_8_ingest_property_suite():
         trace_agents: dict[tuple[int, int], set[str]] = {}
         trace_norm: dict[str, list[tuple[int, ...]]] = {}
         for raw, hops in zip(batch, raw_hops):
-            norm = normalize_path(hops, siblings)
-            if norm.hops is None:
+            norm, _ = normalize_path(hops, siblings)
+            if norm is None:
                 continue
             if raw.source == "bgp":
-                bgp_norm.add(norm.hops)
+                bgp_norm.add(norm)
             else:
-                trace_norm.setdefault(raw.agent, []).append(norm.hops)
-                for u, v in zip(norm.hops, norm.hops[1:]):
+                trace_norm.setdefault(raw.agent, []).append(norm)
+                for u, v in zip(norm, norm[1:]):
                     trace_agents.setdefault(edge_key(u, v), set()).add(raw.agent)
         bgp_edges = {
             edge_key(u, v) for hops in bgp_norm for u, v in zip(hops, hops[1:])

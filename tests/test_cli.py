@@ -361,7 +361,7 @@ class TestInferErrors:
 # The flags each subcommand reads, as documented in README "CLI".
 CORPUS = {"--paths-bgp", "--paths-trace"}
 CORE = {"--core", "--core-method", "--core-size", "--grow-strategy", "--peer-edges"}
-INFERENCE = {"--threshold", "--max-core-hops", "--tiebreak", "--phase2-anchor"}
+INFERENCE = {"--threshold", "--max-core-hops", "--tiebreak"}
 FLAG_SETS = {
     "infer": CORPUS | CORE | INFERENCE | {"--siblings", "--reference", "--out"},
     "build-core": CORPUS | CORE | {"--siblings", "--out"},
@@ -398,7 +398,7 @@ class TestFlagSets:
             for name, sub in leaf_parsers(cli.build_parser())
         }
         assert accepted == FLAG_SETS
-        assert sum(map(len, accepted.values())) == 66
+        assert sum(map(len, accepted.values())) == 62
 
     @pytest.mark.parametrize(
         "kind, flag",
@@ -409,6 +409,15 @@ class TestFlagSets:
             cli.main([*command(kind), flag, "1", "--out", str(tmp_path / "o")])
         assert err.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["infer", "core-sweep", "corruption", "window-stability"])
+    def test_removed_anchor_flag_is_exit_two(self, tmp_path, capsys, kind):
+        # Phase 2 anchors on the threshold alone; the flag that chose a rule
+        # is gone, so even its old default is refused.
+        with pytest.raises(SystemExit) as err:
+            cli.main([*command(kind), "--phase2-anchor", "threshold", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --phase2-anchor threshold" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["infer", "build-core", "corruption"])
     def test_manifest_holds_only_read_flags(self, tmp_path, uphill_corpus, kind):
@@ -727,7 +736,6 @@ group_flags = {
         threshold=["0.51", "0.7", "1.0", "0.4", "1.5"],
         max_core_hops=["1", "2", "4", "0"],
         tiebreak=["degree", "kshell"],
-        phase2_anchor=["threshold", "plurality"],
     ),
     "sweep": flags(sweep_sizes=["4", "4:6", "4:6:2", "3:2", "4:6:0", ",", "a"]),
     "corruption": flags(

@@ -28,6 +28,7 @@ from oracles import (
     brute_force_core_numbers,
     brute_force_max_clique,
     core_relationship,
+    corrupted_vertices,
     is_clique,
 )
 
@@ -344,6 +345,34 @@ class TestCorruptCore:
     def test_replace_out_of_range(self):
         with pytest.raises(ParameterError):
             corrupt_core(self.core(), self.graph(), 4, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=30,
+        ),
+        st.sets(st.integers(1, 14), min_size=1, max_size=6),
+        st.data(),
+        st.integers(0, 2**32),
+    )
+    def test_matches_rescanning_reference(self, edges, members, data, seed):
+        # Members 13 and 14 are never graph vertices: a core file may name such ASes.
+        g = graph_of(edges)
+        core = CoreGraph(members)
+        # A full replacement leaves no surviving core to be adjacent to.
+        replace = data.draw(
+            st.one_of(st.just(len(members)), st.integers(0, len(members)))
+        )
+        try:
+            expected = corrupted_vertices(core, g, replace, seed)
+        except CorruptionInfeasibleError:
+            with pytest.raises(CorruptionInfeasibleError):
+                corrupt_core(core, g, replace, seed)
+            return
+        assert corrupt_core(core, g, replace, seed).vertices == expected
 
 
 class TestCoreFiles:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from asrel import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 EXAMPLES = re.findall(
@@ -32,3 +34,14 @@ def test_demo_exits_zero(script, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_lists_each_flag_group():
+    # README "CLI" lists the groups as "- corpus: `--paths-bgp`, ...;" bullets,
+    # which may wrap onto indented lines.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullets = re.findall(r"^- (corpus|core|inference): (.*?)[;.]$", text, re.M | re.S)
+    groups = [(name, tuple(re.findall(r"`(--[a-z-]+)`", body))) for name, body in bullets]
+    assert groups == [
+        ("corpus", cli.CORPUS), ("core", cli.CORE), ("inference", cli.INFERENCE)
+    ]

@@ -44,7 +44,6 @@ class TestInferenceConfig:
         config = InferenceConfig()
         assert config.threshold == 0.8
         assert config.max_core_hops == 3
-        assert config.phase2_anchor == "threshold"
 
     @pytest.mark.parametrize("threshold", [0.5, 0.3, 1.1])
     def test_threshold_range(self, threshold):
@@ -58,10 +57,6 @@ class TestInferenceConfig:
     def test_hop_limit_positive(self):
         with pytest.raises(ConfigurationError):
             InferenceConfig(max_core_hops=0)
-
-    def test_anchor_mode_names(self):
-        with pytest.raises(ConfigurationError):
-            InferenceConfig(phase2_anchor="majority")
 
 
 class TestPartition:
@@ -280,16 +275,6 @@ class TestPhase2:
         result, voted = phase2_votes(g, [p], self.config())
         assert voted == set()
 
-    def test_plurality_mode_anchors_on_any_lead(self):
-        p = trace(1, 2, 3)
-        g = build_graph([p])
-        for _ in range(3):
-            vote(g, 2, 3, RelType.C2P)
-        vote(g, 2, 3, RelType.P2P)
-        config = InferenceConfig(phase2_anchor="plurality")
-        result, voted = phase2_votes(g, [p], config)
-        assert voted == {(1, 2)}
-
     def test_no_periphery_paths_single_empty_round(self):
         g = build_graph([trace(1, 2)])
         result, voted = phase2_votes(g, [], self.config())
@@ -307,9 +292,9 @@ class TestPhase2:
             max_size=12,
         ),
         st.data(),
-        st.sampled_from(["threshold", "plurality"]),
+        st.sampled_from([0.6, 0.8, 1.0]),
     )
-    def test_matches_unpruned_reference(self, spec, data, anchor):
+    def test_matches_unpruned_reference(self, spec, data, threshold):
         # Few ASes, so paths share edges and anchors chain across rounds.
         paths = []
         for hops, weight in spec:
@@ -318,7 +303,7 @@ class TestPhase2:
                 paths.append(AsPath(tuple(hops), "trace", "a", weight))
         if not paths:
             return
-        config = InferenceConfig(phase2_anchor=anchor)
+        config = InferenceConfig(threshold=threshold)
         fast, slow = build_graph(paths), build_graph(paths)
         edges = sorted(fast.edges)
         seeds = data.draw(
@@ -457,11 +442,10 @@ class TestAgainstReference:
         ),
         st.data(),
         st.integers(1, 4),
-        st.sampled_from(["threshold", "plurality"]),
         st.sampled_from([0.6, 0.8, 1.0]),
     )
     def test_same_labels_rounds_and_valleys(
-        self, spec, data, max_core_hops, anchor, threshold
+        self, spec, data, max_core_hops, threshold
     ):
         # Few ASes, so paths share edges, revisit ASes and cross the core
         # in every way; weights make the tallies uneven.
@@ -487,9 +471,7 @@ class TestAgainstReference:
             if rel is not None:
                 preassigned[key] = rel
         core = CoreGraph(set(members), set(edges), preassigned)
-        config = InferenceConfig(
-            threshold=threshold, max_core_hops=max_core_hops, phase2_anchor=anchor
-        )
+        config = InferenceConfig(threshold=threshold, max_core_hops=max_core_hops)
 
         result = run_inference(graph, paths, core, config)
         classifications, rounds, valley_paths, voted = run_engine(

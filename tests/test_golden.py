@@ -72,9 +72,7 @@ def corpus_flags(root):
 INFER_RUNS = {
     "clique-kshell": ["--core-method", "clique", "--tiebreak", "kshell", "--reference"],
     "core-file-degree": ["--core", "core.txt", "--tiebreak", "degree"],
-    "plurality-threshold": [
-        "--core-method", "clique", "--phase2-anchor", "plurality", "--threshold", "0.6",
-    ],
+    "threshold-0.6": ["--core-method", "clique", "--threshold", "0.6"],
     "kcore-one-hop": ["--core-method", "kcore", "--max-core-hops", "1"],
 }
 
@@ -96,9 +94,9 @@ GOLDEN = {
     ("core-file-degree", "classifications.csv"): "0b112b0254f29e2106f4d872f9e7c7b849a53a37b84e59ff466d9af6ba55cd67",
     ("core-file-degree", "metrics.csv"): "ad4cd4bdd040c01d08e1e4b7a0536a4f7a1e3483d9832ba99f05275b768131a1",
     ("core-file-degree", "histogram.csv"): "dd6f3b92680d21623e17e414236e8ffea891cf8e8543a475318b8be8d15adb95",
-    ("plurality-threshold", "classifications.csv"): "6ce00d7ea42aff317508323c958e19f6f62ee32cebd6615c3eab2d5563135197",
-    ("plurality-threshold", "metrics.csv"): "ce378c42c5fdb93392fbffca5fdd03e3e41c51c99c0edbad2208aa89595033ec",
-    ("plurality-threshold", "histogram.csv"): "ed37a36ebe95d884b236f8161f6483d45de2912da8147ac80962a13ebd6d37ce",
+    ("threshold-0.6", "classifications.csv"): "6ce00d7ea42aff317508323c958e19f6f62ee32cebd6615c3eab2d5563135197",
+    ("threshold-0.6", "metrics.csv"): "ce378c42c5fdb93392fbffca5fdd03e3e41c51c99c0edbad2208aa89595033ec",
+    ("threshold-0.6", "histogram.csv"): "ed37a36ebe95d884b236f8161f6483d45de2912da8147ac80962a13ebd6d37ce",
     ("kcore-one-hop", "classifications.csv"): "fc846652881cf6f34e5b7d958e4b3e405f00800285f091fb5b01acc96e056373",
     ("kcore-one-hop", "metrics.csv"): "0a959b1088154ad87d464edf589943f62dc2f2e50adbf3f3b68b47d270030fe9",
     ("kcore-one-hop", "histogram.csv"): "bb73ff6567be2e40bf5f407d6b61d4167886da430e660ab9b486a15a4dd18f6b",

@@ -73,81 +73,80 @@ class TestLoadSiblingPairs:
 
 class TestNormalizePath:
     def test_clean_path_unchanged(self):
-        result = normalize_path([1, 2, 3], None)
-        assert result.hops == (1, 2, 3)
-        assert not result.truncated
+        hops, truncated = normalize_path([1, 2, 3], None)
+        assert hops == (1, 2, 3)
+        assert not truncated
 
     def test_consecutive_duplicates_collapse(self):
-        assert normalize_path([1, 1, 2, 2, 2, 3], None).hops == (1, 2, 3)
+        assert normalize_path([1, 1, 2, 2, 2, 3], None)[0] == (1, 2, 3)
 
     def test_loop_truncates_before_closing_hop(self):
-        result = normalize_path([1, 2, 3, 2, 4], None)
-        assert result.hops == (1, 2, 3)
-        assert result.truncated
+        hops, truncated = normalize_path([1, 2, 3, 2, 4], None)
+        assert hops == (1, 2, 3)
+        assert truncated
 
     def test_ping_pong_loop(self):
-        result = normalize_path([1, 2, 1, 2, 3], None)
-        assert result.hops == (1, 2)
-        assert result.truncated
+        hops, truncated = normalize_path([1, 2, 1, 2, 3], None)
+        assert hops == (1, 2)
+        assert truncated
 
     def test_too_short_after_cleaning_dropped(self):
-        result = normalize_path([5, 5, 5], None)
-        assert result.hops is None
-        assert not result.truncated
+        hops, truncated = normalize_path([5, 5, 5], None)
+        assert hops is None
+        assert not truncated
 
     def test_single_hop_dropped(self):
-        assert normalize_path([9], None).hops is None
+        assert normalize_path([9], None)[0] is None
 
     def test_sibling_merge_collapses_adjacent_group_members(self):
         s = SiblingSet()
         s.merge(20, 21)
-        result = normalize_path([1, 20, 21, 3], s)
-        assert result.hops == (1, 20, 3)
-        assert not result.truncated
+        hops, truncated = normalize_path([1, 20, 21, 3], s)
+        assert hops == (1, 20, 3)
+        assert not truncated
 
     def test_sibling_merge_applies_before_loop_check(self):
         # 21 maps onto 20, so the revisit closes a loop that the raw
         # hop values hide.
         s = SiblingSet()
         s.merge(20, 21)
-        result = normalize_path([20, 5, 21, 7], s)
-        assert result.hops == (20, 5)
-        assert result.truncated
+        hops, truncated = normalize_path([20, 5, 21, 7], s)
+        assert hops == (20, 5)
+        assert truncated
 
     def test_clean_tuple_returned_uncopied(self):
         hops = (1, 20, 3)
-        assert normalize_path(hops, None).hops is hops
+        assert normalize_path(hops, None)[0] is hops
         s = SiblingSet()
         s.merge(30, 31)
         s.merge(1, 40)
         # 1 is its group's representative, so no hop changes.
-        assert normalize_path(hops, s).hops is hops
+        assert normalize_path(hops, s)[0] is hops
         s.merge(20, 2)
-        assert normalize_path(hops, s).hops == (1, 2, 3)
+        assert normalize_path(hops, s)[0] == (1, 2, 3)
 
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=12))
     def test_output_has_no_adjacent_dups_or_revisits(self, raw):
-        result = normalize_path(raw, None)
-        if result.hops is not None:
-            hops = result.hops
+        hops, _ = normalize_path(raw, None)
+        if hops is not None:
             assert len(hops) >= 2
             assert all(a != b for a, b in zip(hops, hops[1:]))
             assert len(set(hops)) == len(hops)
 
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=12))
     def test_idempotent(self, raw):
-        first = normalize_path(raw, None)
-        if first.hops is not None:
-            again = normalize_path(list(first.hops), None)
-            assert again.hops == first.hops
-            assert not again.truncated
+        hops, _ = normalize_path(raw, None)
+        if hops is not None:
+            again, truncated = normalize_path(list(hops), None)
+            assert again == hops
+            assert not truncated
 
     @given(st.lists(st.integers(1, 30), min_size=2, max_size=12))
     def test_kept_prefix_is_prefix_of_deduped_input(self, raw):
-        result = normalize_path(raw, None)
-        if result.hops is not None:
+        hops, _ = normalize_path(raw, None)
+        if hops is not None:
             deduped = [h for i, h in enumerate(raw) if i == 0 or h != raw[i - 1]]
-            assert list(result.hops) == deduped[: len(result.hops)]
+            assert list(hops) == deduped[: len(hops)]
 
 
 class TestParsePathLine:
@@ -247,23 +246,23 @@ def bgp(hops):
 
 class TestTwoAgentFilter:
     def test_single_agent_trace_edge_removed(self):
-        kept, stats = filter_single_agent_edges([trace([1, 2], "a")])
+        kept, edges_removed, _ = filter_single_agent_edges([trace([1, 2], "a")])
         assert kept == []
-        assert stats.edges_removed == 1
+        assert edges_removed == 1
 
     def test_two_agents_keep_edge(self):
         paths = [trace([1, 2], "a"), trace([1, 2], "b")]
-        kept, _ = filter_single_agent_edges(paths)
+        kept, _, _ = filter_single_agent_edges(paths)
         assert kept == paths
 
     def test_bgp_corroboration_keeps_trace_edge(self):
         paths = [bgp([1, 2]), trace([1, 2], "a")]
-        kept, stats = filter_single_agent_edges(paths)
+        kept, edges_removed, _ = filter_single_agent_edges(paths)
         assert kept == paths
-        assert stats.edges_removed == 0
+        assert edges_removed == 0
 
     def test_bgp_paths_never_filtered(self):
-        kept, _ = filter_single_agent_edges([bgp([1, 2])])
+        kept, _, _ = filter_single_agent_edges([bgp([1, 2])])
         assert len(kept) == 1
 
     def test_removal_splits_path_into_segments(self):
@@ -273,16 +272,16 @@ class TestTwoAgentFilter:
             trace([1, 2, 3], "b"),
             trace([4, 5, 6], "b"),
         ]
-        kept, stats = filter_single_agent_edges(paths)
-        assert stats.edges_removed == 1
-        assert stats.paths_split == 1
+        kept, edges_removed, paths_split = filter_single_agent_edges(paths)
+        assert edges_removed == 1
+        assert paths_split == 1
         segments = [p.hops for p in kept if p.agent == "a"]
         assert segments == [(1, 2, 3), (4, 5, 6)]
 
     def test_short_fragment_dropped(self):
         # Cutting (1, 2) strands vertex 1; only (2, 3) remains two hops.
         paths = [trace([1, 2, 3], "a"), trace([2, 3], "b")]
-        kept, _ = filter_single_agent_edges(paths)
+        kept, _, _ = filter_single_agent_edges(paths)
         assert [p.hops for p in kept if p.agent == "a"] == [(2, 3)]
         assert [p.hops for p in kept if p.agent == "b"] == [(2, 3)]
 
@@ -293,7 +292,7 @@ class TestTwoAgentFilter:
             trace([1, 2], "b"),
             trace([9, 10], "c"),
         ]
-        kept, _ = filter_single_agent_edges(paths)
+        kept, _, _ = filter_single_agent_edges(paths)
         observers: dict[tuple[int, int], set[str]] = {}
         for p in paths:
             for u, v in p.edges():
@@ -375,10 +374,10 @@ class TestIngestPipeline:
         paths, _ = ingest_paths(raws)
         observers: dict[tuple[int, int], set[str]] = {}
         for raw in raws:
-            norm = normalize_path(list(raw.hops), None)
-            if norm.hops is None:
+            hops, _ = normalize_path(list(raw.hops), None)
+            if hops is None:
                 continue
-            for u, v in zip(norm.hops, norm.hops[1:]):
+            for u, v in zip(hops, hops[1:]):
                 observers.setdefault(tuple(sorted((u, v))), set()).add(raw.agent)
         for p in paths:
             for u, v in p.edges():

@@ -302,7 +302,7 @@ class TestSweeps:
 NOISY = NoiseConfig(loop_prob=0.1, valley_prob=0.1, prepend_prob=0.1)
 
 
-def full_run(raws, truth, replace, tiebreak, anchor):
+def full_run(raws, truth, replace, tiebreak):
     """Ingest, graph, a corrupted true core, inference and its metrics."""
     paths, report = ingest_paths(raws)
     graph = build_graph(paths)
@@ -311,8 +311,7 @@ def full_run(raws, truth, replace, tiebreak, anchor):
     except CorruptionInfeasibleError:
         reject()
     result = run_inference(
-        graph, paths, core,
-        InferenceConfig(phase2_anchor=anchor), HeuristicConfig(tiebreak),
+        graph, paths, core, InferenceConfig(), HeuristicConfig(tiebreak)
     )
     return result, summarize(result), report
 
@@ -324,7 +323,6 @@ class TestMetamorphic:
         {
             "replace": st.integers(0, 4),
             "tiebreak": st.sampled_from([None, "degree", "kshell"]),
-            "anchor": st.sampled_from(["threshold", "plurality"]),
         }
     )
 
@@ -504,10 +502,7 @@ class TestMetamorphic:
             {renumbered(key)[0] for key in core.edges},
             dict(relabel(key, rel) for key, rel in core.preassigned.items()),
         )
-        configs = (
-            InferenceConfig(phase2_anchor=run["anchor"]),
-            HeuristicConfig(run["tiebreak"]),
-        )
+        configs = (InferenceConfig(), HeuristicConfig(run["tiebreak"]))
         a = run_inference(graph, paths, core, *configs)
         b = run_inference(build_graph(new_paths), new_paths, new_core, *configs)
         assert a.phase2_rounds == b.phase2_rounds
