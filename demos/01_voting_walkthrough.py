@@ -16,12 +16,14 @@ def show(title, paths, core):
     graph = build_graph(paths)
     result = run_inference(graph, paths, core)
     print(f"  phase 2 rounds: {result.phase2_rounds}")
+    # The votes stay in the run graph: four counters per edge, by edge id.
+    work = result.graph
     for key in sorted(graph.edges):
         cls = result.classifications[key]
-        tally = result.graph.tally(key)
+        e = work.edge_index[key]
         votes = (
-            f"votes low-cust={tally.low_customer} high-cust={tally.high_customer} "
-            f"p2p={tally.p2p} invalid={tally.invalid}"
+            f"votes low-cust={work.low_customer[e]} high-cust={work.high_customer[e]} "
+            f"p2p={work.p2p[e]} invalid={work.invalid[e]}"
         )
         print(f"  edge {key}: {cls.rel.value:<12} via {cls.method:<16} {votes}")
     return result

@@ -77,7 +77,11 @@ def main():
             bar = "#" * max(1, count * 60 // max(c for _, _, c in metrics.histogram))
             print(f"  [{lo:.2f}, {hi:.2f}) {count:5d} {bar}")
 
-    valley = [c for c in result.classifications.values() if c.valley_only]
+    work = result.graph
+    valley = [
+        e for e, (low, high, p2p, invalid) in enumerate(zip(*work.counters))
+        if invalid and not (low or high or p2p)
+    ]
     print(f"\n{len(valley)} edges were seen only inside invalid path segments")
     print("and are deliberately left unclassified (valley edges).")
 

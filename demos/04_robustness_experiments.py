@@ -74,15 +74,11 @@ def main():
         return run_inference(build_graph(kept), kept, core)
 
     clean_a, clean_b = window(11), window(22)
-    value, shared = stability(
-        clean_a.classifications.values(), clean_b.classifications.values()
-    )
+    value, shared = stability(clean_a.classifications, clean_b.classifications)
     print(f"  two clean windows:  stability {value:.4f} over {shared} shared edges")
     noise = NoiseConfig(loop_prob=0.05, prepend_prob=0.05)
     noisy_a, noisy_b = window(33, noise), window(44, noise)
-    value, shared = stability(
-        noisy_a.classifications.values(), noisy_b.classifications.values()
-    )
+    value, shared = stability(noisy_a.classifications, noisy_b.classifications)
     print(f"  two noisy windows:  stability {value:.4f} over {shared} shared edges")
     print("  the labels an edge gets are a property of the topology, not of")
     print("  the particular paths that happened to be sampled.")

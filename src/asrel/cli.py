@@ -258,7 +258,7 @@ def cmd_infer(args) -> str:
 
     out = args.out
     with open(os.path.join(out, "classifications.csv"), "w", encoding="utf-8") as fh:
-        write_classifications_csv(result.all_records(), fh)
+        write_classifications_csv(result.all_records(), result.graph, fh)
     with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as fh:
         write_metrics_csv([metrics.row()], fh)
     with open(os.path.join(out, "histogram.csv"), "w", encoding="utf-8") as fh:
@@ -283,7 +283,9 @@ def cmd_build_core(args) -> str:
     )
 
 
-def _parse_sizes(spec: str) -> list[int]:
+def _parse_sizes(spec: str) -> Sequence[int]:
+    """The sizes of a comma list, or the range lo:hi[:step] itself, so that
+    a huge hi allocates nothing before core_size_sweep checks the sizes."""
     spec = spec.strip()
     if not spec:
         raise ConfigurationError("core-sweep needs --sweep-sizes")
@@ -298,7 +300,7 @@ def _parse_sizes(spec: str) -> list[int]:
             raise ConfigurationError(f"bad --sweep-sizes {spec!r}") from None
         if step < 1 or hi < lo:
             raise ConfigurationError(f"bad --sweep-sizes {spec!r}")
-        return list(range(lo, hi + 1, step))
+        return range(lo, hi + 1, step)
     try:
         sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
@@ -358,7 +360,7 @@ def cmd_window_stability(args) -> str:
         raise ConfigurationError("window-stability needs --paths-bgp-b or --paths-trace-b")
     result_a, _, _ = _run_window(args)
     result_b, _, _ = _run_window(args, suffix="_b")
-    value, shared = stability(result_a.all_records(), result_b.all_records())
+    value, shared = stability(result_a.classifications, result_b.classifications)
     row = {
         "stability": "" if value is None else round(value, 6),
         "shared_edges": shared,

@@ -186,6 +186,14 @@ def load_external_core(
     )
 
 
+def check_core_size(graph: AsGraph, size: int) -> None:
+    """ParameterError unless grow_core can grow a core of size on graph."""
+    if not 4 <= size <= graph.n_vertices:
+        raise ParameterError(
+            f"core size must be between 4 and {graph.n_vertices}, got {size}"
+        )
+
+
 def grow_core(graph: AsGraph, strategy: str, size: int) -> CoreGraph:
     """Take the first ``size`` vertices of a ranking as the core.
 
@@ -193,10 +201,7 @@ def grow_core(graph: AsGraph, strategy: str, size: int) -> CoreGraph:
     shell, then descending degree. Both break remaining ties by ascending
     AS number. Edges are induced from the graph.
     """
-    if not 4 <= size <= graph.n_vertices:
-        raise ParameterError(
-            f"core size must be between 4 and {graph.n_vertices}, got {size}"
-        )
+    check_core_size(graph, size)
     if strategy == "degree":
         order = sorted(graph.vertices, key=lambda v: (-graph.degree(v), v))
     elif strategy == "kshell":

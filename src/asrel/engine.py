@@ -380,28 +380,27 @@ def finalize(
     core: CoreGraph,
     phase1_voted: set[EdgeKey] | None = None,
 ) -> dict[EdgeKey, Classification]:
-    """Turn tallies into one Classification per edge.
+    """Turn the counters into one Classification per edge.
 
     Core preassignments win outright. Otherwise an edge is classified when
     one share reaches the threshold, tagged by whether any phase 1 vote
     contributed; everything else stays unclassified for the heuristics to
-    look at.
+    look at. The votes stay in graph's counters.
     """
     phase1_voted = phase1_voted or set()
     threshold = config.threshold
     out: dict[EdgeKey, Classification] = {}
-    for key, low, high, p2p, invalid in zip(graph.edge_keys, *graph.counters):
-        shares = vote_shares(low, high, p2p)
+    for key, low, high, p2p, _invalid in zip(graph.edge_keys, *graph.counters):
         rel = core.preassigned.get(key)
         if rel is not None:
             method = METHOD_CORE_PREASSIGNED
         else:
-            rel = _label(shares, threshold)
+            rel = _label(vote_shares(low, high, p2p), threshold)
             if rel is RelType.UNCLASSIFIED:
                 method = METHOD_UNCLASSIFIED
             elif key in phase1_voted:
                 method = METHOD_DETERMINISTIC_P1
             else:
                 method = METHOD_DETERMINISTIC_P2
-        out[key] = Classification(key, rel, method, *shares, low + high + p2p, invalid)
+        out[key] = Classification(key, rel, method)
     return out

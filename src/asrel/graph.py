@@ -76,29 +76,6 @@ def vote_shares(low: int, high: int, p2p: int) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True, slots=True)
-class VoteTally:
-    """The four vote counters of one edge, keyed to the canonical orientation.
-
-    low_customer counts votes that make the lower-numbered endpoint the
-    customer (a c2p vote in low->high order), high_customer the opposite.
-    invalid counts votes cast when a path contradicted valley-free routing
-    at this edge; they never contribute to classification shares.
-    """
-
-    low_customer: int = 0
-    high_customer: int = 0
-    p2p: int = 0
-    invalid: int = 0
-
-    def classification_votes(self) -> int:
-        return self.low_customer + self.high_customer + self.p2p
-
-    def shares(self) -> tuple[float, float, float]:
-        """(share_c2p, share_p2c, share_p2p) in low->high order."""
-        return vote_shares(self.low_customer, self.high_customer, self.p2p)
-
-
-@dataclass(frozen=True, slots=True)
 class AsPath:
     """One observed AS-level path.
 
@@ -150,25 +127,18 @@ DETERMINISTIC_METHODS = frozenset(
 
 @dataclass(frozen=True, slots=True)
 class Classification:
-    """Final label for one edge, read in canonical low->high order."""
+    """Final label for one edge, read in canonical low->high order.
+
+    The edge's votes stay in the run graph's counters.
+    """
 
     edge: EdgeKey
     rel: RelType
     method: str
-    share_c2p: float = 0.0
-    share_p2c: float = 0.0
-    share_p2p: float = 0.0
-    votes: int = 0
-    invalid_votes: int = 0
 
     @property
     def classified(self) -> bool:
         return self.rel is not RelType.UNCLASSIFIED
-
-    @property
-    def valley_only(self) -> bool:
-        """True when the edge was only ever seen contradicting valley-freeness."""
-        return self.votes == 0 and self.invalid_votes > 0
 
 
 class AsGraph:
@@ -177,7 +147,11 @@ class AsGraph:
     Each edge gets a dense id, in insertion order: edge_index maps an edge
     key to its id and edge_keys lists the keys by id. The counters
     low_customer, high_customer, p2p and invalid are lists indexed by edge
-    id, with the meaning of the VoteTally fields of the same names.
+    id, keyed to the canonical orientation: low_customer counts votes that
+    make the lower-numbered endpoint the customer (a c2p vote in low->high
+    order), high_customer the opposite, and p2p peering votes. invalid
+    counts votes cast when a path contradicted valley-free routing at the
+    edge; they never contribute to the shares (vote_shares).
     """
 
     def __init__(self):
@@ -252,14 +226,6 @@ class AsGraph:
     def degree(self, v: int) -> int:
         adj = self._adj.get(v)
         return 0 if adj is None else len(adj)
-
-    def tally(self, key: EdgeKey) -> VoteTally:
-        """The counters of one edge, copied out."""
-        try:
-            e = self.edge_index[key]
-        except KeyError:
-            raise UnknownEdgeError(f"edge {key} not in graph") from None
-        return VoteTally(*(counter[e] for counter in self.counters))
 
     def copy_unvoted(self) -> "AsGraph":
         """A graph with the same vertices, edges and edge ids, and zero counters.

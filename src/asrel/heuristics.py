@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigurationError
@@ -91,9 +91,7 @@ def infer_gap_p2p(
             if walk.count(ARC_OPEN) == 1 and _WEDGE in walk:
                 key = periphery.edge_keys[arcs[start + walk.index(ARC_OPEN)] >> 1]
                 if key not in updates:
-                    updates[key] = replace(
-                        classifications[key], rel=RelType.P2P, method=METHOD_GAP_P2P
-                    )
+                    updates[key] = Classification(key, RelType.P2P, METHOD_GAP_P2P)
     return updates
 
 
@@ -105,31 +103,29 @@ def tiebreak(
 ) -> tuple[RelType, str]:
     """Pick a relationship for one edge from structural rank alone.
 
-    Degree mode: if the smaller endpoint degree is at least
-    PEER_DEGREE_RATIO of the larger one the edge is a peering, otherwise
-    the higher-degree endpoint is the provider. K-shell mode does the same
-    with shell numbers, peering on equal shells. Both tests are symmetric
-    in the endpoints, and the result is reported in canonical low->high
+    The edge is a peering when the smaller endpoint rank is at least the
+    peer ratio of the larger one, else the higher-ranked endpoint is the
+    provider. Degree mode ranks by degree with ratio PEER_DEGREE_RATIO;
+    k-shell mode ranks by shell with ratio 1.0, so it peers equal shells
+    (an edge endpoint's rank is >= 1 in both). The test is symmetric in
+    the endpoints, and the result is reported in canonical low->high
     order, so it cannot depend on argument order or AS numbering.
     """
-    low, high = edge
     if config.tiebreak == TIEBREAK_KSHELL:
         if kshell is None:
             raise ConfigurationError("kshell tiebreak requested without a shell index")
-        shell_low, shell_high = kshell[low], kshell[high]
-        if shell_low == shell_high:
-            return RelType.P2P, METHOD_KSHELL_TIEBREAK
-        if shell_low > shell_high:
-            return RelType.P2C, METHOD_KSHELL_TIEBREAK
-        return RelType.C2P, METHOD_KSHELL_TIEBREAK
-    if config.tiebreak == TIEBREAK_DEGREE:
-        deg_low, deg_high = graph.degree(low), graph.degree(high)
-        if min(deg_low, deg_high) / max(deg_low, deg_high) >= PEER_DEGREE_RATIO:
-            return RelType.P2P, METHOD_DEGREE_TIEBREAK
-        if deg_low > deg_high:
-            return RelType.P2C, METHOD_DEGREE_TIEBREAK
-        return RelType.C2P, METHOD_DEGREE_TIEBREAK
-    raise ConfigurationError("no tiebreak strategy configured")
+        rank, ratio, method = kshell.__getitem__, 1.0, METHOD_KSHELL_TIEBREAK
+    elif config.tiebreak == TIEBREAK_DEGREE:
+        rank, ratio, method = graph.degree, PEER_DEGREE_RATIO, METHOD_DEGREE_TIEBREAK
+    else:
+        raise ConfigurationError("no tiebreak strategy configured")
+    low, high = edge
+    rank_low, rank_high = rank(low), rank(high)
+    if min(rank_low, rank_high) / max(rank_low, rank_high) >= ratio:
+        return RelType.P2P, method
+    if rank_low > rank_high:
+        return RelType.P2C, method
+    return RelType.C2P, method
 
 
 def apply_tiebreaks(
@@ -140,14 +136,19 @@ def apply_tiebreaks(
 ) -> dict[EdgeKey, Classification]:
     """Tie-break every unclassified edge except valley-flagged ones.
 
-    Valley-flagged edges (only invalid votes) were never seen behaving
-    like a normal link, so guessing a relationship for them would be
-    noise, not inference.
+    graph is the run graph, whose counters hold the votes. Valley-flagged
+    edges (invalid votes and no other) were never seen behaving like a
+    normal link, so guessing a relationship for them would be noise, not
+    inference.
     """
+    edge_index = graph.edge_index
+    low_customer, high_customer, p2p, invalid = graph.counters
     updates: dict[EdgeKey, Classification] = {}
     for key, cls in classifications.items():
-        if cls.rel is not RelType.UNCLASSIFIED or cls.valley_only:
+        if cls.rel is not RelType.UNCLASSIFIED:
             continue
-        rel, method = tiebreak(key, graph, config, kshell)
-        updates[key] = replace(cls, rel=rel, method=method)
+        e = edge_index[key]
+        if invalid[e] and not (low_customer[e] or high_customer[e] or p2p[e]):
+            continue
+        updates[key] = Classification(key, *tiebreak(key, graph, config, kshell))
     return updates

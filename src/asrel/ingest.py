@@ -38,8 +38,6 @@ from typing import Callable, Iterable, Sequence
 from .errors import ParseError
 from .graph import MAX_ASN, AsGraph, AsPath, Corpus, EdgeKey, RelType, edge_key
 
-MIN_AGENTS = 2
-
 
 class SiblingSet:
     """Union-find over AS numbers; the representative is the smallest member.
@@ -322,71 +320,52 @@ def read_path_file(
 def filter_single_agent_edges(
     paths: Iterable[AsPath]
 ) -> tuple[list[AsPath], int, int]:
-    """Drop traceroute-only edges observed by fewer than MIN_AGENTS agents.
+    """Drop traceroute-only edges that fewer than two agents reported.
 
-    An edge survives if at least MIN_AGENTS distinct agents reported it or
-    if it appears in any BGP path. Traceroute paths containing a removed
-    edge are split at the removed edges into maximal sub-paths of at least
-    two hops; BGP paths pass through untouched. Returns the kept paths, the
-    number of edges removed and the weight of the paths split.
+    An edge survives if two distinct agents reported it or if it appears
+    in any BGP path. Traceroute paths containing a removed edge are split
+    at the removed edges into maximal sub-paths of at least two hops; BGP
+    paths, whose edges are never removed, pass through untouched. Returns the kept paths, the number of
+    edges removed and the weight of the paths split.
     """
     paths = list(paths)
     if all(path.source == "bgp" for path in paths):
         return paths, 0, 0
-    # AsPath has no repeated consecutive hop, so an inline canonical key
-    # needs no self-loop check.
-    bgp_edges: set[EdgeKey] = set()
-    agents: dict[EdgeKey, set[str]] = {}
+    # Edge -> its only reporting agent, or None once a BGP path or a second
+    # agent reports it. AsPath has no repeated consecutive hop, so an
+    # inline canonical key needs no self-loop check.
+    reporter: dict[EdgeKey, str | None] = {}
     for path in paths:
-        if path.source == "bgp":
-            for u, v in path.edges():
-                bgp_edges.add((u, v) if u < v else (v, u))
-        else:
-            agent = path.agent
-            for u, v in path.edges():
-                key = (u, v) if u < v else (v, u)
-                seen_by = agents.get(key)
-                if seen_by is None:
-                    agents[key] = {agent}
-                else:
-                    seen_by.add(agent)
-
-    removed = {
-        key
-        for key, seen_by in agents.items()
-        if len(seen_by) < MIN_AGENTS and key not in bgp_edges
-    }
-
-    if not removed:
+        agent = None if path.source == "bgp" else path.agent
+        for u, v in path.edges():
+            key = (u, v) if u < v else (v, u)
+            if reporter.setdefault(key, agent) != agent:
+                reporter[key] = None
+    edges_removed = sum(agent is not None for agent in reporter.values())
+    if not edges_removed:
         return paths, 0, 0
 
     kept: list[AsPath] = []
     paths_split = 0
     for path in paths:
-        if path.source == "bgp":
-            kept.append(path)
-            continue
-        cut = [
-            i
-            for i, (u, v) in enumerate(path.edges())
-            if ((u, v) if u < v else (v, u)) in removed
-        ]
-        if not cut:
+        hops = path.hops
+        segments = []
+        start = 0
+        for i, (u, v) in enumerate(path.edges()):
+            if reporter[(u, v) if u < v else (v, u)] is not None:
+                segments.append(hops[start : i + 1])
+                start = i + 1
+        if not start:
             kept.append(path)
             continue
         paths_split += path.weight
-        segment_start = 0
-        for i in cut:
-            segment = path.hops[segment_start : i + 1]
-            if len(segment) >= 2:
-                kept.append(
-                    AsPath(segment, path.source, path.agent, path.weight)
-                )
-            segment_start = i + 1
-        tail = path.hops[segment_start:]
-        if len(tail) >= 2:
-            kept.append(AsPath(tail, path.source, path.agent, path.weight))
-    return kept, len(removed), paths_split
+        segments.append(hops[start:])
+        kept.extend(
+            AsPath(segment, path.source, path.agent, path.weight)
+            for segment in segments
+            if len(segment) >= 2
+        )
+    return kept, edges_removed, paths_split
 
 
 def ingest_paths(
@@ -441,7 +420,7 @@ def load_corpus(
 
 
 def build_graph(paths: Iterable[AsPath]) -> AsGraph:
-    """Union of all path edges, with zeroed vote tallies.
+    """Union of all path edges, with zeroed vote counters.
 
     One walk over the hops adds the edges and compiles the paths against
     their ids; the graph keeps that corpus for compile_corpus to reuse.

@@ -2,6 +2,12 @@
 
 Reference files use one record per line, ``A|B|code``, where code -1 means
 A is a provider of B, 0 means peering, and 1 means the pair are siblings.
+
+The edge metrics (compare, stability, summarize_classifications) take a
+run's edge records only: declared sibling pairs are not edges, and
+pipeline.summarize counts their records apart. A record holds an edge's
+label; write_classifications_csv reads its vote shares from the run
+graph's counters.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ from typing import Iterable, Mapping, Sequence, TextIO
 from .graph import (
     DETERMINISTIC_METHODS,
     HEURISTIC_METHODS,
-    METHOD_SIBLING_DB,
     AsGraph,
     Classification,
     EdgeKey,
     RelType,
     edge_key,
     oriented,
+    vote_shares,
 )
 from .ingest import SiblingSet, parse_relationship, read_records, set_label
 
@@ -73,15 +79,13 @@ class CompareResult:
 
     Denominators: pct_match_overall divides matches by every edge of the
     inferred graph; pct_match_both divides by the edges both sides
-    classified. Sibling reference records never count toward agreement,
-    but pairs that should have been merged away are reported.
+    classified. An edge whose reference label is s2s (a sibling pair the
+    run did not merge) never counts toward agreement.
     """
 
     edges_total: int = 0
     both_classified: int = 0
     matches: int = 0
-    reference_only: int = 0
-    s2s_unmerged: int = 0
 
     @property
     def pct_match_overall(self) -> float:
@@ -97,40 +101,33 @@ class CompareResult:
 def compare(
     classifications: Iterable[Classification], reference: ReferenceSet
 ) -> CompareResult:
+    """Agreement of a run's edge records with reference."""
     result = CompareResult()
-    seen: set[EdgeKey] = set()
     for cls in classifications:
-        if cls.method == METHOD_SIBLING_DB:
-            continue
-        seen.add(cls.edge)
         result.edges_total += 1
         ref = reference.get(cls.edge)
-        if ref is RelType.S2S:
-            result.s2s_unmerged += 1
-            continue
-        if ref is None or not cls.classified:
+        if ref is None or ref is RelType.S2S or not cls.classified:
             continue
         result.both_classified += 1
         if cls.rel is ref:
             result.matches += 1
-    result.reference_only = sum(1 for key in reference if key not in seen)
     return result
 
 
 def stability(
-    a: Iterable[Classification], b: Iterable[Classification]
+    a: Mapping[EdgeKey, Classification], b: Mapping[EdgeKey, Classification]
 ) -> tuple[float | None, int]:
-    """Agreement on edges classified in both runs; None when none overlap.
-    Sibling records are declared pairs, not edges, so they are skipped."""
-    labels_a, labels_b = (
-        {c.edge: c.rel for c in run if c.classified and c.method != METHOD_SIBLING_DB}
-        for run in (a, b)
-    )
-    shared = labels_a.keys() & labels_b.keys()
+    """Agreement on the edges classified in both of two runs'
+    classifications, and their number; None when none overlap."""
+    shared = agree = 0
+    for key, cls in a.items():
+        other = b.get(key)
+        if other is not None and cls.classified and other.classified:
+            shared += 1
+            agree += cls.rel is other.rel
     if not shared:
         return None, 0
-    agree = sum(1 for key in shared if labels_a[key] is labels_b[key])
-    return agree / len(shared), len(shared)
+    return agree / shared, shared
 
 
 def vote_share_histogram(graph: AsGraph) -> list[tuple[float, float, int]]:
@@ -200,14 +197,12 @@ class RunMetrics:
 def summarize_classifications(
     classifications: Iterable[Classification],
 ) -> tuple[int, dict[str, int], float, float, float]:
-    """Edge count, per-method counts, and classified shares in percent."""
+    """Edge count, per-method counts, and classified shares in percent, of
+    a run's edge records."""
     counts: dict[str, int] = {}
     edges = 0
     classified = deterministic = heuristic = 0
     for cls in classifications:
-        if cls.method == METHOD_SIBLING_DB:
-            counts[METHOD_SIBLING_DB] = counts.get(METHOD_SIBLING_DB, 0) + 1
-            continue
         edges += 1
         counts[cls.method] = counts.get(cls.method, 0) + 1
         if cls.classified:
@@ -258,13 +253,23 @@ CLASSIFICATION_HEADER = (
 
 
 def write_classifications_csv(
-    records: Iterable[Classification], stream: TextIO
+    records: Iterable[Classification], graph: AsGraph, stream: TextIO
 ) -> None:
-    """Write classification records; byte-stable for identical runs."""
+    """Write classification records, each with its edge's vote shares and
+    invalid votes from graph's counters; byte-stable for identical runs.
+    A pair that is not an edge of graph, a declared sibling pair, has no
+    votes, so its row holds zeros."""
+    edge_index = graph.edge_index
+    low_customer, high_customer, p2p, invalid = graph.counters
     stream.write(CLASSIFICATION_HEADER + "\n")
     for cls in records:
+        e = edge_index.get(cls.edge)
+        if e is None:
+            shares, n_invalid = (0.0, 0.0, 0.0), 0
+        else:
+            shares = vote_shares(low_customer[e], high_customer[e], p2p[e])
+            n_invalid = invalid[e]
         stream.write(
             f"{cls.edge[0]},{cls.edge[1]},{cls.rel.value},{cls.method},"
-            f"{cls.share_c2p:.6f},{cls.share_p2c:.6f},{cls.share_p2p:.6f},"
-            f"{cls.invalid_votes}\n"
+            f"{shares[0]:.6f},{shares[1]:.6f},{shares[2]:.6f},{n_invalid}\n"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import CoreGraph, corrupt_core, grow_core, k_shell_decompose
+from .core import CoreGraph, check_core_size, corrupt_core, grow_core, k_shell_decompose
 from .engine import (
     InferenceConfig,
     PathPartition,
@@ -116,11 +116,15 @@ def run_inference(
 
 
 def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMetrics:
-    # Counting needs no order, so the records are not sorted here.
-    records = [*result.classifications.values(), *result.sibling_records]
+    """The run's metrics. Declared sibling pairs are not edges: they count
+    only under their own method, and the edge metrics see only the edge
+    records."""
+    records = result.classifications.values()
     edges, counts, pct_classified, pct_deterministic, pct_heuristic = (
         summarize_classifications(records)
     )
+    if result.sibling_records:
+        counts[METHOD_SIBLING_DB] = len(result.sibling_records)
     total_paths = result.partition.total
     metrics = RunMetrics(
         edges=edges,
@@ -189,7 +193,14 @@ def core_size_sweep(
     heuristic_config: HeuristicConfig | None = None,
     reference: ReferenceSet | None = None,
 ) -> list[dict[str, object]]:
-    """Grow cores of increasing size and record how the run responds."""
+    """Grow cores of increasing size and record how the run responds.
+
+    Every size is checked before any cell runs. The check stops at the
+    first bad size, so a range climbing past the graph costs at most
+    graph.n_vertices steps, whatever its end.
+    """
+    for size in sizes:
+        check_core_size(graph, size)
     paths = compile_corpus(graph, paths)
     rows: list[dict[str, object]] = []
     for size in sizes:

@@ -2,10 +2,12 @@
 
 Everything here is written against the problem statement alone, with the
 slowest most obvious algorithm available, so a disagreement with the
-library points at the library. The exception is the reference engine
+library points at the library. The exceptions are the reference engine
 (partition_paths through infer_gap_p2p, and run_engine): the engine as it
 was before it was compiled to edge ids, walking AsPath objects with tuple
-keys and casting one vote at a time, kept to check the compiled engine.
+keys and casting one vote at a time, kept to check the compiled engine;
+and filter_single_agent_edges, the two-agent filter as it was with a BGP
+edge set and a set of agents per edge, kept to check the one-dict filter.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 import re
 from dataclasses import replace
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from asrel.core import CoreGraph
 from asrel.engine import InferenceConfig
@@ -31,7 +33,6 @@ from asrel.graph import (
     Classification,
     EdgeKey,
     RelType,
-    VoteTally,
     edge_key,
     oriented,
 )
@@ -181,6 +182,25 @@ def vote_invalid(graph: AsGraph, a: int, b: int, weight: int = 1) -> None:
     graph.invalid[e] += weight
 
 
+class Tally(NamedTuple):
+    """The four counters of one edge (see AsGraph)."""
+
+    low_customer: int
+    high_customer: int
+    p2p: int
+    invalid: int
+
+    def votes(self) -> int:
+        """Classification votes: all but the invalid ones."""
+        return self.low_customer + self.high_customer + self.p2p
+
+
+def tally(graph: AsGraph, key: EdgeKey) -> Tally:
+    """The counters of the edge key, read from graph's per-edge lists."""
+    e = graph.edge_index[key]
+    return Tally(*(counter[e] for counter in graph.counters))
+
+
 def core_relationship(core: CoreGraph, key: EdgeKey) -> RelType:
     """Effective relationship of a core edge; p2p unless preassigned."""
     return core.preassigned.get(key, RelType.P2P)
@@ -302,8 +322,8 @@ def phase1(
     return voted, valley_paths
 
 
-def label(tally: VoteTally, threshold: float) -> RelType:
-    total = tally.classification_votes()
+def label(tally: Tally, threshold: float) -> RelType:
+    total = tally.votes()
     if total:
         if tally.low_customer / total >= threshold:
             return RelType.C2P
@@ -322,12 +342,11 @@ def snapshot(
     anchors: dict[EdgeKey, RelType] = {}
     unvoted: set[EdgeKey] = set()
     for key in graph.edges:
-        tally = graph.tally(key)
-        low_c, high_c, p2p = tally.low_customer, tally.high_customer, tally.p2p
-        if low_c + high_c + p2p == 0:
+        counts = tally(graph, key)
+        if counts.votes() == 0:
             unvoted.add(key)
         else:
-            rel = label(tally, config.threshold)
+            rel = label(counts, config.threshold)
             if rel is RelType.C2P or rel is RelType.P2C:
                 anchors[key] = rel
     return anchors, unvoted
@@ -384,21 +403,18 @@ def finalize(
 ) -> dict[EdgeKey, Classification]:
     out: dict[EdgeKey, Classification] = {}
     for key in graph.edges:
-        tally = graph.tally(key)
         rel = core.preassigned.get(key)
         if rel is not None:
             method = METHOD_CORE_PREASSIGNED
         else:
-            rel = label(tally, config.threshold)
+            rel = label(tally(graph, key), config.threshold)
             if rel is RelType.UNCLASSIFIED:
                 method = METHOD_UNCLASSIFIED
             elif key in phase1_voted:
                 method = METHOD_DETERMINISTIC_P1
             else:
                 method = METHOD_DETERMINISTIC_P2
-        out[key] = Classification(
-            key, rel, method, *tally.shares(), tally.classification_votes(), tally.invalid
-        )
+        out[key] = Classification(key, rel, method)
     return out
 
 
@@ -446,3 +462,73 @@ def run_engine(
     classifications = finalize(work, config, core, voted)
     classifications.update(infer_gap_p2p(periphery, classifications))
     return classifications, rounds, valley_paths, voted
+
+
+def filter_single_agent_edges(
+    paths: Iterable[AsPath]
+) -> tuple[list[AsPath], int, int]:
+    """Drop traceroute-only edges observed by fewer than two agents.
+
+    An edge survives if at least two distinct agents reported it or if it
+    appears in any BGP path. Traceroute paths containing a removed
+    edge are split at the removed edges into maximal sub-paths of at least
+    two hops; BGP paths pass through untouched. Returns the kept paths, the
+    number of edges removed and the weight of the paths split.
+    """
+    paths = list(paths)
+    if all(path.source == "bgp" for path in paths):
+        return paths, 0, 0
+    # AsPath has no repeated consecutive hop, so an inline canonical key
+    # needs no self-loop check.
+    bgp_edges: set[EdgeKey] = set()
+    agents: dict[EdgeKey, set[str]] = {}
+    for path in paths:
+        if path.source == "bgp":
+            for u, v in path.edges():
+                bgp_edges.add((u, v) if u < v else (v, u))
+        else:
+            agent = path.agent
+            for u, v in path.edges():
+                key = (u, v) if u < v else (v, u)
+                seen_by = agents.get(key)
+                if seen_by is None:
+                    agents[key] = {agent}
+                else:
+                    seen_by.add(agent)
+
+    removed = {
+        key
+        for key, seen_by in agents.items()
+        if len(seen_by) < 2 and key not in bgp_edges
+    }
+
+    if not removed:
+        return paths, 0, 0
+
+    kept: list[AsPath] = []
+    paths_split = 0
+    for path in paths:
+        if path.source == "bgp":
+            kept.append(path)
+            continue
+        cut = [
+            i
+            for i, (u, v) in enumerate(path.edges())
+            if ((u, v) if u < v else (v, u)) in removed
+        ]
+        if not cut:
+            kept.append(path)
+            continue
+        paths_split += path.weight
+        segment_start = 0
+        for i in cut:
+            segment = path.hops[segment_start : i + 1]
+            if len(segment) >= 2:
+                kept.append(
+                    AsPath(segment, path.source, path.agent, path.weight)
+                )
+            segment_start = i + 1
+        tail = path.hops[segment_start:]
+        if len(tail) >= 2:
+            kept.append(AsPath(tail, path.source, path.agent, path.weight))
+    return kept, len(removed), paths_split

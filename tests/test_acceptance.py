@@ -41,6 +41,7 @@ from oracles import (
     brute_force_core_numbers,
     brute_force_max_clique,
     is_clique,
+    tally,
 )
 
 BIG = GenConfig(
@@ -231,12 +232,12 @@ def _share_counts(result) -> tuple[int, int, int]:
     """Voted edges plus how many are unanimous or reach share 0.8."""
     voted = unanimous = strong = 0
     for key in result.graph.edges:
-        tally = result.graph.tally(key)
-        total = tally.classification_votes()
+        counts = tally(result.graph, key)
+        total = counts.votes()
         if total == 0:
             continue
         voted += 1
-        best = max(tally.low_customer, tally.high_customer, tally.p2p)
+        best = max(counts.low_customer, counts.high_customer, counts.p2p)
         if best == total:
             unanimous += 1
         if best / total >= 0.8:
@@ -347,14 +348,14 @@ def test_criterion_7_window_stability(big_truth):
     clean_a = window(101)
     clean_b = window(202)
     clean_stab, clean_shared = stability(
-        clean_a.classifications.values(), clean_b.classifications.values()
+        clean_a.classifications, clean_b.classifications
     )
 
     noise = NoiseConfig(loop_prob=0.05, prepend_prob=0.05)
     noisy_a = window(303, noise)
     noisy_b = window(404, noise)
     noisy_stab, noisy_shared = stability(
-        noisy_a.classifications.values(), noisy_b.classifications.values()
+        noisy_a.classifications, noisy_b.classifications
     )
 
     ok = clean_stab == 1.0 and noisy_stab is not None and noisy_stab >= 0.98

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from asrel import cli
+from asrel import cli, pipeline
 from asrel.core import write_core_file
 from asrel.synth import GenConfig, generate, sample_paths, write_paths_file
 
@@ -588,6 +588,30 @@ class TestExperiment:
                 ]
             )
             assert code == 2
+
+    @pytest.mark.parametrize("spec", ["4:500", "4:1000000000000", "4,5,500"])
+    def test_sweep_sizes_checked_before_any_cell(
+        self, tmp_path, monkeypatch, capsys, spec
+    ):
+        # Six ASes: every size above 6 is out of range, and the sweep must
+        # say so before it runs a cell or builds the whole range.
+        paths = write(tmp_path / "p.txt", "1 2 3 4 5 6\n2 4 6\n")
+        cells = []
+        real = pipeline.run_inference
+        monkeypatch.setattr(
+            pipeline, "run_inference", lambda *args: cells.append(1) or real(*args)
+        )
+        out = tmp_path / "exp"
+        code = cli.main(
+            [
+                "experiment", "core-sweep", "--paths-bgp", paths,
+                "--sweep-sizes", spec, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert cells == []
+        assert not (out / "experiment.csv").exists()
+        assert "between 4 and 6, got " in capsys.readouterr().err
 
     def test_window_stability_zero_noise_is_one(self, tmp_path):
         paths_a, core, paths_b = self.synth_files(tmp_path, seed_b=77)

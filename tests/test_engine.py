@@ -17,7 +17,7 @@ from asrel.pipeline import run_inference
 from asrel.synth import GenConfig, NoiseConfig, generate, sample_paths
 from oracles import partition_paths as reference_partition
 from oracles import phase1 as reference_phase1
-from oracles import phase2_unpruned, run_engine, vote, vote_invalid
+from oracles import phase2_unpruned, run_engine, tally, vote, vote_invalid
 
 
 def trace(*hops):
@@ -34,9 +34,9 @@ def corpus_of(*paths):
 
 def phase2_votes(g, paths, config):
     """phase2's result and the edges whose tallies it changed."""
-    before = {key: g.tally(key) for key in g.edges}
+    before = {key: tally(g, key) for key in g.edges}
     result = phase2(g, compile_corpus(g, paths), config)
-    return result, {key for key in g.edges if g.tally(key) != before[key]}
+    return result, {key for key in g.edges if tally(g, key) != before[key]}
 
 
 class TestInferenceConfig:
@@ -97,31 +97,31 @@ class TestPhase1:
         core = CoreGraph({4, 5}, {(4, 5)})
         result = phase1(g, compile_corpus(g, [path]), core)
         assert result.valley_paths == 0
-        assert g.tally((1, 2)).low_customer == 1
-        assert g.tally((3, 4)).low_customer == 1
-        assert g.tally((4, 5)).p2p == 1
-        assert g.tally((5, 6)).low_customer == 0
-        assert g.tally((5, 6)).high_customer == 1
-        assert g.tally((6, 7)).high_customer == 1
+        assert tally(g, (1, 2)).low_customer == 1
+        assert tally(g, (3, 4)).low_customer == 1
+        assert tally(g, (4, 5)).p2p == 1
+        assert tally(g, (5, 6)).low_customer == 0
+        assert tally(g, (5, 6)).high_customer == 1
+        assert tally(g, (6, 7)).high_customer == 1
 
     def test_vertex_only_core_splits_at_the_member(self):
         path = trace(2, 3, 8, 5, 6)
         g = build_graph([path])
         result = phase1(g, compile_corpus(g, [path]), noedge_core(8))
         assert result.voted_edges == {(2, 3), (3, 8), (5, 8), (5, 6)}
-        assert g.tally((2, 3)).low_customer == 1        # c2p
-        assert g.tally((3, 8)).low_customer == 1        # c2p into the core
-        assert g.tally((5, 8)).low_customer == 1        # p2c leaving the core
-        assert g.tally((5, 6)).high_customer == 1       # p2c
+        assert tally(g, (2, 3)).low_customer == 1        # c2p
+        assert tally(g, (3, 8)).low_customer == 1        # c2p into the core
+        assert tally(g, (5, 8)).low_customer == 1        # p2c leaving the core
+        assert tally(g, (5, 6)).high_customer == 1       # p2c
 
     def test_reentering_core_after_descent_is_invalid(self):
         path = trace(1, 10, 2, 11)
         g = build_graph([path])
         result = phase1(g, compile_corpus(g, [path]), noedge_core(10, 11))
         assert result.valley_paths == 1
-        tally = g.tally((2, 11))
-        assert tally.invalid == 1
-        assert tally.classification_votes() == 0
+        counts = tally(g, (2, 11))
+        assert counts.invalid == 1
+        assert counts.votes() == 0
         # The walk stops at the violation; nothing after it is voted.
         assert result.voted_edges == {(1, 10), (2, 10)}
 
@@ -130,7 +130,7 @@ class TestPhase1:
         g = build_graph([path])
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2P})
         result = phase1(g, compile_corpus(g, [path]), core)
-        assert g.tally((4, 5)).classification_votes() == 0
+        assert tally(g, (4, 5)).votes() == 0
         assert (4, 5) not in result.voted_edges
 
     def test_preassigned_p2c_descends_then_up_is_invalid(self):
@@ -146,21 +146,21 @@ class TestPhase1:
         )
         result = phase1(g, compile_corpus(g, [path]), core)
         assert result.valley_paths == 1
-        assert g.tally((5, 6)).invalid == 1
+        assert tally(g, (5, 6)).invalid == 1
 
     def test_preassigned_p2c_then_leaving_core_stays_downhill(self):
         path = trace(4, 5, 9)
         g = build_graph([path])
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2C})
         phase1(g, compile_corpus(g, [path]), core)
-        assert g.tally((5, 9)).low_customer == 0
-        assert g.tally((5, 9)).high_customer == 1       # p2c away from the core
+        assert tally(g, (5, 9)).low_customer == 0
+        assert tally(g, (5, 9)).high_customer == 1       # p2c away from the core
 
     def test_weight_scales_votes(self):
         path = AsPath((1, 10), "bgp", "", 4)
         g = build_graph([path])
         phase1(g, compile_corpus(g, [path]), noedge_core(10))
-        assert g.tally((1, 10)).low_customer == 4
+        assert tally(g, (1, 10)).low_customer == 4
 
     def test_no_state_kept_between_cores(self):
         # Each run patches the transition tables for its own core. Cores
@@ -206,15 +206,15 @@ class TestPhase2:
         self.seed_anchor(g, 2, 3, RelType.C2P)
         result, voted = phase2_votes(g, [p], self.config())
         assert (1, 2) in voted
-        assert g.tally((1, 2)).low_customer == 1
+        assert tally(g, (1, 2)).low_customer == 1
 
     def test_downhill_suspects_after_first_p2c(self):
         p = trace(1, 2, 3)
         g = build_graph([p])
         self.seed_anchor(g, 1, 2, RelType.P2C)
         result, voted = phase2_votes(g, [p], self.config())
-        assert g.tally((2, 3)).low_customer == 0
-        assert g.tally((2, 3)).high_customer == 1
+        assert tally(g, (2, 3)).low_customer == 0
+        assert tally(g, (2, 3)).high_customer == 1
 
     def test_suspects_between_anchors_of_opposite_sense_stay_unvoted(self):
         # c2p ... gap ... p2c brackets the summit; the gap edge could be
@@ -225,8 +225,8 @@ class TestPhase2:
         self.seed_anchor(g, 4, 5, RelType.P2C)
         result, voted = phase2_votes(g, [p], self.config())
         assert voted == set()
-        assert g.tally((2, 3)).classification_votes() == 0
-        assert g.tally((3, 4)).classification_votes() == 0
+        assert tally(g, (2, 3)).votes() == 0
+        assert tally(g, (3, 4)).votes() == 0
 
     def test_gap_between_two_c2p_anchors_votes_c2p(self):
         p = trace(1, 2, 3, 4)
@@ -235,7 +235,7 @@ class TestPhase2:
         self.seed_anchor(g, 3, 4, RelType.C2P)
         result, voted = phase2_votes(g, [p], self.config())
         assert voted == {(2, 3)}
-        assert g.tally((2, 3)).low_customer == 1
+        assert tally(g, (2, 3)).low_customer == 1
 
     def test_trailing_suspects_without_anchor_stay_unvoted(self):
         p = trace(1, 2, 3)
@@ -253,8 +253,8 @@ class TestPhase2:
         self.seed_anchor(g, 2, 3, RelType.C2P)
         result, voted = phase2_votes(g, [chain, inner], self.config())
         assert result.rounds == 3
-        assert g.tally((1, 2)).low_customer == 1
-        assert g.tally((1, 5)).high_customer == 1       # 5 is 1's customer
+        assert tally(g, (1, 2)).low_customer == 1
+        assert tally(g, (1, 5)).high_customer == 1       # 5 is 1's customer
 
     def test_round_count_order_independent(self):
         for order in ([0, 1], [1, 0]):
@@ -263,7 +263,7 @@ class TestPhase2:
             self.seed_anchor(g, 2, 3, RelType.C2P)
             result, voted = phase2_votes(g, [paths[i] for i in order], self.config())
             assert result.rounds == 3
-            assert g.tally((1, 5)).high_customer == 1
+            assert tally(g, (1, 5)).high_customer == 1
 
     def test_below_threshold_edge_is_not_an_anchor(self):
         p = trace(1, 2, 3)
@@ -327,7 +327,7 @@ class TestPhase2:
         expected_voted, rounds = phase2_unpruned(slow, paths, config)
         assert voted == expected_voted
         assert result.rounds == rounds
-        assert all(fast.tally(k) == slow.tally(k) for k in edges)
+        assert all(tally(fast, k) == tally(slow, k) for k in edges)
 
 
 class TestFinalize:
@@ -340,8 +340,6 @@ class TestFinalize:
         cls = out[(1, 2)]
         assert cls.rel is RelType.C2P
         assert cls.method == "deterministic-p1"
-        assert cls.share_c2p == pytest.approx(0.8)
-        assert cls.votes == 5
 
     def test_threshold_missed_stays_unclassified(self):
         g = build_graph([trace(1, 2)])
@@ -352,7 +350,6 @@ class TestFinalize:
         cls = out[(1, 2)]
         assert cls.rel is RelType.UNCLASSIFIED
         assert cls.method == "unclassified"
-        assert cls.share_c2p == pytest.approx(0.75)
 
     def test_phase2_votes_tagged_p2(self):
         g = build_graph([trace(1, 2)])
@@ -375,8 +372,7 @@ class TestFinalize:
         out = finalize(g, InferenceConfig(), noedge_core(99))
         cls = out[(1, 2)]
         assert cls.rel is RelType.UNCLASSIFIED
-        assert cls.valley_only
-        assert cls.invalid_votes == 1
+        assert cls.method == "unclassified"
 
     def test_every_graph_edge_gets_a_record(self):
         g = build_graph([trace(1, 2, 3), trace(7, 8)])

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,14 +12,14 @@ from asrel.graph import (
     Classification,
     Corpus,
     RelType,
-    VoteTally,
     compile_corpus,
     edge_key,
     oriented,
+    vote_shares,
 )
 from asrel.ingest import build_graph
 
-from oracles import vote, vote_invalid
+from oracles import tally, vote, vote_invalid
 
 asns = st.integers(min_value=1, max_value=MAX_ASN)
 
@@ -75,23 +77,27 @@ class TestRelType:
 
 class TestVoteTally:
     def test_shares_sum_to_one_when_voted(self):
-        tally = VoteTally(low_customer=3, high_customer=1, p2p=1, invalid=2)
-        c2p, p2c, p2p = tally.shares()
+        c2p, p2c, p2p = vote_shares(3, 1, 1)
         assert c2p == pytest.approx(0.6)
         assert p2c == pytest.approx(0.2)
         assert p2p == pytest.approx(0.2)
         assert c2p + p2c + p2p == pytest.approx(1.0)
 
     def test_invalid_votes_excluded_from_shares(self):
-        tally = VoteTally(low_customer=4, invalid=100)
-        assert tally.shares() == (1.0, 0.0, 0.0)
+        g = AsGraph()
+        g.add_edge(1, 2)
+        vote(g, 1, 2, RelType.C2P, weight=4)
+        vote_invalid(g, 1, 2, weight=100)
+        low, high, p2p, invalid = (counter[0] for counter in g.counters)
+        assert invalid == 100
+        assert vote_shares(low, high, p2p) == (1.0, 0.0, 0.0)
 
     def test_unvoted_tally_gives_zero_shares(self):
-        assert VoteTally().shares() == (0.0, 0.0, 0.0)
-        assert VoteTally(invalid=5).shares() == (0.0, 0.0, 0.0)
+        assert vote_shares(0, 0, 0) == (0.0, 0.0, 0.0)
 
     def test_classification_votes(self):
-        assert VoteTally(low_customer=2, high_customer=1, p2p=3).classification_votes() == 6
+        # The shares divide by the classification votes, low + high + p2p.
+        assert vote_shares(2, 1, 3) == (2 / 6, 1 / 6, 3 / 6)
 
 
 class TestAsPath:
@@ -151,7 +157,7 @@ class TestAsGraph:
         vote(g, 1, 2, RelType.C2P)
         g.add_edge(1, 2)
         assert g.n_edges == 2
-        assert g.tally((1, 2)).classification_votes() == 1
+        assert tally(g, (1, 2)).votes() == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -161,22 +167,22 @@ class TestAsGraph:
         g = self.build()
         # 2 is the customer in c2p(2, 1): high endpoint of (1, 2).
         vote(g, 2, 1, RelType.C2P)
-        tally = g.tally((1, 2))
-        assert tally.high_customer == 1 and tally.low_customer == 0
+        counts = tally(g, (1, 2))
+        assert counts.high_customer == 1 and counts.low_customer == 0
         vote(g, 1, 2, RelType.C2P)
-        assert g.tally((1, 2)).low_customer == 1
+        assert tally(g, (1, 2)).low_customer == 1
 
     def test_vote_p2c_mirrors_c2p(self):
         g = self.build()
         vote(g, 1, 2, RelType.P2C)  # 2 is the customer
         vote(g, 2, 1, RelType.C2P)  # same claim from the other direction
-        tally = g.tally((1, 2))
-        assert tally.high_customer == 2
+        counts = tally(g, (1, 2))
+        assert counts.high_customer == 2
 
     def test_vote_weight_multiplies(self):
         g = self.build()
         vote(g, 1, 2, RelType.P2P, weight=5)
-        assert g.tally((1, 2)).p2p == 5
+        assert tally(g, (1, 2)).p2p == 5
 
     def test_vote_unknown_edge_rejected(self):
         with pytest.raises(UnknownEdgeError):
@@ -185,9 +191,9 @@ class TestAsGraph:
     def test_invalid_vote_kept_separate(self):
         g = self.build()
         vote_invalid(g, 1, 2)
-        tally = g.tally((1, 2))
-        assert tally.invalid == 1
-        assert tally.classification_votes() == 0
+        counts = tally(g, (1, 2))
+        assert counts.invalid == 1
+        assert counts.votes() == 0
 
     def test_copy_unvoted_shares_structure_not_tallies(self):
         g = self.build()
@@ -195,10 +201,10 @@ class TestAsGraph:
         clone = g.copy_unvoted()
         assert clone.edges == g.edges
         assert clone.edge_keys is g.edge_keys
-        assert clone.tally((1, 2)).classification_votes() == 0
+        assert tally(clone, (1, 2)).votes() == 0
         vote(clone, 2, 3, RelType.C2P)
-        assert g.tally((2, 3)).classification_votes() == 0
-        assert g.tally((1, 2)).p2p == 1
+        assert tally(g, (2, 3)).votes() == 0
+        assert tally(g, (1, 2)).p2p == 1
 
     @given(
         st.lists(
@@ -276,13 +282,10 @@ class TestCompileCorpus:
 
 class TestClassification:
     def test_classified_flag(self):
-        cls = Classification((1, 2), RelType.C2P, "deterministic-p1", 1.0, 0.0, 0.0, 4, 0)
+        cls = Classification((1, 2), RelType.C2P, "deterministic-p1")
         assert cls.classified
-        un = Classification((1, 2), RelType.UNCLASSIFIED, "unclassified", 0.5, 0.5, 0.0, 4, 0)
+        un = Classification((1, 2), RelType.UNCLASSIFIED, "unclassified")
         assert not un.classified
 
-    def test_valley_only_requires_invalid_and_no_votes(self):
-        valley = Classification((1, 2), RelType.UNCLASSIFIED, "unclassified", 0.0, 0.0, 0.0, 0, 3)
-        assert valley.valley_only
-        voted = Classification((1, 2), RelType.UNCLASSIFIED, "unclassified", 0.5, 0.5, 0.0, 2, 3)
-        assert not voted.valley_only
+    def test_fields_are_the_label_only(self):
+        assert [f.name for f in fields(Classification)] == ["edge", "rel", "method"]

@@ -1,4 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asrel.errors import ConfigurationError
 from asrel.graph import AsGraph, AsPath, Classification, RelType, compile_corpus
@@ -10,21 +14,17 @@ from asrel.heuristics import (
 )
 from asrel.ingest import build_graph
 
+from oracles import vote, vote_invalid
+
 
 def trace(*hops):
     return AsPath(tuple(hops), "trace", "a", 1)
 
 
-def cls(key, rel, method="deterministic-p1", votes=1, invalid=0):
-    shares = {
-        RelType.C2P: (1.0, 0.0, 0.0),
-        RelType.P2C: (0.0, 1.0, 0.0),
-        RelType.P2P: (0.0, 0.0, 1.0),
-        RelType.UNCLASSIFIED: (0.0, 0.0, 0.0),
-    }[rel]
+def cls(key, rel, method="deterministic-p1"):
     if rel is RelType.UNCLASSIFIED:
         method = "unclassified"
-    return Classification(key, rel, method, *shares, votes, invalid)
+    return Classification(key, rel, method)
 
 
 def gap_p2p(paths, classifications):
@@ -50,7 +50,7 @@ class TestGapP2P:
         path = trace(1, 2, 3, 4)
         classifications = table(
             cls((1, 2), RelType.C2P),
-            cls((2, 3), RelType.UNCLASSIFIED, votes=0),
+            cls((2, 3), RelType.UNCLASSIFIED),
             cls((3, 4), RelType.P2C),
         )
         updates = gap_p2p([path], classifications)
@@ -64,13 +64,13 @@ class TestGapP2P:
         path = trace(4, 3, 2, 1)
         classifications = table(
             cls((3, 4), RelType.C2P),   # 4 -> 3 is c2p
-            cls((2, 3), RelType.UNCLASSIFIED, votes=0),
+            cls((2, 3), RelType.UNCLASSIFIED),
             cls((1, 2), RelType.P2C),   # 2 -> 1 is p2c
         )
         assert set(gap_p2p([path], classifications)) == set()
         flipped = table(
             cls((3, 4), RelType.P2C),   # 4 -> 3 is c2p in traversal order
-            cls((2, 3), RelType.UNCLASSIFIED, votes=0),
+            cls((2, 3), RelType.UNCLASSIFIED),
             cls((1, 2), RelType.C2P),   # 2 -> 1 is p2c in traversal order
         )
         updates = gap_p2p([path], flipped)
@@ -79,7 +79,7 @@ class TestGapP2P:
     def test_boundary_gap_ignored(self):
         path = trace(1, 2, 3)
         classifications = table(
-            cls((1, 2), RelType.UNCLASSIFIED, votes=0),
+            cls((1, 2), RelType.UNCLASSIFIED),
             cls((2, 3), RelType.P2C),
         )
         assert gap_p2p([path], classifications) == {}
@@ -88,8 +88,8 @@ class TestGapP2P:
         path = trace(1, 2, 3, 4, 5)
         classifications = table(
             cls((1, 2), RelType.C2P),
-            cls((2, 3), RelType.UNCLASSIFIED, votes=0),
-            cls((3, 4), RelType.UNCLASSIFIED, votes=0),
+            cls((2, 3), RelType.UNCLASSIFIED),
+            cls((3, 4), RelType.UNCLASSIFIED),
             cls((4, 5), RelType.P2C),
         )
         assert gap_p2p([path], classifications) == {}
@@ -98,7 +98,7 @@ class TestGapP2P:
         path = trace(1, 2, 3, 4)
         classifications = table(
             cls((1, 2), RelType.P2P),
-            cls((2, 3), RelType.UNCLASSIFIED, votes=0),
+            cls((2, 3), RelType.UNCLASSIFIED),
             cls((3, 4), RelType.P2C),
         )
         assert gap_p2p([path], classifications) == {}
@@ -112,18 +112,8 @@ class TestGapP2P:
         )
         assert gap_p2p([path], classifications) == {}
 
-    def test_shares_carried_from_base_record(self):
-        base = Classification(
-            (2, 3), RelType.UNCLASSIFIED, "unclassified", 0.5, 0.25, 0.25, 4, 1
-        )
-        classifications = table(
-            cls((1, 2), RelType.C2P), base, cls((3, 4), RelType.P2C)
-        )
-        updates = gap_p2p([trace(1, 2, 3, 4)], classifications)
-        updated = updates[(2, 3)]
-        assert updated.share_c2p == 0.5
-        assert updated.votes == 4
-        assert updated.invalid_votes == 1
+
+MODES = ["degree", "kshell"]
 
 
 class TestTiebreak:
@@ -181,6 +171,23 @@ class TestTiebreak:
         )
         assert rel is RelType.C2P
 
+    @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from(MODES))
+    def test_one_rule_gives_each_mode_its_own(self, rank_low, rank_high, mode):
+        # Degree mode peers within PEER_DEGREE_RATIO, k-shell mode peers
+        # equal shells; otherwise the higher-ranked endpoint is the provider.
+        ranks = {1: rank_low, 2: rank_high}
+        graph = SimpleNamespace(degree=ranks.__getitem__)
+        rel, method = tiebreak((1, 2), graph, HeuristicConfig(mode), ranks)
+        if mode == "kshell":
+            peer = rank_low == rank_high
+        else:
+            peer = min(rank_low, rank_high) / max(rank_low, rank_high) >= 0.8
+        if peer:
+            assert rel is RelType.P2P
+        else:
+            assert rel is (RelType.P2C if rank_low > rank_high else RelType.C2P)
+        assert method == f"{mode}-tiebreak"
+
     def test_kshell_requires_index(self):
         with pytest.raises(ConfigurationError):
             tiebreak((1, 2), AsGraph(), HeuristicConfig(tiebreak="kshell"))
@@ -196,16 +203,20 @@ class TestApplyTiebreaks:
         g.add_edge(1, 2)
         g.add_edge(3, 4)
         g.add_edge(5, 6)
+        g.add_edge(7, 8)
+        vote_invalid(g, 5, 6, weight=2)
+        # Split votes and an invalid one: unclassified, but not valley-only.
+        vote(g, 7, 8, RelType.C2P)
+        vote(g, 7, 8, RelType.P2C)
+        vote_invalid(g, 7, 8)
         classifications = table(
             cls((1, 2), RelType.C2P),
-            cls((3, 4), RelType.UNCLASSIFIED, votes=0),
-            Classification(
-                (5, 6), RelType.UNCLASSIFIED, "unclassified",
-                0.0, 0.0, 0.0, 0, 2,
-            ),
+            cls((3, 4), RelType.UNCLASSIFIED),
+            cls((5, 6), RelType.UNCLASSIFIED),
+            cls((7, 8), RelType.UNCLASSIFIED),
         )
         updates = apply_tiebreaks(
             g, classifications, HeuristicConfig(tiebreak="degree")
         )
-        assert set(updates) == {(3, 4)}
-        assert updates[(3, 4)].rel is RelType.P2P
+        assert set(updates) == {(3, 4), (7, 8)}
+        assert updates[(3, 4)] == Classification((3, 4), RelType.P2P, "degree-tiebreak")

@@ -17,6 +17,8 @@ from asrel.ingest import (
     read_path_file,
 )
 
+from oracles import filter_single_agent_edges as reference_filter
+
 
 class TestSiblingSet:
     def test_representative_is_minimum_of_group(self):
@@ -300,6 +302,26 @@ class TestTwoAgentFilter:
         for p in kept:
             for u, v in p.edges():
                 assert len(observers[tuple(sorted((u, v)))]) >= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                lambda hops, source, agent, weight: AsPath(
+                    tuple(hops), source, agent if source == "trace" else "", weight
+                ),
+                st.lists(st.integers(1, 8), min_size=2, max_size=7).filter(
+                    lambda hops: all(u != v for u, v in zip(hops, hops[1:]))
+                ),
+                st.sampled_from(["bgp", "trace", "trace"]),
+                st.sampled_from(["", "a", "b", "c"]),
+                st.integers(1, 3),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_agent_set_reference(self, paths):
+        assert filter_single_agent_edges(paths) == reference_filter(paths)
 
 
 class TestIngestPipeline:

@@ -27,10 +27,15 @@ from asrel.metrics import (
 from oracles import vote, vote_invalid
 
 
-def cls(key, rel, method="deterministic-p1", votes=1, invalid=0):
+def cls(key, rel, method="deterministic-p1"):
     if rel is RelType.UNCLASSIFIED:
         method = "unclassified"
-    return Classification(key, rel, method, 0.0, 0.0, 0.0, votes, invalid)
+    return Classification(key, rel, method)
+
+
+def labels(*records):
+    """A run's classifications mapping."""
+    return {record.edge: record for record in records}
 
 
 class TestLoadReference:
@@ -110,7 +115,7 @@ class TestCompare:
         assert result.both_classified == 1
 
     def test_unclassified_edges_not_counted_as_both(self):
-        ours = [cls((1, 2), RelType.UNCLASSIFIED, votes=0)]
+        ours = [cls((1, 2), RelType.UNCLASSIFIED)]
         ref = ReferenceSet({(1, 2): RelType.P2P})
         result = compare(ours, ref)
         assert result.edges_total == 1
@@ -120,23 +125,8 @@ class TestCompare:
         ours = [cls((1, 2), RelType.P2P)]
         ref = ReferenceSet({(1, 2): RelType.S2S})
         result = compare(ours, ref)
-        assert result.s2s_unmerged == 1
-        assert result.both_classified == 0
-
-    def test_sibling_db_records_excluded_from_edge_universe(self):
-        ours = [
-            cls((1, 2), RelType.P2P),
-            Classification((3, 4), RelType.S2S, "sibling-db", 0, 0, 0, 0, 0),
-        ]
-        result = compare(ours, ReferenceSet({(1, 2): RelType.P2P}))
         assert result.edges_total == 1
-
-    def test_reference_only_counted(self):
-        result = compare(
-            [cls((1, 2), RelType.P2P)],
-            ReferenceSet({(1, 2): RelType.P2P, (7, 8): RelType.P2P}),
-        )
-        assert result.reference_only == 1
+        assert result.both_classified == 0
 
     @given(
         st.dictionaries(
@@ -159,47 +149,36 @@ class TestCompare:
             assert result.pct_match_overall == pytest.approx(
                 100 * result.matches / result.edges_total
             )
-        assert result.reference_only == len(
-            [k for k in theirs if k not in ours]
-        )
 
 
 class TestStability:
     def test_identical_runs(self):
-        records = [cls((1, 2), RelType.P2P), cls((3, 4), RelType.C2P)]
-        value, shared = stability(records, list(records))
+        records = labels(cls((1, 2), RelType.P2P), cls((3, 4), RelType.C2P))
+        value, shared = stability(records, dict(records))
         assert value == 1.0
         assert shared == 2
 
     def test_one_flip_among_hundred(self):
-        a = [cls((i, i + 500), RelType.P2P) for i in range(1, 101)]
-        b = [cls((i, i + 500), RelType.P2P) for i in range(1, 100)]
-        b.append(cls((100, 600), RelType.C2P))
+        a = labels(*(cls((i, i + 500), RelType.P2P) for i in range(1, 101)))
+        b = labels(*(cls((i, i + 500), RelType.P2P) for i in range(1, 100)))
+        b[(100, 600)] = cls((100, 600), RelType.C2P)
         value, shared = stability(a, b)
         assert shared == 100
         assert value == pytest.approx(0.99)
 
     def test_disjoint_runs_undefined(self):
         value, shared = stability(
-            [cls((1, 2), RelType.P2P)], [cls((3, 4), RelType.P2P)]
+            labels(cls((1, 2), RelType.P2P)), labels(cls((3, 4), RelType.P2P))
         )
         assert value is None
         assert shared == 0
 
     def test_unclassified_edges_not_shared(self):
-        a = [cls((1, 2), RelType.P2P), cls((3, 4), RelType.UNCLASSIFIED, votes=0)]
-        b = [cls((1, 2), RelType.P2P), cls((3, 4), RelType.C2P)]
+        a = labels(cls((1, 2), RelType.P2P), cls((3, 4), RelType.UNCLASSIFIED))
+        b = labels(cls((1, 2), RelType.P2P), cls((3, 4), RelType.C2P))
         value, shared = stability(a, b)
         assert shared == 1
         assert value == 1.0
-
-    def test_sibling_records_not_shared(self):
-        sibling = cls((5, 6), RelType.S2S, method="sibling-db", votes=0)
-        a = [cls((1, 2), RelType.P2P), sibling]
-        b = [cls((1, 2), RelType.C2P), sibling]
-        value, shared = stability(a, b)
-        assert shared == 1
-        assert value == 0.0
 
 
 class TestHistogram:
@@ -275,8 +254,7 @@ class TestSummaries:
             cls((1, 2), RelType.C2P, "deterministic-p1"),
             cls((3, 4), RelType.P2C, "deterministic-p2"),
             cls((5, 6), RelType.P2P, "gap-p2p"),
-            cls((7, 8), RelType.UNCLASSIFIED, votes=0),
-            Classification((9, 10), RelType.S2S, "sibling-db", 0, 0, 0, 0, 0),
+            cls((7, 8), RelType.UNCLASSIFIED),
         ]
 
     def test_counts_and_shares(self):
@@ -285,7 +263,6 @@ class TestSummaries:
         )
         assert edges == 4
         assert counts["deterministic-p1"] == 1
-        assert counts["sibling-db"] == 1
         assert pct_cls == pytest.approx(75.0)
         assert pct_det == pytest.approx(50.0)
         assert pct_heu == pytest.approx(25.0)
@@ -313,10 +290,16 @@ class TestCsvWriters:
 
     def test_classifications_format(self):
         buf = io.StringIO()
-        record = Classification(
-            (3, 7), RelType.C2P, "deterministic-p1", 1.0, 0.0, 0.0, 5, 1
-        )
-        write_classifications_csv([record], buf)
+        g = AsGraph()
+        g.add_edge(3, 7)
+        vote(g, 3, 7, RelType.C2P, weight=5)
+        vote_invalid(g, 3, 7)
+        records = [
+            Classification((3, 7), RelType.C2P, "deterministic-p1"),
+            Classification((8, 9), RelType.S2S, "sibling-db"),
+        ]
+        write_classifications_csv(records, g, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == CLASSIFICATION_HEADER
         assert lines[1] == "3,7,c2p,deterministic-p1,1.000000,0.000000,0.000000,1"
+        assert lines[2] == "8,9,s2s,sibling-db,0.000000,0.000000,0.000000,0"

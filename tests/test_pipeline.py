@@ -1,3 +1,5 @@
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -12,10 +14,10 @@ from asrel import pipeline as pipeline_module
 from asrel.core import CoreGraph, corrupt_core
 from asrel.engine import InferenceConfig
 from asrel.errors import CorruptionInfeasibleError
-from asrel.graph import AsPath, RelType, edge_key
+from asrel.graph import AsPath, RelType, edge_key, vote_shares
 from asrel.heuristics import HeuristicConfig
 from asrel.ingest import RawPath, SiblingSet, build_graph, ingest_paths
-from asrel.metrics import ReferenceSet
+from asrel.metrics import CLASSIFICATION_HEADER, ReferenceSet, write_classifications_csv
 from asrel.pipeline import (
     core_size_sweep,
     corruption_sweep,
@@ -23,6 +25,8 @@ from asrel.pipeline import (
     summarize,
 )
 from asrel.synth import GenConfig, NoiseConfig, generate, sample_paths
+
+from oracles import tally
 
 
 def trace(*hops):
@@ -39,9 +43,9 @@ def tiny_run(**kwargs):
 class TestRunInference:
     def test_input_graph_never_mutated(self):
         result, graph = tiny_run()
-        assert graph.tally((1, 2)).classification_votes() == 0
+        assert tally(graph, (1, 2)).votes() == 0
         assert result.graph is not graph
-        assert result.graph.tally((1, 2)).classification_votes() == 1
+        assert tally(result.graph, (1, 2)).votes() == 1
 
     def test_every_edge_classified_or_reported(self):
         result, graph = tiny_run()
@@ -124,6 +128,24 @@ class TestSummarize:
         )
         metrics = summarize(result, reference)
         assert metrics.pct_match_reference_overall == pytest.approx(50.0)
+        assert metrics.pct_match_reference_both == pytest.approx(100.0)
+
+    def test_sibling_pairs_counted_apart_from_edges(self):
+        # Declared sibling pairs are not edges: they count only under their
+        # own method, never in the edge count, shares or agreement.
+        siblings = SiblingSet()
+        siblings.merge(100, 200)
+        siblings.merge(300, 400)
+        paths = [trace(1, 2, 3, 4, 5)]
+        graph = build_graph(paths)
+        result = run_inference(graph, paths, CoreGraph({3}), siblings=siblings)
+        reference = ReferenceSet({(1, 2): RelType.C2P, (100, 200): RelType.S2S})
+        metrics = summarize(result, reference)
+        assert metrics.edges == graph.n_edges == 4
+        assert metrics.method_counts["sibling-db"] == 2
+        assert sum(metrics.method_counts.values()) == 4 + 2
+        assert metrics.pct_classified == pytest.approx(100.0)
+        assert metrics.pct_match_reference_overall == pytest.approx(25.0)
         assert metrics.pct_match_reference_both == pytest.approx(100.0)
 
     def test_histogram_populated(self):
@@ -302,18 +324,26 @@ class TestSweeps:
 NOISY = NoiseConfig(loop_prob=0.1, valley_prob=0.1, prepend_prob=0.1)
 
 
-def full_run(raws, truth, replace, tiebreak):
+def full_run(raws, truth, replace, tiebreak, siblings=None):
     """Ingest, graph, a corrupted true core, inference and its metrics."""
-    paths, report = ingest_paths(raws)
+    paths, report = ingest_paths(raws, siblings)
     graph = build_graph(paths)
     try:
         core = corrupt_core(truth.true_core(), graph, replace, seed=1)
     except CorruptionInfeasibleError:
         reject()
     result = run_inference(
-        graph, paths, core, InferenceConfig(), HeuristicConfig(tiebreak)
+        graph, paths, core, InferenceConfig(), HeuristicConfig(tiebreak),
+        siblings=siblings,
     )
     return result, summarize(result), report
+
+
+def classification_rows(result):
+    """The classifications.csv rows of a run, as lists of fields."""
+    buf = io.StringIO()
+    write_classifications_csv(result.all_records(), result.graph, buf)
+    return list(csv.reader(io.StringIO(buf.getvalue())))
 
 
 class TestMetamorphic:
@@ -343,6 +373,7 @@ class TestMetamorphic:
         a, metrics_a, _ = full_run(raws, truth, **run)
         b, metrics_b, _ = full_run(shuffled, truth, **run)
         assert a.all_records() == b.all_records()
+        assert classification_rows(a) == classification_rows(b)
         assert a.phase2_rounds == b.phase2_rounds
         assert metrics_a.row() == metrics_b.row()
 
@@ -364,9 +395,48 @@ class TestMetamorphic:
         a, metrics_a, report_a = full_run(weighted, truth, **run)
         b, metrics_b, report_b = full_run(copies, truth, **run)
         assert a.all_records() == b.all_records()
+        assert classification_rows(a) == classification_rows(b)
         assert metrics_a.row() == metrics_b.row()
         assert metrics_a.histogram == metrics_b.histogram
         assert report_a == report_b
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.data(), runs)
+    def test_rows_read_the_run_graph_counters(self, seed, data, run):
+        # Records hold labels only; each classifications.csv row takes its
+        # shares and invalid votes from the run graph's counters, and a
+        # declared sibling pair, which is not an edge, gets zeros.
+        truth, raws = self.corpus(seed)
+        core = truth.true_core().vertices
+        ases = sorted({h for raw in raws for h in raw.hops} - core)
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(ases), st.sampled_from(ases)).filter(
+                    lambda pair: pair[0] != pair[1]
+                ),
+                max_size=6,
+            )
+        )
+        siblings = SiblingSet()
+        for a, b in pairs:
+            siblings.merge(a, b)
+        result, _, _ = full_run(raws, truth, **run, siblings=siblings)
+        work = result.graph
+        header, *rows = classification_rows(result)
+        assert ",".join(header) == CLASSIFICATION_HEADER
+        assert len(rows) == work.n_edges + len(siblings.pairs())
+        for low, high, rel, method, *shares, invalid in rows:
+            key = (int(low), int(high))
+            assert (method == "unclassified") == (rel == "unclassified")
+            e = work.edge_index.get(key)
+            if e is None:
+                assert (rel, method) == ("s2s", "sibling-db")
+                assert key in siblings.pairs()
+                assert shares == ["0.000000"] * 3 and invalid == "0"
+                continue
+            low, high, p2p = work.low_customer[e], work.high_customer[e], work.p2p[e]
+            assert shares == [f"{share:.6f}" for share in vote_shares(low, high, p2p)]
+            assert int(invalid) == work.invalid[e]
 
     @staticmethod
     def infer_outputs(root, files, siblings=None):
@@ -513,11 +583,10 @@ class TestMetamorphic:
             other = b.classifications[new_key]
             assert other.rel is relabel(key, cls.rel)[1]
             assert other.method == cls.method
-            assert (other.votes, other.invalid_votes) == (cls.votes, cls.invalid_votes)
-            shares = (cls.share_c2p, cls.share_p2c, cls.share_p2p)
+            low, high, p2p, invalid = tally(a.graph, key)
             if flips:
-                shares = (cls.share_p2c, cls.share_c2p, cls.share_p2p)
-            assert (other.share_c2p, other.share_p2c, other.share_p2p) == shares
+                low, high = high, low
+            assert tally(b.graph, new_key) == (low, high, p2p, invalid)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), runs, st.data())
