@@ -7,6 +7,7 @@ scorecard at the end. Run with python3.
 """
 
 from collections import Counter
+from dataclasses import asdict
 
 from asrel import (
     GenConfig,
@@ -19,6 +20,7 @@ from asrel import (
     sample_paths,
     summarize,
 )
+from asrel.metrics import vote_share_histogram
 
 CFG = GenConfig(
     tier_sizes=(6, 18, 60),
@@ -44,7 +46,7 @@ def main():
 
     paths, report = ingest_paths(raw)
     print("ingest cleanup:")
-    for key, value in report.as_dict().items():
+    for key, value in asdict(report).items():
         print(f"  {key}: {value}")
     print(f"  kept {len(paths)} distinct paths, "
           f"{sum(p.weight for p in paths)} observations")
@@ -72,9 +74,10 @@ def main():
     print("  middle had genuinely conflicting evidence. Here the last bin is")
     print("  the hierarchy (lower AS number = higher tier = provider) and the")
     print("  first bin is peering, whose votes are p2p rather than p2c.")
-    for lo, hi, count in metrics.histogram:
+    histogram = vote_share_histogram(result.graph)
+    for lo, hi, count in histogram:
         if count:
-            bar = "#" * max(1, count * 60 // max(c for _, _, c in metrics.histogram))
+            bar = "#" * max(1, count * 60 // max(c for _, _, c in histogram))
             print(f"  [{lo:.2f}, {hi:.2f}) {count:5d} {bar}")
 
     work = result.graph

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from contextlib import ExitStack, contextmanager
+from dataclasses import asdict
 from typing import Iterator, Sequence, TextIO
 
 from .core import (
@@ -30,13 +31,14 @@ from .core import (
 )
 from .engine import InferenceConfig
 from .errors import AsrelError, ConfigurationError, ParseError
-from .graph import AsGraph, Corpus, compile_corpus
+from .graph import AsGraph
 from .heuristics import HeuristicConfig
 from .ingest import IngestReport, SiblingSet, build_graph, load_corpus, load_sibling_pairs
 from .metrics import (
     ReferenceSet,
     load_reference,
     stability,
+    vote_share_histogram,
     write_classifications_csv,
     write_histogram_csv,
     write_metrics_csv,
@@ -70,8 +72,8 @@ FLAGS: dict[str, dict] = {
     "--peer-edges": dict(
         metavar="FILE", help="external peer edge list for --core-method external"
     ),
-    "--threshold": dict(type=float, default=0.8, metavar="F"),
-    "--max-core-hops": dict(type=int, default=3, metavar="N"),
+    "--threshold": dict(type=float, default=InferenceConfig.threshold, metavar="F"),
+    "--max-core-hops": dict(type=int, default=InferenceConfig.max_core_hops, metavar="N"),
     "--tiebreak": dict(
         choices=("degree", "kshell"),
         help="classify leftover edges by structural rank (off by default)",
@@ -168,9 +170,9 @@ def _lines(name: str, handle: TextIO) -> Iterator[str]:
 
 def _load_graph(
     args, suffix: str = ""
-) -> tuple[SiblingSet | None, Corpus, IngestReport, AsGraph]:
-    """Siblings, cleaned paths compiled against the graph, ingest report
-    and graph of one corpus.
+) -> tuple[SiblingSet | None, IngestReport, AsGraph]:
+    """Siblings, ingest report and graph of one corpus; the graph keeps the
+    cleaned paths, compiled, as graph.corpus.
 
     ``suffix`` selects the corpus flags: "" for the main corpus, "_b" for
     the second window of window-stability.
@@ -186,8 +188,7 @@ def _load_graph(
         paths, report = load_corpus(streams[:n_bgp], streams[n_bgp:], siblings)
     if not paths:
         raise ParseError("no usable paths in the input corpus")
-    graph = build_graph(paths)
-    return siblings, compile_corpus(graph, paths), report, graph
+    return siblings, report, build_graph(paths)
 
 
 def _core_source(args) -> str:
@@ -243,11 +244,11 @@ def _write_json(payload: dict, path: str) -> None:
 
 
 def _run_window(args, suffix: str = ""):
-    siblings, paths, report, graph = _load_graph(args, suffix)
+    siblings, report, graph = _load_graph(args, suffix)
     core = _build_core(args, _core_source(args), graph)
     engine_config, heuristic_config = _configs(args)
     result = run_inference(
-        graph, paths, core, engine_config, heuristic_config, siblings=siblings
+        graph, graph.corpus, core, engine_config, heuristic_config, siblings=siblings
     )
     return result, report, siblings
 
@@ -262,8 +263,8 @@ def cmd_infer(args) -> str:
     with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as fh:
         write_metrics_csv([metrics.row()], fh)
     with open(os.path.join(out, "histogram.csv"), "w", encoding="utf-8") as fh:
-        write_histogram_csv(metrics.histogram, fh)
-    _write_json(report.as_dict(), os.path.join(out, "ingest_report.json"))
+        write_histogram_csv(vote_share_histogram(result.graph), fh)
+    _write_json(asdict(report), os.path.join(out, "ingest_report.json"))
     return (
         f"classified {metrics.pct_classified:.1f}% of {metrics.edges} edges "
         f"({metrics.pct_deterministic:.1f}% deterministic), "
@@ -272,7 +273,7 @@ def cmd_infer(args) -> str:
 
 
 def cmd_build_core(args) -> str:
-    _siblings, _paths, _report, graph = _load_graph(args)
+    _siblings, _report, graph = _load_graph(args)
     core = _build_core(args, _core_source(args), graph)
 
     with open(os.path.join(args.out, "core.txt"), "w", encoding="utf-8") as fh:
@@ -328,19 +329,19 @@ def _write_experiment(args, rows: list[dict[str, object]]) -> str:
 
 
 def cmd_core_sweep(args) -> str:
-    siblings, paths, _report, graph = _load_graph(args)
+    siblings, _report, graph = _load_graph(args)
     engine_config, heuristic_config = _configs(args)
     reference = _load_reference(args, siblings)
     sizes = _parse_sizes(args.sweep_sizes)
     rows = core_size_sweep(
-        graph, paths, args.grow_strategy, sizes,
+        graph, graph.corpus, args.grow_strategy, sizes,
         engine_config, heuristic_config, reference,
     )
     return _write_experiment(args, rows)
 
 
 def cmd_corruption(args) -> str:
-    siblings, paths, _report, graph = _load_graph(args)
+    siblings, _report, graph = _load_graph(args)
     engine_config, heuristic_config = _configs(args)
     reference = _load_reference(args, siblings)
     core = _build_core(args, _core_source(args), graph)
@@ -349,7 +350,7 @@ def cmd_corruption(args) -> str:
         raise ConfigurationError("--corruption-seeds must be >= 1")
     seeds = [args.seed + i for i in range(args.corruption_seeds)]
     rows = corruption_sweep(
-        graph, paths, core, fractions, seeds,
+        graph, graph.corpus, core, fractions, seeds,
         engine_config, heuristic_config, reference,
     )
     return _write_experiment(args, rows)

@@ -257,13 +257,6 @@ def corrupt_core(
     return CoreGraph(current, edges, preassigned)
 
 
-_REL_TOKENS = {
-    "p2p": RelType.P2P,
-    "c2p": RelType.C2P,
-    "p2c": RelType.P2C,
-}
-
-
 def write_core_file(core: CoreGraph, stream: TextIO) -> None:
     for v in sorted(core.vertices):
         stream.write(f"v {v}\n")
@@ -300,9 +293,9 @@ def read_core_file(
             vertices.update(key)
             edges.add(key)
             if len(tokens) == 3:
-                rel = _REL_TOKENS.get(tokens[2])
-                if rel is None:
+                if tokens[2] not in ("c2p", "p2c", "p2p"):
                     raise ValueError(f"unknown relationship {tokens[2]!r}")
+                rel = RelType(tokens[2])
                 # The file stores the relationship in written (a, b) order;
                 # oriented() is its own inverse, so it also canonicalizes
                 # back to low->high.

@@ -104,15 +104,8 @@ class PathPartition:
     periphery: Corpus
     invalid: Corpus
 
-    @property
-    def total(self) -> int:
-        """Observations in all three classes: each path counts its weight."""
-        return self.through_core.weight + self.periphery.weight + self.invalid.weight
 
-
-def partition_paths(
-    paths: Corpus, core: CoreGraph, max_core_hops: int = 3
-) -> PathPartition:
+def partition_paths(paths: Corpus, core: CoreGraph, max_core_hops: int) -> PathPartition:
     """Split paths into core-traversing, periphery, and invalid.
 
     A path traverses the core if any hop is a core vertex. A path whose

@@ -23,6 +23,8 @@ from typing import Iterable, Iterator
 from .errors import ParameterError, SelfLoopError, UnknownEdgeError
 
 MAX_ASN = 2**32 - 1
+# The largest path weight: a Corpus stores weights as 8-byte signed ints.
+MAX_WEIGHT = 2**63 - 1
 
 EdgeKey = tuple[int, int]
 
@@ -93,8 +95,8 @@ class AsPath:
             raise ParameterError(f"path needs at least 2 hops, got {self.hops!r}")
         if self.source not in ("bgp", "trace"):
             raise ParameterError(f"unknown path source {self.source!r}")
-        if self.weight < 1:
-            raise ParameterError(f"path weight must be >= 1, got {self.weight}")
+        if not 1 <= self.weight <= MAX_WEIGHT:
+            raise ParameterError(f"path weight out of range: {self.weight}")
         hops = self.hops
         if min(hops) < 1 or max(hops) > MAX_ASN:
             bad = next(h for h in hops if not 1 <= h <= MAX_ASN)
@@ -339,11 +341,11 @@ def compile_corpus(graph: AsGraph, paths: Iterable[AsPath]) -> Corpus:
     when paths equal the paths the graph was built from and the graph has
     gained no edge since.
     """
-    if isinstance(paths, Corpus) and paths.edge_index is graph.edge_index:
-        return paths
-    corpus = graph.corpus
-    if corpus is None or corpus.n_edges != graph.n_edges or corpus.paths != paths:
-        corpus = Corpus(graph, paths)
+    corpus = paths
+    if not (isinstance(corpus, Corpus) and corpus.edge_index is graph.edge_index):
+        corpus = graph.corpus
+        if corpus is None or corpus.n_edges != graph.n_edges or corpus.paths != paths:
+            corpus = Corpus(graph, paths)
     # Built before any subset() is taken, so that the subsets share it.
     corpus.incidence
     return corpus

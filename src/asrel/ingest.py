@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError
-from .graph import MAX_ASN, AsGraph, AsPath, Corpus, EdgeKey, RelType, edge_key
+from .graph import (
+    MAX_ASN, MAX_WEIGHT, AsGraph, AsPath, Corpus, EdgeKey, RelType, edge_key
+)
 
 
 class SiblingSet:
@@ -219,9 +221,6 @@ class IngestReport:
     edges_filtered_single_agent: int = 0
     paths_split: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
-
 
 @dataclass(frozen=True, slots=True)
 class RawPath:
@@ -376,6 +375,7 @@ def ingest_paths(
 
     Paths that normalize to the same hops, source and agent become one
     AsPath, at the place of the first, whose weight is the sum of theirs.
+    A sum above MAX_WEIGHT is a ParseError naming the path.
     """
     report = IngestReport()
     merged: dict[tuple[tuple[int, ...], str, str], int] = {}
@@ -392,7 +392,11 @@ def ingest_paths(
                 report.paths_dropped_short += weight
             continue
         key = (hops, raw.source, raw.agent)
-        merged[key] = merged.get(key, 0) + weight
+        weight += merged.get(key, 0)
+        if weight > MAX_WEIGHT:
+            path = " ".join(map(str, hops))
+            raise ParseError(f"path {path}: weight exceeds {MAX_WEIGHT}")
+        merged[key] = weight
     normalized = [
         AsPath(hops, source, agent, weight)
         for (hops, source, agent), weight in merged.items()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .graph import (
@@ -41,7 +41,7 @@ _HISTOGRAM_EDGES = [i * (1.0 / HISTOGRAM_BINS) for i in range(HISTOGRAM_BINS)] +
 ReferenceSet = dict[EdgeKey, RelType]
 
 # A reference code's relationship of A to B, read in (A, B) order.
-_REFERENCE_CODES = {-1: RelType.P2C, 0: RelType.P2P, 1: RelType.S2S}
+REFERENCE_CODES = {-1: RelType.P2C, 0: RelType.P2P, 1: RelType.S2S}
 
 
 def load_reference(
@@ -64,7 +64,7 @@ def load_reference(
         b = flat.get(b, b)
         if a == b:
             return
-        rel = _REFERENCE_CODES.get(code)
+        rel = REFERENCE_CODES.get(code)
         if rel is None:
             raise ValueError(f"unknown relationship code {code}")
         set_label(rels, edge_key(a, b), oriented(rel, a, b))
@@ -169,25 +169,14 @@ class RunMetrics:
     pct_match_reference_overall: float | None = None
     pct_match_reference_both: float | None = None
     method_counts: dict[str, int] = field(default_factory=dict)
-    histogram: list[tuple[float, float, int]] = field(default_factory=list)
 
     def row(self) -> dict[str, object]:
+        """The metrics.csv row: every field but method_counts, in order,
+        rounded to 4 places, None as empty; then one column per method."""
         row: dict[str, object] = {
-            "edges": self.edges,
-            "paths_total": self.paths_total,
-            "pct_through_core": round(self.pct_through_core, 4),
-            "pct_invalid_paths": round(self.pct_invalid_paths, 4),
-            "pct_classified": round(self.pct_classified, 4),
-            "pct_deterministic": round(self.pct_deterministic, 4),
-            "pct_heuristic": round(self.pct_heuristic, 4),
-            "pct_match_reference_overall": (
-                "" if self.pct_match_reference_overall is None
-                else round(self.pct_match_reference_overall, 4)
-            ),
-            "pct_match_reference_both": (
-                "" if self.pct_match_reference_both is None
-                else round(self.pct_match_reference_both, 4)
-            ),
+            f.name: "" if (value := getattr(self, f.name)) is None else round(value, 4)
+            for f in fields(self)
+            if f.name != "method_counts"
         }
         for method in sorted(self.method_counts):
             row[f"method_{method.replace('-', '_')}"] = self.method_counts[method]

@@ -31,13 +31,7 @@ from .graph import (
 )
 from .heuristics import TIEBREAK_KSHELL, HeuristicConfig, apply_tiebreaks, infer_gap_p2p
 from .ingest import SiblingSet
-from .metrics import (
-    ReferenceSet,
-    RunMetrics,
-    compare,
-    summarize_classifications,
-    vote_share_histogram,
-)
+from .metrics import ReferenceSet, RunMetrics, compare, summarize_classifications
 
 
 @dataclass
@@ -125,7 +119,10 @@ def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMe
     )
     if result.sibling_records:
         counts[METHOD_SIBLING_DB] = len(result.sibling_records)
-    total_paths = result.partition.total
+    partition = result.partition
+    through_core = partition.through_core.weight
+    invalid = partition.invalid.weight
+    total_paths = through_core + partition.periphery.weight + invalid
     metrics = RunMetrics(
         edges=edges,
         paths_total=total_paths,
@@ -133,14 +130,12 @@ def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMe
         pct_deterministic=pct_deterministic,
         pct_heuristic=pct_heuristic,
         method_counts=counts,
-        histogram=vote_share_histogram(result.graph),
     )
     if total_paths:
-        invalid = result.partition.invalid.weight + result.valley_paths
-        metrics.pct_through_core = (
-            100.0 * result.partition.through_core.weight / total_paths
+        metrics.pct_through_core = 100.0 * through_core / total_paths
+        metrics.pct_invalid_paths = (
+            100.0 * (invalid + result.valley_paths) / total_paths
         )
-        metrics.pct_invalid_paths = 100.0 * invalid / total_paths
     if reference is not None:
         cmp = compare(records, reference)
         metrics.pct_match_reference_overall = cmp.pct_match_overall

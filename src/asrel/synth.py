@@ -21,6 +21,13 @@ from .core import CoreGraph, _induced_edges
 from .errors import ParameterError
 from .graph import AsGraph, EdgeKey, RelType, edge_key, oriented
 from .ingest import RawPath
+from .metrics import REFERENCE_CODES
+
+# The sampler's walk: the chance to climb one more provider hop, to cross
+# one peer link at the top, and to descend one more customer hop.
+ASCEND_PROB = 0.85
+PEER_CROSS_PROB = 0.5
+DESCEND_PROB = 0.85
 
 
 @dataclass
@@ -55,9 +62,6 @@ class GenConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     seed: int = 0
     agents: int = 10
-    peer_cross_prob: float = 0.5
-    ascend_prob: float = 0.85
-    descend_prob: float = 0.85
 
     def __post_init__(self):
         if isinstance(self.tier_sizes, list):
@@ -78,10 +82,6 @@ class GenConfig:
             raise ParameterError(f"paths must be >= 0, got {self.paths}")
         if self.agents < 1:
             raise ParameterError(f"agents must be >= 1, got {self.agents}")
-        for name in ("peer_cross_prob", "ascend_prob", "descend_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ParameterError(f"{name} must be in [0, 1], got {p}")
 
 
 @dataclass
@@ -196,26 +196,26 @@ def generate(config: GenConfig) -> GroundTruth:
 
 
 def _sample_clean(
-    truth: GroundTruth, config: GenConfig, rng: random.Random, vertices: Sequence[int]
+    truth: GroundTruth, rng: random.Random, vertices: Sequence[int]
 ) -> list[int]:
     for _ in range(64):
         v = rng.choice(vertices)
         hops = [v]
-        while truth.providers[v] and rng.random() < config.ascend_prob:
+        while truth.providers[v] and rng.random() < ASCEND_PROB:
             v = rng.choice(truth.providers[v])
             hops.append(v)
-        if truth.peers[v] and rng.random() < config.peer_cross_prob:
+        if truth.peers[v] and rng.random() < PEER_CROSS_PROB:
             v = rng.choice(truth.peers[v])
             hops.append(v)
-        while truth.customers[v] and rng.random() < config.descend_prob:
+        while truth.customers[v] and rng.random() < DESCEND_PROB:
             v = rng.choice(truth.customers[v])
             hops.append(v)
         # Reject walks that revisit a vertex: clean corpora are loop-free,
         # so repeats should only ever come from injected noise.
         if len(hops) >= 2 and len(set(hops)) == len(hops):
             return hops
-    # Degenerate configurations (for example a lone top clique with all
-    # walk probabilities at zero) still need a two-hop path.
+    # After 64 walks that all stopped at their first vertex or looped,
+    # the path is one hop from the last walk's start.
     v = hops[0]
     nbrs = sorted(truth.graph.neighbors(v))
     return [v, rng.choice(nbrs)]
@@ -298,7 +298,7 @@ def sample_paths(
     noise = config.noise
     paths: list[RawPath] = []
     for _ in range(config.paths):
-        hops = _sample_clean(truth, config, rng, vertices)
+        hops = _sample_clean(truth, rng, vertices)
         if noise.valley_prob and rng.random() < noise.valley_prob:
             hops = _inject_valley(truth, hops, rng)
         if noise.loop_prob and rng.random() < noise.loop_prob:
@@ -325,15 +325,13 @@ def write_paths_file(paths: Iterable[RawPath], stream: TextIO) -> None:
 def write_reference_file(
     labels: Mapping[EdgeKey, RelType], stream: TextIO
 ) -> None:
-    """Write labels as ``A|B|code`` lines: -1 provider first, 0 peer, 1 sibling."""
+    """Write labels as ``A|B|code`` lines, by metrics.REFERENCE_CODES: -1
+    provider first, 0 peer, 1 sibling."""
+    codes = {rel: code for code, rel in REFERENCE_CODES.items()}
     for (low, high), rel in sorted(labels.items()):
-        if rel is RelType.P2P:
-            stream.write(f"{low}|{high}|0\n")
-        elif rel is RelType.S2S:
-            stream.write(f"{low}|{high}|1\n")
-        elif rel is RelType.C2P:
-            stream.write(f"{high}|{low}|-1\n")
-        elif rel is RelType.P2C:
-            stream.write(f"{low}|{high}|-1\n")
-        else:
+        # A c2p label is written provider first, as p2c in (high, low) order.
+        a, b = (high, low) if rel is RelType.C2P else (low, high)
+        code = codes.get(oriented(rel, a, b))
+        if code is None:
             raise ParameterError(f"cannot serialize label {rel} for ({low}, {high})")
+        stream.write(f"{a}|{b}|{code}\n")

@@ -217,6 +217,25 @@ class TestInferErrors:
         err = capsys.readouterr().err
         assert f"cannot read {bad}: not UTF-8 text" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 2 3 weight=99999999999999999999\n",
+            "1 2 3 weight=5000000000000000000\n" * 2,
+            "1 2 3 weight=5000000000000000000\n1 2 2 3 weight=5000000000000000000\n",
+        ],
+        ids=["one-line", "repeated-line", "merged-paths"],
+    )
+    def test_weight_over_bound_is_input_error(self, tmp_path, capsys, text):
+        paths = write(tmp_path / "p.txt", text)
+        assert self.infer_bgp(tmp_path, paths) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: path 1 2 3: weight exceeds {2**63 - 1}"]
+
+    def test_largest_weight_runs(self, tmp_path):
+        paths = write(tmp_path / "p.txt", "1 2 3 weight=9223372036854775807\n")
+        assert self.infer_bgp(tmp_path, paths) == 0
+
     def test_bad_threshold_is_configuration_error(self, tmp_path):
         paths = write(tmp_path / "p.txt", "1 2 3\n")
         code = cli.main(
@@ -258,11 +277,15 @@ class TestInferErrors:
 
     @pytest.mark.parametrize(
         "line, expected",
-        [("v -5", 1), ("v 99999999999999999999", 1), ("v 777", 3)],
+        [
+            ("v -5", 1), ("v 99999999999999999999", 1), ("v 777", 3),
+            ("e 1 2 s2s", 1), ("e 1 2 unclassified", 1),
+        ],
     )
     def test_unusable_core_file(self, tmp_path, capsys, line, expected):
-        # Out-of-range ASNs are input errors; a core that names no AS of
-        # the observed graph is infeasible, as for an external peer list.
+        # Out-of-range ASNs and labels a core edge cannot carry are input
+        # errors; a core that names no AS of the observed graph is
+        # infeasible, as for an external peer list.
         paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n4 5\n")
         core = write(tmp_path / "c.txt", line + "\n")
         code = cli.main(
@@ -711,7 +734,12 @@ def path_file(prefix):
         lambda tokens: joined(
             prefix,
             st.lists(tokens, min_size=2, max_size=6).map(" ".join),
-            st.sampled_from(["", "", "weight=2"]),
+            # A weight over 2**63 - 1, and one whose line, repeated or
+            # merged with one that normalizes to the same path, sums over it.
+            st.sampled_from(
+                ["", "", "", "", "weight=2", "weight=2",
+                 "weight=99999999999999999999", "weight=5000000000000000000"]
+            ),
         ),
         min_size=1,
     )

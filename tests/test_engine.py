@@ -64,10 +64,11 @@ class TestPartition:
         core = noedge_core(10)
         through = trace(1, 10, 2)
         outside = trace(3, 4, 5)
-        partition = partition_paths(corpus_of(through, outside), core)
+        partition = partition_paths(corpus_of(through, outside), core, 3)
         assert list(partition.through_core) == [through]
         assert list(partition.periphery) == [outside]
-        assert partition.total == 2
+        parts = (partition.through_core, partition.periphery, partition.invalid)
+        assert sum(part.weight for part in parts) == 2
 
     def test_long_core_run_is_invalid(self):
         core = noedge_core(10, 11, 12, 13)
@@ -184,7 +185,7 @@ class TestPhase1:
         assert a.vertices != b.vertices
         for core in (a, b, a):
             work = graph.copy_unvoted()
-            result = phase1(work, partition_paths(corpus, core).through_core, core)
+            result = phase1(work, partition_paths(corpus, core, 3).through_core, core)
             fresh = build_graph(paths)
             through_core, _, _ = reference_partition(paths, core, 3)
             voted, valley_paths = reference_phase1(fresh, through_core, core)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from asrel.errors import ParameterError, SelfLoopError, UnknownEdgeError
 from asrel.graph import (
     MAX_ASN,
+    MAX_WEIGHT,
     AsGraph,
     AsPath,
     Classification,
@@ -124,6 +125,12 @@ class TestAsPath:
     def test_weight_must_be_positive(self):
         with pytest.raises(ParameterError):
             AsPath((1, 2), "bgp", "", 0)
+
+    def test_weight_bound(self):
+        # A Corpus stores weights as 8-byte signed ints.
+        assert AsPath((1, 2), "bgp", "", MAX_WEIGHT).weight == MAX_WEIGHT
+        with pytest.raises(ParameterError):
+            AsPath((1, 2), "bgp", "", MAX_WEIGHT + 1)
 
     def test_asn_out_of_range(self):
         with pytest.raises(ParameterError):

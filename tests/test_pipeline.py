@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import tempfile
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from asrel import cli
 from asrel import core as core_module
 from asrel import graph as graph_module
+from asrel import metrics as metrics_module
 from asrel import pipeline as pipeline_module
 from asrel.core import CoreGraph, corrupt_core
 from asrel.engine import InferenceConfig
@@ -17,14 +19,19 @@ from asrel.errors import CorruptionInfeasibleError
 from asrel.graph import AsPath, RelType, edge_key, vote_shares
 from asrel.heuristics import HeuristicConfig
 from asrel.ingest import RawPath, SiblingSet, build_graph, ingest_paths
-from asrel.metrics import CLASSIFICATION_HEADER, ReferenceSet, write_classifications_csv
+from asrel.metrics import (
+    CLASSIFICATION_HEADER,
+    ReferenceSet,
+    vote_share_histogram,
+    write_classifications_csv,
+)
 from asrel.pipeline import (
     core_size_sweep,
     corruption_sweep,
     run_inference,
     summarize,
 )
-from asrel.synth import GenConfig, NoiseConfig, generate, sample_paths
+from asrel.synth import GenConfig, NoiseConfig, generate, sample_paths, write_paths_file
 
 from oracles import tally
 
@@ -150,7 +157,7 @@ class TestSummarize:
 
     def test_histogram_populated(self):
         result, _ = tiny_run()
-        assert len(metrics_hist := summarize(result).histogram) == 20
+        assert len(metrics_hist := vote_share_histogram(result.graph)) == 20
         assert sum(c for _, _, c in metrics_hist) == 4
 
 
@@ -239,6 +246,71 @@ class TestSweeps:
         core_size_sweep(graph, paths, "degree", [4, 8])
         assert len(built) == 1
         assert built[0] is graph.corpus
+
+    @pytest.fixture
+    def histogram_builds(self, monkeypatch):
+        """The graphs whose vote-share histogram was built."""
+        builds = []
+        real = metrics_module.vote_share_histogram
+
+        def counting(graph):
+            builds.append(graph)
+            return real(graph)
+
+        for module in (metrics_module, pipeline_module, cli):
+            monkeypatch.setattr(module, "vote_share_histogram", counting, raising=False)
+        return builds
+
+    def test_sweeps_build_no_histogram(self, corpus, histogram_builds):
+        # No experiment.csv column reads the histogram.
+        truth, graph, paths = corpus
+        corruption_sweep(graph, paths, truth.true_core(), [0.0, 0.5], seeds=[1])
+        core_size_sweep(graph, paths, "degree", [4, 8])
+        assert histogram_builds == []
+
+    def test_infer_builds_one_histogram(self, tmp_path, histogram_builds):
+        paths = tmp_path / "p.txt"
+        paths.write_text("2 1 3\n2 3 4\n2 4 1\n5 1 2\n", encoding="utf-8")
+        argv = ["infer", "--paths-bgp", str(paths), "--core-method", "clique"]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert len(histogram_builds) == 1
+
+    @pytest.fixture
+    def index_builds(self, monkeypatch):
+        """The corpora whose edge-to-path index was built."""
+        builds = []
+        real = graph_module.Corpus.incidence.func
+
+        def counting(corpus):
+            builds.append(corpus)
+            return real(corpus)
+
+        incidence = functools.cached_property(counting)
+        incidence.__set_name__(graph_module.Corpus, "incidence")
+        monkeypatch.setattr(graph_module.Corpus, "incidence", incidence)
+        return builds
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (["build-core", "--core-method", "kcore"], 0),
+            (["infer", "--core-method", "clique"], 1),
+            # Every cell replaces part of the core, so each runs inference.
+            (["experiment", "corruption", "--core-method", "clique",
+              "--fractions", "0.25,0.5", "--corruption-seeds", "2"], 1),
+            (["experiment", "core-sweep", "--sweep-sizes", "4,6"], 1),
+        ],
+        ids=["build-core", "infer", "corruption", "core-sweep"],
+    )
+    def test_cli_builds_index_per_corpus(self, tmp_path, index_builds, argv, builds):
+        config = GenConfig(tier_sizes=(4, 8, 20), paths=300, seed=3)
+        truth = generate(config)
+        paths = tmp_path / "p.txt"
+        with open(paths, "w", encoding="utf-8") as fh:
+            write_paths_file(sample_paths(truth, config), fh)
+        argv = [*argv, "--paths-trace", str(paths), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        assert len(index_builds) == builds
 
     def test_core_size_sweep_rows(self, corpus):
         _, graph, paths = corpus
@@ -397,7 +469,7 @@ class TestMetamorphic:
         assert a.all_records() == b.all_records()
         assert classification_rows(a) == classification_rows(b)
         assert metrics_a.row() == metrics_b.row()
-        assert metrics_a.histogram == metrics_b.histogram
+        assert vote_share_histogram(a.graph) == vote_share_histogram(b.graph)
         assert report_a == report_b
 
     @settings(max_examples=40, deadline=None)

@@ -2,10 +2,13 @@ import io
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asrel.errors import ParameterError
-from asrel.graph import RelType, edge_key
+from asrel.graph import MAX_ASN, RelType, edge_key
 from asrel.ingest import ingest_paths, load_corpus
+from asrel.metrics import load_reference
 from asrel.synth import (
     GenConfig,
     NoiseConfig,
@@ -276,3 +279,20 @@ class TestFileRoundTrips:
         assert "4|3|-1" in lines       # provider first for the c2p pair
         assert "5|6|-1" in lines
         assert "7|8|1" in lines
+
+    @given(
+        st.dictionaries(
+            st.lists(st.integers(1, MAX_ASN), min_size=2, max_size=2, unique=True).map(
+                lambda pair: tuple(sorted(pair))
+            ),
+            st.sampled_from([RelType.C2P, RelType.P2C, RelType.P2P, RelType.S2S]),
+        )
+    )
+    def test_reference_file_round_trip(self, labels):
+        buf = io.StringIO()
+        write_reference_file(labels, buf)
+        assert load_reference(buf.getvalue().splitlines()) == labels
+
+    def test_unclassified_label_is_not_written(self):
+        with pytest.raises(ParameterError):
+            write_reference_file({(1, 2): RelType.UNCLASSIFIED}, io.StringIO())
