@@ -259,7 +259,9 @@ def cmd_infer(args) -> str:
 
     out = args.out
     with open(os.path.join(out, "classifications.csv"), "w", encoding="utf-8") as fh:
-        write_classifications_csv(result.all_records(), result.graph, fh)
+        write_classifications_csv(
+            result.classifications, result.sibling_records, result.graph, fh
+        )
     with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8") as fh:
         write_metrics_csv([metrics.row()], fh)
     with open(os.path.join(out, "histogram.csv"), "w", encoding="utf-8") as fh:

@@ -34,13 +34,24 @@ the arcs with an endpoint in the core depend on the core: each run builds
 the rows for a walk away from the core with array slice operations and
 patches only those arcs.
 
-A path's votes depend only on the labels of its own edges, so phase 2
-re-walks, after its first round, only the paths through an edge voted in
-the round before (semi-naive evaluation): every other path would cast the
-votes it cast before, none. It reads one label byte per arc, in the
+The partition counts each path's hops between two core vertices, one
+byte per path, from the corpus's edge-to-path index. A run of more than
+max_core_hops core vertices takes at least max_core_hops such hops, so
+only a path with that many is walked hop by hop.
+
+A path's votes depend only on the labels of its own edges, and it votes
+only on an open one. So phase 2 re-walks, after its first round, only the
+paths through an edge voted in the round before (semi-naive evaluation,
+Bancilhon and Ramakrishnan, SIGMOD 1986) or only the paths through an edge
+still open, whichever set the index lists fewer paths for: a path outside
+either set would cast no vote. It reads one label byte per arc, in the
 encoding the gap pass reads (graph.ARC_LABELS): open for an edge without
 votes, up or down for an anchor, an edge whose share reaches the
 threshold for c2p or p2c, and other for any other voted edge.
+
+finalize turns the counters into an EdgeLabels: a label code and a method
+code per edge id, in two bytearrays, which the heuristics, the metrics
+and the CSV writer read without building one record per edge.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import ne
+from typing import Iterable
 
 from .core import CoreGraph
 from .errors import ConfigurationError
@@ -57,16 +69,30 @@ from .graph import (
     ARC_LABELS,
     ARC_OPEN,
     ARC_UP,
+    LABEL_C2P,
+    LABEL_P2C,
+    LABEL_P2P,
+    LABEL_RELS,
+    LABEL_UNCLASSIFIED,
+    METHOD_CODES,
     METHOD_CORE_PREASSIGNED,
     METHOD_DETERMINISTIC_P1,
     METHOD_DETERMINISTIC_P2,
     METHOD_UNCLASSIFIED,
     AsGraph,
-    Classification,
     Corpus,
     EdgeKey,
+    EdgeLabels,
     RelType,
-    vote_shares,
+)
+
+# bytes.translate table from a label code to finalize's method code before
+# the phase-1 and core marks: unclassified, or else deterministic-p2.
+_METHOD_OF_LABEL = bytes(
+    METHOD_CODES[METHOD_UNCLASSIFIED]
+    if code == LABEL_UNCLASSIFIED
+    else METHOD_CODES[METHOD_DETERMINISTIC_P2]
+    for code in range(256)
 )
 
 
@@ -110,9 +136,21 @@ def partition_paths(paths: Corpus, core: CoreGraph, max_core_hops: int) -> PathP
 
     A path traverses the core if any hop is a core vertex. A path whose
     longest run of consecutive core vertices exceeds max_core_hops is set
-    aside as invalid and never votes.
+    aside as invalid and never votes. Such a run takes at least
+    max_core_hops hops between two core vertices, so only a path with that
+    many is walked hop by hop; the others are counted from the
+    edge-to-path index, which lists a path once per traversal.
     """
     core_vertices = core.vertices
+    # A count at the cap means "maybe too long"; a byte holds up to 255.
+    cap = min(max_core_hops, 255)
+    core_hops = bytearray(len(paths.paths))
+    path_starts, path_ids = paths.incidence
+    for e, (u, v) in enumerate(paths.edge_keys):
+        if u in core_vertices and v in core_vertices:
+            for p in path_ids[path_starts[e] : path_starts[e + 1]]:
+                if core_hops[p] < cap:
+                    core_hops[p] += 1
     classes = (array("i"), array("i"), array("i"))
     through_core, periphery, invalid = classes
     all_paths = paths.paths
@@ -120,6 +158,9 @@ def partition_paths(paths: Corpus, core: CoreGraph, max_core_hops: int) -> PathP
         hops = all_paths[p].hops
         if core_vertices.isdisjoint(hops):
             periphery.append(p)
+            continue
+        if core_hops[p] < cap:
+            through_core.append(p)
             continue
         run = 0
         for h in hops:
@@ -269,28 +310,25 @@ class Phase2Result:
     rounds: int = 0
 
 
-def _label(shares: tuple[float, float, float], threshold: float) -> RelType:
-    """The relationship whose vote share reaches the threshold, else
-    UNCLASSIFIED. The threshold exceeds 0.5, so at most one share can."""
-    c2p, p2c, p2p = shares
-    if c2p >= threshold:
-        return RelType.C2P
-    if p2c >= threshold:
-        return RelType.P2C
-    if p2p >= threshold:
-        return RelType.P2P
-    return RelType.UNCLASSIFIED
-
-
-def _arc_labels(low: int, high: int, p2p: int, threshold: float) -> bytes:
-    """The labels phase 2 reads on arcs 2e and 2e + 1 of an edge e with
-    these counts: open without votes, the edge's c2p or p2c labels for an
-    anchor, and other for any other voted edge. Phase 2 votes only on open
-    edges."""
-    if low + high + p2p == 0:
-        return ARC_LABELS[RelType.UNCLASSIFIED]
-    rel = _label(vote_shares(low, high, p2p), threshold)
-    return ARC_LABELS[RelType.P2P if rel is RelType.UNCLASSIFIED else rel]
+def _label_codes(
+    counts: Iterable[tuple[int, int, int]], threshold: float, below: int
+) -> bytearray:
+    """The label code of each edge with these (low, high, p2p) counts:
+    unclassified without votes, c2p, p2c or p2p when that share reaches
+    the threshold, else below. The threshold exceeds 0.5, so at most one
+    share can; the shares are vote_shares's."""
+    return bytearray(
+        LABEL_UNCLASSIFIED
+        if not (total := low + high + p2p)
+        else LABEL_C2P
+        if low / total >= threshold
+        else LABEL_P2C
+        if high / total >= threshold
+        else LABEL_P2P
+        if p2p / total >= threshold
+        else below
+        for low, high, p2p in counts
+    )
 
 
 def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2Result:
@@ -298,8 +336,11 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
 
     Each round reads the arc labels frozen at its start; its votes land
     in the counters at once but change the labels only when the round
-    ends. The first round walks the periphery paths through an open edge,
-    and round r + 1 only those through an edge voted in round r.
+    ends. The first round walks the periphery paths through an open edge.
+    A path votes only on an open edge, and votes anew only when an edge
+    on it was voted in the round before, so each later round walks the
+    periphery paths through whichever of those two edge sets the index
+    lists fewer paths for.
     """
     weights, arcs, offsets = periphery.weights, periphery.arcs, periphery.offsets
     path_starts, path_ids = periphery.incidence
@@ -311,21 +352,22 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
     customer[0::2] = low
     customer[1::2] = high
     threshold = config.threshold
-    labels = bytearray().join(
-        _arc_labels(*counts, threshold) for counts in zip(low, high, p2p)
-    )
+    # A voted edge with no share at the threshold reads as other: p2p.
+    codes = _label_codes(zip(low, high, p2p), threshold, LABEL_P2P)
+    labels = bytearray().join(map(ARC_LABELS.__getitem__, codes))
     # 1 marks a periphery path, 2 one already on the round's worklist.
     marks = bytearray(len(periphery.paths))
     for p in periphery.members:
         marks[p] = 1
-    # Votes fill only open edges, so the first round needs only the paths
-    # through one.
-    changed = [e for e in range(graph.n_edges) if labels[2 * e] == ARC_OPEN]
+    open_edges = [e for e in range(graph.n_edges) if labels[2 * e] == ARC_OPEN]
+    # How many paths the index lists through the open edges.
+    open_load = sum(path_starts[e + 1] - path_starts[e] for e in open_edges)
+    edges = open_edges
     rounds = 0
     while True:
         # Path ids as 4-byte ints: a round can hold nearly every path.
         worklist = array("i")
-        for e in changed:
+        for e in edges:
             for p in path_ids[path_starts[e] : path_starts[e + 1]]:
                 if marks[p] == 1:
                     marks[p] = 2
@@ -356,15 +398,26 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
                     passed_p2c = True
         # Every vote has weight >= 1, so the edges voted in this round are
         # those with a customer count that differs from its value before.
-        changed = {a >> 1 for a in compress(range(n), map(ne, customer, before))}
-        if not changed:
+        # Only open edges take votes, so each one voted was open.
+        voted = {a >> 1 for a in compress(range(n), map(ne, customer, before))}
+        if not voted:
             low[:] = customer[0::2]
             high[:] = customer[1::2]
             return Phase2Result(rounds)
-        for e in changed:
-            labels[2 * e : 2 * e + 2] = _arc_labels(
-                customer[2 * e], customer[2 * e + 1], p2p[e], threshold
-            )
+        codes = _label_codes(
+            ((customer[2 * e], customer[2 * e + 1], p2p[e]) for e in voted),
+            threshold,
+            LABEL_P2P,
+        )
+        for e, code in zip(voted, codes):
+            labels[2 * e : 2 * e + 2] = ARC_LABELS[code]
+        voted_load = sum(path_starts[e + 1] - path_starts[e] for e in voted)
+        open_load -= voted_load
+        if voted_load <= open_load:
+            edges = voted
+        else:
+            open_edges = [e for e in open_edges if labels[2 * e] == ARC_OPEN]
+            edges = open_edges
 
 
 def finalize(
@@ -372,28 +425,29 @@ def finalize(
     config: InferenceConfig,
     core: CoreGraph,
     phase1_voted: set[EdgeKey] | None = None,
-) -> dict[EdgeKey, Classification]:
-    """Turn the counters into one Classification per edge.
+) -> EdgeLabels:
+    """The label of every edge from the counters.
 
     Core preassignments win outright. Otherwise an edge is classified when
     one share reaches the threshold, tagged by whether any phase 1 vote
     contributed; everything else stays unclassified for the heuristics to
     look at. The votes stay in graph's counters.
     """
-    phase1_voted = phase1_voted or set()
-    threshold = config.threshold
-    out: dict[EdgeKey, Classification] = {}
-    for key, low, high, p2p, _invalid in zip(graph.edge_keys, *graph.counters):
-        rel = core.preassigned.get(key)
-        if rel is not None:
-            method = METHOD_CORE_PREASSIGNED
-        else:
-            rel = _label(vote_shares(low, high, p2p), threshold)
-            if rel is RelType.UNCLASSIFIED:
-                method = METHOD_UNCLASSIFIED
-            elif key in phase1_voted:
-                method = METHOD_DETERMINISTIC_P1
-            else:
-                method = METHOD_DETERMINISTIC_P2
-        out[key] = Classification(key, rel, method)
-    return out
+    rels = _label_codes(
+        zip(graph.low_customer, graph.high_customer, graph.p2p),
+        config.threshold,
+        LABEL_UNCLASSIFIED,
+    )
+    methods = rels.translate(_METHOD_OF_LABEL)
+    p1 = METHOD_CODES[METHOD_DETERMINISTIC_P1]
+    index = graph.edge_index
+    for e in map(index.__getitem__, phase1_voted or ()):
+        if rels[e] != LABEL_UNCLASSIFIED:
+            methods[e] = p1
+    preassigned = METHOD_CODES[METHOD_CORE_PREASSIGNED]
+    for key, rel in core.preassigned.items():
+        e = index.get(key)
+        if e is not None:
+            rels[e] = LABEL_RELS.index(rel)
+            methods[e] = preassigned
+    return EdgeLabels(graph, rels, methods)

@@ -16,9 +16,9 @@ from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import ne
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParameterError, SelfLoopError, UnknownEdgeError
 
@@ -245,14 +245,93 @@ class AsGraph:
 # arc: c2p in walk order, so the walk goes up; p2c, so it goes down; any
 # other label; or no label yet, open.
 ARC_UP, ARC_DOWN, ARC_OTHER, ARC_OPEN = range(4)
-# An edge's label in low->high order -> the labels of its arcs 2e and 2e + 1.
-ARC_LABELS = {
-    RelType.C2P: bytes((ARC_UP, ARC_DOWN)),
-    RelType.P2C: bytes((ARC_DOWN, ARC_UP)),
-    RelType.P2P: bytes((ARC_OTHER, ARC_OTHER)),
-    RelType.S2S: bytes((ARC_OTHER, ARC_OTHER)),
-    RelType.UNCLASSIFIED: bytes((ARC_OPEN, ARC_OPEN)),
-}
+# The label codes of the relationships a run gives an edge: a code indexes
+# LABEL_RELS, its relationship in low->high order, and ARC_LABELS, the
+# labels of the edge's arcs 2e and 2e + 1.
+LABEL_C2P, LABEL_P2C, LABEL_P2P, LABEL_UNCLASSIFIED = range(4)
+LABEL_RELS = (RelType.C2P, RelType.P2C, RelType.P2P, RelType.UNCLASSIFIED)
+ARC_LABELS = (
+    bytes((ARC_UP, ARC_DOWN)),
+    bytes((ARC_DOWN, ARC_UP)),
+    bytes((ARC_OTHER, ARC_OTHER)),
+    bytes((ARC_OPEN, ARC_OPEN)),
+)
+# The methods a run labels an edge by; a method code indexes METHODS.
+METHODS = (
+    METHOD_DETERMINISTIC_P1,
+    METHOD_DETERMINISTIC_P2,
+    METHOD_CORE_PREASSIGNED,
+    METHOD_GAP_P2P,
+    METHOD_DEGREE_TIEBREAK,
+    METHOD_KSHELL_TIEBREAK,
+    METHOD_UNCLASSIFIED,
+)
+METHOD_CODES = {method: code for code, method in enumerate(METHODS)}
+_LABEL_CODES = {rel: code for code, rel in enumerate(LABEL_RELS)}
+# bytes.translate table: 1 for the unclassified label code, else 0.
+_IS_UNCLASSIFIED = bytes(code == LABEL_UNCLASSIFIED for code in range(256))
+
+
+class EdgeLabels(Mapping[EdgeKey, Classification]):
+    """A run's label for every edge of a graph, kept as two bytearrays over
+    its edge ids: rels[e] is edge e's label code (LABEL_RELS) and
+    methods[e] its method code (METHODS).
+
+    It reads as a mapping from edge key to Classification, in edge-id
+    order, and builds a record only when one is read; update() writes
+    records into the arrays. Two label records over the same edges compare
+    by their arrays.
+    """
+
+    def __init__(
+        self,
+        graph: AsGraph,
+        rels: bytearray | None = None,
+        methods: bytearray | None = None,
+    ):
+        """graph's edges labeled by rels and methods; unclassified when
+        they are None."""
+        self.edge_keys = graph.edge_keys
+        self.edge_index = graph.edge_index
+        n = len(self.edge_keys)
+        if rels is None:
+            rels = bytearray([LABEL_UNCLASSIFIED]) * n
+        if methods is None:
+            methods = bytearray([METHOD_CODES[METHOD_UNCLASSIFIED]]) * n
+        self.rels = rels
+        self.methods = methods
+
+    def __getitem__(self, key: EdgeKey) -> Classification:
+        e = self.edge_index[key]
+        return Classification(key, LABEL_RELS[self.rels[e]], METHODS[self.methods[e]])
+
+    def __iter__(self) -> Iterator[EdgeKey]:
+        return iter(self.edge_keys)
+
+    def __len__(self) -> int:
+        return len(self.edge_keys)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EdgeLabels):
+            return (
+                self.rels == other.rels
+                and self.methods == other.methods
+                and self.edge_keys == other.edge_keys
+            )
+        return super().__eq__(other)
+
+    def update(self, records: Mapping[EdgeKey, Classification]) -> None:
+        """Label each record's edge, an edge of this graph, as it says."""
+        index, rels, methods = self.edge_index, self.rels, self.methods
+        for key, cls in records.items():
+            e = index[key]
+            rels[e] = _LABEL_CODES[cls.rel]
+            methods[e] = METHOD_CODES[cls.method]
+
+    def unclassified(self) -> list[int]:
+        """The ids of the unclassified edges, in increasing order."""
+        rels = self.rels
+        return list(compress(range(len(rels)), rels.translate(_IS_UNCLASSIFIED)))
 
 
 class Corpus:

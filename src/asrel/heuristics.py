@@ -18,6 +18,7 @@ from .graph import (
     Classification,
     Corpus,
     EdgeKey,
+    EdgeLabels,
     RelType,
 )
 
@@ -49,8 +50,7 @@ class HeuristicConfig:
 
 
 def infer_gap_p2p(
-    periphery: Corpus,
-    classifications: Mapping[EdgeKey, Classification],
+    periphery: Corpus, labels: EdgeLabels
 ) -> dict[EdgeKey, Classification]:
     """Label single unclassified edges wedged between uphill and downhill.
 
@@ -59,28 +59,19 @@ def infer_gap_p2p(
     edge at the top of the path, where the only consistent reading is a
     peering. Edges at the path boundary have no such context and are left
     alone, as are paths with two or more open edges. Existing labels are
-    never overwritten. classifications holds records of edges of the
-    periphery's graph; only the paths through an unclassified one are
-    visited, since no other path has a gap.
+    never overwritten. labels are over the periphery's edge ids; only the
+    paths through an unclassified edge are visited, since no other path
+    has a gap.
     """
     arcs, offsets = periphery.arcs, periphery.offsets
     path_starts, path_ids = periphery.incidence
-    edge_index = periphery.edge_index
-    # Edge id -> the labels of its arcs 2e and 2e + 1; open without a record.
-    pairs = [ARC_LABELS[RelType.UNCLASSIFIED]] * len(periphery.edge_keys)
-    open_edges = []
-    for key, cls in classifications.items():
-        e = edge_index[key]
-        pairs[e] = ARC_LABELS[cls.rel]
-        if cls.rel is RelType.UNCLASSIFIED:
-            open_edges.append(e)
-    labels = b"".join(pairs)
+    arc_labels = b"".join(map(ARC_LABELS.__getitem__, labels.rels))
     unvisited = bytearray(len(periphery.paths))
     for p in periphery.members:
         unvisited[p] = 1
-    label_of = labels.__getitem__
+    label_of = arc_labels.__getitem__
     updates: dict[EdgeKey, Classification] = {}
-    for e in open_edges:
+    for e in labels.unclassified():
         for p in path_ids[path_starts[e] : path_starts[e + 1]]:
             if not unvisited[p]:
                 continue
@@ -130,25 +121,23 @@ def tiebreak(
 
 def apply_tiebreaks(
     graph: AsGraph,
-    classifications: Mapping[EdgeKey, Classification],
+    labels: EdgeLabels,
     config: HeuristicConfig,
     kshell: Mapping[int, int] | None = None,
 ) -> dict[EdgeKey, Classification]:
     """Tie-break every unclassified edge except valley-flagged ones.
 
-    graph is the run graph, whose counters hold the votes. Valley-flagged
-    edges (invalid votes and no other) were never seen behaving like a
-    normal link, so guessing a relationship for them would be noise, not
-    inference.
+    graph is the run graph, whose counters hold the votes, and labels are
+    over its edge ids. Valley-flagged edges (invalid votes and no other)
+    were never seen behaving like a normal link, so guessing a
+    relationship for them would be noise, not inference.
     """
-    edge_index = graph.edge_index
+    edge_keys = graph.edge_keys
     low_customer, high_customer, p2p, invalid = graph.counters
     updates: dict[EdgeKey, Classification] = {}
-    for key, cls in classifications.items():
-        if cls.rel is not RelType.UNCLASSIFIED:
-            continue
-        e = edge_index[key]
+    for e in labels.unclassified():
         if invalid[e] and not (low_customer[e] or high_customer[e] or p2p[e]):
             continue
+        key = edge_keys[e]
         updates[key] = Classification(key, *tiebreak(key, graph, config, kshell))
     return updates

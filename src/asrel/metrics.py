@@ -4,25 +4,32 @@ Reference files use one record per line, ``A|B|code``, where code -1 means
 A is a provider of B, 0 means peering, and 1 means the pair are siblings.
 
 The edge metrics (compare, stability, summarize_classifications) take a
-run's edge records only: declared sibling pairs are not edges, and
-pipeline.summarize counts their records apart. A record holds an edge's
-label; write_classifications_csv reads its vote shares from the run
-graph's counters.
+run's edge labels only: declared sibling pairs are not edges, and
+pipeline.summarize counts their records apart. A label holds an edge's
+relationship and method; write_classifications_csv reads its vote shares
+from the run graph's counters.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import re
 from dataclasses import dataclass, field, fields
+from operator import is_
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .graph import (
     DETERMINISTIC_METHODS,
     HEURISTIC_METHODS,
+    LABEL_RELS,
+    LABEL_UNCLASSIFIED,
+    MAX_ASN,
+    METHODS,
     AsGraph,
     Classification,
     EdgeKey,
+    EdgeLabels,
     RelType,
     edge_key,
     oriented,
@@ -42,6 +49,9 @@ ReferenceSet = dict[EdgeKey, RelType]
 
 # A reference code's relationship of A to B, read in (A, B) order.
 REFERENCE_CODES = {-1: RelType.P2C, 0: RelType.P2P, 1: RelType.S2S}
+# A well-formed ``A|B|code`` record: what parse_relationship accepts, but
+# for the AS number range and A != B.
+_RECORD = re.compile(r"([0-9]+)\|([0-9]+)\|(-?[0-9]+)")
 
 
 def load_reference(
@@ -57,9 +67,17 @@ def load_reference(
     """
     rels: ReferenceSet = {}
     flat = siblings.mapping() if siblings is not None else {}
+    match_record = _RECORD.fullmatch
 
     def parse(line: str) -> None:
-        a, b, code = parse_relationship(line)
+        match = match_record(line)
+        if match is None:
+            a, b, code = parse_relationship(line)
+        else:
+            a, b = int(match[1]), int(match[2])
+            if not (1 <= a <= MAX_ASN and 1 <= b <= MAX_ASN) or a == b:
+                parse_relationship(line)  # raises, naming the fault
+            code = int(match[3])
         a = flat.get(a, a)
         b = flat.get(b, b)
         if a == b:
@@ -98,20 +116,18 @@ class CompareResult:
         return 100.0 * self.matches / self.both_classified
 
 
-def compare(
-    classifications: Iterable[Classification], reference: ReferenceSet
-) -> CompareResult:
-    """Agreement of a run's edge records with reference."""
-    result = CompareResult()
-    for cls in classifications:
-        result.edges_total += 1
-        ref = reference.get(cls.edge)
-        if ref is None or ref is RelType.S2S or not cls.classified:
-            continue
-        result.both_classified += 1
-        if cls.rel is ref:
-            result.matches += 1
-    return result
+def compare(labels: EdgeLabels, reference: ReferenceSet) -> CompareResult:
+    """Agreement of a run's edge labels with reference, whose labels are
+    c2p, p2c, p2p or s2s."""
+    refs = list(map(reference.get, labels.edge_keys))
+    unscored = refs.count(None) + refs.count(RelType.S2S)
+    open_refs = list(map(refs.__getitem__, labels.unclassified()))
+    open_scored = len(open_refs) - open_refs.count(None) - open_refs.count(RelType.S2S)
+    return CompareResult(
+        edges_total=len(refs),
+        both_classified=len(refs) - unscored - open_scored,
+        matches=sum(map(is_, map(LABEL_RELS.__getitem__, labels.rels), refs)),
+    )
 
 
 def stability(
@@ -184,24 +200,20 @@ class RunMetrics:
 
 
 def summarize_classifications(
-    classifications: Iterable[Classification],
+    labels: EdgeLabels,
 ) -> tuple[int, dict[str, int], float, float, float]:
     """Edge count, per-method counts, and classified shares in percent, of
-    a run's edge records."""
-    counts: dict[str, int] = {}
-    edges = 0
-    classified = deterministic = heuristic = 0
-    for cls in classifications:
-        edges += 1
-        counts[cls.method] = counts.get(cls.method, 0) + 1
-        if cls.classified:
-            classified += 1
-        if cls.method in DETERMINISTIC_METHODS:
-            deterministic += 1
-        elif cls.method in HEURISTIC_METHODS:
-            heuristic += 1
+    a run's edge labels."""
+    methods = labels.methods
+    edges = len(methods)
+    counts = {
+        method: n for code, method in enumerate(METHODS) if (n := methods.count(code))
+    }
     if edges == 0:
         return 0, counts, 0.0, 0.0, 0.0
+    classified = edges - labels.rels.count(LABEL_UNCLASSIFIED)
+    deterministic = sum(counts.get(method, 0) for method in DETERMINISTIC_METHODS)
+    heuristic = sum(counts.get(method, 0) for method in HEURISTIC_METHODS)
     return (
         edges,
         counts,
@@ -242,23 +254,38 @@ CLASSIFICATION_HEADER = (
 
 
 def write_classifications_csv(
-    records: Iterable[Classification], graph: AsGraph, stream: TextIO
+    labels: EdgeLabels,
+    sibling_records: Iterable[Classification],
+    graph: AsGraph,
+    stream: TextIO,
 ) -> None:
-    """Write classification records, each with its edge's vote shares and
-    invalid votes from graph's counters; byte-stable for identical runs.
-    A pair that is not an edge of graph, a declared sibling pair, has no
+    """Write one row per edge label, in edge order, then the sibling
+    records; byte-stable for identical runs. labels are over graph's edge
+    ids, and each row takes its edge's vote shares and invalid votes from
+    graph's counters. A sibling pair that is not an edge of graph has no
     votes, so its row holds zeros."""
-    edge_index = graph.edge_index
     low_customer, high_customer, p2p, invalid = graph.counters
-    stream.write(CLASSIFICATION_HEADER + "\n")
-    for cls in records:
-        e = edge_index.get(cls.edge)
+
+    def row(key: EdgeKey, rel: str, method: str, e: int | None) -> str:
         if e is None:
             shares, n_invalid = (0.0, 0.0, 0.0), 0
         else:
             shares = vote_shares(low_customer[e], high_customer[e], p2p[e])
             n_invalid = invalid[e]
-        stream.write(
-            f"{cls.edge[0]},{cls.edge[1]},{cls.rel.value},{cls.method},"
+        return (
+            f"{key[0]},{key[1]},{rel},{method},"
             f"{shares[0]:.6f},{shares[1]:.6f},{shares[2]:.6f},{n_invalid}\n"
         )
+
+    keys, rels, methods = labels.edge_keys, labels.rels, labels.methods
+    rel_values = [rel.value for rel in LABEL_RELS]
+    stream.write(CLASSIFICATION_HEADER + "\n")
+    stream.writelines(
+        row(keys[e], rel_values[rels[e]], METHODS[methods[e]], e)
+        for e in sorted(range(len(keys)), key=keys.__getitem__)
+    )
+    edge_index = graph.edge_index
+    stream.writelines(
+        row(cls.edge, cls.rel.value, cls.method, edge_index.get(cls.edge))
+        for cls in sibling_records
+    )

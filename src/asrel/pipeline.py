@@ -26,6 +26,7 @@ from .graph import (
     AsPath,
     Classification,
     EdgeKey,
+    EdgeLabels,
     RelType,
     compile_corpus,
 )
@@ -41,7 +42,7 @@ class RunResult:
     graph: AsGraph
     core: CoreGraph
     partition: PathPartition
-    classifications: dict[EdgeKey, Classification]
+    classifications: EdgeLabels
     sibling_records: list[Classification] = field(default_factory=list)
     phase1_voted: set[EdgeKey] = field(default_factory=set)
     phase2_rounds: int = 0
@@ -112,10 +113,10 @@ def run_inference(
 def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMetrics:
     """The run's metrics. Declared sibling pairs are not edges: they count
     only under their own method, and the edge metrics see only the edge
-    records."""
-    records = result.classifications.values()
+    labels."""
+    labels = result.classifications
     edges, counts, pct_classified, pct_deterministic, pct_heuristic = (
-        summarize_classifications(records)
+        summarize_classifications(labels)
     )
     if result.sibling_records:
         counts[METHOD_SIBLING_DB] = len(result.sibling_records)
@@ -137,7 +138,7 @@ def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMe
             100.0 * (invalid + result.valley_paths) / total_paths
         )
     if reference is not None:
-        cmp = compare(records, reference)
+        cmp = compare(labels, reference)
         metrics.pct_match_reference_overall = cmp.pct_match_overall
         metrics.pct_match_reference_both = cmp.pct_match_both
     return metrics

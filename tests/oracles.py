@@ -6,8 +6,10 @@ library points at the library. The exceptions are the reference engine
 (partition_paths through infer_gap_p2p, and run_engine): the engine as it
 was before it was compiled to edge ids, walking AsPath objects with tuple
 keys and casting one vote at a time, kept to check the compiled engine;
-and filter_single_agent_edges, the two-agent filter as it was with a BGP
-edge set and a set of agents per edge, kept to check the one-dict filter.
+filter_single_agent_edges, the two-agent filter as it was with a BGP
+edge set and a set of agents per edge, kept to check the one-dict filter;
+and load_reference, the reference parser as it was before its one-regex
+fast path, with parse_relationship reading every record.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from asrel.graph import (
     edge_key,
     oriented,
 )
+from asrel.ingest import SiblingSet, parse_relationship, read_records, set_label
+from asrel.metrics import REFERENCE_CODES, ReferenceSet
 
 Adjacency = dict[int, set[int]]
 
@@ -532,3 +536,24 @@ def filter_single_agent_edges(
         if len(tail) >= 2:
             kept.append(AsPath(tail, path.source, path.agent, path.weight))
     return kept, len(removed), paths_split
+
+
+def load_reference(
+    lines: Iterable[str], siblings: SiblingSet | None = None, source: str = "<reference>"
+) -> ReferenceSet:
+    rels: ReferenceSet = {}
+    flat = siblings.mapping() if siblings is not None else {}
+
+    def parse(line: str) -> None:
+        a, b, code = parse_relationship(line)
+        a = flat.get(a, a)
+        b = flat.get(b, b)
+        if a == b:
+            return
+        rel = REFERENCE_CODES.get(code)
+        if rel is None:
+            raise ValueError(f"unknown relationship code {code}")
+        set_label(rels, edge_key(a, b), oriented(rel, a, b))
+
+    read_records(lines, source, parse)
+    return rels

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asrel.core import CoreGraph, corrupt_core
@@ -88,6 +88,49 @@ class TestPartition:
         path = trace(1, 10, 11, 2, 20, 21, 3)
         partition = partition_paths(corpus_of(path), core, max_core_hops=3)
         assert list(partition.through_core) == [path]
+
+    def test_revisited_core_edge_counts_each_traversal(self):
+        # One core edge crossed twice is a run of three core vertices.
+        path = trace(1, 2, 1)
+        core = noedge_core(1, 2)
+        partition = partition_paths(corpus_of(path), core, max_core_hops=2)
+        assert list(partition.invalid) == [path]
+
+    @pytest.mark.parametrize("n_hops, invalid", [(255, False), (256, True)])
+    def test_core_run_beyond_a_byte(self, n_hops, invalid):
+        # n_hops hops between two core vertices are a run of n_hops + 1.
+        path = trace(*[1 + i % 2 for i in range(n_hops + 1)])
+        core = noedge_core(1, 2)
+        partition = partition_paths(corpus_of(path), core, max_core_hops=256)
+        assert list(partition.invalid if invalid else partition.through_core) == [path]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 6), min_size=2, max_size=10), min_size=1, max_size=12
+        ),
+        st.sets(st.integers(1, 6), max_size=4),
+        st.integers(1, 4),
+    )
+    @example([[1, 2, 1]], {1, 2}, 2)
+    def test_matches_reference(self, spec, core_vertices, max_core_hops):
+        # Few ASes, so paths revisit core vertices and cross core edges
+        # more than once.
+        paths = []
+        for hops in spec:
+            hops = [h for i, h in enumerate(hops) if i == 0 or h != hops[i - 1]]
+            if len(hops) >= 2:
+                paths.append(trace(*hops))
+        if not paths:
+            return
+        core = noedge_core(*core_vertices)
+        partition = partition_paths(corpus_of(*paths), core, max_core_hops)
+        expected = reference_partition(paths, core, max_core_hops)
+        parts = (partition.through_core, partition.periphery, partition.invalid)
+        assert [sorted(part.members) for part in parts] == [
+            sorted(i for i, path in enumerate(paths) if any(path is q for q in part))
+            for part in expected
+        ]
 
 
 class TestPhase1:

@@ -12,6 +12,7 @@ from asrel.graph import (
     AsPath,
     Classification,
     Corpus,
+    EdgeLabels,
     RelType,
     compile_corpus,
     edge_key,
@@ -296,3 +297,70 @@ class TestClassification:
 
     def test_fields_are_the_label_only(self):
         assert [f.name for f in fields(Classification)] == ["edge", "rel", "method"]
+
+
+class TestEdgeLabels:
+    def run(self):
+        from asrel.core import CoreGraph
+        from asrel.pipeline import run_inference
+
+        paths = [AsPath((1, 2, 3, 4, 5)), AsPath((6, 3, 7)), AsPath((8, 9))]
+        graph = build_graph(paths)
+        return run_inference(graph, paths, CoreGraph({3, 4}, {(3, 4)})).classifications
+
+    def test_identical_runs_equal_and_one_label_apart_unequal(self):
+        a, b = self.run(), self.run()
+        assert a == b and not a != b
+        key = (8, 9)
+        assert not a[key].classified
+        b.update({key: Classification(key, RelType.P2P, "gap-p2p")})
+        assert a != b and not a == b
+        c = self.run()
+        c.update({key: Classification(key, RelType.UNCLASSIFIED, "degree-tiebreak")})
+        assert a != c
+
+    @given(
+        st.sets(
+            st.tuples(st.integers(1, 8), st.integers(9, 16)), min_size=1, max_size=12
+        ),
+        st.data(),
+    )
+    def test_reads_and_update_match_a_dict(self, keys, data):
+        graph = AsGraph()
+        for key in sorted(keys, key=str):
+            graph.add_edge(*key)
+        labels = EdgeLabels(graph)
+        expected = {
+            key: Classification(key, RelType.UNCLASSIFIED, "unclassified")
+            for key in graph.edge_keys
+        }
+        for _ in range(data.draw(st.integers(0, 3))):
+            batch = data.draw(
+                st.dictionaries(
+                    st.sampled_from(graph.edge_keys),
+                    st.tuples(
+                        st.sampled_from(
+                            [RelType.C2P, RelType.P2C, RelType.P2P, RelType.UNCLASSIFIED]
+                        ),
+                        st.sampled_from(
+                            ["deterministic-p1", "deterministic-p2", "gap-p2p",
+                             "degree-tiebreak", "kshell-tiebreak", "core-preassigned",
+                             "unclassified"]
+                        ),
+                    ),
+                )
+            )
+            records = {key: Classification(key, *label) for key, label in batch.items()}
+            labels.update(records)
+            expected.update(records)
+        assert list(labels.items()) == list(expected.items())
+        assert labels == expected and not labels != expected
+        assert len(labels) == len(expected)
+        assert all(key in labels for key in expected)
+        missing = (20, 21)
+        assert missing not in labels and labels.get(missing) is None
+        with pytest.raises(KeyError):
+            labels[missing]
+        assert labels.unclassified() == [
+            e for e, key in enumerate(graph.edge_keys) if not expected[key].classified
+        ]

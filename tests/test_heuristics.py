@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asrel.errors import ConfigurationError
-from asrel.graph import AsGraph, AsPath, Classification, RelType, compile_corpus
+from asrel.graph import (
+    AsGraph,
+    AsPath,
+    Classification,
+    EdgeLabels,
+    RelType,
+    compile_corpus,
+)
 from asrel.heuristics import (
     HeuristicConfig,
     apply_tiebreaks,
@@ -28,11 +35,20 @@ def cls(key, rel, method="deterministic-p1"):
 
 
 def gap_p2p(paths, classifications):
-    return infer_gap_p2p(compile_corpus(build_graph(paths), paths), classifications)
+    graph = build_graph(paths)
+    labels = edge_labels(graph, classifications)
+    return infer_gap_p2p(compile_corpus(graph, paths), labels)
 
 
 def table(*entries):
     return {c.edge: c for c in entries}
+
+
+def edge_labels(graph, classifications):
+    """graph's edge labels, holding classifications."""
+    labels = EdgeLabels(graph)
+    labels.update(classifications)
+    return labels
 
 
 class TestHeuristicConfig:
@@ -216,7 +232,7 @@ class TestApplyTiebreaks:
             cls((7, 8), RelType.UNCLASSIFIED),
         )
         updates = apply_tiebreaks(
-            g, classifications, HeuristicConfig(tiebreak="degree")
+            g, edge_labels(g, classifications), HeuristicConfig(tiebreak="degree")
         )
         assert set(updates) == {(3, 4), (7, 8)}
         assert updates[(3, 4)] == Classification((3, 4), RelType.P2P, "degree-tiebreak")

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asrel.errors import ParseError
-from asrel.graph import AsGraph, Classification, RelType
+from asrel.graph import AsGraph, Classification, EdgeLabels, RelType
 from asrel.ingest import SiblingSet
 from asrel.metrics import (
     CLASSIFICATION_HEADER,
@@ -24,6 +24,7 @@ from asrel.metrics import (
     write_metrics_csv,
 )
 
+from oracles import load_reference as reference_load_reference
 from oracles import vote, vote_invalid
 
 
@@ -36,6 +37,16 @@ def cls(key, rel, method="deterministic-p1"):
 def labels(*records):
     """A run's classifications mapping."""
     return {record.edge: record for record in records}
+
+
+def edge_labels(records):
+    """A run's edge labels holding records, over a graph of their edges."""
+    graph = AsGraph()
+    for record in records:
+        graph.add_edge(*record.edge)
+    out = EdgeLabels(graph)
+    out.update(labels(*records))
+    return out
 
 
 class TestLoadReference:
@@ -78,6 +89,38 @@ class TestLoadReference:
         with pytest.raises(ParseError):
             load_reference(["1|2|7\n"])
 
+    @given(
+        st.lists(
+            st.one_of(
+                # Well-formed records, with AS numbers and codes in and out
+                # of range.
+                st.builds(
+                    "{}|{}|{}".format,
+                    st.sampled_from(["1", "2", "3", "007", "0", "4294967295", "4294967296"]),
+                    st.sampled_from(["1", "2", "3", "20", "21", "99999999999"]),
+                    st.sampled_from(["-1", "0", "1", "-0", "01", "2", "-7"]),
+                ),
+                # Anything close to one.
+                st.text(alphabet="0123456789|-+ #x_\t\u0663", max_size=12),
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_matches_a_parse_of_every_record(self, lines, merge):
+        siblings = SiblingSet()
+        if merge:
+            siblings.merge(20, 21)
+        lines = [line + "\n" for line in lines]
+        try:
+            expected = reference_load_reference(lines, siblings, "ref.txt")
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                load_reference(lines, siblings, "ref.txt")
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        else:
+            assert load_reference(lines, siblings, "ref.txt") == expected
+
     def test_malformed_line_reports_position(self):
         with pytest.raises(ParseError) as err:
             load_reference(["1|2|0\n", "nope\n"], source="ref.txt")
@@ -95,7 +138,7 @@ class TestCompare:
             {(i, i + 100): RelType.P2P for i in range(1, 9)}
             | {(9, 109): RelType.P2C}
         )
-        result = compare(records, ref)
+        result = compare(edge_labels(records), ref)
         assert result.edges_total == 10
         assert result.both_classified == 9
         assert result.matches == 8
@@ -103,28 +146,28 @@ class TestCompare:
         assert result.pct_match_both == pytest.approx(100 * 8 / 9)
 
     def test_empty_reference(self):
-        result = compare([cls((1, 2), RelType.P2P)], ReferenceSet())
+        result = compare(edge_labels([cls((1, 2), RelType.P2P)]), ReferenceSet())
         assert result.pct_match_overall == 0.0
         assert result.pct_match_both is None
 
     def test_direction_flip_is_disagreement(self):
         ours = [cls((1, 2), RelType.C2P)]       # 1 is the customer
         ref = load_reference(["1|2|-1\n"])       # 1 is the provider
-        result = compare(ours, ref)
+        result = compare(edge_labels(ours), ref)
         assert result.matches == 0
         assert result.both_classified == 1
 
     def test_unclassified_edges_not_counted_as_both(self):
         ours = [cls((1, 2), RelType.UNCLASSIFIED)]
         ref = ReferenceSet({(1, 2): RelType.P2P})
-        result = compare(ours, ref)
+        result = compare(edge_labels(ours), ref)
         assert result.edges_total == 1
         assert result.both_classified == 0
 
     def test_s2s_reference_records_counted_not_scored(self):
         ours = [cls((1, 2), RelType.P2P)]
         ref = ReferenceSet({(1, 2): RelType.S2S})
-        result = compare(ours, ref)
+        result = compare(edge_labels(ours), ref)
         assert result.edges_total == 1
         assert result.both_classified == 0
 
@@ -142,7 +185,7 @@ class TestCompare:
     )
     def test_counting_invariants(self, ours, theirs):
         records = [cls(k, rel) for k, rel in ours.items()]
-        result = compare(records, ReferenceSet(dict(theirs)))
+        result = compare(edge_labels(records), ReferenceSet(dict(theirs)))
         assert result.matches <= result.both_classified <= result.edges_total
         assert result.edges_total == len(ours)
         if result.edges_total:
@@ -259,7 +302,7 @@ class TestSummaries:
 
     def test_counts_and_shares(self):
         edges, counts, pct_cls, pct_det, pct_heu = summarize_classifications(
-            self.records()
+            edge_labels(self.records())
         )
         assert edges == 4
         assert counts["deterministic-p1"] == 1
@@ -269,7 +312,7 @@ class TestSummaries:
         assert pct_det <= pct_cls <= 100.0
 
     def test_empty_input(self):
-        assert summarize_classifications([]) == (0, {}, 0.0, 0.0, 0.0)
+        assert summarize_classifications(edge_labels([])) == (0, {}, 0.0, 0.0, 0.0)
 
 
 class TestCsvWriters:
@@ -294,11 +337,10 @@ class TestCsvWriters:
         g.add_edge(3, 7)
         vote(g, 3, 7, RelType.C2P, weight=5)
         vote_invalid(g, 3, 7)
-        records = [
-            Classification((3, 7), RelType.C2P, "deterministic-p1"),
-            Classification((8, 9), RelType.S2S, "sibling-db"),
-        ]
-        write_classifications_csv(records, g, buf)
+        records = EdgeLabels(g)
+        records.update(labels(Classification((3, 7), RelType.C2P, "deterministic-p1")))
+        siblings = [Classification((8, 9), RelType.S2S, "sibling-db")]
+        write_classifications_csv(records, siblings, g, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == CLASSIFICATION_HEADER
         assert lines[1] == "3,7,c2p,deterministic-p1,1.000000,0.000000,0.000000,1"

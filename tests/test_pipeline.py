@@ -414,7 +414,9 @@ def full_run(raws, truth, replace, tiebreak, siblings=None):
 def classification_rows(result):
     """The classifications.csv rows of a run, as lists of fields."""
     buf = io.StringIO()
-    write_classifications_csv(result.all_records(), result.graph, buf)
+    write_classifications_csv(
+        result.classifications, result.sibling_records, result.graph, buf
+    )
     return list(csv.reader(io.StringIO(buf.getvalue())))
 
 
