@@ -44,14 +44,16 @@ only on an open one. So phase 2 re-walks, after its first round, only the
 paths through an edge voted in the round before (semi-naive evaluation,
 Bancilhon and Ramakrishnan, SIGMOD 1986) or only the paths through an edge
 still open, whichever set the index lists fewer paths for: a path outside
-either set would cast no vote. It reads one label byte per arc, in the
+either set would cast no vote. Corpus.through selects each round's paths,
+as it selects the gap pass's. Phase 2 reads one label byte per arc, in the
 encoding the gap pass reads (graph.ARC_LABELS): open for an edge without
 votes, up or down for an anchor, an edge whose share reaches the
 threshold for c2p or p2c, and other for any other voted edge.
 
 finalize turns the counters into an EdgeLabels: a label code and a method
 code per edge id, in two bytearrays, which the heuristics, the metrics
-and the CSV writer read without building one record per edge.
+and the CSV writer read without building one record per edge. Phase 1
+reports the edges it voted on by id, and finalize marks them by id.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ from .graph import (
     METHOD_UNCLASSIFIED,
     AsGraph,
     Corpus,
-    EdgeKey,
     EdgeLabels,
     RelType,
 )
@@ -178,10 +179,10 @@ def partition_paths(paths: Corpus, core: CoreGraph, max_core_hops: int) -> PathP
 
 @dataclass
 class Phase1Result:
-    """Edges phase 1 voted on; valley_paths sums the weights of paths that
-    drew an invalid vote."""
+    """The ids of the edges phase 1 voted on, in increasing order;
+    valley_paths sums the weights of paths that drew an invalid vote."""
 
-    voted_edges: set[EdgeKey] = field(default_factory=set)
+    voted_edges: list[int] = field(default_factory=list)
     valley_paths: int = 0
 
 
@@ -297,11 +298,7 @@ def phase1(
     invalid[:] = votes[n + n_edges : 2 * n]
     # Every phase-1 vote has weight >= 1 and the graph had none before, so
     # the voted edges are those with a nonzero count.
-    voted = {
-        key
-        for key, lc, hc, pp in zip(graph.edge_keys, low, high, p2p)
-        if lc or hc or pp
-    }
+    voted = list(compress(range(n_edges), map(any, zip(low, high, p2p))))
     return Phase1Result(voted, sum(invalid))
 
 
@@ -340,10 +337,10 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
     A path votes only on an open edge, and votes anew only when an edge
     on it was voted in the round before, so each later round walks the
     periphery paths through whichever of those two edge sets the index
-    lists fewer paths for.
+    lists fewer paths for. periphery.through selects them.
     """
     weights, arcs, offsets = periphery.weights, periphery.arcs, periphery.offsets
-    path_starts, path_ids = periphery.incidence
+    path_starts = periphery.incidence[0]
     low, high, p2p = graph.low_customer, graph.high_customer, graph.p2p
     n = 2 * graph.n_edges
     # The customer counts by slot: edge e's low one in 2e, its high one in
@@ -355,25 +352,13 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
     # A voted edge with no share at the threshold reads as other: p2p.
     codes = _label_codes(zip(low, high, p2p), threshold, LABEL_P2P)
     labels = bytearray().join(map(ARC_LABELS.__getitem__, codes))
-    # 1 marks a periphery path, 2 one already on the round's worklist.
-    marks = bytearray(len(periphery.paths))
-    for p in periphery.members:
-        marks[p] = 1
     open_edges = [e for e in range(graph.n_edges) if labels[2 * e] == ARC_OPEN]
     # How many paths the index lists through the open edges.
     open_load = sum(path_starts[e + 1] - path_starts[e] for e in open_edges)
     edges = open_edges
     rounds = 0
     while True:
-        # Path ids as 4-byte ints: a round can hold nearly every path.
-        worklist = array("i")
-        for e in edges:
-            for p in path_ids[path_starts[e] : path_starts[e + 1]]:
-                if marks[p] == 1:
-                    marks[p] = 2
-                    worklist.append(p)
-        for p in worklist:
-            marks[p] = 1
+        worklist = periphery.through(edges)
         rounds += 1
         before = customer[:]
         for p in worklist:
@@ -424,14 +409,15 @@ def finalize(
     graph: AsGraph,
     config: InferenceConfig,
     core: CoreGraph,
-    phase1_voted: set[EdgeKey] | None = None,
+    phase1_voted: Iterable[int] = (),
 ) -> EdgeLabels:
     """The label of every edge from the counters.
 
     Core preassignments win outright. Otherwise an edge is classified when
     one share reaches the threshold, tagged by whether any phase 1 vote
-    contributed; everything else stays unclassified for the heuristics to
-    look at. The votes stay in graph's counters.
+    contributed: phase1_voted holds the ids of the edges phase 1 voted on.
+    Everything else stays unclassified for the heuristics to look at. The
+    votes stay in graph's counters.
     """
     rels = _label_codes(
         zip(graph.low_customer, graph.high_customer, graph.p2p),
@@ -440,13 +426,12 @@ def finalize(
     )
     methods = rels.translate(_METHOD_OF_LABEL)
     p1 = METHOD_CODES[METHOD_DETERMINISTIC_P1]
-    index = graph.edge_index
-    for e in map(index.__getitem__, phase1_voted or ()):
+    for e in phase1_voted:
         if rels[e] != LABEL_UNCLASSIFIED:
             methods[e] = p1
     preassigned = METHOD_CODES[METHOD_CORE_PREASSIGNED]
     for key, rel in core.preassigned.items():
-        e = index.get(key)
+        e = graph.edge_index.get(key)
         if e is not None:
             rels[e] = LABEL_RELS.index(rel)
             methods[e] = preassigned

@@ -195,7 +195,7 @@ class AsGraph:
         return len(self.edge_keys)
 
     def add_vertex(self, v: int) -> None:
-        if not (0 <= v <= MAX_ASN):
+        if not (1 <= v <= MAX_ASN):
             raise ParameterError(f"AS number out of range: {v}")
         if v not in self._adj:
             self._adj[v] = set()
@@ -279,8 +279,8 @@ class EdgeLabels(Mapping[EdgeKey, Classification]):
 
     It reads as a mapping from edge key to Classification, in edge-id
     order, and builds a record only when one is read; update() writes
-    records into the arrays. Two label records over the same edges compare
-    by their arrays.
+    records into the arrays. Two label records over the same edge ids
+    compare by their arrays, others as mappings.
     """
 
     def __init__(
@@ -312,12 +312,8 @@ class EdgeLabels(Mapping[EdgeKey, Classification]):
         return len(self.edge_keys)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, EdgeLabels):
-            return (
-                self.rels == other.rels
-                and self.methods == other.methods
-                and self.edge_keys == other.edge_keys
-            )
+        if isinstance(other, EdgeLabels) and self.edge_keys == other.edge_keys:
+            return self.rels == other.rels and self.methods == other.methods
         return super().__eq__(other)
 
     def update(self, records: Mapping[EdgeKey, Classification]) -> None:
@@ -347,7 +343,8 @@ class Corpus:
     n_edges is the graph's edge count once the paths were compiled.
 
     A corpus stands for the paths whose ids are in members: all of them,
-    unless it came from subset(). It iterates as those AsPath objects.
+    unless it came from subset(). It iterates as those AsPath objects, and
+    through() selects those that cross given edges.
     """
 
     def __init__(self, graph: AsGraph, paths: Iterable[AsPath], grow: bool = False):
@@ -356,6 +353,8 @@ class Corpus:
         as add_edge would."""
         self.paths = list(paths)
         self.members = range(len(self.paths))
+        # One byte per path, 1 for a member; through() builds it on first use.
+        self._member_mask: bytes | None = None
         self.weights = array("q", [path.weight for path in self.paths])
         self.edge_index = index = graph.edge_index
         self.edge_keys = graph.edge_keys
@@ -393,10 +392,32 @@ class Corpus:
                 fill[e] += 1
         return path_starts, path_ids
 
+    def through(self, edges: Iterable[int]) -> array:
+        """The ids of this corpus's member paths that go through any of
+        edges, each once, in the order the edge-to-path index first lists
+        them."""
+        if self._member_mask is None:
+            mask = bytearray(len(self.paths))
+            for p in self.members:
+                mask[p] = 1
+            self._member_mask = bytes(mask)
+        path_starts, path_ids = self.incidence
+        unseen = bytearray(self._member_mask)
+        # Path ids as 4-byte ints: a selection can hold nearly every path.
+        selected = array("i")
+        for e in edges:
+            for p in path_ids[path_starts[e] : path_starts[e + 1]]:
+                if unseen[p]:
+                    unseen[p] = 0
+                    selected.append(p)
+        return selected
+
     def subset(self, members: Iterable[int]) -> "Corpus":
         """This compiled corpus, standing for the paths in members."""
         view = copy(self)
         view.members = members
+        # Not this corpus's mask: the view has its own members.
+        view._member_mask = None
         return view
 
     def __iter__(self) -> Iterator[AsPath]:

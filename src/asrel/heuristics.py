@@ -60,29 +60,21 @@ def infer_gap_p2p(
     peering. Edges at the path boundary have no such context and are left
     alone, as are paths with two or more open edges. Existing labels are
     never overwritten. labels are over the periphery's edge ids; only the
-    paths through an unclassified edge are visited, since no other path
-    has a gap.
+    paths through an unclassified edge are visited, each once
+    (periphery.through), since no other path has a gap.
     """
     arcs, offsets = periphery.arcs, periphery.offsets
-    path_starts, path_ids = periphery.incidence
     arc_labels = b"".join(map(ARC_LABELS.__getitem__, labels.rels))
-    unvisited = bytearray(len(periphery.paths))
-    for p in periphery.members:
-        unvisited[p] = 1
     label_of = arc_labels.__getitem__
     updates: dict[EdgeKey, Classification] = {}
-    for e in labels.unclassified():
-        for p in path_ids[path_starts[e] : path_starts[e + 1]]:
-            if not unvisited[p]:
-                continue
-            unvisited[p] = 0
-            start = offsets[p]
-            walk = bytes(map(label_of, arcs[start : offsets[p + 1]]))
-            # With one open hop, the wedge can only be around that one.
-            if walk.count(ARC_OPEN) == 1 and _WEDGE in walk:
-                key = periphery.edge_keys[arcs[start + walk.index(ARC_OPEN)] >> 1]
-                if key not in updates:
-                    updates[key] = Classification(key, RelType.P2P, METHOD_GAP_P2P)
+    for p in periphery.through(labels.unclassified()):
+        start = offsets[p]
+        walk = bytes(map(label_of, arcs[start : offsets[p + 1]]))
+        # With one open hop, the wedge can only be around that one.
+        if walk.count(ARC_OPEN) == 1 and _WEDGE in walk:
+            key = periphery.edge_keys[arcs[start + walk.index(ARC_OPEN)] >> 1]
+            if key not in updates:
+                updates[key] = Classification(key, RelType.P2P, METHOD_GAP_P2P)
     return updates
 
 

@@ -25,7 +25,6 @@ from .graph import (
     AsGraph,
     AsPath,
     Classification,
-    EdgeKey,
     EdgeLabels,
     RelType,
     compile_corpus,
@@ -44,15 +43,10 @@ class RunResult:
     partition: PathPartition
     classifications: EdgeLabels
     sibling_records: list[Classification] = field(default_factory=list)
-    phase1_voted: set[EdgeKey] = field(default_factory=set)
+    # The ids of the run graph's edges that phase 1 voted on.
+    phase1_voted: list[int] = field(default_factory=list)
     phase2_rounds: int = 0
     valley_paths: int = 0
-
-    def all_records(self) -> list[Classification]:
-        """Edge classifications plus sibling records, in stable order."""
-        records = [self.classifications[key] for key in sorted(self.classifications)]
-        records.extend(self.sibling_records)
-        return records
 
 
 def run_inference(

@@ -152,7 +152,8 @@ class TestPhase1:
         path = trace(2, 3, 8, 5, 6)
         g = build_graph([path])
         result = phase1(g, compile_corpus(g, [path]), noedge_core(8))
-        assert result.voted_edges == {(2, 3), (3, 8), (5, 8), (5, 6)}
+        voted = {g.edge_keys[e] for e in result.voted_edges}
+        assert voted == {(2, 3), (3, 8), (5, 8), (5, 6)}
         assert tally(g, (2, 3)).low_customer == 1        # c2p
         assert tally(g, (3, 8)).low_customer == 1        # c2p into the core
         assert tally(g, (5, 8)).low_customer == 1        # p2c leaving the core
@@ -167,7 +168,7 @@ class TestPhase1:
         assert counts.invalid == 1
         assert counts.votes() == 0
         # The walk stops at the violation; nothing after it is voted.
-        assert result.voted_edges == {(1, 10), (2, 10)}
+        assert {g.edge_keys[e] for e in result.voted_edges} == {(1, 10), (2, 10)}
 
     def test_preassigned_core_edge_not_revoted(self):
         path = trace(1, 4, 5, 2)
@@ -175,7 +176,7 @@ class TestPhase1:
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2P})
         result = phase1(g, compile_corpus(g, [path]), core)
         assert tally(g, (4, 5)).votes() == 0
-        assert (4, 5) not in result.voted_edges
+        assert g.edge_index[(4, 5)] not in result.voted_edges
 
     def test_preassigned_p2c_descends_then_up_is_invalid(self):
         # (4, 5) is preassigned provider-to-customer, so the walk is
@@ -233,7 +234,7 @@ class TestPhase1:
             through_core, _, _ = reference_partition(paths, core, 3)
             voted, valley_paths = reference_phase1(fresh, through_core, core)
             assert work.counters == fresh.counters
-            assert result.voted_edges == voted
+            assert {work.edge_keys[e] for e in result.voted_edges} == voted
             assert result.valley_paths == valley_paths > 0
 
 
@@ -380,7 +381,7 @@ class TestFinalize:
         for _ in range(4):
             vote(g, 1, 2, RelType.C2P)
         vote(g, 1, 2, RelType.P2P)
-        out = finalize(g, InferenceConfig(), noedge_core(99), {(1, 2)})
+        out = finalize(g, InferenceConfig(), noedge_core(99), [g.edge_index[(1, 2)]])
         cls = out[(1, 2)]
         assert cls.rel is RelType.C2P
         assert cls.method == "deterministic-p1"
@@ -520,7 +521,7 @@ class TestAgainstReference:
         assert result.classifications == classifications
         assert result.phase2_rounds == rounds
         assert result.valley_paths == valley_paths
-        assert result.phase1_voted == voted
+        assert {result.graph.edge_keys[e] for e in result.phase1_voted} == voted
         # A valley path casts exactly one invalid vote, and only phase 1
         # casts them.
         assert result.valley_paths == sum(result.graph.invalid)

@@ -171,6 +171,15 @@ class TestAsGraph:
         with pytest.raises(SelfLoopError):
             self.build().add_edge(4, 4)
 
+    def test_as_zero_rejected(self):
+        # AS 0 is reserved, as AsPath and the input parsers hold.
+        g = AsGraph()
+        with pytest.raises(ParameterError):
+            g.add_vertex(0)
+        with pytest.raises(ParameterError):
+            g.add_edge(0, 1)
+        assert g.n_vertices == g.n_edges == 0
+
     def test_vote_maps_direction_to_canonical_counters(self):
         g = self.build()
         # 2 is the customer in c2p(2, 1): high endpoint of (1, 2).
@@ -288,6 +297,63 @@ class TestCompileCorpus:
             compile_corpus(g, [AsPath((1, 5))])
 
 
+def brute_through(corpus, members, edges):
+    """The member paths whose hops cross any of edges, each once, in the
+    order of edges and then of path id, found from the hop tuples."""
+    selected = []
+    for e in edges:
+        key = corpus.edge_keys[e]
+        for p in sorted(set(members)):
+            hops = corpus.paths[p].hops
+            crosses = any(edge_key(u, v) == key for u, v in zip(hops, hops[1:]))
+            if crosses and p not in selected:
+                selected.append(p)
+    return selected
+
+
+class TestThrough:
+    def test_a_path_crossing_an_edge_twice_is_selected_once(self):
+        paths = [AsPath((1, 2, 1)), AsPath((2, 3)), AsPath((3, 2, 1))]
+        g = build_graph(paths)
+        corpus = compile_corpus(g, paths)
+        e12, e23 = g.edge_index[(1, 2)], g.edge_index[(2, 3)]
+        assert list(corpus.through([e12])) == [0, 2]
+        assert list(corpus.through([e23, e12, e23])) == [1, 2, 0]
+        assert list(corpus.through([])) == []
+        assert list(corpus.subset([0, 1]).through([e23, e12])) == [1, 0]
+
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 6), min_size=2, max_size=7), min_size=1, max_size=12
+        ),
+        st.data(),
+    )
+    def test_matches_brute_force_on_the_corpus_and_its_partition(self, hop_lists, data):
+        from asrel.core import CoreGraph
+        from asrel.engine import partition_paths
+
+        paths = []
+        for hops in hop_lists:
+            hops = [h for i, h in enumerate(hops) if i == 0 or h != hops[i - 1]]
+            if len(hops) >= 2:
+                paths.append(AsPath(tuple(hops)))
+        if not paths:
+            return
+        g = build_graph(paths)
+        corpus = compile_corpus(g, paths)
+        edges = data.draw(st.lists(st.integers(0, g.n_edges - 1), max_size=6))
+        # The full corpus first, so that a view taken afterwards could
+        # inherit anything it keeps.
+        assert list(corpus.through(edges)) == brute_through(corpus, corpus.members, edges)
+        core = CoreGraph(data.draw(st.sets(st.sampled_from(sorted(g.vertices)))))
+        max_core_hops = data.draw(st.integers(1, 3))
+        for part in vars(partition_paths(corpus, core, max_core_hops)).values():
+            assert list(part.through(edges)) == brute_through(corpus, part.members, edges)
+        members = data.draw(st.sets(st.sampled_from(range(len(paths)))))
+        view = corpus.subset(sorted(members))
+        assert list(view.through(edges)) == brute_through(corpus, members, edges)
+
+
 class TestClassification:
     def test_classified_flag(self):
         cls = Classification((1, 2), RelType.C2P, "deterministic-p1")
@@ -307,6 +373,19 @@ class TestEdgeLabels:
         paths = [AsPath((1, 2, 3, 4, 5)), AsPath((6, 3, 7)), AsPath((8, 9))]
         graph = build_graph(paths)
         return run_inference(graph, paths, CoreGraph({3, 4}, {(3, 4)})).classifications
+
+    def test_same_labels_over_other_edge_ids_compare_as_mappings(self):
+        a = self.run()
+        graph = AsGraph()
+        for key in reversed(a.edge_keys):
+            graph.add_edge(*key)
+        b = EdgeLabels(graph)
+        b.update(a)
+        assert b.edge_keys != a.edge_keys
+        assert a == b and dict(a) == dict(b)
+        key = (8, 9)
+        b.update({key: Classification(key, RelType.P2P, "gap-p2p")})
+        assert a != b
 
     def test_identical_runs_equal_and_one_label_apart_unequal(self):
         a, b = self.run(), self.run()

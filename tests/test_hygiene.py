@@ -1,0 +1,109 @@
+"""Source hygiene of the asrel package, checked with the standard ast module:
+no module imports a name it never uses, and no module-level private name
+is defined and never referenced."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import asrel
+
+PACKAGE = Path(asrel.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def annotations(tree: ast.AST):
+    """Every annotation in the module: of arguments, returns and targets."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Every name the module reads, the bases of attribute chains and the
+    names inside string annotations included."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in filter(None, annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+def imported_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names the module's import statements bind, with their lines."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.append((alias.asname or alias.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.append((alias.asname or alias.name, node.lineno))
+    return bound
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The module-level names starting with one underscore that the module
+    defines by assignment, def or class."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [
+                n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            ]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.append((name, node.lineno))
+    return defined
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = parse(path)
+    used = names_used(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports and never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_names(path):
+    tree = parse(path)
+    # A private name counts as referenced when the module reads it, or when
+    # another module of the package reads it as an attribute or imports it.
+    referenced = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for other in MODULES:
+        if other != path:
+            for node in ast.walk(parse(other)):
+                if isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    referenced.update(alias.name for alias in node.names)
+    dead = [
+        f"{name} (line {line})"
+        for name, line in private_definitions(tree)
+        if name not in referenced
+    ]
+    assert not dead, f"{path.name} defines and never references: {', '.join(dead)}"

@@ -58,19 +58,6 @@ class TestRunInference:
         result, graph = tiny_run()
         assert set(result.classifications) == graph.edges
 
-    def test_all_records_sorted_with_siblings_last(self):
-        siblings = SiblingSet()
-        siblings.merge(100, 200)
-        paths = [trace(1, 2, 3)]
-        graph = build_graph(paths)
-        result = run_inference(
-            graph, paths, CoreGraph({2}), siblings=siblings
-        )
-        records = result.all_records()
-        assert [r.edge for r in records] == [(1, 2), (2, 3), (100, 200)]
-        assert records[-1].rel is RelType.S2S
-        assert records[-1].method == "sibling-db"
-
     def test_tiebreak_classifies_leftovers(self):
         # Off-summit core: the two summit edges get no usable votes.
         paths = [trace(1, 2, 3, 4, 5, 6, 7), trace(2, 3, 8, 5, 6)]
@@ -168,6 +155,52 @@ def corpus():
     paths, _ = ingest_paths(sample_paths(truth, config))
     graph = build_graph(paths)
     return truth, graph, paths
+
+
+class TestWork:
+    """Exact work counts, the same on any host: a change that walks more
+    periphery paths or hops fails here."""
+
+    # Per core: phase-2 rounds, the paths each round walks, the hops of
+    # those paths, and the paths and hops the gap pass walks.
+    PINNED = {
+        "true": (1, [33], 59, 33, 59),
+        "replaced": (2, [100, 17], 334, 721, 2682),
+        "off-centre": (3, [1189, 168, 28], 4823, 250, 968),
+    }
+
+    def test_periphery_walks_are_pinned(self, corpus, monkeypatch):
+        truth, graph, paths = corpus
+        true_core = truth.true_core()
+        cores = {
+            "true": true_core,
+            "replaced": corrupt_core(true_core, graph, 4, seed=1),
+            "off-centre": CoreGraph({18}),
+        }
+        selections = []
+        real = graph_module.Corpus.through
+
+        def counting(self, edges):
+            selected = real(self, edges)
+            hops = sum(self.offsets[p + 1] - self.offsets[p] for p in selected)
+            selections.append((len(selected), hops))
+            return selected
+
+        monkeypatch.setattr(graph_module.Corpus, "through", counting)
+        work = {}
+        for name, core in cores.items():
+            selections.clear()
+            rounds = run_inference(graph, paths, core).phase2_rounds
+            # One selection per phase-2 round, then the gap pass's.
+            assert len(selections) == rounds + 1
+            *phase2, gap = selections
+            work[name] = (
+                rounds,
+                [n for n, _ in phase2],
+                sum(hops for _, hops in phase2),
+                *gap,
+            )
+        assert work == self.PINNED
 
 
 class TestSweeps:
@@ -446,7 +479,8 @@ class TestMetamorphic:
         rng.shuffle(shuffled)
         a, metrics_a, _ = full_run(raws, truth, **run)
         b, metrics_b, _ = full_run(shuffled, truth, **run)
-        assert a.all_records() == b.all_records()
+        assert a.classifications == b.classifications
+        assert a.sibling_records == b.sibling_records
         assert classification_rows(a) == classification_rows(b)
         assert a.phase2_rounds == b.phase2_rounds
         assert metrics_a.row() == metrics_b.row()
@@ -468,7 +502,8 @@ class TestMetamorphic:
         ]
         a, metrics_a, report_a = full_run(weighted, truth, **run)
         b, metrics_b, report_b = full_run(copies, truth, **run)
-        assert a.all_records() == b.all_records()
+        assert a.classifications == b.classifications
+        assert a.sibling_records == b.sibling_records
         assert classification_rows(a) == classification_rows(b)
         assert metrics_a.row() == metrics_b.row()
         assert vote_share_histogram(a.graph) == vote_share_histogram(b.graph)
