@@ -16,13 +16,15 @@ def show(title, paths, core):
     graph = build_graph(paths)
     result = run_inference(graph, paths, core)
     print(f"  phase 2 rounds: {result.phase2_rounds}")
-    # The votes stay in the run graph: four counters per edge, by edge id.
+    # The votes stay in the run graph: customer votes by arc, so edge e's
+    # c2p and p2c counts (low->high) are customer[2e] and customer[2e + 1],
+    # and p2p and invalid votes by edge id.
     work = result.graph
     for key in sorted(graph.edges):
         cls = result.classifications[key]
         e = work.edge_index[key]
         votes = (
-            f"votes low-cust={work.low_customer[e]} high-cust={work.high_customer[e]} "
+            f"votes c2p={work.customer[2 * e]} p2c={work.customer[2 * e + 1]} "
             f"p2p={work.p2p[e]} invalid={work.invalid[e]}"
         )
         print(f"  edge {key}: {cls.rel.value:<12} via {cls.method:<16} {votes}")

@@ -81,9 +81,13 @@ def main():
             print(f"  [{lo:.2f}, {hi:.2f}) {count:5d} {bar}")
 
     work = result.graph
+    customer = work.customer
     valley = [
-        e for e, (low, high, p2p, invalid) in enumerate(zip(*work.counters))
-        if invalid and not (low or high or p2p)
+        e
+        for e, (c2p, p2c, p2p, invalid) in enumerate(
+            zip(customer[0::2], customer[1::2], work.p2p, work.invalid)
+        )
+        if invalid and not (c2p or p2c or p2p)
     ]
     print(f"\n{len(valley)} edges were seen only inside invalid path segments")
     print("and are deliberately left unclassified (valley edges).")

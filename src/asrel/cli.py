@@ -350,9 +350,9 @@ def cmd_corruption(args) -> str:
     fractions = _parse_fractions(args.fractions)
     if args.corruption_seeds < 1:
         raise ConfigurationError("--corruption-seeds must be >= 1")
-    seeds = [args.seed + i for i in range(args.corruption_seeds)]
     rows = corruption_sweep(
-        graph, graph.corpus, core, fractions, seeds,
+        graph, graph.corpus, core, fractions,
+        range(args.seed, args.seed + args.corruption_seeds),
         engine_config, heuristic_config, reference,
     )
     return _write_experiment(args, rows)

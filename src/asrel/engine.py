@@ -17,12 +17,9 @@ at the start of each round until no new votes appear, so the outcome does
 not depend on path order.
 
 Every stage works on a Corpus, the paths compiled once into arc ids, and
-on the graph's flat per-edge counters. Arc a is edge a >> 1 walked from
-its lower-numbered endpoint when a is even, from its higher one when odd.
-A vote that makes the walk's tail the customer goes to slot a of the
-customer counts and one that makes its head the customer to slot a ^ 1;
-slot 2e is edge e's low-customer count and slot 2e + 1 its high-customer
-count. No walk compares AS numbers.
+on the graph's flat counters (see AsGraph). A hop over arc a that makes
+its tail the customer votes into customer[a], one that makes its head the
+customer into customer[a ^ 1]. No walk compares AS numbers.
 
 Phase 1 runs the walk as a finite automaton driven by transition tables
 (Aho et al., Compilers, 2nd ed., 3.6-3.8): one row per state, uphill, in
@@ -291,14 +288,15 @@ def phase1(
             i = row + a
             votes[slots[i]] += weight
             row = moves[i]
-    low, high, p2p, invalid = graph.counters
-    low[:] = votes[0:n:2]
-    high[:] = votes[1:n:2]
+    customer, p2p, invalid = graph.customer, graph.p2p, graph.invalid
+    customer[:] = votes[:n]
     p2p[:] = votes[n : n + n_edges]
     invalid[:] = votes[n + n_edges : 2 * n]
     # Every phase-1 vote has weight >= 1 and the graph had none before, so
     # the voted edges are those with a nonzero count.
-    voted = list(compress(range(n_edges), map(any, zip(low, high, p2p))))
+    voted = list(
+        compress(range(n_edges), map(any, zip(customer[0::2], customer[1::2], p2p)))
+    )
     return Phase1Result(voted, sum(invalid))
 
 
@@ -341,16 +339,11 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
     """
     weights, arcs, offsets = periphery.weights, periphery.arcs, periphery.offsets
     path_starts = periphery.incidence[0]
-    low, high, p2p = graph.low_customer, graph.high_customer, graph.p2p
-    n = 2 * graph.n_edges
-    # The customer counts by slot: edge e's low one in 2e, its high one in
-    # 2e + 1.
-    customer = [0] * n
-    customer[0::2] = low
-    customer[1::2] = high
+    customer, p2p = graph.customer, graph.p2p
+    n = len(customer)
     threshold = config.threshold
     # A voted edge with no share at the threshold reads as other: p2p.
-    codes = _label_codes(zip(low, high, p2p), threshold, LABEL_P2P)
+    codes = _label_codes(zip(customer[0::2], customer[1::2], p2p), threshold, LABEL_P2P)
     labels = bytearray().join(map(ARC_LABELS.__getitem__, codes))
     open_edges = [e for e in range(graph.n_edges) if labels[2 * e] == ARC_OPEN]
     # How many paths the index lists through the open edges.
@@ -386,8 +379,6 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
         # Only open edges take votes, so each one voted was open.
         voted = {a >> 1 for a in compress(range(n), map(ne, customer, before))}
         if not voted:
-            low[:] = customer[0::2]
-            high[:] = customer[1::2]
             return Phase2Result(rounds)
         codes = _label_codes(
             ((customer[2 * e], customer[2 * e + 1], p2p[e]) for e in voted),
@@ -419,8 +410,9 @@ def finalize(
     Everything else stays unclassified for the heuristics to look at. The
     votes stay in graph's counters.
     """
+    customer = graph.customer
     rels = _label_codes(
-        zip(graph.low_customer, graph.high_customer, graph.p2p),
+        zip(customer[0::2], customer[1::2], graph.p2p),
         config.threshold,
         LABEL_UNCLASSIFIED,
     )

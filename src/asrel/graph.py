@@ -147,13 +147,13 @@ class AsGraph:
     """Undirected AS graph with four vote counters per edge.
 
     Each edge gets a dense id, in insertion order: edge_index maps an edge
-    key to its id and edge_keys lists the keys by id. The counters
-    low_customer, high_customer, p2p and invalid are lists indexed by edge
-    id, keyed to the canonical orientation: low_customer counts votes that
-    make the lower-numbered endpoint the customer (a c2p vote in low->high
-    order), high_customer the opposite, and p2p peering votes. invalid
-    counts votes cast when a path contradicted valley-free routing at the
-    edge; they never contribute to the shares (vote_shares).
+    key to its id and edge_keys lists the keys by id. customer holds two
+    counts per edge, indexed by arc id (see Corpus): customer[a] counts the
+    votes that make the tail of arc a the customer, so customer[2e] is edge
+    e's c2p count in low->high order and customer[2e + 1] its p2c count.
+    p2p and invalid are indexed by edge id: p2p counts peering votes, and
+    invalid the votes cast when a path contradicted valley-free routing at
+    the edge, which never contribute to the shares (vote_shares).
     """
 
     def __init__(self):
@@ -168,15 +168,9 @@ class AsGraph:
 
     def _zero_counters(self) -> None:
         n = len(self.edge_keys)
-        self.low_customer = [0] * n
-        self.high_customer = [0] * n
+        self.customer = [0] * (2 * n)
         self.p2p = [0] * n
         self.invalid = [0] * n
-
-    @property
-    def counters(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """(low_customer, high_customer, p2p, invalid)"""
-        return self.low_customer, self.high_customer, self.p2p, self.invalid
 
     @property
     def vertices(self):
@@ -212,15 +206,13 @@ class AsGraph:
             self._adj[b].add(a)
             self.edge_index[key] = len(self.edge_keys)
             self.edge_keys.append(key)
-            for counter in self.counters:
-                counter.append(0)
+            self.customer += (0, 0)
+            self.p2p.append(0)
+            self.invalid.append(0)
         return key
 
     def has_edge(self, a: int, b: int) -> bool:
-        try:
-            return edge_key(a, b) in self.edge_index
-        except SelfLoopError:
-            return False
+        return b in self._adj.get(a, ())
 
     def neighbors(self, v: int) -> set[int]:
         return self._adj[v]

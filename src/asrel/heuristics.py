@@ -125,10 +125,10 @@ def apply_tiebreaks(
     relationship for them would be noise, not inference.
     """
     edge_keys = graph.edge_keys
-    low_customer, high_customer, p2p, invalid = graph.counters
+    customer, p2p, invalid = graph.customer, graph.p2p, graph.invalid
     updates: dict[EdgeKey, Classification] = {}
     for e in labels.unclassified():
-        if invalid[e] and not (low_customer[e] or high_customer[e] or p2p[e]):
+        if invalid[e] and not (customer[2 * e] or customer[2 * e + 1] or p2p[e]):
             continue
         key = edge_keys[e]
         updates[key] = Classification(key, *tiebreak(key, graph, config, kshell))

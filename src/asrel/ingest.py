@@ -176,8 +176,8 @@ def normalize_path(
     Steps, in order: map every hop to its sibling representative, merge
     consecutive duplicates, and if a hop closes a loop keep only the strict
     prefix before it. Results with fewer than two hops are dropped: hops is
-    None. truncated says a loop was cut, so a dropped path was cut at a loop
-    exactly when it is truncated, and was too short to begin with otherwise.
+    None. truncated says a loop was cut; a cut keeps at least two hops, so
+    a dropped path was too short to begin with.
     A tuple that none of these steps changes is returned as is, not copied.
     """
     mapped = tuple(raw_hops)
@@ -215,7 +215,6 @@ class IngestReport:
     """
 
     paths_read: int = 0
-    paths_dropped_loop: int = 0
     paths_dropped_short: int = 0
     paths_truncated_loop: int = 0
     edges_filtered_single_agent: int = 0
@@ -386,10 +385,7 @@ def ingest_paths(
         if truncated:
             report.paths_truncated_loop += weight
         if hops is None:
-            if truncated:
-                report.paths_dropped_loop += weight
-            else:
-                report.paths_dropped_short += weight
+            report.paths_dropped_short += weight
             continue
         key = (hops, raw.source, raw.agent)
         weight += merged.get(key, 0)

@@ -155,7 +155,8 @@ def vote_share_histogram(graph: AsGraph) -> list[tuple[float, float, int]]:
     """
     edges = _HISTOGRAM_EDGES
     counts = [0] * HISTOGRAM_BINS
-    for low, high, p2p in zip(graph.low_customer, graph.high_customer, graph.p2p):
+    customer = graph.customer
+    for low, high, p2p in zip(customer[0::2], customer[1::2], graph.p2p):
         total = low + high + p2p
         if total:
             i = bisect.bisect_right(edges, high / total) - 1
@@ -264,13 +265,13 @@ def write_classifications_csv(
     ids, and each row takes its edge's vote shares and invalid votes from
     graph's counters. A sibling pair that is not an edge of graph has no
     votes, so its row holds zeros."""
-    low_customer, high_customer, p2p, invalid = graph.counters
+    customer, p2p, invalid = graph.customer, graph.p2p, graph.invalid
 
     def row(key: EdgeKey, rel: str, method: str, e: int | None) -> str:
         if e is None:
             shares, n_invalid = (0.0, 0.0, 0.0), 0
         else:
-            shares = vote_shares(low_customer[e], high_customer[e], p2p[e])
+            shares = vote_shares(customer[2 * e], customer[2 * e + 1], p2p[e])
             n_invalid = invalid[e]
         return (
             f"{key[0]},{key[1]},{rel},{method},"

@@ -172,10 +172,7 @@ def vote(graph: AsGraph, a: int, b: int, rel: RelType, weight: int = 1) -> None:
         customer = b
     else:
         raise ParameterError(f"cannot vote {rel} on an edge")
-    if customer == key[0]:
-        graph.low_customer[e] += weight
-    else:
-        graph.high_customer[e] += weight
+    graph.customer[2 * e + (customer != key[0])] += weight
 
 
 def vote_invalid(graph: AsGraph, a: int, b: int, weight: int = 1) -> None:
@@ -187,22 +184,24 @@ def vote_invalid(graph: AsGraph, a: int, b: int, weight: int = 1) -> None:
 
 
 class Tally(NamedTuple):
-    """The four counters of one edge (see AsGraph)."""
+    """The four counters of one edge (see AsGraph), c2p and p2c in
+    low->high order."""
 
-    low_customer: int
-    high_customer: int
+    c2p: int
+    p2c: int
     p2p: int
     invalid: int
 
     def votes(self) -> int:
         """Classification votes: all but the invalid ones."""
-        return self.low_customer + self.high_customer + self.p2p
+        return self.c2p + self.p2c + self.p2p
 
 
 def tally(graph: AsGraph, key: EdgeKey) -> Tally:
-    """The counters of the edge key, read from graph's per-edge lists."""
+    """The counters of the edge key, read from graph's lists."""
     e = graph.edge_index[key]
-    return Tally(*(counter[e] for counter in graph.counters))
+    customer = graph.customer
+    return Tally(customer[2 * e], customer[2 * e + 1], graph.p2p[e], graph.invalid[e])
 
 
 def core_relationship(core: CoreGraph, key: EdgeKey) -> RelType:
@@ -329,9 +328,9 @@ def phase1(
 def label(tally: Tally, threshold: float) -> RelType:
     total = tally.votes()
     if total:
-        if tally.low_customer / total >= threshold:
+        if tally.c2p / total >= threshold:
             return RelType.C2P
-        if tally.high_customer / total >= threshold:
+        if tally.p2c / total >= threshold:
             return RelType.P2C
         if tally.p2p / total >= threshold:
             return RelType.P2P

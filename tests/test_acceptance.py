@@ -237,7 +237,7 @@ def _share_counts(result) -> tuple[int, int, int]:
         if total == 0:
             continue
         voted += 1
-        best = max(counts.low_customer, counts.high_customer, counts.p2p)
+        best = max(counts.c2p, counts.p2c, counts.p2p)
         if best == total:
             unanimous += 1
         if best / total >= 0.8:

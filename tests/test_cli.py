@@ -90,6 +90,7 @@ class TestInfer:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["paths_read"] == 2
         assert report["paths_truncated_loop"] == 1
+        assert "paths_dropped_loop" not in report
 
     def test_byte_identical_across_runs(self, tmp_path, uphill_corpus):
         paths, core = uphill_corpus
@@ -232,6 +233,26 @@ class TestInferErrors:
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: path 1 2 3: weight exceeds {2**63 - 1}"]
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--paths-trace", "a|1 2 3\n|1 2\n"), ("--paths-bgp", "1 2 3\nweight=3\n")],
+        ids=["empty-agent", "weight-only"],
+    )
+    def test_path_line_without_agent_or_hops(self, tmp_path, capsys, flag, text):
+        bad = write(tmp_path / "bad.txt", text)
+        code = cli.main(
+            ["infer", flag, bad, "--core-method", "clique", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "bad.txt:2" in capsys.readouterr().err
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        paths = write(tmp_path / "p.txt", "1 2 3\n")
+        write(tmp_path / "o", "")
+        assert self.infer_bgp(tmp_path, paths) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_largest_weight_runs(self, tmp_path):
         paths = write(tmp_path / "p.txt", "1 2 3 weight=9223372036854775807\n")
         assert self.infer_bgp(tmp_path, paths) == 0
@@ -279,7 +300,7 @@ class TestInferErrors:
         "line, expected",
         [
             ("v -5", 1), ("v 99999999999999999999", 1), ("v 777", 3),
-            ("e 1 2 s2s", 1), ("e 1 2 unclassified", 1),
+            ("e 1 2 s2s", 1), ("e 1 2 unclassified", 1), ("x 1", 1),
         ],
     )
     def test_unusable_core_file(self, tmp_path, capsys, line, expected):
@@ -461,8 +482,9 @@ class TestFlagSets:
             (["--core-size", "4"], SIZE_NEEDS_GROW),
             (["--core-method", "kcore", "--peer-edges"], PEERS_NEED_EXTERNAL),
             (["--peer-edges"], PEERS_NEED_EXTERNAL),
+            (["--core-method", "external"], "--core-method external needs --peer-edges"),
         ],
-        ids=["size-clique", "size-file", "peers-kcore", "peers-file"],
+        ids=["size-clique", "size-file", "peers-kcore", "peers-file", "external-no-peers"],
     )
     def test_core_flag_the_source_ignores_is_exit_two(
         self, tmp_path, capsys, uphill_corpus, kind, flags, message
@@ -612,6 +634,18 @@ class TestExperiment:
             )
             assert code == 2
 
+    @pytest.mark.parametrize("spec", ["1:2:3:4", "a:5", "5:4", "4,x"])
+    def test_malformed_sweep_sizes(self, tmp_path, capsys, spec):
+        paths = write(tmp_path / "p.txt", "1 2 3 4 5 6\n")
+        code = cli.main(
+            [
+                "experiment", "core-sweep", "--paths-bgp", paths,
+                "--sweep-sizes", spec, "--out", str(tmp_path / "exp"),
+            ]
+        )
+        assert code == 2
+        assert f"bad --sweep-sizes {spec!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["4:500", "4:1000000000000", "4,5,500"])
     def test_sweep_sizes_checked_before_any_cell(
         self, tmp_path, monkeypatch, capsys, spec
@@ -677,6 +711,48 @@ class TestExperiment:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--fractions", "x"], "bad --fractions 'x'"),
+            (["--corruption-seeds", "0"], "--corruption-seeds must be >= 1"),
+        ],
+        ids=["fractions", "seeds"],
+    )
+    def test_bad_corruption_grid(self, tmp_path, capsys, flags, message):
+        paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n")
+        core = write(tmp_path / "c.txt", "v 2\nv 3\n")
+        code = cli.main(
+            [
+                "experiment", "corruption", "--paths-bgp", paths, "--core", core,
+                *flags, "--out", str(tmp_path / "exp"),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_corruption_seeds_reach_the_sweep_as_a_range(self, tmp_path, monkeypatch):
+        # A seed count far beyond memory costs nothing before the first
+        # cell: the sweep gets the seeds as a range. The stub runs no cell.
+        paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n")
+        core = write(tmp_path / "c.txt", "v 2\nv 3\n")
+        calls = []
+
+        def sweep(graph, corpus, core, fractions, seeds, *configs):
+            calls.append(seeds)
+            return []
+
+        monkeypatch.setattr(cli, "corruption_sweep", sweep)
+        code = cli.main(
+            [
+                "experiment", "corruption", "--paths-bgp", paths, "--core", core,
+                "--fractions", "0.5", "--seed", "7",
+                "--corruption-seeds", str(10**12), "--out", str(tmp_path / "exp"),
+            ]
+        )
+        assert code == 0
+        assert calls == [range(7, 7 + 10**12)]
 
     def test_bad_fraction_is_configuration_error(self, tmp_path):
         paths, core = self.synth_files(tmp_path)

@@ -141,12 +141,12 @@ class TestPhase1:
         core = CoreGraph({4, 5}, {(4, 5)})
         result = phase1(g, compile_corpus(g, [path]), core)
         assert result.valley_paths == 0
-        assert tally(g, (1, 2)).low_customer == 1
-        assert tally(g, (3, 4)).low_customer == 1
+        assert tally(g, (1, 2)).c2p == 1
+        assert tally(g, (3, 4)).c2p == 1
         assert tally(g, (4, 5)).p2p == 1
-        assert tally(g, (5, 6)).low_customer == 0
-        assert tally(g, (5, 6)).high_customer == 1
-        assert tally(g, (6, 7)).high_customer == 1
+        assert tally(g, (5, 6)).c2p == 0
+        assert tally(g, (5, 6)).p2c == 1
+        assert tally(g, (6, 7)).p2c == 1
 
     def test_vertex_only_core_splits_at_the_member(self):
         path = trace(2, 3, 8, 5, 6)
@@ -154,10 +154,10 @@ class TestPhase1:
         result = phase1(g, compile_corpus(g, [path]), noedge_core(8))
         voted = {g.edge_keys[e] for e in result.voted_edges}
         assert voted == {(2, 3), (3, 8), (5, 8), (5, 6)}
-        assert tally(g, (2, 3)).low_customer == 1        # c2p
-        assert tally(g, (3, 8)).low_customer == 1        # c2p into the core
-        assert tally(g, (5, 8)).low_customer == 1        # p2c leaving the core
-        assert tally(g, (5, 6)).high_customer == 1       # p2c
+        assert tally(g, (2, 3)).c2p == 1        # c2p
+        assert tally(g, (3, 8)).c2p == 1        # c2p into the core
+        assert tally(g, (5, 8)).c2p == 1        # p2c leaving the core
+        assert tally(g, (5, 6)).p2c == 1       # p2c
 
     def test_reentering_core_after_descent_is_invalid(self):
         path = trace(1, 10, 2, 11)
@@ -198,14 +198,14 @@ class TestPhase1:
         g = build_graph([path])
         core = CoreGraph({4, 5}, {(4, 5)}, {(4, 5): RelType.P2C})
         phase1(g, compile_corpus(g, [path]), core)
-        assert tally(g, (5, 9)).low_customer == 0
-        assert tally(g, (5, 9)).high_customer == 1       # p2c away from the core
+        assert tally(g, (5, 9)).c2p == 0
+        assert tally(g, (5, 9)).p2c == 1       # p2c away from the core
 
     def test_weight_scales_votes(self):
         path = AsPath((1, 10), "bgp", "", 4)
         g = build_graph([path])
         phase1(g, compile_corpus(g, [path]), noedge_core(10))
-        assert tally(g, (1, 10)).low_customer == 4
+        assert tally(g, (1, 10)).c2p == 4
 
     def test_no_state_kept_between_cores(self):
         # Each run patches the transition tables for its own core. Cores
@@ -233,7 +233,8 @@ class TestPhase1:
             fresh = build_graph(paths)
             through_core, _, _ = reference_partition(paths, core, 3)
             voted, valley_paths = reference_phase1(fresh, through_core, core)
-            assert work.counters == fresh.counters
+            assert work.customer == fresh.customer
+            assert work.p2p == fresh.p2p and work.invalid == fresh.invalid
             assert {work.edge_keys[e] for e in result.voted_edges} == voted
             assert result.valley_paths == valley_paths > 0
 
@@ -251,15 +252,15 @@ class TestPhase2:
         self.seed_anchor(g, 2, 3, RelType.C2P)
         result, voted = phase2_votes(g, [p], self.config())
         assert (1, 2) in voted
-        assert tally(g, (1, 2)).low_customer == 1
+        assert tally(g, (1, 2)).c2p == 1
 
     def test_downhill_suspects_after_first_p2c(self):
         p = trace(1, 2, 3)
         g = build_graph([p])
         self.seed_anchor(g, 1, 2, RelType.P2C)
         result, voted = phase2_votes(g, [p], self.config())
-        assert tally(g, (2, 3)).low_customer == 0
-        assert tally(g, (2, 3)).high_customer == 1
+        assert tally(g, (2, 3)).c2p == 0
+        assert tally(g, (2, 3)).p2c == 1
 
     def test_suspects_between_anchors_of_opposite_sense_stay_unvoted(self):
         # c2p ... gap ... p2c brackets the summit; the gap edge could be
@@ -280,7 +281,7 @@ class TestPhase2:
         self.seed_anchor(g, 3, 4, RelType.C2P)
         result, voted = phase2_votes(g, [p], self.config())
         assert voted == {(2, 3)}
-        assert tally(g, (2, 3)).low_customer == 1
+        assert tally(g, (2, 3)).c2p == 1
 
     def test_trailing_suspects_without_anchor_stay_unvoted(self):
         p = trace(1, 2, 3)
@@ -298,8 +299,8 @@ class TestPhase2:
         self.seed_anchor(g, 2, 3, RelType.C2P)
         result, voted = phase2_votes(g, [chain, inner], self.config())
         assert result.rounds == 3
-        assert tally(g, (1, 2)).low_customer == 1
-        assert tally(g, (1, 5)).high_customer == 1       # 5 is 1's customer
+        assert tally(g, (1, 2)).c2p == 1
+        assert tally(g, (1, 5)).p2c == 1       # 5 is 1's customer
 
     def test_round_count_order_independent(self):
         for order in ([0, 1], [1, 0]):
@@ -308,7 +309,7 @@ class TestPhase2:
             self.seed_anchor(g, 2, 3, RelType.C2P)
             result, voted = phase2_votes(g, [paths[i] for i in order], self.config())
             assert result.rounds == 3
-            assert tally(g, (1, 5)).high_customer == 1
+            assert tally(g, (1, 5)).p2c == 1
 
     def test_below_threshold_edge_is_not_an_anchor(self):
         p = trace(1, 2, 3)

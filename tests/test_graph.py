@@ -90,9 +90,9 @@ class TestVoteTally:
         g.add_edge(1, 2)
         vote(g, 1, 2, RelType.C2P, weight=4)
         vote_invalid(g, 1, 2, weight=100)
-        low, high, p2p, invalid = (counter[0] for counter in g.counters)
+        c2p, p2c, p2p, invalid = tally(g, (1, 2))
         assert invalid == 100
-        assert vote_shares(low, high, p2p) == (1.0, 0.0, 0.0)
+        assert vote_shares(c2p, p2c, p2p) == (1.0, 0.0, 0.0)
 
     def test_unvoted_tally_gives_zero_shares(self):
         assert vote_shares(0, 0, 0) == (0.0, 0.0, 0.0)
@@ -153,6 +153,7 @@ class TestAsGraph:
         assert g.n_edges == 2
         assert g.has_edge(2, 1)
         assert not g.has_edge(1, 3)
+        assert g.has_edge(1, 1) is False
 
     def test_degree_and_neighbors(self):
         g = self.build()
@@ -185,16 +186,16 @@ class TestAsGraph:
         # 2 is the customer in c2p(2, 1): high endpoint of (1, 2).
         vote(g, 2, 1, RelType.C2P)
         counts = tally(g, (1, 2))
-        assert counts.high_customer == 1 and counts.low_customer == 0
+        assert counts.p2c == 1 and counts.c2p == 0
         vote(g, 1, 2, RelType.C2P)
-        assert tally(g, (1, 2)).low_customer == 1
+        assert tally(g, (1, 2)).c2p == 1
 
     def test_vote_p2c_mirrors_c2p(self):
         g = self.build()
         vote(g, 1, 2, RelType.P2C)  # 2 is the customer
         vote(g, 2, 1, RelType.C2P)  # same claim from the other direction
         counts = tally(g, (1, 2))
-        assert counts.high_customer == 2
+        assert counts.p2c == 2
 
     def test_vote_weight_multiplies(self):
         g = self.build()
@@ -242,7 +243,8 @@ class TestAsGraph:
         assert built.edge_keys == expected.edge_keys
         assert built.edge_index == expected.edge_index
         assert all(built.neighbors(v) == expected.neighbors(v) for v in expected.vertices)
-        assert built.counters == expected.counters
+        assert built.customer == expected.customer
+        assert built.p2p == expected.p2p and built.invalid == expected.invalid
         hops = [(u, v) for path in paths for u, v in path.edges()]
         arcs = built.corpus.arcs
         assert len(arcs) == len(hops)

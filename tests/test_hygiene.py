@@ -28,16 +28,22 @@ def annotations(tree: ast.AST):
             yield node.annotation
 
 
-def names_used(tree: ast.AST) -> set[str]:
-    """Every name the module reads, the bases of attribute chains and the
-    names inside string annotations included."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def string_annotation_names(tree: ast.AST) -> set[str]:
+    """The names inside the module's string annotations."""
+    names = set()
     for annotation in filter(None, annotations(tree)):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 inner = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
-    return used
+                names.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return names
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Every name the module reads, the bases of attribute chains and the
+    names inside string annotations included."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | string_annotation_names(tree)
 
 
 def imported_names(tree: ast.Module) -> list[tuple[str, int]]:
@@ -53,9 +59,9 @@ def imported_names(tree: ast.Module) -> list[tuple[str, int]]:
     return bound
 
 
-def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """The module-level names starting with one underscore that the module
-    defines by assignment, def or class."""
+def definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The module-level names, but dunder names, that the module defines by
+    assignment, def or class."""
     defined = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -68,9 +74,7 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
             targets = [node.target.id]
         else:
             continue
-        for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                defined.append((name, node.lineno))
+        defined.extend((name, node.lineno) for name in targets if not name.startswith("__"))
     return defined
 
 
@@ -103,7 +107,40 @@ def test_no_unreferenced_private_names(path):
                     referenced.update(alias.name for alias in node.names)
     dead = [
         f"{name} (line {line})"
-        for name, line in private_definitions(tree)
-        if name not in referenced
+        for name, line in definitions(tree)
+        if name.startswith("_") and name not in referenced
     ]
     assert not dead, f"{path.name} defines and never references: {', '.join(dead)}"
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name the module loads, as a name, an attribute or inside a
+    string annotation."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return read | string_annotation_names(tree)
+
+
+def test_every_public_name_is_read():
+    # A public definition counts as read when a module of the package, a
+    # demo or a benchmark script reads it; the re-exports of __init__.py do
+    # not count, and neither do the tests.
+    root = Path(__file__).resolve().parent.parent
+    readers = [
+        path
+        for folder in (PACKAGE, root / "demos", root / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    read = set().union(*(names_read(parse(path)) for path in readers))
+    dead = [
+        f"{path.name}: {name} (line {line})"
+        for path in MODULES
+        for name, line in definitions(parse(path))
+        if not name.startswith("_") and name not in read
+    ]
+    assert not dead, f"defined and never read: {', '.join(dead)}"

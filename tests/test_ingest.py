@@ -143,6 +143,20 @@ class TestNormalizePath:
             assert again == hops
             assert not truncated
 
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=8),
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=2),
+    )
+    def test_loop_cut_never_drops_the_path(self, raw, merges):
+        # Once consecutive duplicates are merged, the first repeated AS is
+        # the third hop or later, so a cut keeps at least two hops.
+        siblings = SiblingSet()
+        for a, b in merges:
+            if a != b:
+                siblings.merge(a, b)
+        hops, truncated = normalize_path(raw, siblings)
+        assert hops is not None or not truncated
+
     @given(st.lists(st.integers(1, 30), min_size=2, max_size=12))
     def test_kept_prefix_is_prefix_of_deduped_input(self, raw):
         hops, _ = normalize_path(raw, None)
@@ -336,7 +350,6 @@ class TestIngestPipeline:
         assert report.paths_read == 4
         assert report.paths_dropped_short == 2
         assert report.paths_truncated_loop == 1
-        assert report.paths_dropped_loop == 0
         assert [(p.hops, p.weight) for p in paths] == [((1, 2, 3), 2)]
 
     def test_merge_keeps_agents_and_sources_apart(self):

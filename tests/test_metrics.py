@@ -326,6 +326,11 @@ class TestCsvWriters:
         assert lines[1] == "1,2,"
         assert lines[2] == "3,,4"
 
+    def test_no_metrics_rows_write_nothing(self):
+        buf = io.StringIO()
+        write_metrics_csv([], buf)
+        assert buf.getvalue() == ""
+
     def test_histogram_format(self):
         buf = io.StringIO()
         write_histogram_csv([(0.0, 0.05, 3)], buf)

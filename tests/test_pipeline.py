@@ -543,8 +543,8 @@ class TestMetamorphic:
                 assert key in siblings.pairs()
                 assert shares == ["0.000000"] * 3 and invalid == "0"
                 continue
-            low, high, p2p = work.low_customer[e], work.high_customer[e], work.p2p[e]
-            assert shares == [f"{share:.6f}" for share in vote_shares(low, high, p2p)]
+            c2p, p2c, p2p = work.customer[2 * e], work.customer[2 * e + 1], work.p2p[e]
+            assert shares == [f"{share:.6f}" for share in vote_shares(c2p, p2c, p2p)]
             assert int(invalid) == work.invalid[e]
 
     @staticmethod

@@ -53,6 +53,19 @@ class TestGenConfig:
         with pytest.raises(ParameterError):
             GenConfig(tier_sizes=(4,), multihome=0.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tier_sizes": (4, -1)}, {"tier_sizes": (4,), "paths": -1},
+         {"tier_sizes": (4,), "agents": 0}],
+        ids=["negative-tier", "negative-paths", "no-agents"],
+    )
+    def test_out_of_range_field(self, kwargs):
+        with pytest.raises(ParameterError):
+            GenConfig(**kwargs)
+
+    def test_tier_size_list_is_stored_as_a_tuple(self):
+        assert GenConfig(tier_sizes=[4, 10]).tier_sizes == (4, 10)
+
 
 class TestGenerate:
     def test_lone_top_tier_is_a_peer_clique(self):
