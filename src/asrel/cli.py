@@ -7,7 +7,9 @@ window-stability).
 
 Exit codes: 0 success, otherwise the ``exit_code`` of the error raised: 1
 input error, 2 configuration error, 3 requested construction infeasible
-(for example an empty core). See :mod:`asrel.errors`.
+(for example an empty core). See :mod:`asrel.errors`. A run whose standard
+output is closed before the summary line is printed exits 1, and one
+interrupted by Ctrl-C exits 130.
 """
 
 from __future__ import annotations
@@ -383,13 +385,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         summary = args.func(args)
         manifest = {name: value for name, value in vars(args).items() if name != "func"}
         _write_json(manifest, os.path.join(args.out, "manifest.json"))
+        print(summary, flush=True)
     except AsrelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # Standard output was closed. Point its descriptor at devnull so
+        # that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(summary)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -160,7 +160,8 @@ class AsGraph:
         self._adj: dict[int, set[int]] = {}
         self.edge_index: dict[EdgeKey, int] = {}
         self.edge_keys: list[EdgeKey] = []
-        # The paths the graph was built from, compiled (see build_graph).
+        # The paths the graph was built from, compiled (see build_graph);
+        # dropped, like shells, when the graph gains an edge.
         self.corpus: Corpus | None = None
         # The k-shell index, kept by core.k_shell_decompose on first use.
         self.shells: dict[int, int] | None = None
@@ -201,7 +202,7 @@ class AsGraph:
         if key not in self.edge_index:
             self.add_vertex(a)
             self.add_vertex(b)
-            self.shells = None
+            self.shells = self.corpus = None
             self._adj[a].add(b)
             self._adj[b].add(a)
             self.edge_index[key] = len(self.edge_keys)
@@ -332,7 +333,6 @@ class Corpus:
     edge e is the arc 2 * e + (u > v), so a >> 1 is the edge and a & 1 the
     direction: 0 when the walk goes from the lower-numbered endpoint to the
     higher, 1 the other way. a ^ 1 is the same edge walked backwards.
-    n_edges is the graph's edge count once the paths were compiled.
 
     A corpus stands for the paths whose ids are in members: all of them,
     unless it came from subset(). It iterates as those AsPath objects, and
@@ -363,7 +363,6 @@ class Corpus:
                     e = index[graph.add_edge(u, v)]
                 arcs.append(2 * e + (u > v))
             offsets.append(len(arcs))
-        self.n_edges = len(self.edge_keys)
 
     @cached_property
     def incidence(self) -> tuple[array, array]:
@@ -436,7 +435,7 @@ def compile_corpus(graph: AsGraph, paths: Iterable[AsPath]) -> Corpus:
     corpus = paths
     if not (isinstance(corpus, Corpus) and corpus.edge_index is graph.edge_index):
         corpus = graph.corpus
-        if corpus is None or corpus.n_edges != graph.n_edges or corpus.paths != paths:
+        if corpus is None or corpus.paths != paths:
             corpus = Corpus(graph, paths)
     # Built before any subset() is taken, so that the subsets share it.
     corpus.incidence

@@ -30,6 +30,7 @@ count of observations, so a path of weight k counts as k paths everywhere.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from dataclasses import dataclass
@@ -138,18 +139,26 @@ def parse_pair(tokens: Sequence[str]) -> tuple[int, int]:
     return a, b
 
 
+# A well-formed ``A|B|code`` record, but for its AS numbers' range and
+# that they differ.
+_RELATIONSHIP = re.compile(r"([0-9]+)\|([0-9]+)\|(-?[0-9]+)")
+
+
 def parse_relationship(line: str) -> tuple[int, int, int]:
     """(A, B, code) of one ``A|B|code`` record, the relationship format of
     reference and peer files. The code is ASCII digits after an optional
-    ``-``; its value is not checked."""
+    ``-``; its value is not checked. Any other line is a ValueError that
+    names the field at fault."""
+    match = _RELATIONSHIP.fullmatch(line)
+    if match is not None:
+        a, b = int(match[1]), int(match[2])
+        if 1 <= a <= MAX_ASN and 1 <= b <= MAX_ASN and a != b:
+            return a, b, int(match[3])
     fields = line.split("|")
     if len(fields) != 3:
         raise ValueError(f"expected A|B|code, got {line!r}")
-    a, b = parse_pair(fields[:2])
-    digits = fields[2].removeprefix("-")
-    if not (digits.isdigit() and digits.isascii()):
-        raise ValueError(f"not a relationship code: {fields[2]!r}")
-    return a, b, int(fields[2])
+    parse_pair(fields[:2])
+    raise ValueError(f"not a relationship code: {fields[2]!r}")
 
 
 def set_label(labels: dict[EdgeKey, RelType], key: EdgeKey, rel: RelType) -> None:

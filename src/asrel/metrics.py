@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import re
 from dataclasses import dataclass, field, fields
 from operator import is_
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -24,7 +23,6 @@ from .graph import (
     HEURISTIC_METHODS,
     LABEL_RELS,
     LABEL_UNCLASSIFIED,
-    MAX_ASN,
     METHODS,
     AsGraph,
     Classification,
@@ -49,9 +47,6 @@ ReferenceSet = dict[EdgeKey, RelType]
 
 # A reference code's relationship of A to B, read in (A, B) order.
 REFERENCE_CODES = {-1: RelType.P2C, 0: RelType.P2P, 1: RelType.S2S}
-# A well-formed ``A|B|code`` record: what parse_relationship accepts, but
-# for the AS number range and A != B.
-_RECORD = re.compile(r"([0-9]+)\|([0-9]+)\|(-?[0-9]+)")
 
 
 def load_reference(
@@ -67,17 +62,9 @@ def load_reference(
     """
     rels: ReferenceSet = {}
     flat = siblings.mapping() if siblings is not None else {}
-    match_record = _RECORD.fullmatch
 
     def parse(line: str) -> None:
-        match = match_record(line)
-        if match is None:
-            a, b, code = parse_relationship(line)
-        else:
-            a, b = int(match[1]), int(match[2])
-            if not (1 <= a <= MAX_ASN and 1 <= b <= MAX_ASN) or a == b:
-                parse_relationship(line)  # raises, naming the fault
-            code = int(match[3])
+        a, b, code = parse_relationship(line)
         a = flat.get(a, a)
         b = flat.get(b, b)
         if a == b:
@@ -91,42 +78,27 @@ def load_reference(
     return rels
 
 
-@dataclass
-class CompareResult:
-    """Agreement between a run's labels and a reference.
-
-    Denominators: pct_match_overall divides matches by every edge of the
-    inferred graph; pct_match_both divides by the edges both sides
-    classified. An edge whose reference label is s2s (a sibling pair the
-    run did not merge) never counts toward agreement.
-    """
-
-    edges_total: int = 0
-    both_classified: int = 0
-    matches: int = 0
-
-    @property
-    def pct_match_overall(self) -> float:
-        return 100.0 * self.matches / self.edges_total if self.edges_total else 0.0
-
-    @property
-    def pct_match_both(self) -> float | None:
-        if self.both_classified == 0:
-            return None
-        return 100.0 * self.matches / self.both_classified
-
-
-def compare(labels: EdgeLabels, reference: ReferenceSet) -> CompareResult:
+def compare(
+    labels: EdgeLabels, reference: ReferenceSet
+) -> tuple[float, float | None]:
     """Agreement of a run's edge labels with reference, whose labels are
-    c2p, p2c, p2p or s2s."""
+    c2p, p2c, p2p or s2s: (pct_match_overall, pct_match_both) in percent.
+
+    pct_match_overall divides the matches by every edge of the inferred
+    graph, and is 0.0 when it has none; pct_match_both divides them by the
+    edges both sides classified, and is None when there are none. An edge
+    whose reference label is s2s (a sibling pair the run did not merge)
+    never counts toward agreement.
+    """
     refs = list(map(reference.get, labels.edge_keys))
     unscored = refs.count(None) + refs.count(RelType.S2S)
     open_refs = list(map(refs.__getitem__, labels.unclassified()))
     open_scored = len(open_refs) - open_refs.count(None) - open_refs.count(RelType.S2S)
-    return CompareResult(
-        edges_total=len(refs),
-        both_classified=len(refs) - unscored - open_scored,
-        matches=sum(map(is_, map(LABEL_RELS.__getitem__, labels.rels), refs)),
+    both = len(refs) - unscored - open_scored
+    matches = sum(map(is_, map(LABEL_RELS.__getitem__, labels.rels), refs))
+    return (
+        100.0 * matches / len(refs) if refs else 0.0,
+        100.0 * matches / both if both else None,
     )
 
 
@@ -200,27 +172,26 @@ class RunMetrics:
         return row
 
 
-def summarize_classifications(
-    labels: EdgeLabels,
-) -> tuple[int, dict[str, int], float, float, float]:
-    """Edge count, per-method counts, and classified shares in percent, of
-    a run's edge labels."""
+def summarize_classifications(labels: EdgeLabels) -> RunMetrics:
+    """The metrics of a run's edge labels: the edge count, per-method
+    counts, and classified shares in percent. The path shares, the
+    reference agreement and any sibling count are the caller's to fill."""
     methods = labels.methods
     edges = len(methods)
     counts = {
         method: n for code, method in enumerate(METHODS) if (n := methods.count(code))
     }
     if edges == 0:
-        return 0, counts, 0.0, 0.0, 0.0
+        return RunMetrics(method_counts=counts)
     classified = edges - labels.rels.count(LABEL_UNCLASSIFIED)
     deterministic = sum(counts.get(method, 0) for method in DETERMINISTIC_METHODS)
     heuristic = sum(counts.get(method, 0) for method in HEURISTIC_METHODS)
-    return (
-        edges,
-        counts,
-        100.0 * classified / edges,
-        100.0 * deterministic / edges,
-        100.0 * heuristic / edges,
+    return RunMetrics(
+        edges=edges,
+        pct_classified=100.0 * classified / edges,
+        pct_deterministic=100.0 * deterministic / edges,
+        pct_heuristic=100.0 * heuristic / edges,
+        method_counts=counts,
     )
 
 

@@ -108,33 +108,23 @@ def summarize(result: RunResult, reference: ReferenceSet | None = None) -> RunMe
     """The run's metrics. Declared sibling pairs are not edges: they count
     only under their own method, and the edge metrics see only the edge
     labels."""
-    labels = result.classifications
-    edges, counts, pct_classified, pct_deterministic, pct_heuristic = (
-        summarize_classifications(labels)
-    )
+    metrics = summarize_classifications(result.classifications)
     if result.sibling_records:
-        counts[METHOD_SIBLING_DB] = len(result.sibling_records)
+        metrics.method_counts[METHOD_SIBLING_DB] = len(result.sibling_records)
     partition = result.partition
     through_core = partition.through_core.weight
     invalid = partition.invalid.weight
     total_paths = through_core + partition.periphery.weight + invalid
-    metrics = RunMetrics(
-        edges=edges,
-        paths_total=total_paths,
-        pct_classified=pct_classified,
-        pct_deterministic=pct_deterministic,
-        pct_heuristic=pct_heuristic,
-        method_counts=counts,
-    )
+    metrics.paths_total = total_paths
     if total_paths:
         metrics.pct_through_core = 100.0 * through_core / total_paths
         metrics.pct_invalid_paths = (
             100.0 * (invalid + result.valley_paths) / total_paths
         )
     if reference is not None:
-        cmp = compare(labels, reference)
-        metrics.pct_match_reference_overall = cmp.pct_match_overall
-        metrics.pct_match_reference_both = cmp.pct_match_both
+        metrics.pct_match_reference_overall, metrics.pct_match_reference_both = (
+            compare(result.classifications, reference)
+        )
     return metrics
 
 

@@ -8,8 +8,8 @@ was before it was compiled to edge ids, walking AsPath objects with tuple
 keys and casting one vote at a time, kept to check the compiled engine;
 filter_single_agent_edges, the two-agent filter as it was with a BGP
 edge set and a set of agents per edge, kept to check the one-dict filter;
-and load_reference, the reference parser as it was before its one-regex
-fast path, with parse_relationship reading every record.
+and load_reference with parse_relationship, the reference parser as it
+was before its one-regex fast path, checking every record field by field.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from asrel.graph import (
     edge_key,
     oriented,
 )
-from asrel.ingest import SiblingSet, parse_relationship, read_records, set_label
+from asrel.ingest import SiblingSet, parse_pair, read_records, set_label
 from asrel.metrics import REFERENCE_CODES, ReferenceSet
 
 Adjacency = dict[int, set[int]]
@@ -535,6 +535,18 @@ def filter_single_agent_edges(
         if len(tail) >= 2:
             kept.append(AsPath(tail, path.source, path.agent, path.weight))
     return kept, len(removed), paths_split
+
+
+def parse_relationship(line: str) -> tuple[int, int, int]:
+    """(A, B, code) of one ``A|B|code`` record, checked field by field."""
+    fields = line.split("|")
+    if len(fields) != 3:
+        raise ValueError(f"expected A|B|code, got {line!r}")
+    a, b = parse_pair(fields[:2])
+    digits = fields[2].removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"not a relationship code: {fields[2]!r}")
+    return a, b, int(fields[2])
 
 
 def load_reference(

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -30,6 +33,16 @@ def rel_table(out_dir):
         (int(r["low"]), int(r["high"])): (r["rel"], r["method"])
         for r in read_rows(out_dir / "classifications.csv")
     }
+
+
+# The files an infer run writes, in sorted order.
+OUTPUT_FILES = (
+    "classifications.csv",
+    "histogram.csv",
+    "ingest_report.json",
+    "manifest.json",
+    "metrics.csv",
+)
 
 
 @pytest.fixture
@@ -59,13 +72,7 @@ class TestInfer:
         paths, core = uphill_corpus
         out = tmp_path / "run"
         cli.main(["infer", "--paths-bgp", paths, "--core", core, "--out", str(out)])
-        for name in (
-            "classifications.csv",
-            "metrics.csv",
-            "histogram.csv",
-            "ingest_report.json",
-            "manifest.json",
-        ):
+        for name in OUTPUT_FILES:
             assert (out / name).exists(), name
 
     def test_manifest_reflects_arguments(self, tmp_path, uphill_corpus):
@@ -131,6 +138,57 @@ class TestInfer:
         )
         rels = rel_table(out)
         assert rels[(100, 200)] == ("s2s", "sibling-db")
+
+
+class TestRunCutShort:
+    def test_closed_stdout_is_exit_one_without_traceback(self, tmp_path, uphill_corpus):
+        # A reader that exits before the summary line, as in ``| head -0``.
+        paths, core = uphill_corpus
+        out = tmp_path / "run"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "asrel.cli", "infer", "--paths-bgp", paths,
+                 "--core", core, "--out", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+        assert sorted(os.listdir(out)) == list(OUTPUT_FILES)
+
+    def test_closed_stdout_in_process(self, tmp_path, uphill_corpus):
+        paths, core = uphill_corpus
+        out = tmp_path / "run"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout, contextlib.redirect_stdout(stdout):
+            code = cli.main(
+                ["infer", "--paths-bgp", paths, "--core", core, "--out", str(out)]
+            )
+        assert code == 1
+        assert sorted(os.listdir(out)) == list(OUTPUT_FILES)
+
+    def test_ctrl_c_is_exit_130(self, tmp_path, uphill_corpus, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_infer", interrupted)
+        paths, core = uphill_corpus
+        code = cli.main(
+            ["infer", "--paths-bgp", paths, "--core", core, "--out", str(tmp_path / "o")]
+        )
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
 
 
 class TestInferErrors:

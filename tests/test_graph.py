@@ -261,7 +261,6 @@ def corpus_fields(corpus):
         corpus.weights,
         corpus.arcs,
         corpus.offsets,
-        corpus.n_edges,
         corpus.incidence,
     )
 
@@ -286,10 +285,11 @@ class TestCompileCorpus:
 
     def test_graph_that_gained_an_edge_compiles_fresh(self):
         g = build_graph(self.paths)
+        g.add_edge(3, 2)  # already an edge: the corpus stays
+        assert compile_corpus(g, self.paths) is g.corpus
         g.add_edge(5, 6)
+        assert g.corpus is None
         corpus = compile_corpus(g, self.paths)
-        assert corpus is not g.corpus
-        assert corpus.n_edges == 5
         assert corpus_fields(corpus) == corpus_fields(Corpus(g, self.paths))
         assert len(corpus.incidence[0]) == 6
 

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asrel.errors import ParseError
-from asrel.graph import AsGraph, Classification, EdgeLabels, RelType
-from asrel.ingest import SiblingSet
+from asrel.graph import (
+    DETERMINISTIC_METHODS,
+    HEURISTIC_METHODS,
+    METHOD_UNCLASSIFIED,
+    METHODS,
+    AsGraph,
+    Classification,
+    EdgeLabels,
+    RelType,
+)
+from asrel.ingest import SiblingSet, parse_relationship
 from asrel.metrics import (
     CLASSIFICATION_HEADER,
     ReferenceSet,
+    RunMetrics,
     compare,
     load_reference,
     stability,
@@ -25,6 +36,7 @@ from asrel.metrics import (
 )
 
 from oracles import load_reference as reference_load_reference
+from oracles import parse_relationship as reference_parse_relationship
 from oracles import vote, vote_invalid
 
 
@@ -47,6 +59,19 @@ def edge_labels(records):
     out = EdgeLabels(graph)
     out.update(labels(*records))
     return out
+
+
+record_lines = st.one_of(
+    # Well-formed records, with AS numbers and codes in and out of range.
+    st.builds(
+        "{}|{}|{}".format,
+        st.sampled_from(["1", "2", "3", "007", "0", "4294967295", "4294967296"]),
+        st.sampled_from(["1", "2", "3", "20", "21", "99999999999"]),
+        st.sampled_from(["-1", "0", "1", "-0", "01", "2", "-7"]),
+    ),
+    # Anything close to one.
+    st.text(alphabet="0123456789|-+ #x_\t\u0663", max_size=12),
+)
 
 
 class TestLoadReference:
@@ -89,24 +114,7 @@ class TestLoadReference:
         with pytest.raises(ParseError):
             load_reference(["1|2|7\n"])
 
-    @given(
-        st.lists(
-            st.one_of(
-                # Well-formed records, with AS numbers and codes in and out
-                # of range.
-                st.builds(
-                    "{}|{}|{}".format,
-                    st.sampled_from(["1", "2", "3", "007", "0", "4294967295", "4294967296"]),
-                    st.sampled_from(["1", "2", "3", "20", "21", "99999999999"]),
-                    st.sampled_from(["-1", "0", "1", "-0", "01", "2", "-7"]),
-                ),
-                # Anything close to one.
-                st.text(alphabet="0123456789|-+ #x_\t\u0663", max_size=12),
-            ),
-            max_size=8,
-        ),
-        st.booleans(),
-    )
+    @given(st.lists(record_lines, max_size=8), st.booleans())
     def test_matches_a_parse_of_every_record(self, lines, merge):
         siblings = SiblingSet()
         if merge:
@@ -120,6 +128,17 @@ class TestLoadReference:
             assert (str(err.value), err.value.line) == (str(exc), exc.line)
         else:
             assert load_reference(lines, siblings, "ref.txt") == expected
+
+    @given(record_lines)
+    def test_record_parse_matches_a_field_by_field_parse(self, line):
+        try:
+            expected = reference_parse_relationship(line)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                parse_relationship(line)
+            assert str(err.value) == str(exc)
+        else:
+            assert parse_relationship(line) == expected
 
     def test_malformed_line_reports_position(self):
         with pytest.raises(ParseError) as err:
@@ -138,38 +157,28 @@ class TestCompare:
             {(i, i + 100): RelType.P2P for i in range(1, 9)}
             | {(9, 109): RelType.P2C}
         )
-        result = compare(edge_labels(records), ref)
-        assert result.edges_total == 10
-        assert result.both_classified == 9
-        assert result.matches == 8
-        assert result.pct_match_overall == pytest.approx(80.0)
-        assert result.pct_match_both == pytest.approx(100 * 8 / 9)
+        overall, both = compare(edge_labels(records), ref)
+        assert overall == pytest.approx(80.0)
+        assert both == pytest.approx(100 * 8 / 9)
 
     def test_empty_reference(self):
         result = compare(edge_labels([cls((1, 2), RelType.P2P)]), ReferenceSet())
-        assert result.pct_match_overall == 0.0
-        assert result.pct_match_both is None
+        assert result == (0.0, None)
 
     def test_direction_flip_is_disagreement(self):
         ours = [cls((1, 2), RelType.C2P)]       # 1 is the customer
         ref = load_reference(["1|2|-1\n"])       # 1 is the provider
-        result = compare(edge_labels(ours), ref)
-        assert result.matches == 0
-        assert result.both_classified == 1
+        assert compare(edge_labels(ours), ref) == (0.0, 0.0)
 
     def test_unclassified_edges_not_counted_as_both(self):
         ours = [cls((1, 2), RelType.UNCLASSIFIED)]
         ref = ReferenceSet({(1, 2): RelType.P2P})
-        result = compare(edge_labels(ours), ref)
-        assert result.edges_total == 1
-        assert result.both_classified == 0
+        assert compare(edge_labels(ours), ref) == (0.0, None)
 
     def test_s2s_reference_records_counted_not_scored(self):
         ours = [cls((1, 2), RelType.P2P)]
         ref = ReferenceSet({(1, 2): RelType.S2S})
-        result = compare(edge_labels(ours), ref)
-        assert result.edges_total == 1
-        assert result.both_classified == 0
+        assert compare(edge_labels(ours), ref) == (0.0, None)
 
     @given(
         st.dictionaries(
@@ -179,19 +188,27 @@ class TestCompare:
         ),
         st.dictionaries(
             st.tuples(st.integers(1, 6), st.integers(7, 12)),
-            st.sampled_from([RelType.C2P, RelType.P2C, RelType.P2P]),
+            st.sampled_from([RelType.C2P, RelType.P2C, RelType.P2P, RelType.S2S]),
             max_size=12,
         ),
     )
     def test_counting_invariants(self, ours, theirs):
+        # A brute-force recount: n edges, b classified on both sides (an
+        # s2s or missing reference never scores), m of those agreeing.
+        n = len(ours)
+        b = m = 0
+        for key, rel in ours.items():
+            ref = theirs.get(key)
+            if rel is RelType.UNCLASSIFIED or ref is None or ref is RelType.S2S:
+                continue
+            b += 1
+            m += rel is ref
         records = [cls(k, rel) for k, rel in ours.items()]
-        result = compare(edge_labels(records), ReferenceSet(dict(theirs)))
-        assert result.matches <= result.both_classified <= result.edges_total
-        assert result.edges_total == len(ours)
-        if result.edges_total:
-            assert result.pct_match_overall == pytest.approx(
-                100 * result.matches / result.edges_total
-            )
+        result = compare(edge_labels(records), ReferenceSet(theirs))
+        assert result == (
+            100 * m / n if n else 0.0,
+            100 * m / b if b else None,
+        )
 
 
 class TestStability:
@@ -301,18 +318,52 @@ class TestSummaries:
         ]
 
     def test_counts_and_shares(self):
-        edges, counts, pct_cls, pct_det, pct_heu = summarize_classifications(
-            edge_labels(self.records())
+        metrics = summarize_classifications(edge_labels(self.records()))
+        assert metrics == RunMetrics(
+            edges=4,
+            pct_classified=75.0,
+            pct_deterministic=50.0,
+            pct_heuristic=25.0,
+            method_counts={
+                "deterministic-p1": 1,
+                "deterministic-p2": 1,
+                "gap-p2p": 1,
+                "unclassified": 1,
+            },
         )
-        assert edges == 4
-        assert counts["deterministic-p1"] == 1
-        assert pct_cls == pytest.approx(75.0)
-        assert pct_det == pytest.approx(50.0)
-        assert pct_heu == pytest.approx(25.0)
-        assert pct_det <= pct_cls <= 100.0
 
     def test_empty_input(self):
-        assert summarize_classifications(edge_labels([])) == (0, {}, 0.0, 0.0, 0.0)
+        assert summarize_classifications(edge_labels([])) == RunMetrics()
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(1, 6), st.integers(7, 12)),
+            st.sampled_from(
+                [(RelType.UNCLASSIFIED, METHOD_UNCLASSIFIED)]
+                + [(rel, method) for rel in (RelType.C2P, RelType.P2C, RelType.P2P)
+                   for method in METHODS if method != METHOD_UNCLASSIFIED]
+            ),
+            max_size=12,
+        )
+    )
+    def test_agrees_with_a_count_of_methods(self, ours):
+        records = edge_labels(
+            [Classification(k, rel, method) for k, (rel, method) in ours.items()]
+        )
+        metrics = summarize_classifications(records)
+        counts = Counter(record.method for record in records.values())
+        n = len(ours)
+
+        def pct(methods):
+            return 100 * sum(counts[method] for method in methods) / n if n else 0.0
+
+        assert metrics == RunMetrics(
+            edges=n,
+            pct_classified=pct(set(counts) - {METHOD_UNCLASSIFIED}),
+            pct_deterministic=pct(DETERMINISTIC_METHODS),
+            pct_heuristic=pct(HEURISTIC_METHODS),
+            method_counts=dict(counts),
+        )
 
 
 class TestCsvWriters:
