@@ -31,21 +31,23 @@ the arcs with an endpoint in the core depend on the core: each run builds
 the rows for a walk away from the core with array slice operations and
 patches only those arcs.
 
-The partition counts each path's hops between two core vertices, one
-byte per path, from the corpus's edge-to-path index. A run of more than
-max_core_hops core vertices takes at least max_core_hops such hops, so
-only a path with that many is walked hop by hop.
+The partition tests no path: from the corpus's edge-to-path index it
+marks, one flag byte per path, the paths through an edge with a core
+endpoint, and counts each path's hops between two core vertices. A run
+of more than max_core_hops core vertices takes at least max_core_hops
+such hops, so only a path with that many is walked hop by hop. Each
+class's member mask is one translate of the flags.
 
 A path's votes depend only on the labels of its own edges, and it votes
 only on an open one. So phase 2 re-walks, after its first round, only the
 paths through an edge voted in the round before (semi-naive evaluation,
 Bancilhon and Ramakrishnan, SIGMOD 1986) or only the paths through an edge
 still open, whichever set the index lists fewer paths for: a path outside
-either set would cast no vote. Corpus.through selects each round's paths,
-as it selects the gap pass's. Phase 2 reads one label byte per arc, in the
-encoding the gap pass reads (graph.ARC_LABELS): open for an edge without
-votes, up or down for an anchor, an edge whose share reaches the
-threshold for c2p or p2c, and other for any other voted edge.
+either set would cast no vote. Corpus.through selects each round's
+paths. Phase 2 reads one label byte per arc, in the encoding the gap
+pass reads (graph.ARC_LABELS): open for an edge without votes, up or
+down for an anchor, an edge whose share reaches the threshold for c2p or
+p2c, and other for any other voted edge.
 
 finalize turns the counters into an EdgeLabels: a label code and a method
 code per edge id, in two bytearrays, which the heuristics, the metrics
@@ -119,6 +121,17 @@ class InferenceConfig:
             )
 
 
+# A path's flags in partition_paths: a member of the corpus partitioned, a
+# path with a core vertex, and one with too long a run of them.
+_MEMBER, _THROUGH_CORE, _TOO_LONG = 1, 2, 4
+# bytes.translate tables from flags to 1 for a member of each class, in
+# PathPartition's order: through the core, periphery, invalid.
+_CLASS_MASKS = [
+    bytes(flags == member for flags in range(256))
+    for member in (_MEMBER | _THROUGH_CORE, _MEMBER, _MEMBER | _THROUGH_CORE | _TOO_LONG)
+]
+
+
 @dataclass
 class PathPartition:
     """Paths split by how they relate to the core. The invalid paths are
@@ -134,44 +147,47 @@ def partition_paths(paths: Corpus, core: CoreGraph, max_core_hops: int) -> PathP
 
     A path traverses the core if any hop is a core vertex. A path whose
     longest run of consecutive core vertices exceeds max_core_hops is set
-    aside as invalid and never votes. Such a run takes at least
-    max_core_hops hops between two core vertices, so only a path with that
-    many is walked hop by hop; the others are counted from the
-    edge-to-path index, which lists a path once per traversal.
+    aside as invalid and never votes. The paths are classed from the
+    edge-to-path index, one flag byte per path: each path it lists under
+    an edge with a core endpoint traverses the core, and each one it lists
+    under an edge between two core vertices, a path once per traversal,
+    counts a core hop. A run of more than max_core_hops core vertices takes
+    at least max_core_hops such hops, so only a path with that many is
+    walked hop by hop. Each class is a subset of paths whose member mask
+    is one translate of the flags, so it keeps the order of path ids.
     """
     core_vertices = core.vertices
     # A count at the cap means "maybe too long"; a byte holds up to 255.
     cap = min(max_core_hops, 255)
-    core_hops = bytearray(len(paths.paths))
+    flags = bytearray(paths.member_mask)
+    core_hops = bytearray(len(flags))
+    at_cap = []
     path_starts, path_ids = paths.incidence
     for e, (u, v) in enumerate(paths.edge_keys):
-        if u in core_vertices and v in core_vertices:
-            for p in path_ids[path_starts[e] : path_starts[e + 1]]:
-                if core_hops[p] < cap:
-                    core_hops[p] += 1
-    classes = (array("i"), array("i"), array("i"))
-    through_core, periphery, invalid = classes
+        low, high = u in core_vertices, v in core_vertices
+        if low or high:
+            listed = path_ids[path_starts[e] : path_starts[e + 1]]
+            for p in listed:
+                flags[p] |= _THROUGH_CORE
+            if low and high:
+                for p in listed:
+                    if core_hops[p] < cap:
+                        core_hops[p] += 1
+                        if core_hops[p] == cap:
+                            at_cap.append(p)
     all_paths = paths.paths
-    for p in paths.members:
-        hops = all_paths[p].hops
-        if core_vertices.isdisjoint(hops):
-            periphery.append(p)
-            continue
-        if core_hops[p] < cap:
-            through_core.append(p)
-            continue
+    for p in at_cap:
         run = 0
-        for h in hops:
+        for h in all_paths[p].hops:
             if h in core_vertices:
                 run += 1
                 if run > max_core_hops:
-                    invalid.append(p)
+                    flags[p] |= _TOO_LONG
                     break
             else:
                 run = 0
-        else:
-            through_core.append(p)
-    return PathPartition(*(paths.subset(members) for members in classes))
+    flags = bytes(flags)
+    return PathPartition(*(paths.subset(flags.translate(t)) for t in _CLASS_MASKS))
 
 
 @dataclass

@@ -334,9 +334,10 @@ class Corpus:
     direction: 0 when the walk goes from the lower-numbered endpoint to the
     higher, 1 the other way. a ^ 1 is the same edge walked backwards.
 
-    A corpus stands for the paths whose ids are in members: all of them,
-    unless it came from subset(). It iterates as those AsPath objects, and
-    through() selects those that cross given edges.
+    A corpus stands for its member paths: all of them, unless it came from
+    subset(). member_mask holds one byte per path, 1 for a member. It
+    iterates as those AsPath objects, and through() and listed() select
+    those that cross given edges.
     """
 
     def __init__(self, graph: AsGraph, paths: Iterable[AsPath], grow: bool = False):
@@ -344,9 +345,7 @@ class Corpus:
         from graph is an UnknownEdgeError, or with grow, is added to graph
         as add_edge would."""
         self.paths = list(paths)
-        self.members = range(len(self.paths))
-        # One byte per path, 1 for a member; through() builds it on first use.
-        self._member_mask: bytes | None = None
+        self.member_mask = b"\x01" * len(self.paths)
         self.weights = array("q", [path.weight for path in self.paths])
         self.edge_index = index = graph.edge_index
         self.edge_keys = graph.edge_keys
@@ -363,6 +362,9 @@ class Corpus:
                     e = index[graph.add_edge(u, v)]
                 arcs.append(2 * e + (u > v))
             offsets.append(len(arcs))
+        # The graph's edge count now. edge_keys is the graph's own list, so
+        # its length cannot tell compile_corpus that the graph gained an edge.
+        self.n_edges = len(self.edge_keys)
 
     @cached_property
     def incidence(self) -> tuple[array, array]:
@@ -387,13 +389,8 @@ class Corpus:
         """The ids of this corpus's member paths that go through any of
         edges, each once, in the order the edge-to-path index first lists
         them."""
-        if self._member_mask is None:
-            mask = bytearray(len(self.paths))
-            for p in self.members:
-                mask[p] = 1
-            self._member_mask = bytes(mask)
         path_starts, path_ids = self.incidence
-        unseen = bytearray(self._member_mask)
+        unseen = bytearray(self.member_mask)
         # Path ids as 4-byte ints: a selection can hold nearly every path.
         selected = array("i")
         for e in edges:
@@ -403,37 +400,51 @@ class Corpus:
                     selected.append(p)
         return selected
 
-    def subset(self, members: Iterable[int]) -> "Corpus":
-        """This compiled corpus, standing for the paths in members."""
+    def listed(self, e: int) -> Iterator[int]:
+        """The ids of this corpus's member paths that go through edge e, in
+        the edge-to-path index's order: a path once per traversal."""
+        path_starts, path_ids = self.incidence
+        ids = path_ids[path_starts[e] : path_starts[e + 1]]
+        return compress(ids, map(self.member_mask.__getitem__, ids))
+
+    def subset(self, mask: bytes) -> "Corpus":
+        """This compiled corpus, standing for the paths whose byte in mask,
+        one byte per path, is 1."""
         view = copy(self)
-        view.members = members
-        # Not this corpus's mask: the view has its own members.
-        view._member_mask = None
+        view.member_mask = mask
         return view
 
+    @property
+    def members(self) -> Iterator[int]:
+        """The ids of the member paths, in increasing order."""
+        return compress(range(len(self.paths)), self.member_mask)
+
     def __iter__(self) -> Iterator[AsPath]:
-        paths = self.paths
-        return (paths[p] for p in self.members)
+        return map(self.paths.__getitem__, self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.member_mask.count(1)
 
     @property
     def weight(self) -> int:
         """Number of observations behind the paths: the sum of their weights."""
-        return sum(map(self.weights.__getitem__, self.members))
+        return sum(compress(self.weights, self.member_mask))
 
 
 def compile_corpus(graph: AsGraph, paths: Iterable[AsPath]) -> Corpus:
     """paths compiled against graph's edge ids, with the edge-to-path index.
 
     A corpus already compiled against them, or against a copy_unvoted of
-    the graph, is returned as is. So is the corpus build_graph compiled,
-    when paths equal the paths the graph was built from and the graph has
-    gained no edge since.
+    the graph, is returned as is while the graph has the edges it had then.
+    So is the corpus build_graph compiled, when paths equal the paths the
+    graph was built from and the graph has gained no edge since.
     """
     corpus = paths
-    if not (isinstance(corpus, Corpus) and corpus.edge_index is graph.edge_index):
+    if not (
+        isinstance(corpus, Corpus)
+        and corpus.edge_index is graph.edge_index
+        and corpus.n_edges == graph.n_edges
+    ):
         corpus = graph.corpus
         if corpus is None or corpus.paths != paths:
             corpus = Corpus(graph, paths)

@@ -59,22 +59,25 @@ def infer_gap_p2p(
     edge at the top of the path, where the only consistent reading is a
     peering. Edges at the path boundary have no such context and are left
     alone, as are paths with two or more open edges. Existing labels are
-    never overwritten. labels are over the periphery's edge ids; only the
-    paths through an unclassified edge are visited, each once
-    (periphery.through), since no other path has a gap.
+    never overwritten. labels are over the periphery's edge ids. For each
+    unclassified edge, in id order, the pass walks the periphery paths
+    the edge-to-path index lists for it (periphery.listed) and stops at
+    the first such witness: a path with one open hop is listed under that
+    hop's edge, and one witness is enough.
     """
     arcs, offsets = periphery.arcs, periphery.offsets
     arc_labels = b"".join(map(ARC_LABELS.__getitem__, labels.rels))
     label_of = arc_labels.__getitem__
     updates: dict[EdgeKey, Classification] = {}
-    for p in periphery.through(labels.unclassified()):
-        start = offsets[p]
-        walk = bytes(map(label_of, arcs[start : offsets[p + 1]]))
-        # With one open hop, the wedge can only be around that one.
-        if walk.count(ARC_OPEN) == 1 and _WEDGE in walk:
-            key = periphery.edge_keys[arcs[start + walk.index(ARC_OPEN)] >> 1]
-            if key not in updates:
+    for e in labels.unclassified():
+        for p in periphery.listed(e):
+            walk = bytes(map(label_of, arcs[offsets[p] : offsets[p + 1]]))
+            # e is open, so a path with one open hop has it there, and the
+            # wedge can only be around it.
+            if walk.count(ARC_OPEN) == 1 and _WEDGE in walk:
+                key = periphery.edge_keys[e]
                 updates[key] = Classification(key, RelType.P2P, METHOD_GAP_P2P)
+                break
     return updates
 
 

@@ -132,6 +132,48 @@ class TestPartition:
             for part in expected
         ]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 6), min_size=2, max_size=10),
+                st.integers(1, 3),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sets(st.integers(1, 6), max_size=4),
+        st.integers(1, 4),
+    )
+    def test_subset_matches_reference(self, spec, core_vertices, max_core_hops):
+        # Each path has a weight and is a member of the subset or not.
+        paths, members = [], []
+        for hops, weight, member in spec:
+            hops = [h for i, h in enumerate(hops) if i == 0 or h != hops[i - 1]]
+            if len(hops) >= 2:
+                paths.append(AsPath(tuple(hops), "trace", "a", weight))
+                members.append(member)
+        if not paths:
+            return
+        core = noedge_core(*core_vertices)
+        subset = corpus_of(*paths).subset(bytes(members))
+        partition = partition_paths(subset, core, max_core_hops)
+        expected = reference_partition(
+            [path for path, member in zip(paths, members) if member], core, max_core_hops
+        )
+        index = {id(path): p for p, path in enumerate(paths)}
+        parts = (partition.through_core, partition.periphery, partition.invalid)
+        for part, want in zip(parts, expected):
+            ids = sorted(index[id(path)] for path in want)
+            assert list(part.members) == ids
+            # The class's mask, as a member-by-member build would set it.
+            mask = bytearray(len(paths))
+            for p in ids:
+                mask[p] = 1
+            assert part.member_mask == mask
+            assert part.weight == sum(path.weight for path in want)
+
 
 class TestPhase1:
     def test_uphill_core_downhill(self):

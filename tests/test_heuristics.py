@@ -1,17 +1,19 @@
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asrel.errors import ConfigurationError
 from asrel.graph import (
+    LABEL_RELS,
     AsGraph,
     AsPath,
     Classification,
     EdgeLabels,
     RelType,
     compile_corpus,
+    edge_key,
 )
 from asrel.heuristics import (
     HeuristicConfig,
@@ -21,6 +23,7 @@ from asrel.heuristics import (
 )
 from asrel.ingest import build_graph
 
+from oracles import infer_gap_p2p as reference_gap_p2p
 from oracles import vote, vote_invalid
 
 
@@ -127,6 +130,53 @@ class TestGapP2P:
             cls((3, 4), RelType.P2C),
         )
         assert gap_p2p([path], classifications) == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 6), min_size=2, max_size=8), min_size=1, max_size=14
+        ),
+        st.data(),
+    )
+    def test_periphery_subset_matches_reference(self, hop_lists, data):
+        # Two member paths wedge (21, 22), so the pass must stop at the
+        # first; a non-member path wedges (31, 32), which must stay open.
+        gadget = [trace(20, 21, 22, 23), trace(24, 21, 22, 25), trace(30, 31, 32, 33)]
+        fixed = {
+            (20, 21): RelType.C2P,
+            (21, 24): RelType.P2C,  # 24 -> 21 is c2p in walk order
+            (21, 22): RelType.UNCLASSIFIED,
+            (22, 23): RelType.P2C,
+            (22, 25): RelType.P2C,
+            (30, 31): RelType.C2P,
+            (31, 32): RelType.UNCLASSIFIED,
+            (32, 33): RelType.P2C,
+        }
+        drawn = []
+        for hops in hop_lists:
+            hops = [h for i, h in enumerate(hops) if i == 0 or h != hops[i - 1]]
+            if len(hops) >= 2:
+                drawn.append(trace(*hops))
+        paths = gadget + drawn
+        members = [True, True, False] + data.draw(
+            st.lists(st.booleans(), min_size=len(drawn), max_size=len(drawn))
+        )
+        graph = build_graph(paths)
+        # Few ASes, so many paths share an edge: a random label per edge.
+        rels = {key: data.draw(st.sampled_from(LABEL_RELS)) for key in graph.edge_keys}
+        rels.update(fixed)
+        # Every non-member path crosses an unclassified edge.
+        for path, member in zip(drawn, members[len(gadget) :]):
+            if not member:
+                i = data.draw(st.integers(0, len(path.hops) - 2))
+                rels[edge_key(*path.hops[i : i + 2])] = RelType.UNCLASSIFIED
+        labels = edge_labels(graph, table(*(cls(key, rel) for key, rel in rels.items())))
+        periphery = compile_corpus(graph, paths).subset(bytes(members))
+        expected = reference_gap_p2p(
+            [path for path, member in zip(paths, members) if member], dict(labels)
+        )
+        assert (21, 22) in expected and (31, 32) not in expected
+        assert infer_gap_p2p(periphery, labels) == expected
 
 
 MODES = ["degree", "kshell"]
