@@ -45,7 +45,7 @@ Bancilhon and Ramakrishnan, SIGMOD 1986) or only the paths through an edge
 still open, whichever set the index lists fewer paths for: a path outside
 either set would cast no vote. Corpus.through selects each round's
 paths. Phase 2 reads one label byte per arc, in the encoding the gap
-pass reads (graph.ARC_LABELS): open for an edge without votes, up or
+pass reads (graph.arc_labels): open for an edge without votes, up or
 down for an anchor, an edge whose share reaches the threshold for c2p or
 p2c, and other for any other voted edge.
 
@@ -84,6 +84,7 @@ from .graph import (
     Corpus,
     EdgeLabels,
     RelType,
+    arc_labels,
 )
 
 # bytes.translate table from a label code to finalize's method code before
@@ -360,7 +361,7 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
     threshold = config.threshold
     # A voted edge with no share at the threshold reads as other: p2p.
     codes = _label_codes(zip(customer[0::2], customer[1::2], p2p), threshold, LABEL_P2P)
-    labels = bytearray().join(map(ARC_LABELS.__getitem__, codes))
+    labels = arc_labels(codes)
     open_edges = [e for e in range(graph.n_edges) if labels[2 * e] == ARC_OPEN]
     # How many paths the index lists through the open edges.
     open_load = sum(path_starts[e + 1] - path_starts[e] for e in open_edges)

@@ -249,6 +249,14 @@ ARC_LABELS = (
     bytes((ARC_OTHER, ARC_OTHER)),
     bytes((ARC_OPEN, ARC_OPEN)),
 )
+
+
+def arc_labels(codes: Iterable[int]) -> bytearray:
+    """ARC_LABELS of each label code in codes, joined: when codes holds
+    every edge's code in id order, byte a is arc a's label."""
+    return bytearray().join(map(ARC_LABELS.__getitem__, codes))
+
+
 # The methods a run labels an edge by; a method code indexes METHODS.
 METHODS = (
     METHOD_DETERMINISTIC_P1,
@@ -260,7 +268,6 @@ METHODS = (
     METHOD_UNCLASSIFIED,
 )
 METHOD_CODES = {method: code for code, method in enumerate(METHODS)}
-_LABEL_CODES = {rel: code for code, rel in enumerate(LABEL_RELS)}
 # bytes.translate table: 1 for the unclassified label code, else 0.
 _IS_UNCLASSIFIED = bytes(code == LABEL_UNCLASSIFIED for code in range(256))
 
@@ -271,9 +278,10 @@ class EdgeLabels(Mapping[EdgeKey, Classification]):
     methods[e] its method code (METHODS).
 
     It reads as a mapping from edge key to Classification, in edge-id
-    order, and builds a record only when one is read; update() writes
-    records into the arrays. Two label records over the same edge ids
-    compare by their arrays, others as mappings.
+    order, and builds a record only when one is read; update() copies
+    (label code, method code) pairs by edge id, as the heuristics return
+    them. Two label records over the same edge ids compare by their
+    arrays, others as mappings.
     """
 
     def __init__(
@@ -309,13 +317,12 @@ class EdgeLabels(Mapping[EdgeKey, Classification]):
             return self.rels == other.rels and self.methods == other.methods
         return super().__eq__(other)
 
-    def update(self, records: Mapping[EdgeKey, Classification]) -> None:
-        """Label each record's edge, an edge of this graph, as it says."""
-        index, rels, methods = self.edge_index, self.rels, self.methods
-        for key, cls in records.items():
-            e = index[key]
-            rels[e] = _LABEL_CODES[cls.rel]
-            methods[e] = METHOD_CODES[cls.method]
+    def update(self, codes: Mapping[int, tuple[int, int]]) -> None:
+        """Give each edge id in codes its (label code, method code) pair."""
+        rels, methods = self.rels, self.methods
+        for e, (rel, method) in codes.items():
+            rels[e] = rel
+            methods[e] = method
 
     def unclassified(self) -> list[int]:
         """The ids of the unclassified edges, in increasing order."""

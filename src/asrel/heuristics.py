@@ -1,4 +1,6 @@
-"""Bounded heuristics for edges the deterministic phases left open."""
+"""Bounded heuristics for edges the deterministic phases left open. Each
+returns {edge id: (label code, method code)}, the form EdgeLabels.update
+copies, so labels stay codes from finalize to the CSV writer."""
 
 from __future__ import annotations
 
@@ -8,18 +10,19 @@ from typing import Mapping
 from .errors import ConfigurationError
 from .graph import (
     ARC_DOWN,
-    ARC_LABELS,
     ARC_OPEN,
     ARC_UP,
+    LABEL_C2P,
+    LABEL_P2C,
+    LABEL_P2P,
+    METHOD_CODES,
     METHOD_DEGREE_TIEBREAK,
     METHOD_GAP_P2P,
     METHOD_KSHELL_TIEBREAK,
     AsGraph,
-    Classification,
     Corpus,
-    EdgeKey,
     EdgeLabels,
-    RelType,
+    arc_labels,
 )
 
 TIEBREAK_DEGREE = "degree"
@@ -49,9 +52,7 @@ class HeuristicConfig:
             raise ConfigurationError(f"unknown tiebreak {self.tiebreak!r}")
 
 
-def infer_gap_p2p(
-    periphery: Corpus, labels: EdgeLabels
-) -> dict[EdgeKey, Classification]:
+def infer_gap_p2p(periphery: Corpus, labels: EdgeLabels) -> dict[int, tuple[int, int]]:
     """Label single unclassified edges wedged between uphill and downhill.
 
     A path with exactly one unclassified edge whose immediate predecessor
@@ -66,36 +67,41 @@ def infer_gap_p2p(
     hop's edge, and one witness is enough.
     """
     arcs, offsets = periphery.arcs, periphery.offsets
-    arc_labels = b"".join(map(ARC_LABELS.__getitem__, labels.rels))
-    label_of = arc_labels.__getitem__
-    updates: dict[EdgeKey, Classification] = {}
+    label_of = arc_labels(labels.rels).__getitem__
+    gap = (LABEL_P2P, METHOD_CODES[METHOD_GAP_P2P])
+    updates: dict[int, tuple[int, int]] = {}
     for e in labels.unclassified():
         for p in periphery.listed(e):
             walk = bytes(map(label_of, arcs[offsets[p] : offsets[p + 1]]))
             # e is open, so a path with one open hop has it there, and the
             # wedge can only be around it.
             if walk.count(ARC_OPEN) == 1 and _WEDGE in walk:
-                key = periphery.edge_keys[e]
-                updates[key] = Classification(key, RelType.P2P, METHOD_GAP_P2P)
+                updates[e] = gap
                 break
     return updates
 
 
-def tiebreak(
-    edge: EdgeKey,
+def apply_tiebreaks(
     graph: AsGraph,
+    labels: EdgeLabels,
     config: HeuristicConfig,
     kshell: Mapping[int, int] | None = None,
-) -> tuple[RelType, str]:
-    """Pick a relationship for one edge from structural rank alone.
+) -> dict[int, tuple[int, int]]:
+    """Tie-break every unclassified edge except valley-flagged ones, from
+    structural rank alone.
 
-    The edge is a peering when the smaller endpoint rank is at least the
-    peer ratio of the larger one, else the higher-ranked endpoint is the
-    provider. Degree mode ranks by degree with ratio PEER_DEGREE_RATIO;
-    k-shell mode ranks by shell with ratio 1.0, so it peers equal shells
-    (an edge endpoint's rank is >= 1 in both). The test is symmetric in
-    the endpoints, and the result is reported in canonical low->high
-    order, so it cannot depend on argument order or AS numbering.
+    graph is the run graph, whose counters hold the votes, and labels are
+    over its edge ids. Valley-flagged edges (invalid votes and no other)
+    were never seen behaving like a normal link, so guessing a
+    relationship for them would be noise, not inference. An edge is a
+    peering when the smaller endpoint rank is at least the peer ratio of
+    the larger one, else the higher-ranked endpoint is the provider.
+    Degree mode ranks by degree with ratio PEER_DEGREE_RATIO; k-shell mode
+    ranks by kshell with ratio 1.0, so it peers equal shells (an edge
+    endpoint's rank is >= 1 in both). The rule is symmetric in the
+    endpoints and labels in low->high order, so it cannot depend on AS
+    numbering. A k-shell mode without kshell, or no mode, raises
+    ConfigurationError even when no edge is open.
     """
     if config.tiebreak == TIEBREAK_KSHELL:
         if kshell is None:
@@ -105,34 +111,17 @@ def tiebreak(
         rank, ratio, method = graph.degree, PEER_DEGREE_RATIO, METHOD_DEGREE_TIEBREAK
     else:
         raise ConfigurationError("no tiebreak strategy configured")
-    low, high = edge
-    rank_low, rank_high = rank(low), rank(high)
-    if min(rank_low, rank_high) / max(rank_low, rank_high) >= ratio:
-        return RelType.P2P, method
-    if rank_low > rank_high:
-        return RelType.P2C, method
-    return RelType.C2P, method
-
-
-def apply_tiebreaks(
-    graph: AsGraph,
-    labels: EdgeLabels,
-    config: HeuristicConfig,
-    kshell: Mapping[int, int] | None = None,
-) -> dict[EdgeKey, Classification]:
-    """Tie-break every unclassified edge except valley-flagged ones.
-
-    graph is the run graph, whose counters hold the votes, and labels are
-    over its edge ids. Valley-flagged edges (invalid votes and no other)
-    were never seen behaving like a normal link, so guessing a
-    relationship for them would be noise, not inference.
-    """
+    method = METHOD_CODES[method]
     edge_keys = graph.edge_keys
     customer, p2p, invalid = graph.customer, graph.p2p, graph.invalid
-    updates: dict[EdgeKey, Classification] = {}
+    updates: dict[int, tuple[int, int]] = {}
     for e in labels.unclassified():
         if invalid[e] and not (customer[2 * e] or customer[2 * e + 1] or p2p[e]):
             continue
-        key = edge_keys[e]
-        updates[key] = Classification(key, *tiebreak(key, graph, config, kshell))
+        rank_low, rank_high = map(rank, edge_keys[e])
+        if min(rank_low, rank_high) / max(rank_low, rank_high) >= ratio:
+            rel = LABEL_P2P
+        else:
+            rel = LABEL_P2C if rank_low > rank_high else LABEL_C2P
+        updates[e] = (rel, method)
     return updates

@@ -102,17 +102,17 @@ def compare(
     )
 
 
-def stability(
-    a: Mapping[EdgeKey, Classification], b: Mapping[EdgeKey, Classification]
-) -> tuple[float | None, int]:
-    """Agreement on the edges classified in both of two runs'
-    classifications, and their number; None when none overlap."""
+def stability(a: EdgeLabels, b: EdgeLabels) -> tuple[float | None, int]:
+    """Agreement on the edges classified in both of two runs' edge labels,
+    and their number; None when none overlap."""
+    index, rels = b.edge_index, b.rels
     shared = agree = 0
-    for key, cls in a.items():
-        other = b.get(key)
-        if other is not None and cls.classified and other.classified:
+    for key, rel in zip(a.edge_keys, a.rels):
+        e = index.get(key)
+        other = LABEL_UNCLASSIFIED if e is None else rels[e]
+        if LABEL_UNCLASSIFIED not in (rel, other):
             shared += 1
-            agree += cls.rel is other.rel
+            agree += rel == other
     if not shared:
         return None, 0
     return agree / shared, shared

@@ -8,8 +8,10 @@ was before it was compiled to edge ids, walking AsPath objects with tuple
 keys and casting one vote at a time, kept to check the compiled engine;
 filter_single_agent_edges, the two-agent filter as it was with a BGP
 edge set and a set of agents per edge, kept to check the one-dict filter;
-and load_reference with parse_relationship, the reference parser as it
-was before its one-regex fast path, checking every record field by field.
+load_reference with parse_relationship, the reference parser as it
+was before its one-regex fast path, checking every record field by field;
+and stability, the mapping loop it was before it read label arrays.
+edge_labels builds the EdgeLabels a test passes to the library.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from asrel.core import CoreGraph
 from asrel.engine import InferenceConfig
 from asrel.errors import CorruptionInfeasibleError, ParameterError, UnknownEdgeError
 from asrel.graph import (
+    LABEL_RELS,
+    METHOD_CODES,
     METHOD_CORE_PREASSIGNED,
     METHOD_DETERMINISTIC_P1,
     METHOD_DETERMINISTIC_P2,
@@ -34,6 +38,7 @@ from asrel.graph import (
     AsPath,
     Classification,
     EdgeKey,
+    EdgeLabels,
     RelType,
     edge_key,
     oriented,
@@ -465,6 +470,60 @@ def run_engine(
     classifications = finalize(work, config, core, voted)
     classifications.update(infer_gap_p2p(periphery, classifications))
     return classifications, rounds, valley_paths, voted
+
+
+def tiebreak(rank_low: int, rank_high: int, mode: str) -> RelType:
+    """The tie-break of an edge whose low and high endpoints have these
+    ranks: degree mode peers degrees within a 4:5 band, k-shell mode peers
+    equal shells, and otherwise the higher-ranked endpoint is the
+    provider."""
+    if mode == "kshell":
+        peer = rank_low == rank_high
+    else:
+        peer = 5 * min(rank_low, rank_high) >= 4 * max(rank_low, rank_high)
+    if peer:
+        return RelType.P2P
+    return RelType.P2C if rank_low > rank_high else RelType.C2P
+
+
+def stability(
+    a: Mapping[EdgeKey, Classification], b: Mapping[EdgeKey, Classification]
+) -> tuple[float | None, int]:
+    """Agreement on the edges classified in both of two runs'
+    classifications, and their number; None when none overlap."""
+    shared = agree = 0
+    for key, cls in a.items():
+        other = b.get(key)
+        if other is not None and cls.classified and other.classified:
+            shared += 1
+            agree += cls.rel is other.rel
+    if not shared:
+        return None, 0
+    return agree / shared, shared
+
+
+def edge_labels(
+    records: Iterable[Classification], graph: AsGraph | None = None
+) -> EdgeLabels:
+    """Edge labels holding records, over graph's edge ids, or over a new
+    graph of the records' edges when graph is None; an edge without a
+    record is unclassified."""
+    records = list(records)
+    if graph is None:
+        graph = AsGraph()
+        for record in records:
+            graph.add_edge(*record.edge)
+    labels = EdgeLabels(graph)
+    labels.update(
+        {
+            graph.edge_index[record.edge]: (
+                LABEL_RELS.index(record.rel),
+                METHOD_CODES[record.method],
+            )
+            for record in records
+        }
+    )
+    return labels
 
 
 def filter_single_agent_edges(

@@ -6,8 +6,13 @@ from hypothesis import strategies as st
 
 from asrel.errors import ParameterError, SelfLoopError, UnknownEdgeError
 from asrel.graph import (
+    LABEL_P2P,
+    LABEL_RELS,
+    LABEL_UNCLASSIFIED,
     MAX_ASN,
     MAX_WEIGHT,
+    METHOD_CODES,
+    METHODS,
     AsGraph,
     AsPath,
     Classification,
@@ -383,11 +388,11 @@ class TestEdgeLabels:
         for key in reversed(a.edge_keys):
             graph.add_edge(*key)
         b = EdgeLabels(graph)
-        b.update(a)
+        for key, e in a.edge_index.items():
+            b.update({graph.edge_index[key]: (a.rels[e], a.methods[e])})
         assert b.edge_keys != a.edge_keys
         assert a == b and dict(a) == dict(b)
-        key = (8, 9)
-        b.update({key: Classification(key, RelType.P2P, "gap-p2p")})
+        b.update({graph.edge_index[(8, 9)]: (LABEL_P2P, METHOD_CODES["gap-p2p"])})
         assert a != b
 
     def test_identical_runs_equal_and_one_label_apart_unequal(self):
@@ -395,10 +400,11 @@ class TestEdgeLabels:
         assert a == b and not a != b
         key = (8, 9)
         assert not a[key].classified
-        b.update({key: Classification(key, RelType.P2P, "gap-p2p")})
+        e = a.edge_index[key]
+        b.update({e: (LABEL_P2P, METHOD_CODES["gap-p2p"])})
         assert a != b and not a == b
         c = self.run()
-        c.update({key: Classification(key, RelType.UNCLASSIFIED, "degree-tiebreak")})
+        c.update({e: (LABEL_UNCLASSIFIED, METHOD_CODES["degree-tiebreak"])})
         assert a != c
 
     @given(
@@ -419,22 +425,17 @@ class TestEdgeLabels:
         for _ in range(data.draw(st.integers(0, 3))):
             batch = data.draw(
                 st.dictionaries(
-                    st.sampled_from(graph.edge_keys),
+                    st.integers(0, graph.n_edges - 1),
                     st.tuples(
-                        st.sampled_from(
-                            [RelType.C2P, RelType.P2C, RelType.P2P, RelType.UNCLASSIFIED]
-                        ),
-                        st.sampled_from(
-                            ["deterministic-p1", "deterministic-p2", "gap-p2p",
-                             "degree-tiebreak", "kshell-tiebreak", "core-preassigned",
-                             "unclassified"]
-                        ),
+                        st.integers(0, len(LABEL_RELS) - 1),
+                        st.integers(0, len(METHODS) - 1),
                     ),
                 )
             )
-            records = {key: Classification(key, *label) for key, label in batch.items()}
-            labels.update(records)
-            expected.update(records)
+            labels.update(batch)
+            for e, (rel, method) in batch.items():
+                key = graph.edge_keys[e]
+                expected[key] = Classification(key, LABEL_RELS[rel], METHODS[method])
         assert list(labels.items()) == list(expected.items())
         assert labels == expected and not labels != expected
         assert len(labels) == len(expected)

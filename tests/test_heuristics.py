@@ -1,12 +1,12 @@
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asrel.errors import ConfigurationError
 from asrel.graph import (
+    LABEL_P2P,
     LABEL_RELS,
+    METHOD_CODES,
     AsGraph,
     AsPath,
     Classification,
@@ -15,15 +15,12 @@ from asrel.graph import (
     compile_corpus,
     edge_key,
 )
-from asrel.heuristics import (
-    HeuristicConfig,
-    apply_tiebreaks,
-    infer_gap_p2p,
-    tiebreak,
-)
+from asrel.heuristics import HeuristicConfig, apply_tiebreaks, infer_gap_p2p
 from asrel.ingest import build_graph
 
+from oracles import edge_labels
 from oracles import infer_gap_p2p as reference_gap_p2p
+from oracles import tiebreak as reference_tiebreak
 from oracles import vote, vote_invalid
 
 
@@ -37,21 +34,21 @@ def cls(key, rel, method="deterministic-p1"):
     return Classification(key, rel, method)
 
 
+def labeled(labels, updates):
+    """The records of the edges a heuristic's updates label, read back
+    from labels after labels.update(updates)."""
+    labels.update(updates)
+    return {key: labels[key] for key in map(labels.edge_keys.__getitem__, updates)}
+
+
 def gap_p2p(paths, classifications):
     graph = build_graph(paths)
-    labels = edge_labels(graph, classifications)
-    return infer_gap_p2p(compile_corpus(graph, paths), labels)
+    labels = edge_labels(classifications.values(), graph)
+    return labeled(labels, infer_gap_p2p(compile_corpus(graph, paths), labels))
 
 
 def table(*entries):
     return {c.edge: c for c in entries}
-
-
-def edge_labels(graph, classifications):
-    """graph's edge labels, holding classifications."""
-    labels = EdgeLabels(graph)
-    labels.update(classifications)
-    return labels
 
 
 class TestHeuristicConfig:
@@ -170,16 +167,33 @@ class TestGapP2P:
             if not member:
                 i = data.draw(st.integers(0, len(path.hops) - 2))
                 rels[edge_key(*path.hops[i : i + 2])] = RelType.UNCLASSIFIED
-        labels = edge_labels(graph, table(*(cls(key, rel) for key, rel in rels.items())))
+        labels = edge_labels((cls(key, rel) for key, rel in rels.items()), graph)
         periphery = compile_corpus(graph, paths).subset(bytes(members))
         expected = reference_gap_p2p(
             [path for path, member in zip(paths, members) if member], dict(labels)
         )
         assert (21, 22) in expected and (31, 32) not in expected
-        assert infer_gap_p2p(periphery, labels) == expected
+        assert labeled(labels, infer_gap_p2p(periphery, labels)) == expected
 
 
 MODES = ["degree", "kshell"]
+
+
+def tiebroken(graph, key, mode, kshell=None):
+    """The (rel, method) that apply_tiebreaks gives graph's edge key when
+    no edge is classified, checked against the reference rule."""
+    labels = EdgeLabels(graph)
+    updates = apply_tiebreaks(graph, labels, HeuristicConfig(mode), kshell)
+    record = labeled(labels, updates)[key]
+    rank = graph.degree if kshell is None else kshell.__getitem__
+    assert record.rel is reference_tiebreak(rank(key[0]), rank(key[1]), mode)
+    return record.rel, record.method
+
+
+def single_edge():
+    g = AsGraph()
+    g.add_edge(1, 2)
+    return g
 
 
 class TestTiebreak:
@@ -195,14 +209,12 @@ class TestTiebreak:
         return g
 
     def test_degree_band_means_peering(self):
-        g = self.degree_graph()
-        rel, method = tiebreak((3, 4), g, HeuristicConfig(tiebreak="degree"))
+        rel, method = tiebroken(self.degree_graph(), (3, 4), "degree")
         assert rel is RelType.P2P
         assert method == "degree-tiebreak"
 
     def test_higher_degree_endpoint_is_provider(self):
-        g = self.degree_graph()
-        rel, _ = tiebreak((1, 2), g, HeuristicConfig(tiebreak="degree"))
+        rel, _ = tiebroken(self.degree_graph(), (1, 2), "degree")
         assert rel is RelType.P2C
 
     @pytest.mark.parametrize("deg_1, deg_2", [(4, 5), (5, 4)])
@@ -216,51 +228,53 @@ class TestTiebreak:
         for w in range(20, 19 + deg_2):
             g.add_edge(2, w)
         assert (g.degree(1), g.degree(2)) == (deg_1, deg_2)
-        rel, _ = tiebreak((1, 2), g, HeuristicConfig(tiebreak="degree"))
+        rel, _ = tiebroken(g, (1, 2), "degree")
         assert rel is RelType.P2P
 
     def test_kshell_equal_shells_peer(self):
-        index = {1: 3, 2: 3}
-        rel, method = tiebreak(
-            (1, 2), AsGraph(), HeuristicConfig(tiebreak="kshell"), index
-        )
+        rel, method = tiebroken(single_edge(), (1, 2), "kshell", {1: 3, 2: 3})
         assert rel is RelType.P2P
         assert method == "kshell-tiebreak"
 
     def test_kshell_higher_shell_is_provider(self):
-        index = {1: 5, 2: 2}
-        rel, _ = tiebreak((1, 2), AsGraph(), HeuristicConfig(tiebreak="kshell"), index)
+        rel, _ = tiebroken(single_edge(), (1, 2), "kshell", {1: 5, 2: 2})
         assert rel is RelType.P2C
-        rel, _ = tiebreak(
-            (1, 2), AsGraph(), HeuristicConfig(tiebreak="kshell"),
-            {1: 2, 2: 5},
-        )
+        rel, _ = tiebroken(single_edge(), (1, 2), "kshell", {1: 2, 2: 5})
         assert rel is RelType.C2P
 
     @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from(MODES))
     def test_one_rule_gives_each_mode_its_own(self, rank_low, rank_high, mode):
         # Degree mode peers within PEER_DEGREE_RATIO, k-shell mode peers
         # equal shells; otherwise the higher-ranked endpoint is the provider.
-        ranks = {1: rank_low, 2: rank_high}
-        graph = SimpleNamespace(degree=ranks.__getitem__)
-        rel, method = tiebreak((1, 2), graph, HeuristicConfig(mode), ranks)
+        # Leaves give 1 and 2 their degrees; every other AS has shell 1.
+        g = single_edge()
+        for w in range(100, 99 + rank_low):
+            g.add_edge(1, w)
+        for w in range(200, 199 + rank_high):
+            g.add_edge(2, w)
+        kshell = None
         if mode == "kshell":
-            peer = rank_low == rank_high
-        else:
-            peer = min(rank_low, rank_high) / max(rank_low, rank_high) >= 0.8
-        if peer:
-            assert rel is RelType.P2P
-        else:
-            assert rel is (RelType.P2C if rank_low > rank_high else RelType.C2P)
+            kshell = dict.fromkeys(g.vertices, 1) | {1: rank_low, 2: rank_high}
+        _, method = tiebroken(g, (1, 2), mode, kshell)
         assert method == f"{mode}-tiebreak"
 
     def test_kshell_requires_index(self):
+        g = single_edge()
         with pytest.raises(ConfigurationError):
-            tiebreak((1, 2), AsGraph(), HeuristicConfig(tiebreak="kshell"))
+            apply_tiebreaks(g, EdgeLabels(g), HeuristicConfig(tiebreak="kshell"))
 
     def test_no_strategy_configured(self):
+        g = single_edge()
         with pytest.raises(ConfigurationError):
-            tiebreak((1, 2), AsGraph(), HeuristicConfig())
+            apply_tiebreaks(g, EdgeLabels(g), HeuristicConfig())
+
+    @pytest.mark.parametrize("mode", [None, "kshell"])
+    def test_misconfigured_fails_with_no_open_edge(self, mode):
+        g = single_edge()
+        labels = edge_labels([cls((1, 2), RelType.C2P)], g)
+        assert labels.unclassified() == []
+        with pytest.raises(ConfigurationError):
+            apply_tiebreaks(g, labels, HeuristicConfig(mode))
 
 
 class TestApplyTiebreaks:
@@ -281,8 +295,8 @@ class TestApplyTiebreaks:
             cls((5, 6), RelType.UNCLASSIFIED),
             cls((7, 8), RelType.UNCLASSIFIED),
         )
-        updates = apply_tiebreaks(
-            g, edge_labels(g, classifications), HeuristicConfig(tiebreak="degree")
-        )
-        assert set(updates) == {(3, 4), (7, 8)}
-        assert updates[(3, 4)] == Classification((3, 4), RelType.P2P, "degree-tiebreak")
+        labels = edge_labels(classifications.values(), g)
+        updates = apply_tiebreaks(g, labels, HeuristicConfig(tiebreak="degree"))
+        index = g.edge_index
+        assert set(updates) == {index[(3, 4)], index[(7, 8)]}
+        assert updates[index[(3, 4)]] == (LABEL_P2P, METHOD_CODES["degree-tiebreak"])

@@ -17,7 +17,6 @@ from asrel.graph import (
     METHODS,
     AsGraph,
     Classification,
-    EdgeLabels,
     RelType,
 )
 from asrel.ingest import SiblingSet, parse_relationship
@@ -35,8 +34,10 @@ from asrel.metrics import (
     write_metrics_csv,
 )
 
+from oracles import edge_labels
 from oracles import load_reference as reference_load_reference
 from oracles import parse_relationship as reference_parse_relationship
+from oracles import stability as reference_stability
 from oracles import vote, vote_invalid
 
 
@@ -44,21 +45,6 @@ def cls(key, rel, method="deterministic-p1"):
     if rel is RelType.UNCLASSIFIED:
         method = "unclassified"
     return Classification(key, rel, method)
-
-
-def labels(*records):
-    """A run's classifications mapping."""
-    return {record.edge: record for record in records}
-
-
-def edge_labels(records):
-    """A run's edge labels holding records, over a graph of their edges."""
-    graph = AsGraph()
-    for record in records:
-        graph.add_edge(*record.edge)
-    out = EdgeLabels(graph)
-    out.update(labels(*records))
-    return out
 
 
 record_lines = st.one_of(
@@ -213,32 +199,51 @@ class TestCompare:
 
 class TestStability:
     def test_identical_runs(self):
-        records = labels(cls((1, 2), RelType.P2P), cls((3, 4), RelType.C2P))
-        value, shared = stability(records, dict(records))
+        records = [cls((1, 2), RelType.P2P), cls((3, 4), RelType.C2P)]
+        value, shared = stability(edge_labels(records), edge_labels(records))
         assert value == 1.0
         assert shared == 2
 
     def test_one_flip_among_hundred(self):
-        a = labels(*(cls((i, i + 500), RelType.P2P) for i in range(1, 101)))
-        b = labels(*(cls((i, i + 500), RelType.P2P) for i in range(1, 100)))
-        b[(100, 600)] = cls((100, 600), RelType.C2P)
+        a = edge_labels(cls((i, i + 500), RelType.P2P) for i in range(1, 101))
+        b = edge_labels(
+            [cls((i, i + 500), RelType.P2P) for i in range(1, 100)]
+            + [cls((100, 600), RelType.C2P)]
+        )
         value, shared = stability(a, b)
         assert shared == 100
         assert value == pytest.approx(0.99)
 
     def test_disjoint_runs_undefined(self):
         value, shared = stability(
-            labels(cls((1, 2), RelType.P2P)), labels(cls((3, 4), RelType.P2P))
+            edge_labels([cls((1, 2), RelType.P2P)]),
+            edge_labels([cls((3, 4), RelType.P2P)]),
         )
         assert value is None
         assert shared == 0
 
     def test_unclassified_edges_not_shared(self):
-        a = labels(cls((1, 2), RelType.P2P), cls((3, 4), RelType.UNCLASSIFIED))
-        b = labels(cls((1, 2), RelType.P2P), cls((3, 4), RelType.C2P))
+        a = edge_labels([cls((1, 2), RelType.P2P), cls((3, 4), RelType.UNCLASSIFIED)])
+        b = edge_labels([cls((1, 2), RelType.P2P), cls((3, 4), RelType.C2P)])
         value, shared = stability(a, b)
         assert shared == 1
         assert value == 1.0
+
+    run_labels = st.dictionaries(
+        st.tuples(st.integers(1, 4), st.integers(5, 8)),
+        st.sampled_from([RelType.C2P, RelType.P2C, RelType.P2P, RelType.UNCLASSIFIED]),
+        max_size=12,
+    )
+
+    @given(run_labels, run_labels)
+    def test_symmetric_and_one_with_itself(self, ours, theirs):
+        # The two runs list their shared edges in different id orders.
+        a = edge_labels(cls(key, rel) for key, rel in ours.items())
+        b = edge_labels(cls(key, rel) for key, rel in reversed(theirs.items()))
+        expected = reference_stability(dict(a), dict(b))
+        assert stability(a, b) == stability(b, a) == expected
+        classified = len(ours) - list(ours.values()).count(RelType.UNCLASSIFIED)
+        assert stability(a, a) == ((1.0, classified) if classified else (None, 0))
 
 
 class TestHistogram:
@@ -393,8 +398,7 @@ class TestCsvWriters:
         g.add_edge(3, 7)
         vote(g, 3, 7, RelType.C2P, weight=5)
         vote_invalid(g, 3, 7)
-        records = EdgeLabels(g)
-        records.update(labels(Classification((3, 7), RelType.C2P, "deterministic-p1")))
+        records = edge_labels([cls((3, 7), RelType.C2P)], g)
         siblings = [Classification((8, 9), RelType.S2S, "sibling-db")]
         write_classifications_csv(records, siblings, g, buf)
         lines = buf.getvalue().splitlines()
