@@ -9,7 +9,8 @@ Exit codes: 0 success, otherwise the ``exit_code`` of the error raised: 1
 input error, 2 configuration error, 3 requested construction infeasible
 (for example an empty core). See :mod:`asrel.errors`. A run whose standard
 output is closed before the summary line is printed exits 1, and one
-interrupted by Ctrl-C exits 130.
+interrupted by Ctrl-C exits 130. Every command checks its flags before it
+opens an input file, so a bad flag exits 2 even when an input is missing.
 """
 
 from __future__ import annotations
@@ -245,18 +246,16 @@ def _write_json(payload: dict, path: str) -> None:
         handle.write("\n")
 
 
-def _run_window(args, suffix: str = ""):
+def _run_window(args, source: str, configs, suffix: str = ""):
     siblings, report, graph = _load_graph(args, suffix)
-    core = _build_core(args, _core_source(args), graph)
-    engine_config, heuristic_config = _configs(args)
-    result = run_inference(
-        graph, graph.corpus, core, engine_config, heuristic_config, siblings=siblings
-    )
+    core = _build_core(args, source, graph)
+    result = run_inference(graph, graph.corpus, core, *configs, siblings=siblings)
     return result, report, siblings
 
 
 def cmd_infer(args) -> str:
-    result, report, siblings = _run_window(args)
+    configs = _configs(args)
+    result, report, siblings = _run_window(args, _core_source(args), configs)
     metrics = summarize(result, _load_reference(args, siblings))
 
     out = args.out
@@ -277,8 +276,9 @@ def cmd_infer(args) -> str:
 
 
 def cmd_build_core(args) -> str:
+    source = _core_source(args)
     _siblings, _report, graph = _load_graph(args)
-    core = _build_core(args, _core_source(args), graph)
+    core = _build_core(args, source, graph)
 
     with open(os.path.join(args.out, "core.txt"), "w", encoding="utf-8") as fh:
         write_core_file(core, fh)
@@ -333,10 +333,10 @@ def _write_experiment(args, rows: list[dict[str, object]]) -> str:
 
 
 def cmd_core_sweep(args) -> str:
-    siblings, _report, graph = _load_graph(args)
     engine_config, heuristic_config = _configs(args)
-    reference = _load_reference(args, siblings)
     sizes = _parse_sizes(args.sweep_sizes)
+    siblings, _report, graph = _load_graph(args)
+    reference = _load_reference(args, siblings)
     rows = core_size_sweep(
         graph, graph.corpus, args.grow_strategy, sizes,
         engine_config, heuristic_config, reference,
@@ -345,13 +345,14 @@ def cmd_core_sweep(args) -> str:
 
 
 def cmd_corruption(args) -> str:
-    siblings, _report, graph = _load_graph(args)
     engine_config, heuristic_config = _configs(args)
-    reference = _load_reference(args, siblings)
-    core = _build_core(args, _core_source(args), graph)
+    source = _core_source(args)
     fractions = _parse_fractions(args.fractions)
     if args.corruption_seeds < 1:
         raise ConfigurationError("--corruption-seeds must be >= 1")
+    siblings, _report, graph = _load_graph(args)
+    reference = _load_reference(args, siblings)
+    core = _build_core(args, source, graph)
     rows = corruption_sweep(
         graph, graph.corpus, core, fractions,
         range(args.seed, args.seed + args.corruption_seeds),
@@ -363,8 +364,9 @@ def cmd_corruption(args) -> str:
 def cmd_window_stability(args) -> str:
     if not (args.paths_bgp_b or args.paths_trace_b):
         raise ConfigurationError("window-stability needs --paths-bgp-b or --paths-trace-b")
-    result_a, _, _ = _run_window(args)
-    result_b, _, _ = _run_window(args, suffix="_b")
+    configs, source = _configs(args), _core_source(args)
+    result_a, _, _ = _run_window(args, source, configs)
+    result_b, _, _ = _run_window(args, source, configs, suffix="_b")
     value, shared = stability(result_a.classifications, result_b.classifications)
     row = {
         "stability": "" if value is None else round(value, 6),

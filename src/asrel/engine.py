@@ -29,14 +29,14 @@ walk to the sink, whose entries all vote into a dummy slot, so the loop
 has no branch and each valley path casts exactly one invalid vote. Only
 the arcs with an endpoint in the core depend on the core: each run builds
 the rows for a walk away from the core with array slice operations and
-patches only those arcs.
+patches only those arcs, found by one scan of the edge keys by id.
 
 The partition tests no path: from the corpus's edge-to-path index it
 marks, one flag byte per path, the paths through an edge with a core
-endpoint, and counts each path's hops between two core vertices. A run
-of more than max_core_hops core vertices takes at least max_core_hops
-such hops, so only a path with that many is walked hop by hop. Each
-class's member mask is one translate of the flags.
+endpoint, and counts each path's hops between two core vertices. k core
+vertices in a row are k - 1 consecutive such hops, so only a path with
+max_core_hops of them is walked, over its arcs. Each class's member mask
+is one translate of the flags.
 
 A path's votes depend only on the labels of its own edges, and it votes
 only on an open one. So phase 2 re-walks, after its first round, only the
@@ -152,16 +152,18 @@ def partition_paths(paths: Corpus, core: CoreGraph, max_core_hops: int) -> PathP
     edge-to-path index, one flag byte per path: each path it lists under
     an edge with a core endpoint traverses the core, and each one it lists
     under an edge between two core vertices, a path once per traversal,
-    counts a core hop. A run of more than max_core_hops core vertices takes
-    at least max_core_hops such hops, so only a path with that many is
-    walked hop by hop. Each class is a subset of paths whose member mask
-    is one translate of the flags, so it keeps the order of path ids.
+    counts a core hop. k core vertices in a row are k - 1 consecutive core
+    hops, so a path is too long once such a run reaches max_core_hops; only
+    a path with that many core hops is walked, over its arcs. Each class is
+    a subset of paths whose member mask is one translate of the flags.
     """
     core_vertices = core.vertices
     # A count at the cap means "maybe too long"; a byte holds up to 255.
     cap = min(max_core_hops, 255)
     flags = bytearray(paths.member_mask)
     core_hops = bytearray(len(flags))
+    # One byte per edge: 1 for an edge between two core vertices.
+    core_edge = bytearray(len(paths.edge_keys))
     at_cap = []
     path_starts, path_ids = paths.incidence
     for e, (u, v) in enumerate(paths.edge_keys):
@@ -171,18 +173,19 @@ def partition_paths(paths: Corpus, core: CoreGraph, max_core_hops: int) -> PathP
             for p in listed:
                 flags[p] |= _THROUGH_CORE
             if low and high:
+                core_edge[e] = 1
                 for p in listed:
                     if core_hops[p] < cap:
                         core_hops[p] += 1
                         if core_hops[p] == cap:
                             at_cap.append(p)
-    all_paths = paths.paths
+    arcs, offsets = paths.arcs, paths.offsets
     for p in at_cap:
         run = 0
-        for h in all_paths[p].hops:
-            if h in core_vertices:
+        for a in arcs[offsets[p] : offsets[p + 1]]:
+            if core_edge[a >> 1]:
                 run += 1
-                if run > max_core_hops:
+                if run >= max_core_hops:
                     flags[p] |= _TOO_LONG
                     break
             else:
@@ -248,32 +251,29 @@ def _phase1_rows(graph: AsGraph, core: CoreGraph) -> tuple[array, array]:
             slots[row + b] = slot
             moves[row + b] = move
 
-    index = graph.edge_index
     vertices = core.vertices
-    for c in vertices & graph.vertices:
-        for v in graph.neighbors(c):
-            key = (c, v) if c < v else (v, c)
-            e = index[key]
-            a = 2 * e + (c > v)
-            if v not in vertices:
-                # a leaves the core, a ^ 1 enters it.
-                patch((up, in_core, down), a, a ^ 1, down)
-                patch((down,), a ^ 1, invalid + e, sink)
-            elif c > v:
-                continue  # each edge inside the core once, from its low end
-            elif key not in core.edges:
-                for b in (a, a ^ 1):
+    for e, key in enumerate(graph.edge_keys):
+        low, high = key[0] in vertices, key[1] in vertices
+        if low != high:
+            # Arc 2e walks low -> high, so the arc a that leaves the core is
+            # 2e when only the low end is a core vertex and 2e + 1 when only
+            # the high end is; a ^ 1 enters it.
+            a = 2 * e + high
+            patch((up, in_core, down), a, a ^ 1, down)
+            patch((down,), a ^ 1, invalid + e, sink)
+        elif low and key not in core.edges:
+            for b in (2 * e, 2 * e + 1):
+                patch((down,), b, invalid + e, sink)
+        elif low:
+            pre = core.preassigned.get(key)
+            vote = p2p + e if pre is None else dummy
+            flipped = None if pre is None else pre.flipped()
+            for b, rel in ((2 * e, pre), (2 * e + 1, flipped)):
+                if rel is RelType.P2C:
+                    patch((up, in_core, down), b, dummy, down)
+                else:
+                    patch((up, in_core), b, vote, in_core)
                     patch((down,), b, invalid + e, sink)
-            else:
-                pre = core.preassigned.get(key)
-                vote = p2p + e if pre is None else dummy
-                flipped = None if pre is None else pre.flipped()
-                for b, rel in ((a, pre), (a ^ 1, flipped)):
-                    if rel is RelType.P2C:
-                        patch((up, in_core, down), b, dummy, down)
-                    else:
-                        patch((up, in_core), b, vote, in_core)
-                        patch((down,), b, invalid + e, sink)
     return slots, moves
 
 
@@ -438,10 +438,12 @@ def finalize(
     for e in phase1_voted:
         if rels[e] != LABEL_UNCLASSIFIED:
             methods[e] = p1
-    preassigned = METHOD_CODES[METHOD_CORE_PREASSIGNED]
-    for key, rel in core.preassigned.items():
-        e = graph.edge_index.get(key)
-        if e is not None:
-            rels[e] = LABEL_RELS.index(rel)
-            methods[e] = preassigned
+    preassigned = core.preassigned
+    if preassigned:
+        method = METHOD_CODES[METHOD_CORE_PREASSIGNED]
+        for e, key in enumerate(graph.edge_keys):
+            rel = preassigned.get(key)
+            if rel is not None:
+                rels[e] = LABEL_RELS.index(rel)
+                methods[e] = method
     return EdgeLabels(graph, rels, methods)

@@ -138,10 +138,6 @@ class Classification:
     rel: RelType
     method: str
 
-    @property
-    def classified(self) -> bool:
-        return self.rel is not RelType.UNCLASSIFIED
-
 
 class AsGraph:
     """Undirected AS graph with four vote counters per edge.
@@ -160,8 +156,8 @@ class AsGraph:
         self._adj: dict[int, set[int]] = {}
         self.edge_index: dict[EdgeKey, int] = {}
         self.edge_keys: list[EdgeKey] = []
-        # The paths the graph was built from, compiled (see build_graph);
-        # dropped, like shells, when the graph gains an edge.
+        # The corpus last compiled against the graph: build_graph's, or
+        # compile_corpus's; dropped, like shells, when the graph gains an edge.
         self.corpus: Corpus | None = None
         # The k-shell index, kept by core.k_shell_decompose on first use.
         self.shells: dict[int, int] | None = None
@@ -354,7 +350,7 @@ class Corpus:
         self.paths = list(paths)
         self.member_mask = b"\x01" * len(self.paths)
         self.weights = array("q", [path.weight for path in self.paths])
-        self.edge_index = index = graph.edge_index
+        index = graph.edge_index
         self.edge_keys = graph.edge_keys
         self.arcs = arcs = array("i")
         self.offsets = offsets = array("i", [0])
@@ -369,9 +365,6 @@ class Corpus:
                     e = index[graph.add_edge(u, v)]
                 arcs.append(2 * e + (u > v))
             offsets.append(len(arcs))
-        # The graph's edge count now. edge_keys is the graph's own list, so
-        # its length cannot tell compile_corpus that the graph gained an edge.
-        self.n_edges = len(self.edge_keys)
 
     @cached_property
     def incidence(self) -> tuple[array, array]:
@@ -441,20 +434,14 @@ class Corpus:
 def compile_corpus(graph: AsGraph, paths: Iterable[AsPath]) -> Corpus:
     """paths compiled against graph's edge ids, with the edge-to-path index.
 
-    A corpus already compiled against them, or against a copy_unvoted of
-    the graph, is returned as is while the graph has the edges it had then.
-    So is the corpus build_graph compiled, when paths equal the paths the
-    graph was built from and the graph has gained no edge since.
+    graph.corpus is returned as is when paths is that corpus or equals its
+    path list. Otherwise paths are compiled, and the result is kept as
+    graph.corpus, so a sweep compiles its paths once for all its runs.
+    add_edge drops graph.corpus, so a corpus is never reused stale.
     """
-    corpus = paths
-    if not (
-        isinstance(corpus, Corpus)
-        and corpus.edge_index is graph.edge_index
-        and corpus.n_edges == graph.n_edges
-    ):
-        corpus = graph.corpus
-        if corpus is None or corpus.paths != paths:
-            corpus = Corpus(graph, paths)
+    corpus = graph.corpus
+    if corpus is None or (paths is not corpus and paths != corpus.paths):
+        corpus = graph.corpus = Corpus(graph, paths)
     # Built before any subset() is taken, so that the subsets share it.
     corpus.incidence
     return corpus

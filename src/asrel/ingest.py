@@ -246,7 +246,8 @@ def parse_path_line(
     asns maps each token already parsed to its AS number, so that equal
     tokens on many lines share one int, and equal agent ids share one str.
     count is how many times the line occurs; it multiplies the weight.
-    Raises ValueError on malformed content; callers add file/line context.
+    Raises ValueError on malformed content, or when the weight times count
+    exceeds MAX_WEIGHT; callers add file/line context.
     """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -276,12 +277,15 @@ def parse_path_line(
         tokens = tokens[:-1]
     if not tokens:
         raise ValueError("no hops on line")
+    weight *= count
+    if weight > MAX_WEIGHT:
+        raise ValueError(f"weight exceeds {MAX_WEIGHT}")
 
     asns = {} if asns is None else asns
     for token in tokens:
         if token not in asns:
             asns[token] = parse_asn(token)
-    return RawPath(tuple([asns[t] for t in tokens]), source, agent, weight * count)
+    return RawPath(tuple([asns[t] for t in tokens]), source, agent, weight)
 
 
 def read_path_file(

@@ -62,9 +62,10 @@ def run_inference(
 
     Votes accumulate on a copy with its own counters, so repeated runs over
     the same graph (as in the sweeps) stay independent. paths are compiled
-    by compile_corpus, which reuses a Corpus compiled against graph and the
-    corpus build_graph compiled from the same path list. The k-shell
-    tie-break ranks by kshell when it is given, else by the graph's index.
+    by compile_corpus, which reuses graph.corpus when paths is it or equals
+    its path list, and otherwise replaces graph.corpus with the paths
+    compiled; the votes still go to the copy. The k-shell tie-break ranks
+    by kshell when it is given, else by the graph's index.
     """
     engine_config = engine_config or InferenceConfig()
     heuristic_config = heuristic_config or HeuristicConfig()

@@ -494,7 +494,11 @@ def stability(
     shared = agree = 0
     for key, cls in a.items():
         other = b.get(key)
-        if other is not None and cls.classified and other.classified:
+        if (
+            other is not None
+            and cls.rel is not RelType.UNCLASSIFIED
+            and other.rel is not RelType.UNCLASSIFIED
+        ):
             shared += 1
             agree += cls.rel is other.rel
     if not shared:

@@ -23,7 +23,7 @@ import pytest
 
 from asrel.cli import main as cli_main
 from asrel.core import greedy_max_clique, k_shell_decompose
-from asrel.graph import AsGraph, edge_key
+from asrel.graph import AsGraph, RelType, edge_key
 from asrel.ingest import RawPath, SiblingSet, build_graph, ingest_paths, normalize_path
 from asrel.metrics import ReferenceSet, stability
 from asrel.pipeline import core_size_sweep, corruption_sweep, run_inference, summarize
@@ -160,12 +160,12 @@ def test_criterion_2_perfect_core_soundness(clean_run, big_truth, big_reference)
         for u, v in path.edges():
             covered.add(edge_key(u, v))
     not_classified = sum(
-        1 for k in covered if not result.classifications[k].classified
+        1 for k in covered if result.classifications[k].rel is RelType.UNCLASSIFIED
     )
     mismatched = sum(
         1
         for k in covered
-        if result.classifications[k].classified
+        if result.classifications[k].rel is not RelType.UNCLASSIFIED
         and result.classifications[k].rel is not big_truth.labels[k]
     )
     metrics = summarize(result, big_reference)

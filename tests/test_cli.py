@@ -201,6 +201,47 @@ class TestInferErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            (["infer"], ["--core-method", "clique", "--threshold", "2"], "threshold must be"),
+            (["infer"], ["--core-method", "clique", "--max-core-hops", "0"], "max_core_hops"),
+            (["infer"], [], "one of --core or --core-method is required"),
+            (["build-core"], [], "one of --core or --core-method is required"),
+            (
+                ["experiment", "window-stability"],
+                ["--paths-bgp-b", "absent-b.txt"],
+                "one of --core or --core-method is required",
+            ),
+            (["experiment", "core-sweep"], ["--sweep-sizes", ","], "--sweep-sizes ',' names no size"),
+            (
+                ["experiment", "corruption"],
+                ["--core-method", "clique", "--fractions", "2"],
+                "fractions must lie in [0, 1]",
+            ),
+            (
+                ["experiment", "corruption"],
+                ["--core-method", "clique", "--corruption-seeds", "0"],
+                "--corruption-seeds must be >= 1",
+            ),
+        ],
+        ids=[
+            "threshold", "max-core-hops", "infer-no-core", "build-core-no-core",
+            "window-no-core", "sweep-sizes", "fractions", "corruption-seeds",
+        ],
+    )
+    def test_bad_flag_reported_before_missing_corpus(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        # Flags are checked before any input file is opened.
+        absent = str(tmp_path / "absent.txt")
+        code = cli.main(
+            [*command, "--paths-bgp", absent, *flags, "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "cannot read" not in err
+
     def test_empty_corpus_is_input_error(self, tmp_path, capsys):
         paths = write(tmp_path / "empty.txt", "")
         code = cli.main(
@@ -277,19 +318,21 @@ class TestInferErrors:
         assert f"cannot read {bad}: not UTF-8 text" in err
 
     @pytest.mark.parametrize(
-        "text",
+        "text, line",
         [
-            "1 2 3 weight=99999999999999999999\n",
-            "1 2 3 weight=5000000000000000000\n" * 2,
-            "1 2 3 weight=5000000000000000000\n1 2 2 3 weight=5000000000000000000\n",
+            ("1 2 3 weight=99999999999999999999\n", 1),
+            ("1 2 3 weight=5000000000000000000\n" * 2, 1),
+            # Two lines that only normalize to one path: no line holds the sum.
+            ("1 2 3 weight=5000000000000000000\n1 2 2 3 weight=5000000000000000000\n", None),
         ],
         ids=["one-line", "repeated-line", "merged-paths"],
     )
-    def test_weight_over_bound_is_input_error(self, tmp_path, capsys, text):
+    def test_weight_over_bound_is_input_error(self, tmp_path, capsys, text, line):
         paths = write(tmp_path / "p.txt", text)
         assert self.infer_bgp(tmp_path, paths) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert lines == [f"error: path 1 2 3: weight exceeds {2**63 - 1}"]
+        where = "path 1 2 3" if line is None else f"{paths}:{line}"
+        assert lines == [f"error: {where}: weight exceeds {2**63 - 1}"]
 
     @pytest.mark.parametrize(
         "flag, text",

@@ -282,11 +282,18 @@ class TestCompileCorpus:
 
     @pytest.mark.parametrize("cut", [slice(None, None, -1), slice(1, None)])
     def test_other_paths_compiled_fresh(self, cut):
+        # The graph keeps the corpus last compiled against it, so the build
+        # list is compiled again once other paths have been.
         g = build_graph(self.paths)
+        built = g.corpus
         other = self.paths[cut]
         corpus = compile_corpus(g, other)
-        assert corpus is not g.corpus
         assert corpus_fields(corpus) == corpus_fields(Corpus(g, other))
+        assert corpus is g.corpus is not built
+        assert compile_corpus(g, other) is corpus
+        again = compile_corpus(g, self.paths)
+        assert again is g.corpus and again is not built
+        assert corpus_fields(again) == corpus_fields(built)
 
     def test_graph_that_gained_an_edge_compiles_fresh(self):
         g = build_graph(self.paths)
@@ -363,12 +370,6 @@ class TestThrough:
 
 
 class TestClassification:
-    def test_classified_flag(self):
-        cls = Classification((1, 2), RelType.C2P, "deterministic-p1")
-        assert cls.classified
-        un = Classification((1, 2), RelType.UNCLASSIFIED, "unclassified")
-        assert not un.classified
-
     def test_fields_are_the_label_only(self):
         assert [f.name for f in fields(Classification)] == ["edge", "rel", "method"]
 
@@ -399,7 +400,7 @@ class TestEdgeLabels:
         a, b = self.run(), self.run()
         assert a == b and not a != b
         key = (8, 9)
-        assert not a[key].classified
+        assert a[key].rel is RelType.UNCLASSIFIED
         e = a.edge_index[key]
         b.update({e: (LABEL_P2P, METHOD_CODES["gap-p2p"])})
         assert a != b and not a == b
@@ -445,5 +446,7 @@ class TestEdgeLabels:
         with pytest.raises(KeyError):
             labels[missing]
         assert labels.unclassified() == [
-            e for e, key in enumerate(graph.edge_keys) if not expected[key].classified
+            e
+            for e, key in enumerate(graph.edge_keys)
+            if expected[key].rel is RelType.UNCLASSIFIED
         ]

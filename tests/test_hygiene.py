@@ -1,6 +1,7 @@
 """Source hygiene of the asrel package, checked with the standard ast module:
-no module imports a name it never uses, and no module-level private name
-is defined and never referenced."""
+no module imports a name it never uses, no module-level private name is
+defined and never referenced, every public name, method and property is
+read outside the tests, and the engine reads corpora only as arcs."""
 
 import ast
 from pathlib import Path
@@ -125,18 +126,21 @@ def names_read(tree: ast.AST) -> set[str]:
     return read | string_annotation_names(tree)
 
 
-def test_every_public_name_is_read():
-    # A public definition counts as read when a module of the package, a
-    # demo or a benchmark script reads it; the re-exports of __init__.py do
-    # not count, and neither do the tests.
+def readers() -> list[Path]:
+    """The modules of the package, the demos and the benchmark scripts,
+    without the re-exports of __init__.py and without the tests."""
     root = Path(__file__).resolve().parent.parent
-    readers = [
+    return [
         path
         for folder in (PACKAGE, root / "demos", root / "perfbench")
         for path in sorted(folder.glob("*.py"))
         if path.name != "__init__.py"
     ]
-    read = set().union(*(names_read(parse(path)) for path in readers))
+
+
+def test_every_public_name_is_read():
+    # A public definition counts as read when a reader reads it.
+    read = set().union(*(names_read(parse(path)) for path in readers()))
     dead = [
         f"{path.name}: {name} (line {line})"
         for path in MODULES
@@ -144,3 +148,46 @@ def test_every_public_name_is_read():
         if not name.startswith("_") and name not in read
     ]
     assert not dead, f"defined and never read: {', '.join(dead)}"
+
+
+def methods(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, name, line) of every public method or property a class of
+    the module defines. Dataclass fields are not methods."""
+    return [
+        (node.name, item.name, item.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+def test_every_public_method_is_read():
+    # A method or property counts as read when a reader reads an attribute
+    # of that name, of any object.
+    read = {
+        node.attr
+        for path in readers()
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute)
+    }
+    dead = [
+        f"{path.name}: {cls}.{name} (line {line})"
+        for path in MODULES
+        for cls, name, line in methods(parse(path))
+        if name not in read
+    ]
+    assert not dead, f"defined and never read: {', '.join(dead)}"
+
+
+def test_engine_reads_corpora_as_arcs():
+    # The engine walks compiled arc ids: it reads no hop tuple, no AsPath
+    # list and no adjacency.
+    tree = parse(PACKAGE / "engine.py")
+    read = [
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("hops", "paths", "neighbors")
+    ]
+    assert not read, f"engine.py reads {', '.join(read)}"

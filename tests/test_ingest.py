@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asrel.errors import ParseError
-from asrel.graph import AsPath
+from asrel.graph import MAX_WEIGHT, AsPath
 from asrel.ingest import (
     RawPath,
     SiblingSet,
@@ -221,6 +221,20 @@ class TestReadPathFile:
         with pytest.raises(ParseError) as err:
             read_path_file([("p.txt", ["1 2\n", "oops\n", "3 4\n", "oops\n"])], "bgp")
         assert "p.txt:2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "lines, lineno",
+        [
+            (["1 2\n", "1 2 weight=99999999999999999999\n"], 2),
+            # 2 * 5e18 exceeds MAX_WEIGHT only once the line's two
+            # occurrences are counted; the first is reported.
+            (["3 4 weight=5000000000000000000\n", "1 2\n"] * 2, 1),
+        ],
+    )
+    def test_oversized_weight_reported_at_its_line(self, lines, lineno):
+        with pytest.raises(ParseError) as err:
+            read_path_file([("p.txt", lines)], "bgp")
+        assert str(err.value) == f"p.txt:{lineno}: weight exceeds {MAX_WEIGHT}"
 
     def test_lines_merge_across_streams(self):
         raws = read_path_file(

@@ -285,7 +285,9 @@ class TestSweeps:
 
     def test_graph_and_both_sweeps_compile_one_corpus(self, monkeypatch):
         # build_graph compiles the corpus while it adds the edges, and both
-        # sweeps reuse it when given the same plain path list.
+        # sweeps reuse it when given the same plain path list. Given another
+        # list, the first sweep compiles it once, keeps it as graph.corpus,
+        # and every later cell reuses it.
         config = GenConfig(tier_sizes=(4, 12, 40), paths=200, seed=5)
         truth = generate(config)
         paths, _ = ingest_paths(sample_paths(truth, config))
@@ -302,6 +304,11 @@ class TestSweeps:
         core_size_sweep(graph, paths, "degree", [4, 8])
         assert len(built) == 1
         assert built[0] is graph.corpus
+        other = paths[::-1]
+        corruption_sweep(graph, other, truth.true_core(), [0.0, 0.5], seeds=[1, 2])
+        core_size_sweep(graph, other, "degree", [4, 8])
+        assert len(built) == 2
+        assert built[1] is graph.corpus and built[1].paths == other
 
     @pytest.fixture
     def histogram_builds(self, monkeypatch):
