@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, compress
-from operator import ne
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParameterError, SelfLoopError, UnknownEdgeError
@@ -79,31 +78,17 @@ def vote_shares(low: int, high: int, p2p: int) -> tuple[float, float, float]:
 
 @dataclass(frozen=True, slots=True)
 class AsPath:
-    """One observed AS-level path.
+    """One AS-level path, from the parsed line to the compiled corpus.
 
-    hops are AS numbers after any normalization; consecutive duplicates are
-    not allowed. weight carries the observation multiplicity of the path.
+    hops are AS numbers, source is "bgp" or "trace", and weight counts the
+    observations behind the path. The record checks nothing: ingest, the
+    agent filter and Corpus check each field once, where it enters.
     """
 
     hops: tuple[int, ...]
     source: str = "bgp"
     agent: str = ""
     weight: int = 1
-
-    def __post_init__(self):
-        if len(self.hops) < 2:
-            raise ParameterError(f"path needs at least 2 hops, got {self.hops!r}")
-        if self.source not in ("bgp", "trace"):
-            raise ParameterError(f"unknown path source {self.source!r}")
-        if not 1 <= self.weight <= MAX_WEIGHT:
-            raise ParameterError(f"path weight out of range: {self.weight}")
-        hops = self.hops
-        if min(hops) < 1 or max(hops) > MAX_ASN:
-            bad = next(h for h in hops if not 1 <= h <= MAX_ASN)
-            raise ParameterError(f"AS number out of range: {bad}")
-        if not all(map(ne, hops, hops[1:])):
-            dup = next(u for u, v in zip(hops, hops[1:]) if u == v)
-            raise ParameterError(f"consecutive duplicate hop {dup} in {hops!r}")
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Consecutive hop pairs in traversal order."""
@@ -346,16 +331,25 @@ class Corpus:
     def __init__(self, graph: AsGraph, paths: Iterable[AsPath], grow: bool = False):
         """Walk paths once, recording each hop's arc id. An edge missing
         from graph is an UnknownEdgeError, or with grow, is added to graph
-        as add_edge would."""
+        as add_edge would, which rejects a repeated hop or an AS out of
+        range. Every path passes here before the engine, so here a path of
+        fewer than two hops or a weight outside 1..MAX_WEIGHT is a
+        ParameterError."""
         self.paths = list(paths)
         self.member_mask = b"\x01" * len(self.paths)
-        self.weights = array("q", [path.weight for path in self.paths])
+        weights = [path.weight for path in self.paths]
+        if not 1 <= min(weights, default=1) <= max(weights, default=1) <= MAX_WEIGHT:
+            bad = next(w for w in weights if not 1 <= w <= MAX_WEIGHT)
+            raise ParameterError(f"path weight out of range: {bad}")
+        self.weights = array("q", weights)
         index = graph.edge_index
         self.edge_keys = graph.edge_keys
         self.arcs = arcs = array("i")
         self.offsets = offsets = array("i", [0])
         for path in self.paths:
             hops = path.hops
+            if len(hops) < 2:
+                raise ParameterError(f"path needs at least 2 hops, got {hops!r}")
             for u, v in zip(hops, hops[1:]):
                 key = (u, v) if u < v else (v, u)
                 e = index.get(key)

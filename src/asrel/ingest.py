@@ -36,7 +36,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import ParseError
+from .errors import ParameterError, ParseError, SelfLoopError
 from .graph import (
     MAX_ASN, MAX_WEIGHT, AsGraph, AsPath, Corpus, EdgeKey, RelType, edge_key
 )
@@ -230,24 +230,20 @@ class IngestReport:
     paths_split: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class RawPath:
-    hops: tuple[int, ...]
-    source: str
-    agent: str
-    weight: int
+# A parsed line is an AsPath too; perfbench/inputs.py imports this name.
+RawPath = AsPath
 
 
 def parse_path_line(
     line: str, source: str, asns: dict[str, int] | None = None, count: int = 1
-) -> RawPath | None:
-    """Parse one line of a path file; returns None for blanks and comments.
+) -> AsPath | None:
+    """The AsPath of one line of a path file; None for blanks and comments.
 
     asns maps each token already parsed to its AS number, so that equal
     tokens on many lines share one int, and equal agent ids share one str.
     count is how many times the line occurs; it multiplies the weight.
-    Raises ValueError on malformed content, or when the weight times count
-    exceeds MAX_WEIGHT; callers add file/line context.
+    Raises ValueError on malformed content, such as an AS out of range, or
+    a weight times count above MAX_WEIGHT; callers add file/line context.
     """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -285,14 +281,14 @@ def parse_path_line(
     for token in tokens:
         if token not in asns:
             asns[token] = parse_asn(token)
-    return RawPath(tuple([asns[t] for t in tokens]), source, agent, weight)
+    return AsPath(tuple([asns[t] for t in tokens]), source, agent, weight)
 
 
 def read_path_file(
     streams: Iterable[tuple[str, Iterable[str]]], source: str
-) -> list[RawPath]:
-    """One RawPath per distinct line of one source's files, in order of
-    first occurrence.
+) -> list[AsPath]:
+    """One checked AsPath per distinct line of one source's files, in
+    order of first occurrence; its hops are not yet normalized.
 
     streams are (name, line iterable) pairs, read in order. Lines are
     counted across all of them before any is parsed, so a line that occurs
@@ -316,7 +312,7 @@ def read_path_file(
                 counts[line] = n + 1
 
     asns: dict[str, int] = {}
-    raws: list[RawPath] = []
+    raws: list[AsPath] = []
     for j, (line, n) in enumerate(counts.items()):
         try:
             raw = parse_path_line(line, source, asns, n)
@@ -336,15 +332,20 @@ def filter_single_agent_edges(
     An edge survives if two distinct agents reported it or if it appears
     in any BGP path. Traceroute paths containing a removed edge are split
     at the removed edges into maximal sub-paths of at least two hops; BGP
-    paths, whose edges are never removed, pass through untouched. Returns the kept paths, the number of
-    edges removed and the weight of the paths split.
+    paths, whose edges are never removed, pass through untouched. Returns
+    the kept paths, the number of edges removed and the weight of the
+    paths split. As the only reader of sources, it rejects any but "bgp"
+    and "trace", and a repeated hop that a split would remove.
     """
     paths = list(paths)
-    if all(path.source == "bgp" for path in paths):
+    sources = {path.source for path in paths}
+    if not sources <= {"bgp", "trace"}:
+        bad = next(p.source for p in paths if p.source not in ("bgp", "trace"))
+        raise ParameterError(f"unknown path source {bad!r}")
+    if "trace" not in sources:
         return paths, 0, 0
     # Edge -> its only reporting agent, or None once a BGP path or a second
-    # agent reports it. AsPath has no repeated consecutive hop, so an
-    # inline canonical key needs no self-loop check.
+    # agent reports it. A repeated hop, in a hand-built path, has key (u, u).
     reporter: dict[EdgeKey, str | None] = {}
     for path in paths:
         agent = None if path.source == "bgp" else path.agent
@@ -364,6 +365,8 @@ def filter_single_agent_edges(
         start = 0
         for i, (u, v) in enumerate(path.edges()):
             if reporter[(u, v) if u < v else (v, u)] is not None:
+                if u == v:
+                    raise SelfLoopError(f"self-loop on AS {u}")
                 segments.append(hops[start : i + 1])
                 start = i + 1
         if not start:
@@ -380,14 +383,15 @@ def filter_single_agent_edges(
 
 
 def ingest_paths(
-    raw_paths: Iterable[RawPath],
+    raw_paths: Iterable[AsPath],
     siblings: SiblingSet | None = None,
 ) -> tuple[list[AsPath], IngestReport]:
     """Normalize raw paths, merge repeats and apply the multi-agent edge filter.
 
     Paths that normalize to the same hops, source and agent become one
     AsPath, at the place of the first, whose weight is the sum of theirs.
-    A sum above MAX_WEIGHT is a ParseError naming the path.
+    A sum above MAX_WEIGHT is a ParseError naming the path; the filter and
+    the compile (Corpus) check the rest.
     """
     report = IngestReport()
     merged: dict[tuple[tuple[int, ...], str, str], int] = {}

@@ -19,8 +19,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 from .core import CoreGraph, _induced_edges
 from .errors import ParameterError
-from .graph import AsGraph, EdgeKey, RelType, edge_key, oriented
-from .ingest import RawPath
+from .graph import AsGraph, AsPath, EdgeKey, RelType, edge_key, oriented
 from .metrics import REFERENCE_CODES
 
 # The sampler's walk: the chance to climb one more provider hop, to cross
@@ -282,21 +281,22 @@ def _inject_prepend(hops: list[int], rng: random.Random) -> list[int]:
 
 def sample_paths(
     truth: GroundTruth, config: GenConfig, seed: int | None = None
-) -> list[RawPath]:
+) -> list[AsPath]:
     """Sample config.paths raw paths, valley-free except for injected noise.
 
     The result models an uncleaned corpus: loop and prepend noise leave
-    repeated ASes in place, so the paths must round-trip through ingest
-    before inference. Paths are tagged as traceroute observations with an
-    agent drawn from the configured pool. A separate seed may be supplied
-    to draw several independent corpora from one topology.
+    repeated ASes in place, so these AsPath records, as read_path_file
+    gives them, must round-trip through ingest before inference. Paths are
+    traceroute observations with an agent drawn from the configured pool.
+    A separate seed may be supplied to draw several independent corpora
+    from one topology.
     """
     rng = _stage_rng(config.seed if seed is None else seed, "sample")
     vertices = sorted(truth.graph.vertices)
     if not vertices or truth.graph.n_edges == 0:
         raise ParameterError("cannot sample paths from an edgeless topology")
     noise = config.noise
-    paths: list[RawPath] = []
+    paths: list[AsPath] = []
     for _ in range(config.paths):
         hops = _sample_clean(truth, rng, vertices)
         if noise.valley_prob and rng.random() < noise.valley_prob:
@@ -306,13 +306,13 @@ def sample_paths(
         if noise.prepend_prob and rng.random() < noise.prepend_prob:
             hops = _inject_prepend(hops, rng)
         agent = f"agent-{rng.randrange(config.agents)}"
-        paths.append(RawPath(tuple(hops), "trace", agent, 1))
+        paths.append(AsPath(tuple(hops), "trace", agent, 1))
     return paths
 
 
-def write_paths_file(paths: Iterable[RawPath], stream: TextIO) -> None:
-    """Write paths in the format ingest reads; agent prefixes appear only
-    for traceroute paths, so a file should hold one kind of path."""
+def write_paths_file(paths: Iterable[AsPath], stream: TextIO) -> None:
+    """Write paths as read_path_file reads them back, if no two share a
+    line; only traceroute paths get agent prefixes, so keep one kind per file."""
     for path in paths:
         hops = " ".join(str(h) for h in path.hops)
         weight = f" weight={path.weight}" if path.weight != 1 else ""

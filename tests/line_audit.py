@@ -12,9 +12,13 @@ first line of its body, or all of it for a simple statement. Docstrings,
 ``def``, ``class`` and imports are not checked. Code that runs only in a
 subprocess, such as ``python -m asrel.cli``, is not traced.
 
-The audit exits with pytest's exit code when a test fails, and with 1 when
-a statement outside ALLOWED is unreached. pytest, not the coverage package,
-is all it needs.
+Each file's text is read before the suite starts, and the statements are
+taken from that text, so they match the lines the tracer saw. A file whose
+text has changed by the end of the run makes the audit exit 1 with a
+"source changed during the audit" message, since its lines may no longer
+match. Otherwise the audit exits with pytest's exit code when a test fails,
+and with 1 when a statement outside ALLOWED is unreached. pytest, not the
+coverage package, is all it needs.
 """
 
 from __future__ import annotations
@@ -114,12 +118,19 @@ def statements(tree: ast.Module):
     return walk(tree.body, "<module>", True)
 
 
-def unreached(hits: dict[str, set[int]]) -> list[tuple[str, int, str, str]]:
+def snapshot() -> dict[Path, str]:
+    """The text of every file of the package, by path, in sorted order."""
+    return {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def unreached(
+    hits: dict[str, set[int]], sources: dict[Path, str]
+) -> list[tuple[str, int, str, str]]:
     """(file, line, function, first source line) of every checked
-    statement of the package on none of whose own lines a line event fell."""
+    statement of the package, parsed from sources, on none of whose own
+    lines a line event fell."""
     out = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
+    for path, source in sources.items():
         lines = hits.get(str(path.resolve()), set())
         for node, scope, own in statements(ast.parse(source)):
             if lines.isdisjoint(own):
@@ -129,6 +140,7 @@ def unreached(hits: dict[str, set[int]]) -> list[tuple[str, int, str, str]]:
 
 
 def main() -> int:
+    sources = snapshot()
     hits: dict[str, set[int]] = {}
     trace = trace_package(hits)
     threading.settrace(trace)
@@ -138,7 +150,15 @@ def main() -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    missed = unreached(hits)
+    after = snapshot()
+    if after != sources:
+        changed = sorted(
+            path.name for path in sources.keys() | after.keys()
+            if sources.get(path) != after.get(path)
+        )
+        print(f"line audit: source changed during the audit: {', '.join(changed)}")
+        return 1
+    missed = unreached(hits, sources)
     failing = 0
     for name, line, scope, text in missed:
         allowed = (name, scope, text) in ALLOWED

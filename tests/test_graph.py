@@ -1,3 +1,4 @@
+import io
 from dataclasses import fields
 
 import pytest
@@ -24,7 +25,13 @@ from asrel.graph import (
     oriented,
     vote_shares,
 )
-from asrel.ingest import build_graph
+from asrel.ingest import (
+    build_graph,
+    filter_single_agent_edges,
+    ingest_paths,
+    read_path_file,
+)
+from asrel.synth import write_paths_file
 
 from oracles import tally, vote, vote_invalid
 
@@ -107,42 +114,115 @@ class TestVoteTally:
         assert vote_shares(2, 1, 3) == (2 / 6, 1 / 6, 3 / 6)
 
 
+# Each fault a hand-built path can carry: the path, the error and message
+# of build_graph, which adds the path's edges, and the error of
+# compile_corpus against a graph that lacks them.
+PATH_FAULTS = {
+    "one-hop": (AsPath((1,)), ParameterError, "at least 2 hops", ParameterError),
+    "repeated-hop": (
+        AsPath((1, 2, 2, 3)), SelfLoopError, "self-loop on AS 2", UnknownEdgeError
+    ),
+    "asn-0": (AsPath((0, 2)), ParameterError, "out of range: 0", UnknownEdgeError),
+    "asn-over-max": (
+        AsPath((1, MAX_ASN + 1)), ParameterError, f"out of range: {MAX_ASN + 1}",
+        UnknownEdgeError,
+    ),
+    "weight-0": (
+        AsPath((1, 2), weight=0), ParameterError, "weight out of range: 0", ParameterError
+    ),
+    "weight-over-max": (
+        AsPath((1, 2), weight=MAX_WEIGHT + 1), ParameterError,
+        f"weight out of range: {MAX_WEIGHT + 1}", ParameterError,
+    ),
+}
+
+
 class TestAsPath:
+    good = [AsPath((1, 2, 3)), AsPath((2, 3, 4), weight=2)]
+
     def test_edges_in_traversal_order(self):
         path = AsPath((1, 2, 3), "bgp", "", 1)
         assert list(path.edges()) == [(1, 2), (2, 3)]
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ParameterError):
-            AsPath((1,), "bgp", "", 1)
-
-    def test_consecutive_duplicate_rejected(self):
-        with pytest.raises(ParameterError):
-            AsPath((1, 2, 2, 3), "bgp", "", 1)
 
     def test_nonconsecutive_revisit_allowed(self):
         # Loop trimming is ingest's job; the container stays permissive.
         AsPath((1, 2, 1), "trace", "a", 1)
 
-    def test_bad_source_rejected(self):
-        with pytest.raises(ParameterError):
-            AsPath((1, 2), "carrier-pigeon", "", 1)
+    @pytest.mark.parametrize(
+        "bad, built, message, compiled", PATH_FAULTS.values(), ids=PATH_FAULTS
+    )
+    def test_fault_rejected_at_compile(self, bad, built, message, compiled):
+        # The record takes any fields; the compile, which every path passes
+        # before the engine, rejects the fault, and a rejected path list
+        # leaves the graph's corpus as it was.
+        with pytest.raises(built, match=message) as raised:
+            build_graph([*self.good, bad])
+        assert raised.type is built
+        g = build_graph(self.good)
+        kept = g.corpus
+        with pytest.raises(compiled) as raised:
+            compile_corpus(g, [*self.good, bad])
+        assert raised.type is compiled
+        assert g.corpus is kept
+        assert compile_corpus(g, self.good) is kept
 
-    def test_weight_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            AsPath((1, 2), "bgp", "", 0)
-
-    def test_weight_bound(self):
+    def test_max_weight_accepted(self):
         # A Corpus stores weights as 8-byte signed ints.
-        assert AsPath((1, 2), "bgp", "", MAX_WEIGHT).weight == MAX_WEIGHT
-        with pytest.raises(ParameterError):
-            AsPath((1, 2), "bgp", "", MAX_WEIGHT + 1)
+        g = build_graph([AsPath((1, 2), weight=MAX_WEIGHT)])
+        assert list(g.corpus.weights) == [MAX_WEIGHT]
+        assert g.corpus.weight == MAX_WEIGHT
 
-    def test_asn_out_of_range(self):
-        with pytest.raises(ParameterError):
-            AsPath((0, 2), "bgp", "", 1)
-        with pytest.raises(ParameterError):
-            AsPath((1, MAX_ASN + 1), "bgp", "", 1)
+    def test_bad_source_rejected_by_the_filter(self):
+        # The agent filter is the only reader of the source, so it checks it,
+        # in ingest_paths as when called alone.
+        paths = [AsPath((1, 2)), AsPath((2, 3), "carrier-pigeon")]
+        for stage in (ingest_paths, filter_single_agent_edges):
+            with pytest.raises(ParameterError, match="unknown path source 'carrier-pigeon'"):
+                stage(paths)
+
+    def test_repeated_hop_not_split_away(self):
+        # A repeated hop the filter would cut out of a traceroute path is
+        # rejected there, as the compile would reject it, not split away.
+        paths = [AsPath((1, 2, 2, 3), "trace", "a"), AsPath((1, 2), "trace", "b")]
+        with pytest.raises(SelfLoopError, match="self-loop on AS 2"):
+            filter_single_agent_edges(paths)
+        with pytest.raises(SelfLoopError):
+            build_graph(paths)
+
+    @given(
+        bgp=st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 12), min_size=2, max_size=5, unique=True).map(tuple),
+                st.integers(1, MAX_WEIGHT),
+            ),
+            max_size=6,
+            unique_by=lambda drawn: drawn[0],
+        ),
+        trace=st.lists(
+            st.tuples(
+                st.lists(st.integers(1, MAX_ASN), min_size=2, max_size=5, unique=True).map(tuple),
+                st.sampled_from(["a", "b", "agent-7"]),
+                st.integers(1, 3),
+            ),
+            max_size=6,
+            unique_by=lambda drawn: drawn[:2],
+        ),
+    )
+    def test_file_and_hand_built_records_are_one_type(self, bgp, trace):
+        # A path written with write_paths_file and read back with
+        # read_path_file is the hand-built AsPath, and compiles the same.
+        built = [AsPath(hops, "bgp", "", weight) for hops, weight in bgp]
+        built += [AsPath(hops, "trace", agent, weight) for hops, agent, weight in trace]
+        read = []
+        for source in ("bgp", "trace"):
+            stream = io.StringIO()
+            write_paths_file([p for p in built if p.source == source], stream)
+            read += read_path_file([("f", stream.getvalue().splitlines())], source)
+        assert read == built
+        assert all(type(path) is AsPath for path in read)
+        assert corpus_fields(build_graph(read).corpus) == corpus_fields(
+            build_graph(built).corpus
+        )
 
 
 class TestAsGraph:
