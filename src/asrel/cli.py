@@ -145,30 +145,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _reading(*names: str) -> Iterator[list[tuple[str, Iterator[str]]]]:
-    """Open every named file, then yield one (name, lines) pair per file.
+def _reading(*names: str) -> Iterator[list[tuple[str, TextIO]]]:
+    """Open every named file, then yield one (name, handle) pair per file.
 
     All files are open before any line is read, so a missing or unreadable
-    file is reported before a malformed line of another. Lines are read as
-    they are consumed; bytes that are not UTF-8 end the read with a
-    ParseError naming the file.
+    file is reported before a fault in the lines of another, which the
+    readers in ingest report as they decode and parse them.
     """
     with ExitStack() as stack:
         streams = []
         for name in names:
             try:
-                handle = stack.enter_context(open(name, "r", encoding="utf-8"))
+                streams.append((name, stack.enter_context(open(name, encoding="utf-8"))))
             except OSError as exc:
                 raise ParseError(f"cannot read {name}: {exc.strerror}") from None
-            streams.append((name, _lines(name, handle)))
         yield streams
-
-
-def _lines(name: str, handle: TextIO) -> Iterator[str]:
-    try:
-        yield from handle
-    except UnicodeDecodeError:
-        raise ParseError(f"cannot read {name}: not UTF-8 text") from None
 
 
 def _load_graph(
@@ -182,8 +173,8 @@ def _load_graph(
     """
     siblings = None
     if args.siblings:
-        with _reading(args.siblings) as [(name, lines)]:
-            siblings = load_sibling_pairs(lines, name)
+        with _reading(args.siblings) as [(name, handle)]:
+            siblings = load_sibling_pairs(handle, name)
     bgp_files = getattr(args, f"paths_bgp{suffix}")
     trace_files = getattr(args, f"paths_trace{suffix}")
     with _reading(*bgp_files, *trace_files) as streams:
@@ -216,15 +207,15 @@ def _core_source(args) -> str:
 def _build_core(args, source: str, graph: AsGraph) -> CoreGraph:
     """The core that source names."""
     if source == "file":
-        with _reading(args.core) as [(name, lines)]:
-            return read_core_file(lines, graph, name)
+        with _reading(args.core) as [(name, handle)]:
+            return read_core_file(handle, graph, name)
     if source == "clique":
         return greedy_max_clique(graph)
     if source == "kcore":
         return k_max_core(graph)
     if source == "external":
-        with _reading(args.peer_edges) as [(name, lines)]:
-            return load_external_core(lines, graph, name)
+        with _reading(args.peer_edges) as [(name, handle)]:
+            return load_external_core(handle, graph, name)
     return grow_core(graph, args.grow_strategy, args.core_size)
 
 
@@ -236,8 +227,8 @@ def _configs(args) -> tuple[InferenceConfig, HeuristicConfig]:
 def _load_reference(args, siblings) -> ReferenceSet | None:
     if not args.reference:
         return None
-    with _reading(args.reference) as [(name, lines)]:
-        return load_reference(lines, siblings, name)
+    with _reading(args.reference) as [(name, handle)]:
+        return load_reference(handle, siblings, name)
 
 
 def _write_json(payload: dict, path: str) -> None:

@@ -188,6 +188,11 @@ def load_external_core(
 
 def check_core_size(graph: AsGraph, size: int) -> None:
     """ParameterError unless grow_core can grow a core of size on graph."""
+    if graph.n_vertices < 4:
+        raise ParameterError(
+            f"a grown core needs at least 4 vertices; the graph has only "
+            f"{graph.n_vertices}"
+        )
     if not 4 <= size <= graph.n_vertices:
         raise ParameterError(
             f"core size must be between 4 and {graph.n_vertices}, got {size}"

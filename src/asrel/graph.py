@@ -12,11 +12,13 @@ and counters rather than on tuple keys.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, repeat
+from operator import rshift, sub
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParameterError, SelfLoopError, UnknownEdgeError
@@ -171,6 +173,8 @@ class AsGraph:
         return len(self.edge_keys)
 
     def add_vertex(self, v: int) -> None:
+        if type(v) is not int:
+            raise ParameterError(f"AS number is not an int: {v!r}")
         if not (1 <= v <= MAX_ASN):
             raise ParameterError(f"AS number out of range: {v}")
         if v not in self._adj:
@@ -331,53 +335,62 @@ class Corpus:
     def __init__(self, graph: AsGraph, paths: Iterable[AsPath], grow: bool = False):
         """Walk paths once, recording each hop's arc id. An edge missing
         from graph is an UnknownEdgeError, or with grow, is added to graph
-        as add_edge would, which rejects a repeated hop or an AS out of
-        range. Every path passes here before the engine, so here a path of
-        fewer than two hops or a weight outside 1..MAX_WEIGHT is a
-        ParameterError."""
+        as add_edge would, which rejects a repeated hop or an AS that is
+        not an int in range. Every path passes here before the engine, so
+        here a path of fewer than two hops, a hop that does not compare
+        with an int, or a weight that is not an int in 1..MAX_WEIGHT is a
+        ParameterError. A hop equal to an AS of a known edge, such as True
+        for AS 1, stands for that AS: the walk checks no hop's type."""
         self.paths = list(paths)
         self.member_mask = b"\x01" * len(self.paths)
         weights = [path.weight for path in self.paths]
-        if not 1 <= min(weights, default=1) <= max(weights, default=1) <= MAX_WEIGHT:
-            bad = next(w for w in weights if not 1 <= w <= MAX_WEIGHT)
-            raise ParameterError(f"path weight out of range: {bad}")
+        if not (
+            set(map(type, weights)) <= {int}
+            and 1 <= min(weights, default=1) <= max(weights, default=1) <= MAX_WEIGHT
+        ):
+            bad = next(
+                w for w in weights if type(w) is not int or not 1 <= w <= MAX_WEIGHT
+            )
+            raise ParameterError(f"path weight out of range: {bad!r}")
         self.weights = array("q", weights)
         index = graph.edge_index
         self.edge_keys = graph.edge_keys
         self.arcs = arcs = array("i")
         self.offsets = offsets = array("i", [0])
-        for path in self.paths:
-            hops = path.hops
-            if len(hops) < 2:
-                raise ParameterError(f"path needs at least 2 hops, got {hops!r}")
-            for u, v in zip(hops, hops[1:]):
-                key = (u, v) if u < v else (v, u)
-                e = index.get(key)
-                if e is None:
-                    if not grow:
-                        raise UnknownEdgeError(f"edge {key} not in graph")
-                    e = index[graph.add_edge(u, v)]
-                arcs.append(2 * e + (u > v))
-            offsets.append(len(arcs))
+        try:
+            for path in self.paths:
+                hops = path.hops
+                if len(hops) < 2:
+                    raise ParameterError(f"path needs at least 2 hops, got {hops!r}")
+                for u, v in zip(hops, hops[1:]):
+                    key = (u, v) if u < v else (v, u)
+                    e = index.get(key)
+                    if e is None:
+                        if not grow:
+                            raise UnknownEdgeError(f"edge {key} not in graph")
+                        e = index[graph.add_edge(u, v)]
+                    arcs.append(2 * e + (u > v))
+                offsets.append(len(arcs))
+        except TypeError:
+            raise ParameterError(f"hops that are not AS numbers: {hops!r}") from None
 
     @cached_property
     def incidence(self) -> tuple[array, array]:
         """The edge-to-path index in CSR form, (path_starts, path_ids): the
         paths through edge e are path_ids[path_starts[e]:path_starts[e + 1]],
-        a path once per traversal. Built on first use."""
-        arcs, offsets = self.arcs, self.offsets
-        counts = array("i", [0]) * len(self.edge_keys)
-        for a in arcs:
-            counts[a >> 1] += 1
-        path_starts = array("i", accumulate(counts, initial=0))
-        path_ids = array("i", [0]) * len(arcs)
-        fill = path_starts[:-1]
-        for p in range(len(self.paths)):
-            for a in arcs[offsets[p] : offsets[p + 1]]:
-                e = a >> 1
-                path_ids[fill[e]] = p
-                fill[e] += 1
-        return path_starts, path_ids
+        a path once per traversal. Built on first use, in one pass over the
+        hops that appends each hop's path id to its edge's bucket; the
+        buckets, in edge order, are path_ids."""
+        offsets = self.offsets
+        buckets = [array("i") for _ in self.edge_keys]
+        hop_paths = chain.from_iterable(
+            map(repeat, range(len(self.paths)), map(sub, offsets[1:], offsets))
+        )
+        hop_buckets = map(buckets.__getitem__, map(rshift, self.arcs, repeat(1)))
+        deque(map(array.append, hop_buckets, hop_paths), maxlen=0)
+        path_ids = array("i")
+        deque(map(path_ids.extend, buckets), maxlen=0)
+        return array("i", accumulate(map(len, buckets), initial=0)), path_ids
 
     def through(self, edges: Iterable[int]) -> array:
         """The ids of this corpus's member paths that go through any of

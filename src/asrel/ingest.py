@@ -13,6 +13,8 @@ lines and ``#`` lines are skipped, every other line is one record, and a
 malformed record is a ParseError at its file and line (read_records). A
 record that names an AS pair names two distinct ASes (parse_pair), and two
 records that give one pair different labels are an error (set_label).
+Bytes that are not UTF-8 are the ParseError ``cannot read NAME: not UTF-8
+text`` from read_records or read_path_file, for every caller.
 
 Paths are normalized before use: sibling ASes are collapsed onto one
 representative, consecutive duplicate hops (prepending artifacts) are
@@ -101,15 +103,18 @@ def read_records(
     lines: Iterable[str], source: str, parse: Callable[[str], None]
 ) -> None:
     """Call parse on every record line, stripped, skipping blank and ``#``
-    lines. A ValueError that parse raises becomes a ParseError at source
-    and the line's 1-based number."""
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            try:
-                parse(line)
-            except ValueError as exc:
-                raise ParseError(str(exc), source, lineno) from None
+    lines. A ValueError from parse is a ParseError at source and the line's
+    1-based number; bytes that are not UTF-8, a ParseError naming source."""
+    try:
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                try:
+                    parse(line)
+                except ValueError as exc:
+                    raise ParseError(str(exc), source, lineno) from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {source}: not UTF-8 text") from None
 
 
 def parse_asn(token: str) -> int:
@@ -303,13 +308,16 @@ def read_path_file(
     linenos = array("q")
     for name, stream in streams:
         firsts.append((len(counts), name))
-        for lineno, line in enumerate(stream, 1):
-            n = counts.get(line)
-            if n is None:
-                counts[line] = 1
-                linenos.append(lineno)
-            else:
-                counts[line] = n + 1
+        try:
+            for lineno, line in enumerate(stream, 1):
+                n = counts.get(line)
+                if n is None:
+                    counts[line] = 1
+                    linenos.append(lineno)
+                else:
+                    counts[line] = n + 1
+        except UnicodeDecodeError:
+            raise ParseError(f"cannot read {name}: not UTF-8 text") from None
 
     asns: dict[str, int] = {}
     raws: list[AsPath] = []

@@ -317,6 +317,20 @@ class TestInferErrors:
         err = capsys.readouterr().err
         assert f"cannot read {bad}: not UTF-8 text" in err
 
+    def test_grown_core_on_too_small_graph(self, tmp_path, capsys):
+        # Three ASes cannot hold a grown core of the minimum size, whatever
+        # size is asked for.
+        paths = write(tmp_path / "p.txt", "1 2 3\n")
+        code = cli.main(
+            [
+                "infer", "--paths-bgp", paths, "--core-method", "grow",
+                "--core-size", "4", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: a grown core needs at least 4 vertices; the graph has only 3\n"
+
     @pytest.mark.parametrize(
         "text, line",
         [

@@ -136,6 +136,16 @@ PATH_FAULTS = {
     ),
 }
 
+# Hops and weights of a type the compile must refuse, with its message.
+TYPE_FAULTS = {
+    "float-hop": (AsPath((1.5, 2, 3)), "AS number is not an int: 1.5"),
+    "bool-hop": (AsPath((True, 2, 3)), "AS number is not an int: True"),
+    "str-hop": (AsPath(("2", 3)), "hops that are not AS numbers: ('2', 3)"),
+    "bool-weight": (AsPath((1, 2), weight=True), "path weight out of range: True"),
+    "float-weight": (AsPath((1, 2), weight=1.5), "path weight out of range: 1.5"),
+    "str-weight": (AsPath((1, 2), weight="1"), "path weight out of range: '1'"),
+}
+
 
 class TestAsPath:
     good = [AsPath((1, 2, 3)), AsPath((2, 3, 4), weight=2)]
@@ -165,6 +175,20 @@ class TestAsPath:
         assert raised.type is compiled
         assert g.corpus is kept
         assert compile_corpus(g, self.good) is kept
+
+    @pytest.mark.parametrize("bad, message", TYPE_FAULTS.values(), ids=TYPE_FAULTS)
+    def test_non_int_rejected_at_compile(self, bad, message):
+        with pytest.raises(ParameterError) as raised:
+            build_graph([bad])
+        assert raised.type is ParameterError
+        assert str(raised.value) == message
+
+    def test_graph_holds_only_int_vertices(self):
+        # True equals AS 1, so on a known edge it stands for AS 1; it never
+        # becomes a vertex of its own.
+        g = build_graph([AsPath((1, 2)), AsPath((True, 2, 3))])
+        assert g.edge_keys == [(1, 2), (2, 3)]
+        assert {type(v) for v in g.vertices} == {int}
 
     def test_max_weight_accepted(self):
         # A Corpus stores weights as 8-byte signed ints.

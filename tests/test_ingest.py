@@ -1,7 +1,10 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asrel.core import load_external_core, read_core_file
 from asrel.errors import ParseError
 from asrel.graph import MAX_WEIGHT, AsPath
 from asrel.ingest import (
@@ -16,6 +19,7 @@ from asrel.ingest import (
     parse_path_line,
     read_path_file,
 )
+from asrel.metrics import load_reference
 
 from oracles import filter_single_agent_edges as reference_filter
 
@@ -431,3 +435,40 @@ class TestIngestPipeline:
         for p in paths:
             for u, v in p.edges():
                 assert len(observers[tuple(sorted((u, v)))]) >= 2
+
+
+def second_stream(load):
+    """A loader of one stream, called on the second of two."""
+    return lambda streams: load(streams[1][1], source=streams[1][0])
+
+
+# Each line loader, called on two (name, handle) streams, and the record
+# template of its input, formatted with three distinct AS numbers.
+LOADERS = {
+    "bgp": (lambda streams: load_corpus(bgp_streams=streams), "{} {} {}"),
+    "trace": (lambda streams: load_corpus(trace_streams=streams), "a|{} {} {}"),
+    "siblings": (second_stream(load_sibling_pairs), "{} {}"),
+    "reference": (second_stream(load_reference), "{}|{}|0"),
+    "core": (second_stream(read_core_file), "v {}"),
+    "peers": (
+        second_stream(partial(load_external_core, graph=build_graph([AsPath((1, 2))]))),
+        "{} {}",
+    ),
+}
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("load, template", LOADERS.values(), ids=LOADERS)
+    def test_non_utf8_bytes_are_parse_error_naming_the_file(self, tmp_path, load, template):
+        # The bad byte lies past the first 8 KiB block that the text layer
+        # decodes, in the second file, so it surfaces mid-read in every loader.
+        good = tmp_path / "good.txt"
+        good.write_text(template.format(1, 2, 3) + "\n")
+        bad = tmp_path / "bad.txt"
+        valid = "".join(template.format(i, i + 1, i + 2) + "\n" for i in range(1, 2001))
+        assert len(valid) > 8192
+        bad.write_bytes(valid.encode() + b"7 \xff 8\n")
+        with open(good, encoding="utf-8") as a, open(bad, encoding="utf-8") as b:
+            with pytest.raises(ParseError) as err:
+                load([(str(good), a), (str(bad), b)])
+        assert str(err.value) == f"cannot read {bad}: not UTF-8 text"
