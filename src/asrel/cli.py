@@ -158,7 +158,7 @@ def _reading(*names: str) -> Iterator[list[tuple[str, TextIO]]]:
             try:
                 streams.append((name, stack.enter_context(open(name, encoding="utf-8"))))
             except OSError as exc:
-                raise ParseError(f"cannot read {name}: {exc.strerror}") from None
+                raise ParseError(exc.strerror, name) from None
         yield streams
 
 

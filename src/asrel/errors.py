@@ -24,14 +24,18 @@ class UnknownEdgeError(AsrelError):
 class ParseError(AsrelError):
     """An input file could not be read or parsed.
 
-    Carries the offending source name and 1-based line number when known.
+    The message has one of three forms: ``source:line: reason`` for a bad
+    record at a 1-based line; ``cannot read source: reason`` when only a
+    source is given, a file that cannot be opened or decoded; ``reason``
+    alone for a fault of no one file, such as an empty corpus.
     """
 
-    def __init__(self, message: str, source: str = "", line: int = 0):
-        detail = message
-        if source:
-            detail = f"{source}:{line}: {message}" if line else f"{source}: {message}"
-        super().__init__(detail)
+    def __init__(self, reason: str, source: str = "", line: int = 0):
+        if line:
+            reason = f"{source}:{line}: {reason}"
+        elif source:
+            reason = f"cannot read {source}: {reason}"
+        super().__init__(reason)
         self.source = source
         self.line = line
 

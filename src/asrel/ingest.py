@@ -13,8 +13,8 @@ lines and ``#`` lines are skipped, every other line is one record, and a
 malformed record is a ParseError at its file and line (read_records). A
 record that names an AS pair names two distinct ASes (parse_pair), and two
 records that give one pair different labels are an error (set_label).
-Bytes that are not UTF-8 are the ParseError ``cannot read NAME: not UTF-8
-text`` from read_records or read_path_file, for every caller.
+Bytes that are not UTF-8 are a ParseError whose source is the file, read
+``cannot read NAME: not UTF-8 text``, from read_records or read_path_file.
 
 Paths are normalized before use: sibling ASes are collapsed onto one
 representative, consecutive duplicate hops (prepending artifacts) are
@@ -114,7 +114,7 @@ def read_records(
                 except ValueError as exc:
                     raise ParseError(str(exc), source, lineno) from None
     except UnicodeDecodeError:
-        raise ParseError(f"cannot read {source}: not UTF-8 text") from None
+        raise ParseError("not UTF-8 text", source) from None
 
 
 def parse_asn(token: str) -> int:
@@ -200,23 +200,18 @@ def normalize_path(
         if not flat.keys().isdisjoint(mapped):
             mapped = tuple(map(flat.get, mapped, mapped))
 
-    if len(mapped) >= 2 and len(set(mapped)) == len(mapped):
+    if len(set(mapped)) == len(mapped):
         # No AS repeats, so there is nothing to collapse or truncate.
-        return mapped, False
+        return (mapped if len(mapped) >= 2 else None), False
 
-    collapsed = [h for i, h in enumerate(mapped) if i == 0 or h != mapped[i - 1]]
-
-    truncated = False
-    seen: set[int] = set()
     hops: list[int] = []
-    for h in collapsed:
-        if h in seen:
-            truncated = True
-            break
-        seen.add(h)
+    for h in mapped:
+        if hops and h == hops[-1]:
+            continue
+        if h in hops:
+            return tuple(hops), True
         hops.append(h)
-
-    return (tuple(hops) if len(hops) >= 2 else None), truncated
+    return (tuple(hops) if len(hops) >= 2 else None), False
 
 
 @dataclass
@@ -317,7 +312,7 @@ def read_path_file(
                 else:
                     counts[line] = n + 1
         except UnicodeDecodeError:
-            raise ParseError(f"cannot read {name}: not UTF-8 text") from None
+            raise ParseError("not UTF-8 text", name) from None
 
     asns: dict[str, int] = {}
     raws: list[AsPath] = []

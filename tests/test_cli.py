@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from asrel import cli, pipeline
 from asrel.core import write_core_file
+from asrel.errors import ParseError
 from asrel.synth import GenConfig, generate, sample_paths, write_paths_file
 
 
@@ -307,6 +309,15 @@ class TestInferErrors:
         err = capsys.readouterr().err
         assert f"cannot read {absent}" in err
         assert "a.txt" not in err
+
+    def test_missing_file_is_parse_error_naming_it(self, tmp_path):
+        absent = str(tmp_path / "absent.txt")
+        with pytest.raises(ParseError) as err:
+            with cli._reading(absent):
+                pass
+        assert str(err.value) == f"cannot read {absent}: {os.strerror(errno.ENOENT)}"
+        assert err.value.source == absent
+        assert err.value.line == 0
 
     def test_non_utf8_deep_in_second_file(self, tmp_path, capsys):
         a = write(tmp_path / "a.txt", "1 2 3\n")

@@ -1,7 +1,8 @@
 """Source hygiene of the asrel package, checked with the standard ast module:
 no module imports a name it never uses, no module-level private name is
 defined and never referenced, every public name, method and property is
-read outside the tests, and the engine reads corpora only as arcs."""
+read outside the tests, the engine reads corpora only as arcs, and only
+errors.py words the message of a file that cannot be read."""
 
 import ast
 from pathlib import Path
@@ -191,3 +192,20 @@ def test_engine_reads_corpora_as_arcs():
         if isinstance(node, ast.Attribute) and node.attr in ("hops", "paths", "neighbors")
     ]
     assert not read, f"engine.py reads {', '.join(read)}"
+
+
+def test_only_errors_words_an_unreadable_file():
+    # ParseError(reason, source) writes "cannot read source: reason"; a
+    # reader that spells the words itself would leave .source empty.
+    spelled = [
+        f"{path.name} (line {node.lineno})"
+        for path in MODULES
+        if path.name != "errors.py"
+        for raise_ in ast.walk(parse(path))
+        if isinstance(raise_, ast.Raise)
+        for node in ast.walk(raise_)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "cannot read" in node.value
+    ]
+    assert not spelled, f"'cannot read' raised outside errors.py: {', '.join(spelled)}"

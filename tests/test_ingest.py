@@ -472,3 +472,5 @@ class TestUndecodableInput:
             with pytest.raises(ParseError) as err:
                 load([(str(good), a), (str(bad), b)])
         assert str(err.value) == f"cannot read {bad}: not UTF-8 text"
+        assert err.value.source == str(bad)
+        assert err.value.line == 0
