@@ -44,10 +44,11 @@ paths through an edge voted in the round before (semi-naive evaluation,
 Bancilhon and Ramakrishnan, SIGMOD 1986) or only the paths through an edge
 still open, whichever set the index lists fewer paths for: a path outside
 either set would cast no vote. Corpus.through selects each round's
-paths. Phase 2 reads one label byte per arc, in the encoding the gap
-pass reads (graph.arc_labels): open for an edge without votes, up or
-down for an anchor, an edge whose share reaches the threshold for c2p or
-p2c, and other for any other voted edge.
+paths. Phase 2 reads one label byte per arc, as the gap pass does: the
+edge's label code read along the arc (graph.arc_labels), so c2p or p2c
+in walk order. An edge without votes reads as unclassified, an edge whose
+share reaches the threshold as its c2p or p2c label, and any other voted
+edge as p2p.
 
 finalize turns the counters into an EdgeLabels: a label code and a method
 code per edge id, in two bytearrays, which the heuristics, the metrics
@@ -66,10 +67,7 @@ from typing import Iterable
 from .core import CoreGraph
 from .errors import ConfigurationError
 from .graph import (
-    ARC_DOWN,
-    ARC_LABELS,
-    ARC_OPEN,
-    ARC_UP,
+    FLIPPED,
     LABEL_C2P,
     LABEL_P2C,
     LABEL_P2P,
@@ -83,7 +81,6 @@ from .graph import (
     AsGraph,
     Corpus,
     EdgeLabels,
-    RelType,
     arc_labels,
 )
 
@@ -225,10 +222,10 @@ def _phase1_rows(graph: AsGraph, core: CoreGraph) -> tuple[array, array]:
     every live state downhill with a head-customer vote. Downhill, an arc
     entering the core, or joining two core members over an edge that is not
     a core edge, casts an invalid vote and sends the walk to the sink. A
-    core edge follows its preassigned label: walked in its p2c direction it
-    moves the walk downhill, otherwise it keeps the walk in the core, voting
-    p2p only when no label is preassigned; downhill, anything but its p2c
-    direction is invalid.
+    core edge follows its preassigned label code, read along each arc
+    through FLIPPED: an arc that reads p2c moves the walk downhill, any
+    other keeps the walk in the core, voting p2p only when no label is
+    preassigned; downhill, any arc that does not read p2c is invalid.
     """
     n_edges = graph.n_edges
     n = 2 * n_edges
@@ -267,9 +264,9 @@ def _phase1_rows(graph: AsGraph, core: CoreGraph) -> tuple[array, array]:
         elif low:
             pre = core.preassigned.get(key)
             vote = p2p + e if pre is None else dummy
-            flipped = None if pre is None else pre.flipped()
-            for b, rel in ((2 * e, pre), (2 * e + 1, flipped)):
-                if rel is RelType.P2C:
+            code = LABEL_UNCLASSIFIED if pre is None else LABEL_RELS.index(pre)
+            for b, label in ((2 * e, code), (2 * e + 1, FLIPPED[code])):
+                if label == LABEL_P2C:
                     patch((up, in_core, down), b, dummy, down)
                 else:
                     patch((up, in_core), b, vote, in_core)
@@ -359,10 +356,10 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
     customer, p2p = graph.customer, graph.p2p
     n = len(customer)
     threshold = config.threshold
-    # A voted edge with no share at the threshold reads as other: p2p.
+    # A voted edge with no share at the threshold reads as p2p.
     codes = _label_codes(zip(customer[0::2], customer[1::2], p2p), threshold, LABEL_P2P)
     labels = arc_labels(codes)
-    open_edges = [e for e in range(graph.n_edges) if labels[2 * e] == ARC_OPEN]
+    open_edges = [e for e in range(graph.n_edges) if codes[e] == LABEL_UNCLASSIFIED]
     # How many paths the index lists through the open edges.
     open_load = sum(path_starts[e + 1] - path_starts[e] for e in open_edges)
     edges = open_edges
@@ -377,18 +374,18 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
             passed_p2c = False
             for a in arcs[offsets[p] : offsets[p + 1]]:
                 s = labels[a]
-                if s == ARC_OPEN:
+                if s == LABEL_UNCLASSIFIED:
                     # Downhill an open hop is p2c in walk order, so its head
                     # is the customer; uphill it would be c2p, its tail.
                     if passed_p2c:
                         customer[a ^ 1] += weight
                     else:
                         suspects_up.append(a)
-                elif s == ARC_UP:
+                elif s == LABEL_C2P:
                     for x in suspects_up:
                         customer[x] += weight
                     suspects_up = []
-                elif s == ARC_DOWN:
+                elif s == LABEL_P2C:
                     suspects_up = []
                     passed_p2c = True
         # Every vote has weight >= 1, so the edges voted in this round are
@@ -403,13 +400,13 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
             LABEL_P2P,
         )
         for e, code in zip(voted, codes):
-            labels[2 * e : 2 * e + 2] = ARC_LABELS[code]
+            labels[2 * e : 2 * e + 2] = (code, FLIPPED[code])
         voted_load = sum(path_starts[e + 1] - path_starts[e] for e in voted)
         open_load -= voted_load
         if voted_load <= open_load:
             edges = voted
         else:
-            open_edges = [e for e in open_edges if labels[2 * e] == ARC_OPEN]
+            open_edges = [e for e in open_edges if labels[2 * e] == LABEL_UNCLASSIFIED]
             edges = open_edges
 
 
@@ -438,12 +435,11 @@ def finalize(
     for e in phase1_voted:
         if rels[e] != LABEL_UNCLASSIFIED:
             methods[e] = p1
-    preassigned = core.preassigned
-    if preassigned:
-        method = METHOD_CODES[METHOD_CORE_PREASSIGNED]
-        for e, key in enumerate(graph.edge_keys):
-            rel = preassigned.get(key)
-            if rel is not None:
-                rels[e] = LABEL_RELS.index(rel)
-                methods[e] = method
+    method = METHOD_CODES[METHOD_CORE_PREASSIGNED]
+    index = graph.edge_index
+    for key, rel in core.preassigned.items():
+        e = index.get(key)
+        if e is not None:
+            rels[e] = LABEL_RELS.index(rel)
+            methods[e] = method
     return EdgeLabels(graph, rels, methods)

@@ -219,27 +219,25 @@ class AsGraph:
         return fresh
 
 
-# An edge's label read along one of its arcs (see Corpus), one byte per
-# arc: c2p in walk order, so the walk goes up; p2c, so it goes down; any
-# other label; or no label yet, open.
-ARC_UP, ARC_DOWN, ARC_OTHER, ARC_OPEN = range(4)
 # The label codes of the relationships a run gives an edge: a code indexes
-# LABEL_RELS, its relationship in low->high order, and ARC_LABELS, the
-# labels of the edge's arcs 2e and 2e + 1.
+# LABEL_RELS, its relationship in low->high order. Edge e's code is also
+# its label read along arc 2e, and FLIPPED[code] along arc 2e + 1.
 LABEL_C2P, LABEL_P2C, LABEL_P2P, LABEL_UNCLASSIFIED = range(4)
 LABEL_RELS = (RelType.C2P, RelType.P2C, RelType.P2P, RelType.UNCLASSIFIED)
-ARC_LABELS = (
-    bytes((ARC_UP, ARC_DOWN)),
-    bytes((ARC_DOWN, ARC_UP)),
-    bytes((ARC_OTHER, ARC_OTHER)),
-    bytes((ARC_OPEN, ARC_OPEN)),
+# bytes.translate table: a label code read the other way along its edge.
+FLIPPED = bytes(
+    LABEL_P2C if code == LABEL_C2P else LABEL_C2P if code == LABEL_P2C else code
+    for code in range(256)
 )
 
 
-def arc_labels(codes: Iterable[int]) -> bytearray:
-    """ARC_LABELS of each label code in codes, joined: when codes holds
-    every edge's code in id order, byte a is arc a's label."""
-    return bytearray().join(map(ARC_LABELS.__getitem__, codes))
+def arc_labels(codes: bytes) -> bytearray:
+    """Each label code in codes read along both of its edge's arcs: when
+    codes holds every edge's code in id order, byte a is arc a's label."""
+    labels = bytearray(2 * len(codes))
+    labels[0::2] = codes
+    labels[1::2] = codes.translate(FLIPPED)
+    return labels
 
 
 # The methods a run labels an edge by; a method code indexes METHODS.
@@ -269,21 +267,9 @@ class EdgeLabels(Mapping[EdgeKey, Classification]):
     arrays, others as mappings.
     """
 
-    def __init__(
-        self,
-        graph: AsGraph,
-        rels: bytearray | None = None,
-        methods: bytearray | None = None,
-    ):
-        """graph's edges labeled by rels and methods; unclassified when
-        they are None."""
+    def __init__(self, graph: AsGraph, rels: bytearray, methods: bytearray):
         self.edge_keys = graph.edge_keys
         self.edge_index = graph.edge_index
-        n = len(self.edge_keys)
-        if rels is None:
-            rels = bytearray([LABEL_UNCLASSIFIED]) * n
-        if methods is None:
-            methods = bytearray([METHOD_CODES[METHOD_UNCLASSIFIED]]) * n
         self.rels = rels
         self.methods = methods
 

@@ -9,12 +9,10 @@ from typing import Mapping
 
 from .errors import ConfigurationError
 from .graph import (
-    ARC_DOWN,
-    ARC_OPEN,
-    ARC_UP,
     LABEL_C2P,
     LABEL_P2C,
     LABEL_P2P,
+    LABEL_UNCLASSIFIED,
     METHOD_CODES,
     METHOD_DEGREE_TIEBREAK,
     METHOD_GAP_P2P,
@@ -32,8 +30,8 @@ TIEBREAK_KSHELL = "kshell"
 # this share of the larger one.
 PEER_DEGREE_RATIO = 0.8
 
-# An open hop between a c2p hop and a p2c hop.
-_WEDGE = bytes((ARC_UP, ARC_OPEN, ARC_DOWN))
+# An open hop between a c2p hop and a p2c hop, in walk order.
+_WEDGE = bytes((LABEL_C2P, LABEL_UNCLASSIFIED, LABEL_P2C))
 
 
 @dataclass
@@ -75,7 +73,7 @@ def infer_gap_p2p(periphery: Corpus, labels: EdgeLabels) -> dict[int, tuple[int,
             walk = bytes(map(label_of, arcs[offsets[p] : offsets[p + 1]]))
             # e is open, so a path with one open hop has it there, and the
             # wedge can only be around it.
-            if walk.count(ARC_OPEN) == 1 and _WEDGE in walk:
+            if walk.count(LABEL_UNCLASSIFIED) == 1 and _WEDGE in walk:
                 updates[e] = gap
                 break
     return updates

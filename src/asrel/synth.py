@@ -63,8 +63,6 @@ class GenConfig:
     agents: int = 10
 
     def __post_init__(self):
-        if isinstance(self.tier_sizes, list):
-            self.tier_sizes = tuple(self.tier_sizes)
         if not self.tier_sizes:
             raise ParameterError("tier_sizes must not be empty")
         if self.tier_sizes[0] < 4:

@@ -517,7 +517,12 @@ def edge_labels(
         graph = AsGraph()
         for record in records:
             graph.add_edge(*record.edge)
-    labels = EdgeLabels(graph)
+    n = graph.n_edges
+    labels = EdgeLabels(
+        graph,
+        bytearray([LABEL_RELS.index(RelType.UNCLASSIFIED)]) * n,
+        bytearray([METHOD_CODES[METHOD_UNCLASSIFIED]]) * n,
+    )
     labels.update(
         {
             graph.edge_index[record.edge]: (

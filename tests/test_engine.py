@@ -454,6 +454,14 @@ class TestFinalize:
         assert out[(4, 5)].rel is RelType.P2P
         assert out[(4, 5)].method == "core-preassigned"
 
+    def test_preassigned_edge_outside_graph_ignored(self):
+        # A core read without a graph may preassign an edge no path shows.
+        g = build_graph([trace(4, 5)])
+        core = CoreGraph({4, 5, 6}, {(4, 5), (5, 6)}, {(5, 6): RelType.P2P})
+        out = finalize(g, InferenceConfig(), core)
+        assert set(out) == {(4, 5)}
+        assert out[(4, 5)].method == "unclassified"
+
     def test_valley_only_edge_recorded(self):
         g = build_graph([trace(1, 2)])
         vote_invalid(g, 1, 2)

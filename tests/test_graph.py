@@ -18,8 +18,8 @@ from asrel.graph import (
     AsPath,
     Classification,
     Corpus,
-    EdgeLabels,
     RelType,
+    arc_labels,
     compile_corpus,
     edge_key,
     oriented,
@@ -33,7 +33,7 @@ from asrel.ingest import (
 )
 from asrel.synth import write_paths_file
 
-from oracles import tally, vote, vote_invalid
+from oracles import edge_labels, tally, vote, vote_invalid
 
 asns = st.integers(min_value=1, max_value=MAX_ASN)
 
@@ -492,7 +492,7 @@ class TestEdgeLabels:
         graph = AsGraph()
         for key in reversed(a.edge_keys):
             graph.add_edge(*key)
-        b = EdgeLabels(graph)
+        b = edge_labels([], graph)
         for key, e in a.edge_index.items():
             b.update({graph.edge_index[key]: (a.rels[e], a.methods[e])})
         assert b.edge_keys != a.edge_keys
@@ -522,7 +522,7 @@ class TestEdgeLabels:
         graph = AsGraph()
         for key in sorted(keys, key=str):
             graph.add_edge(*key)
-        labels = EdgeLabels(graph)
+        labels = edge_labels([], graph)
         expected = {
             key: Classification(key, RelType.UNCLASSIFIED, "unclassified")
             for key in graph.edge_keys
@@ -554,3 +554,12 @@ class TestEdgeLabels:
             for e, key in enumerate(graph.edge_keys)
             if expected[key].rel is RelType.UNCLASSIFIED
         ]
+
+
+@given(st.lists(st.integers(0, len(LABEL_RELS) - 1), max_size=64).map(bytes))
+def test_arc_labels_read_each_code_along_both_arcs(codes):
+    labels = arc_labels(codes)
+    assert len(labels) == 2 * len(codes)
+    for e, code in enumerate(codes):
+        assert labels[2 * e] == code
+        assert labels[2 * e + 1] == LABEL_RELS.index(LABEL_RELS[code].flipped())

@@ -10,7 +10,6 @@ from asrel.graph import (
     AsGraph,
     AsPath,
     Classification,
-    EdgeLabels,
     RelType,
     compile_corpus,
     edge_key,
@@ -182,7 +181,7 @@ MODES = ["degree", "kshell"]
 def tiebroken(graph, key, mode, kshell=None):
     """The (rel, method) that apply_tiebreaks gives graph's edge key when
     no edge is classified, checked against the reference rule."""
-    labels = EdgeLabels(graph)
+    labels = edge_labels([], graph)
     updates = apply_tiebreaks(graph, labels, HeuristicConfig(mode), kshell)
     record = labeled(labels, updates)[key]
     rank = graph.degree if kshell is None else kshell.__getitem__
@@ -261,12 +260,12 @@ class TestTiebreak:
     def test_kshell_requires_index(self):
         g = single_edge()
         with pytest.raises(ConfigurationError):
-            apply_tiebreaks(g, EdgeLabels(g), HeuristicConfig(tiebreak="kshell"))
+            apply_tiebreaks(g, edge_labels([], g), HeuristicConfig(tiebreak="kshell"))
 
     def test_no_strategy_configured(self):
         g = single_edge()
         with pytest.raises(ConfigurationError):
-            apply_tiebreaks(g, EdgeLabels(g), HeuristicConfig())
+            apply_tiebreaks(g, edge_labels([], g), HeuristicConfig())
 
     @pytest.mark.parametrize("mode", [None, "kshell"])
     def test_misconfigured_fails_with_no_open_edge(self, mode):

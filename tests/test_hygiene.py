@@ -1,8 +1,9 @@
 """Source hygiene of the asrel package, checked with the standard ast module:
 no module imports a name it never uses, no module-level private name is
 defined and never referenced, every public name, method and property is
-read outside the tests, the engine reads corpora only as arcs, and only
-errors.py words the message of a file that cannot be read."""
+read outside the tests, the engine reads corpora only as arcs, the engine
+and the heuristics name hop labels only as label codes, and only errors.py
+words the message of a file that cannot be read."""
 
 import ast
 from pathlib import Path
@@ -192,6 +193,26 @@ def test_engine_reads_corpora_as_arcs():
         if isinstance(node, ast.Attribute) and node.attr in ("hops", "paths", "neighbors")
     ]
     assert not read, f"engine.py reads {', '.join(read)}"
+
+
+def test_engine_and_heuristics_name_only_label_codes():
+    # A hop's label is its edge's label code read along the arc (FLIPPED):
+    # no RelType and no second, arc-only vocabulary.
+    named = []
+    for module in ("engine.py", "heuristics.py"):
+        for node in ast.walk(parse(PACKAGE / module)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            named += [
+                f"{name} ({module}, line {node.lineno})"
+                for name in names
+                if name == "RelType" or name.startswith("ARC_")
+            ]
+    assert not named, f"names outside the label codes: {', '.join(named)}"
 
 
 def test_only_errors_words_an_unreadable_file():

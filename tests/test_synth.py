@@ -63,9 +63,6 @@ class TestGenConfig:
         with pytest.raises(ParameterError):
             GenConfig(**kwargs)
 
-    def test_tier_size_list_is_stored_as_a_tuple(self):
-        assert GenConfig(tier_sizes=[4, 10]).tier_sizes == (4, 10)
-
 
 class TestGenerate:
     def test_lone_top_tier_is_a_peer_clique(self):
