@@ -12,9 +12,9 @@ Phase 2 walks the remaining paths, which never touch the core, and
 propagates from edges already classified. Within a path, edges with no
 classification votes that precede a c2p-classified edge must themselves be
 c2p (they sit in the uphill segment); edges with no votes after the first
-p2c-classified edge must be p2c. Rounds repeat against a snapshot frozen
-at the start of each round until no new votes appear, so the outcome does
-not depend on path order.
+p2c-classified edge must be p2c. Each round reads the labels as they stood
+at its start, and rounds repeat until one casts no vote, so the outcome
+does not depend on path order.
 
 Every stage works on a Corpus, the paths compiled once into arc ids, and
 on the graph's flat counters (see AsGraph). A hop over arc a that makes
@@ -39,16 +39,17 @@ max_core_hops of them is walked, over its arcs. Each class's member mask
 is one translate of the flags.
 
 A path's votes depend only on the labels of its own edges, and it votes
-only on an open one. So phase 2 re-walks, after its first round, only the
-paths through an edge voted in the round before (semi-naive evaluation,
-Bancilhon and Ramakrishnan, SIGMOD 1986) or only the paths through an edge
-still open, whichever set the index lists fewer paths for: a path outside
-either set would cast no vote. Corpus.through selects each round's
-paths. Phase 2 reads one label byte per arc, as the gap pass does: the
-edge's label code read along the arc (graph.arc_labels), so c2p or p2c
-in walk order. An edge without votes reads as unclassified, an edge whose
-share reaches the threshold as its c2p or p2c label, and any other voted
-edge as p2p.
+only on an open one. Every vote weighs at least 1, so a round's voted
+edges are the open edges that now have votes, and a round with none ends
+phase 2. Each later round re-walks only the paths through an edge voted
+in the last round (semi-naive evaluation, Bancilhon and Ramakrishnan,
+SIGMOD 1986) or only the paths through an edge still open, whichever set
+the index lists fewer paths for: a path outside either set would cast no
+vote. Corpus.through selects each round's paths. Phase 2 reads one label
+byte per arc, as the gap pass does: the edge's label code read along the
+arc (graph.arc_labels), so c2p or p2c in walk order. An edge without
+votes reads as unclassified, an edge whose share reaches the threshold as
+its c2p or p2c label, and any other voted edge as p2p.
 
 finalize turns the counters into an EdgeLabels: a label code and a method
 code per edge id, in two bytearrays, which the heuristics, the metrics
@@ -61,7 +62,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import ne
 from typing import Iterable
 
 from .core import CoreGraph
@@ -84,8 +84,8 @@ from .graph import (
     arc_labels,
 )
 
-# bytes.translate table from a label code to finalize's method code before
-# the phase-1 and core marks: unclassified, or else deterministic-p2.
+# bytes.translate table from a label code to finalize's method code ahead
+# of the phase-1 and core marks: unclassified, or else deterministic-p2.
 _METHOD_OF_LABEL = bytes(
     METHOD_CODES[METHOD_UNCLASSIFIED]
     if code == LABEL_UNCLASSIFIED
@@ -101,7 +101,7 @@ class InferenceConfig:
     threshold is the vote share an edge must reach to be classified; it
     must exceed 0.5 so at most one relationship can win. Phase 2 takes an
     edge as classified by the same rule. max_core_hops bounds how many
-    consecutive core vertices a path may cross before it is considered
+    consecutive core vertices a path may cross; one that crosses more is
     invalid.
     """
 
@@ -306,8 +306,8 @@ def phase1(
     customer[:] = votes[:n]
     p2p[:] = votes[n : n + n_edges]
     invalid[:] = votes[n + n_edges : 2 * n]
-    # Every phase-1 vote has weight >= 1 and the graph had none before, so
-    # the voted edges are those with a nonzero count.
+    # Every phase-1 vote has weight >= 1 and the graph started without
+    # votes, so the voted edges are those with a nonzero count.
     voted = list(
         compress(range(n_edges), map(any, zip(customer[0::2], customer[1::2], p2p)))
     )
@@ -345,30 +345,27 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
 
     Each round reads the arc labels frozen at its start; its votes land
     in the counters at once but change the labels only when the round
-    ends. The first round walks the periphery paths through an open edge.
-    A path votes only on an open edge, and votes anew only when an edge
-    on it was voted in the round before, so each later round walks the
-    periphery paths through whichever of those two edge sets the index
-    lists fewer paths for. periphery.through selects them.
+    ends. A path votes only on an open edge, with a weight of at least 1,
+    so the edges a round voted are the open edges that now have votes; a
+    round that voted none ends phase 2. The first round walks the
+    periphery paths through an open edge. A path votes anew only when an
+    edge on it was voted in the last round, so each later round walks the
+    periphery paths through whichever of the voted and the still open
+    edges the index lists fewer paths for. periphery.through selects them.
     """
     weights, arcs, offsets = periphery.weights, periphery.arcs, periphery.offsets
     path_starts = periphery.incidence[0]
     customer, p2p = graph.customer, graph.p2p
-    n = len(customer)
     threshold = config.threshold
     # A voted edge with no share at the threshold reads as p2p.
     codes = _label_codes(zip(customer[0::2], customer[1::2], p2p), threshold, LABEL_P2P)
     labels = arc_labels(codes)
     open_edges = [e for e in range(graph.n_edges) if codes[e] == LABEL_UNCLASSIFIED]
-    # How many paths the index lists through the open edges.
-    open_load = sum(path_starts[e + 1] - path_starts[e] for e in open_edges)
     edges = open_edges
     rounds = 0
     while True:
-        worklist = periphery.through(edges)
         rounds += 1
-        before = customer[:]
-        for p in worklist:
+        for p in periphery.through(edges):
             weight = weights[p]
             suspects_up: list[int] = []
             passed_p2c = False
@@ -388,26 +385,25 @@ def phase2(graph: AsGraph, periphery: Corpus, config: InferenceConfig) -> Phase2
                 elif s == LABEL_P2C:
                     suspects_up = []
                     passed_p2c = True
-        # Every vote has weight >= 1, so the edges voted in this round are
-        # those with a customer count that differs from its value before.
-        # Only open edges take votes, so each one voted was open.
-        voted = {a >> 1 for a in compress(range(n), map(ne, customer, before))}
-        if not voted:
-            return Phase2Result(rounds)
+        # Read the open edges' counters: those with votes now were voted.
         codes = _label_codes(
-            ((customer[2 * e], customer[2 * e + 1], p2p[e]) for e in voted),
+            ((customer[2 * e], customer[2 * e + 1], p2p[e]) for e in open_edges),
             threshold,
             LABEL_P2P,
         )
-        for e, code in zip(voted, codes):
-            labels[2 * e : 2 * e + 2] = (code, FLIPPED[code])
+        voted, still_open = [], []
+        for e, code in zip(open_edges, codes):
+            if code == LABEL_UNCLASSIFIED:
+                still_open.append(e)
+            else:
+                voted.append(e)
+                labels[2 * e : 2 * e + 2] = (code, FLIPPED[code])
+        if not voted:
+            return Phase2Result(rounds)
+        open_edges = still_open
         voted_load = sum(path_starts[e + 1] - path_starts[e] for e in voted)
-        open_load -= voted_load
-        if voted_load <= open_load:
-            edges = voted
-        else:
-            open_edges = [e for e in open_edges if labels[2 * e] == LABEL_UNCLASSIFIED]
-            edges = open_edges
+        open_load = sum(path_starts[e + 1] - path_starts[e] for e in open_edges)
+        edges = voted if voted_load <= open_load else open_edges
 
 
 def finalize(

@@ -193,6 +193,56 @@ class TestRunCutShort:
         assert capsys.readouterr().err == "error: interrupted\n"
 
 
+class TestHashSeed:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Agent ids are strings: with several agents, anything that reads a
+        # set of them in hash order would differ between the two seeds.
+        config = GenConfig(tier_sizes=(4, 12, 40), paths=800, seed=7)
+        sampled = sample_paths(generate(config), config)
+        assert len({p.agent for p in sampled}) >= 3
+        paths = tmp_path / "paths.txt"
+        with open(paths, "w") as fh:
+            write_paths_file(sampled, fh)
+        pairs = {tuple(sorted(p.hops[:2])) for p in sampled[:3]}
+        siblings = write(
+            tmp_path / "sib.txt", "".join(f"{a} {b}\n" for a, b in sorted(pairs))
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        commands = {
+            "infer": (
+                ["infer", "--core-method", "clique", "--tiebreak", "kshell"],
+                ("classifications.csv", "metrics.csv", "histogram.csv",
+                 "ingest_report.json"),
+            ),
+            "corruption": (
+                ["experiment", "corruption", "--core-method", "clique",
+                 "--fractions", "0,0.5", "--corruption-seeds", "2"],
+                ("experiment.csv",),
+            ),
+        }
+        seeds = ("0", "12345")
+        for seed in seeds:
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(src), env.get("PYTHONPATH")) if p
+            )
+            for name, (args, files) in commands.items():
+                out = tmp_path / f"{name}-{seed}"
+                done = subprocess.run(
+                    [sys.executable, "-m", "asrel.cli", *args,
+                     "--paths-trace", str(paths), "--siblings", siblings,
+                     "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+                assert done.returncode == 0, done.stderr
+        for name, (_, files) in commands.items():
+            for file in files:
+                first, second = (
+                    (tmp_path / f"{name}-{seed}" / file).read_bytes() for seed in seeds
+                )
+                assert first == second, (name, file)
+
+
 class TestInferErrors:
     def test_missing_file_is_input_error(self, tmp_path):
         code = cli.main(
