@@ -20,7 +20,7 @@ def show(title, paths, core):
     # c2p and p2c counts (low->high) are customer[2e] and customer[2e + 1],
     # and p2p and invalid votes by edge id.
     work = result.graph
-    for key in sorted(graph.edges):
+    for key in sorted(graph.edge_keys):
         cls = result.classifications[key]
         e = work.edge_index[key]
         votes = (

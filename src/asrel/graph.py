@@ -83,18 +83,14 @@ class AsPath:
     """One AS-level path, from the parsed line to the compiled corpus.
 
     hops are AS numbers, source is "bgp" or "trace", and weight counts the
-    observations behind the path. The record checks nothing: ingest, the
-    agent filter and Corpus check each field once, where it enters.
+    observations behind the path. The record checks nothing: ingest and
+    Corpus check each field once, where it enters.
     """
 
     hops: tuple[int, ...]
     source: str = "bgp"
     agent: str = ""
     weight: int = 1
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Consecutive hop pairs in traversal order."""
-        return zip(self.hops, self.hops[1:])
 
 
 METHOD_DETERMINISTIC_P1 = "deterministic-p1"
@@ -159,10 +155,6 @@ class AsGraph:
     @property
     def vertices(self):
         return self._adj.keys()
-
-    @property
-    def edges(self):
-        return self.edge_index.keys()
 
     @property
     def n_vertices(self) -> int:
@@ -425,16 +417,16 @@ class Corpus:
 
 
 def compile_corpus(graph: AsGraph, paths: Iterable[AsPath]) -> Corpus:
-    """paths compiled against graph's edge ids, with the edge-to-path index.
+    """paths compiled against graph's edge ids.
 
     graph.corpus is returned as is when paths is that corpus or equals its
     path list. Otherwise paths are compiled, and the result is kept as
     graph.corpus, so a sweep compiles its paths once for all its runs.
-    add_edge drops graph.corpus, so a corpus is never reused stale.
+    add_edge drops graph.corpus, so a corpus is never reused stale. The
+    edge-to-path index is built on first use, by partition_paths before it
+    takes any subset(), so the subsets share it.
     """
     corpus = graph.corpus
     if corpus is None or (paths is not corpus and paths != corpus.paths):
         corpus = graph.corpus = Corpus(graph, paths)
-    # Built before any subset() is taken, so that the subsets share it.
-    corpus.incidence
     return corpus

@@ -26,8 +26,10 @@ them.
 Repeated observations are merged rather than replayed: identical lines of
 one source, in one file or across several, become one path whose weight
 counts them, and paths that normalize to the same hops, source and agent
-become one path whose weight is the sum of theirs. Every path count is a
-count of observations, so a path of weight k counts as k paths everywhere.
+become one path whose weight is the sum of theirs. The segments a split
+leaves merge the same way, so each cleaned path is one record. Every path
+count is a count of observations, so a path of weight k counts as k paths
+everywhere.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import ParameterError, ParseError, SelfLoopError
+from .errors import ParameterError, ParseError
 from .graph import (
     MAX_ASN, MAX_WEIGHT, AsGraph, AsPath, Corpus, EdgeKey, RelType, edge_key
 )
@@ -327,62 +329,56 @@ def read_path_file(
     return raws
 
 
-def filter_single_agent_edges(
-    paths: Iterable[AsPath]
-) -> tuple[list[AsPath], int, int]:
-    """Drop traceroute-only edges that fewer than two agents reported.
+def _weight_error(hops: tuple[int, ...]) -> ParseError:
+    """The error for a merged path whose summed weight is above MAX_WEIGHT."""
+    path = " ".join(map(str, hops))
+    return ParseError(f"path {path}: weight exceeds {MAX_WEIGHT}")
+
+
+def _agent_filter(merged: dict) -> tuple[int, int]:
+    """Drop, from ingest_paths's merge dict, the traceroute-only edges that
+    fewer than two agents reported; returns the number of edges removed and
+    the weight of the paths split.
 
     An edge survives if two distinct agents reported it or if it appears
-    in any BGP path. Traceroute paths containing a removed edge are split
-    at the removed edges into maximal sub-paths of at least two hops; BGP
-    paths, whose edges are never removed, pass through untouched. Returns
-    the kept paths, the number of edges removed and the weight of the
-    paths split. As the only reader of sources, it rejects any but "bgp"
-    and "trace", and a repeated hop that a split would remove.
+    in any BGP path. A traceroute path with a removed edge loses its key,
+    and each maximal sub-path of at least two hops between its removed
+    edges is merged back into the dict like any other path. BGP paths,
+    whose edges are never removed, stay as they are.
     """
-    paths = list(paths)
-    sources = {path.source for path in paths}
-    if not sources <= {"bgp", "trace"}:
-        bad = next(p.source for p in paths if p.source not in ("bgp", "trace"))
-        raise ParameterError(f"unknown path source {bad!r}")
-    if "trace" not in sources:
-        return paths, 0, 0
     # Edge -> its only reporting agent, or None once a BGP path or a second
-    # agent reports it. A repeated hop, in a hand-built path, has key (u, u).
+    # agent reports it.
     reporter: dict[EdgeKey, str | None] = {}
-    for path in paths:
-        agent = None if path.source == "bgp" else path.agent
-        for u, v in path.edges():
+    for hops, source, agent in merged:
+        agent = None if source == "bgp" else agent
+        for u, v in zip(hops, hops[1:]):
             key = (u, v) if u < v else (v, u)
             if reporter.setdefault(key, agent) != agent:
                 reporter[key] = None
     edges_removed = sum(agent is not None for agent in reporter.values())
     if not edges_removed:
-        return paths, 0, 0
+        return 0, 0
 
-    kept: list[AsPath] = []
     paths_split = 0
-    for path in paths:
-        hops = path.hops
-        segments = []
-        start = 0
-        for i, (u, v) in enumerate(path.edges()):
-            if reporter[(u, v) if u < v else (v, u)] is not None:
-                if u == v:
-                    raise SelfLoopError(f"self-loop on AS {u}")
-                segments.append(hops[start : i + 1])
-                start = i + 1
-        if not start:
-            kept.append(path)
+    for path, weight in list(merged.items()):
+        hops, source, agent = path
+        cuts = [
+            i
+            for i, (u, v) in enumerate(zip(hops, hops[1:]), 1)
+            if reporter[(u, v) if u < v else (v, u)] is not None
+        ]
+        if not cuts:
             continue
-        paths_split += path.weight
-        segments.append(hops[start:])
-        kept.extend(
-            AsPath(segment, path.source, path.agent, path.weight)
-            for segment in segments
-            if len(segment) >= 2
-        )
-    return kept, edges_removed, paths_split
+        paths_split += weight
+        del merged[path]
+        for start, end in zip([0, *cuts], [*cuts, len(hops)]):
+            if end - start >= 2:
+                key = (hops[start:end], source, agent)
+                total = weight + merged.get(key, 0)
+                if total > MAX_WEIGHT:
+                    raise _weight_error(key[0])
+                merged[key] = total
+    return edges_removed, paths_split
 
 
 def ingest_paths(
@@ -393,8 +389,11 @@ def ingest_paths(
 
     Paths that normalize to the same hops, source and agent become one
     AsPath, at the place of the first, whose weight is the sum of theirs.
-    A sum above MAX_WEIGHT is a ParseError naming the path; the filter and
-    the compile (Corpus) check the rest.
+    The segments the filter splits a path into merge the same way, a new
+    one after the rest, so no two returned paths share hops, source and
+    agent. A sum above MAX_WEIGHT is a ParseError naming the path, and a
+    source other than "bgp" or "trace" a ParameterError; the compile
+    (Corpus) checks the rest.
     """
     report = IngestReport()
     merged: dict[tuple[tuple[int, ...], str, str], int] = {}
@@ -410,18 +409,19 @@ def ingest_paths(
         key = (hops, raw.source, raw.agent)
         weight += merged.get(key, 0)
         if weight > MAX_WEIGHT:
-            path = " ".join(map(str, hops))
-            raise ParseError(f"path {path}: weight exceeds {MAX_WEIGHT}")
+            raise _weight_error(hops)
         merged[key] = weight
-    normalized = [
+
+    sources = {source for _, source, _ in merged}
+    if not sources <= {"bgp", "trace"}:
+        bad = next(s for _, s, _ in merged if s not in ("bgp", "trace"))
+        raise ParameterError(f"unknown path source {bad!r}")
+    if "trace" in sources:
+        report.edges_filtered_single_agent, report.paths_split = _agent_filter(merged)
+    return [
         AsPath(hops, source, agent, weight)
         for (hops, source, agent), weight in merged.items()
-    ]
-
-    kept, report.edges_filtered_single_agent, report.paths_split = (
-        filter_single_agent_edges(normalized)
-    )
-    return kept, report
+    ], report
 
 
 def load_corpus(

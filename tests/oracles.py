@@ -7,7 +7,7 @@ library points at the library. The exceptions are the reference engine
 was before it was compiled to edge ids, walking AsPath objects with tuple
 keys and casting one vote at a time, kept to check the compiled engine;
 filter_single_agent_edges, the two-agent filter as it was with a BGP
-edge set and a set of agents per edge, kept to check the one-dict filter;
+edge set and a set of agents per edge, kept to check ingest_paths's filter;
 load_reference with parse_relationship, the reference parser as it
 was before its one-regex fast path, checking every record field by field;
 and stability, the mapping loop it was before it read label arrays.
@@ -298,7 +298,7 @@ def phase1(
     for path in through_core:
         state = _UPHILL
         weight = path.weight
-        for u, v in path.edges():
+        for u, v in zip(path.hops, path.hops[1:]):
             key = edge_key(u, v)
             if key in core.edges:
                 pre = core.preassigned.get(key)
@@ -349,7 +349,7 @@ def snapshot(
     unvoted edges."""
     anchors: dict[EdgeKey, RelType] = {}
     unvoted: set[EdgeKey] = set()
-    for key in graph.edges:
+    for key in graph.edge_keys:
         counts = tally(graph, key)
         if counts.votes() == 0:
             unvoted.add(key)
@@ -378,7 +378,7 @@ def phase2_unpruned(
             suspects_up: list[tuple[int, int]] = []
             suspects_down: list[tuple[int, int]] = []
             passed_p2c = False
-            for u, v in path.edges():
+            for u, v in zip(path.hops, path.hops[1:]):
                 key = (u, v) if u < v else (v, u)
                 anchor = anchors.get(key)
                 rel = oriented(anchor, u, v) if anchor is not None else None
@@ -410,7 +410,7 @@ def finalize(
     phase1_voted: set[EdgeKey],
 ) -> dict[EdgeKey, Classification]:
     out: dict[EdgeKey, Classification] = {}
-    for key in graph.edges:
+    for key in graph.edge_keys:
         rel = core.preassigned.get(key)
         if rel is not None:
             method = METHOD_CORE_PREASSIGNED
@@ -436,7 +436,7 @@ def infer_gap_p2p(
     for path in periphery:
         keys: list[EdgeKey] = []
         rels: list[RelType | None] = []
-        for u, v in path.edges():
+        for u, v in zip(path.hops, path.hops[1:]):
             key = edge_key(u, v)
             cls = classifications.get(key)
             if cls is None or cls.rel is RelType.UNCLASSIFIED:
@@ -555,11 +555,11 @@ def filter_single_agent_edges(
     agents: dict[EdgeKey, set[str]] = {}
     for path in paths:
         if path.source == "bgp":
-            for u, v in path.edges():
+            for u, v in zip(path.hops, path.hops[1:]):
                 bgp_edges.add((u, v) if u < v else (v, u))
         else:
             agent = path.agent
-            for u, v in path.edges():
+            for u, v in zip(path.hops, path.hops[1:]):
                 key = (u, v) if u < v else (v, u)
                 seen_by = agents.get(key)
                 if seen_by is None:
@@ -584,7 +584,7 @@ def filter_single_agent_edges(
             continue
         cut = [
             i
-            for i, (u, v) in enumerate(path.edges())
+            for i, (u, v) in enumerate(zip(path.hops, path.hops[1:]))
             if ((u, v) if u < v else (v, u)) in removed
         ]
         if not cut:

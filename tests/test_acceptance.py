@@ -157,7 +157,7 @@ def test_criterion_2_perfect_core_soundness(clean_run, big_truth, big_reference)
     result = clean_run.result
     covered = set()
     for path in result.partition.through_core:
-        for u, v in path.edges():
+        for u, v in zip(path.hops, path.hops[1:]):
             covered.add(edge_key(u, v))
     not_classified = sum(
         1 for k in covered if result.classifications[k].rel is RelType.UNCLASSIFIED
@@ -231,7 +231,7 @@ def test_criterion_3_oracle_equivalence():
 def _share_counts(result) -> tuple[int, int, int]:
     """Voted edges plus how many are unanimous or reach share 0.8."""
     voted = unanimous = strong = 0
-    for key in result.graph.edges:
+    for key in result.graph.edge_keys:
         counts = tally(result.graph, key)
         total = counts.votes()
         if total == 0:
@@ -461,7 +461,7 @@ def test_criterion_8_ingest_property_suite():
         for path in kept:
             if path.source != "trace":
                 continue
-            for u, v in path.edges():
+            for u, v in zip(path.hops, path.hops[1:]):
                 key = edge_key(u, v)
                 supported = key in bgp_edges or len(trace_agents.get(key, ())) >= 2
                 note(supported, "single-agent trace edge kept")

@@ -393,18 +393,33 @@ class TestInferErrors:
         assert err == "error: a grown core needs at least 4 vertices; the graph has only 3\n"
 
     @pytest.mark.parametrize(
-        "text, line",
+        "flag, text, line",
         [
-            ("1 2 3 weight=99999999999999999999\n", 1),
-            ("1 2 3 weight=5000000000000000000\n" * 2, 1),
+            ("--paths-bgp", "1 2 3 weight=99999999999999999999\n", 1),
+            ("--paths-bgp", "1 2 3 weight=5000000000000000000\n" * 2, 1),
             # Two lines that only normalize to one path: no line holds the sum.
-            ("1 2 3 weight=5000000000000000000\n1 2 2 3 weight=5000000000000000000\n", None),
+            (
+                "--paths-bgp",
+                "1 2 3 weight=5000000000000000000\n1 2 2 3 weight=5000000000000000000\n",
+                None,
+            ),
+            # Only agent a reports (3, 9); cutting it leaves a second 1 2 3 of
+            # a, whose merged weight is checked like any other.
+            (
+                "--paths-trace",
+                "a|1 2 3 9 weight=5000000000000000000\n"
+                "a|1 2 3 weight=5000000000000000000\nb|1 2 3\n",
+                None,
+            ),
         ],
-        ids=["one-line", "repeated-line", "merged-paths"],
+        ids=["one-line", "repeated-line", "merged-paths", "split-segment"],
     )
-    def test_weight_over_bound_is_input_error(self, tmp_path, capsys, text, line):
+    def test_weight_over_bound_is_input_error(self, tmp_path, capsys, flag, text, line):
         paths = write(tmp_path / "p.txt", text)
-        assert self.infer_bgp(tmp_path, paths) == 1
+        code = cli.main(
+            ["infer", flag, paths, "--core-method", "clique", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
         lines = capsys.readouterr().err.splitlines()
         where = "path 1 2 3" if line is None else f"{paths}:{line}"
         assert lines == [f"error: {where}: weight exceeds {2**63 - 1}"]

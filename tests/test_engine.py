@@ -34,9 +34,9 @@ def corpus_of(*paths):
 
 def phase2_votes(g, paths, config):
     """phase2's result and the edges whose tallies it changed."""
-    before = {key: tally(g, key) for key in g.edges}
+    before = {key: tally(g, key) for key in g.edge_keys}
     result = phase2(g, compile_corpus(g, paths), config)
-    return result, {key for key in g.edges if tally(g, key) != before[key]}
+    return result, {key for key in g.edge_keys if tally(g, key) != before[key]}
 
 
 class TestInferenceConfig:
@@ -393,7 +393,7 @@ class TestPhase2:
             return
         config = InferenceConfig(threshold=threshold)
         fast, slow = build_graph(paths), build_graph(paths)
-        edges = sorted(fast.edges)
+        edges = sorted(fast.edge_keys)
         seeds = data.draw(
             st.lists(
                 st.tuples(

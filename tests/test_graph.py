@@ -25,12 +25,7 @@ from asrel.graph import (
     oriented,
     vote_shares,
 )
-from asrel.ingest import (
-    build_graph,
-    filter_single_agent_edges,
-    ingest_paths,
-    read_path_file,
-)
+from asrel.ingest import build_graph, ingest_paths, read_path_file
 from asrel.synth import write_paths_file
 
 from oracles import edge_labels, tally, vote, vote_invalid
@@ -150,10 +145,6 @@ TYPE_FAULTS = {
 class TestAsPath:
     good = [AsPath((1, 2, 3)), AsPath((2, 3, 4), weight=2)]
 
-    def test_edges_in_traversal_order(self):
-        path = AsPath((1, 2, 3), "bgp", "", 1)
-        assert list(path.edges()) == [(1, 2), (2, 3)]
-
     def test_nonconsecutive_revisit_allowed(self):
         # Loop trimming is ingest's job; the container stays permissive.
         AsPath((1, 2, 1), "trace", "a", 1)
@@ -197,19 +188,16 @@ class TestAsPath:
         assert g.corpus.weight == MAX_WEIGHT
 
     def test_bad_source_rejected_by_the_filter(self):
-        # The agent filter is the only reader of the source, so it checks it,
-        # in ingest_paths as when called alone.
+        # The agent filter is the only reader of the source, so ingest_paths
+        # checks it, once, over its merged paths.
         paths = [AsPath((1, 2)), AsPath((2, 3), "carrier-pigeon")]
-        for stage in (ingest_paths, filter_single_agent_edges):
-            with pytest.raises(ParameterError, match="unknown path source 'carrier-pigeon'"):
-                stage(paths)
+        with pytest.raises(ParameterError, match="unknown path source 'carrier-pigeon'"):
+            ingest_paths(paths)
 
     def test_repeated_hop_not_split_away(self):
-        # A repeated hop the filter would cut out of a traceroute path is
-        # rejected there, as the compile would reject it, not split away.
+        # A hand-built path with a repeated hop that skips ingest is
+        # rejected by the compile, not split away.
         paths = [AsPath((1, 2, 2, 3), "trace", "a"), AsPath((1, 2), "trace", "b")]
-        with pytest.raises(SelfLoopError, match="self-loop on AS 2"):
-            filter_single_agent_edges(paths)
         with pytest.raises(SelfLoopError):
             build_graph(paths)
 
@@ -326,7 +314,7 @@ class TestAsGraph:
         g = self.build()
         vote(g, 1, 2, RelType.P2P)
         clone = g.copy_unvoted()
-        assert clone.edges == g.edges
+        assert clone.edge_index is g.edge_index
         assert clone.edge_keys is g.edge_keys
         assert tally(clone, (1, 2)).votes() == 0
         vote(clone, 2, 3, RelType.C2P)
@@ -345,7 +333,7 @@ class TestAsGraph:
         paths = [AsPath(hops) for hops in hop_lists]
         expected = AsGraph()
         for path in paths:
-            for u, v in path.edges():
+            for u, v in zip(path.hops, path.hops[1:]):
                 expected.add_edge(u, v)
         built = build_graph(paths)
         assert list(built.vertices) == list(expected.vertices)
@@ -354,7 +342,7 @@ class TestAsGraph:
         assert all(built.neighbors(v) == expected.neighbors(v) for v in expected.vertices)
         assert built.customer == expected.customer
         assert built.p2p == expected.p2p and built.invalid == expected.invalid
-        hops = [(u, v) for path in paths for u, v in path.edges()]
+        hops = [(u, v) for path in paths for u, v in zip(path.hops, path.hops[1:])]
         arcs = built.corpus.arcs
         assert len(arcs) == len(hops)
         for a, (u, v) in zip(arcs, hops):

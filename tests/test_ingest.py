@@ -11,7 +11,6 @@ from asrel.ingest import (
     RawPath,
     SiblingSet,
     build_graph,
-    filter_single_agent_edges,
     ingest_paths,
     load_corpus,
     load_sibling_pairs,
@@ -278,25 +277,41 @@ def bgp(hops):
     return AsPath(tuple(hops), "bgp", "", 1)
 
 
+def agent_filter(paths):
+    """ingest_paths on paths that normalization leaves as they are: the kept
+    paths, the edges the agent filter removed and the weight it split."""
+    kept, report = ingest_paths(paths)
+    return kept, report.edges_filtered_single_agent, report.paths_split
+
+
+def merged(paths):
+    """paths merged by (hops, source, agent), weights summed, as a dict."""
+    weights = {}
+    for p in paths:
+        key = (p.hops, p.source, p.agent)
+        weights[key] = weights.get(key, 0) + p.weight
+    return weights
+
+
 class TestTwoAgentFilter:
     def test_single_agent_trace_edge_removed(self):
-        kept, edges_removed, _ = filter_single_agent_edges([trace([1, 2], "a")])
+        kept, edges_removed, _ = agent_filter([trace([1, 2], "a")])
         assert kept == []
         assert edges_removed == 1
 
     def test_two_agents_keep_edge(self):
         paths = [trace([1, 2], "a"), trace([1, 2], "b")]
-        kept, _, _ = filter_single_agent_edges(paths)
+        kept, _, _ = agent_filter(paths)
         assert kept == paths
 
     def test_bgp_corroboration_keeps_trace_edge(self):
         paths = [bgp([1, 2]), trace([1, 2], "a")]
-        kept, edges_removed, _ = filter_single_agent_edges(paths)
+        kept, edges_removed, _ = agent_filter(paths)
         assert kept == paths
         assert edges_removed == 0
 
     def test_bgp_paths_never_filtered(self):
-        kept, _, _ = filter_single_agent_edges([bgp([1, 2])])
+        kept, _, _ = agent_filter([bgp([1, 2])])
         assert len(kept) == 1
 
     def test_removal_splits_path_into_segments(self):
@@ -306,7 +321,7 @@ class TestTwoAgentFilter:
             trace([1, 2, 3], "b"),
             trace([4, 5, 6], "b"),
         ]
-        kept, edges_removed, paths_split = filter_single_agent_edges(paths)
+        kept, edges_removed, paths_split = agent_filter(paths)
         assert edges_removed == 1
         assert paths_split == 1
         segments = [p.hops for p in kept if p.agent == "a"]
@@ -315,9 +330,34 @@ class TestTwoAgentFilter:
     def test_short_fragment_dropped(self):
         # Cutting (1, 2) strands vertex 1; only (2, 3) remains two hops.
         paths = [trace([1, 2, 3], "a"), trace([2, 3], "b")]
-        kept, _, _ = filter_single_agent_edges(paths)
+        kept, _, _ = agent_filter(paths)
         assert [p.hops for p in kept if p.agent == "a"] == [(2, 3)]
         assert [p.hops for p in kept if p.agent == "b"] == [(2, 3)]
+
+    def test_segment_merges_with_equal_path(self):
+        # Cutting (3, 9) leaves (1, 2, 3) of agent a, which a already
+        # reported: one path of the summed weight, at the place of the first.
+        paths = [
+            trace([1, 2, 3, 9], "a"),
+            trace([1, 2, 3], "a"),
+            trace([1, 2, 3], "b"),
+        ]
+        kept, edges_removed, paths_split = agent_filter(paths)
+        assert (edges_removed, paths_split) == (1, 1)
+        assert kept == [
+            AsPath((1, 2, 3), "trace", "a", 2),
+            AsPath((1, 2, 3), "trace", "b", 1),
+        ]
+
+    def test_segment_merge_over_max_weight_rejected(self):
+        paths = [
+            AsPath((1, 2, 3, 9), "trace", "a", MAX_WEIGHT),
+            trace([1, 2, 3], "a"),
+            trace([1, 2, 3], "b"),
+        ]
+        with pytest.raises(ParseError) as err:
+            ingest_paths(paths)
+        assert str(err.value) == f"path 1 2 3: weight exceeds {MAX_WEIGHT}"
 
     def test_kept_edges_all_multiply_observed(self):
         paths = [
@@ -326,13 +366,13 @@ class TestTwoAgentFilter:
             trace([1, 2], "b"),
             trace([9, 10], "c"),
         ]
-        kept, _, _ = filter_single_agent_edges(paths)
+        kept, _, _ = agent_filter(paths)
         observers: dict[tuple[int, int], set[str]] = {}
         for p in paths:
-            for u, v in p.edges():
+            for u, v in zip(p.hops, p.hops[1:]):
                 observers.setdefault(tuple(sorted((u, v))), set()).add(p.agent)
         for p in kept:
-            for u, v in p.edges():
+            for u, v in zip(p.hops, p.hops[1:]):
                 assert len(observers[tuple(sorted((u, v)))]) >= 2
 
     @settings(max_examples=300, deadline=None)
@@ -342,9 +382,8 @@ class TestTwoAgentFilter:
                 lambda hops, source, agent, weight: AsPath(
                     tuple(hops), source, agent if source == "trace" else "", weight
                 ),
-                st.lists(st.integers(1, 8), min_size=2, max_size=7).filter(
-                    lambda hops: all(u != v for u, v in zip(hops, hops[1:]))
-                ),
+                # No hop repeats, so normalization changes nothing.
+                st.lists(st.integers(1, 8), min_size=2, max_size=7, unique=True),
                 st.sampled_from(["bgp", "trace", "trace"]),
                 st.sampled_from(["", "a", "b", "c"]),
                 st.integers(1, 3),
@@ -353,7 +392,14 @@ class TestTwoAgentFilter:
         )
     )
     def test_matches_agent_set_reference(self, paths):
-        assert filter_single_agent_edges(paths) == reference_filter(paths)
+        # The reference filter on the merged paths, merged again.
+        kept, edges_removed, paths_split = agent_filter(paths)
+        weights = merged(paths)
+        expected, *counts = reference_filter(
+            AsPath(*key, weight) for key, weight in weights.items()
+        )
+        assert merged(kept) == merged(expected)
+        assert [edges_removed, paths_split] == counts
 
 
 class TestIngestPipeline:
@@ -403,7 +449,7 @@ class TestIngestPipeline:
     def test_build_graph_unions_edges(self):
         paths, _ = load_corpus(bgp_streams=[("b", ["1 2 3\n", "2 3 4\n"])])
         graph = build_graph(paths)
-        assert graph.edges == {(1, 2), (2, 3), (3, 4)}
+        assert graph.edge_keys == [(1, 2), (2, 3), (3, 4)]
 
     def test_sibling_rewrite_through_corpus(self):
         siblings = load_sibling_pairs(["20 21\n"])
@@ -433,8 +479,28 @@ class TestIngestPipeline:
             for u, v in zip(hops, hops[1:]):
                 observers.setdefault(tuple(sorted((u, v))), set()).add(raw.agent)
         for p in paths:
-            for u, v in p.edges():
+            for u, v in zip(p.hops, p.hops[1:]):
                 assert len(observers[tuple(sorted((u, v)))]) >= 2
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 6), min_size=2, max_size=6),
+                st.sampled_from(["bgp", "trace", "trace"]),
+                st.sampled_from(["a", "b"]),
+                st.integers(1, 3),
+            ),
+            max_size=10,
+        )
+    )
+    def test_ingest_returns_one_path_per_key(self, spec):
+        raws = [
+            RawPath(tuple(hops), source, agent if source == "trace" else "", weight)
+            for hops, source, agent, weight in spec
+        ]
+        paths, _ = ingest_paths(raws)
+        assert len({(p.hops, p.source, p.agent) for p in paths}) == len(paths)
 
 
 def second_stream(load):

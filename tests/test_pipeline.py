@@ -56,7 +56,7 @@ class TestRunInference:
 
     def test_every_edge_classified_or_reported(self):
         result, graph = tiny_run()
-        assert set(result.classifications) == graph.edges
+        assert set(result.classifications) == set(graph.edge_keys)
 
     def test_tiebreak_classifies_leftovers(self):
         # Off-summit core: the two summit edges get no usable votes.
@@ -578,10 +578,10 @@ class TestMetamorphic:
             assert int(invalid) == work.invalid[e]
 
     @staticmethod
-    def infer_outputs(root, files, siblings=None):
+    def infer_outputs(root, files, siblings=None, flag="--paths-bgp"):
         """Bytes of the order-stable outputs of ``asrel infer`` run on the
-        given files, each a list of lines, passed as --paths-bgp in order,
-        and on the sibling file whose lines are siblings, if given."""
+        given files, each a list of lines, passed as flag in order, and on
+        the sibling file whose lines are siblings, if given."""
         run = Path(tempfile.mkdtemp(dir=root))
         names = []
         for i, lines in enumerate(files):
@@ -590,7 +590,7 @@ class TestMetamorphic:
             names.append(str(path))
         out = run / "out"
         argv = [
-            "infer", "--paths-bgp", *names, "--core-method", "clique",
+            "infer", flag, *names, "--core-method", "clique",
             "--tiebreak", "kshell", "--out", str(out),
         ]
         if siblings is not None:
@@ -628,6 +628,29 @@ class TestMetamorphic:
             assert self.infer_outputs(root, [lines * k]) == self.infer_outputs(
                 root, [weighted]
             )
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.lists(
+            st.text("abxyz019-_.", min_size=1, max_size=8),
+            min_size=3, max_size=3, unique=True,
+        ),
+    )
+    def test_renaming_agents_changes_nothing(self, seed, names):
+        # With three agents the two-agent filter splits paths; which paths
+        # share an agent may matter, never what the agent is called.
+        _, raws = self.corpus(seed)
+        assert ingest_paths(raws)[1].paths_split
+        rename = dict(zip(sorted({raw.agent for raw in raws}), names))
+        hops = [" ".join(map(str, raw.hops)) for raw in raws]
+        lines = [f"{raw.agent}|{h}\n" for raw, h in zip(raws, hops)]
+        renamed = [f"{rename[raw.agent]}|{h}\n" for raw, h in zip(raws, hops)]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            assert self.infer_outputs(
+                root, [lines], flag="--paths-trace"
+            ) == self.infer_outputs(root, [renamed], flag="--paths-trace")
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.data())

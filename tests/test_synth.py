@@ -111,7 +111,7 @@ class TestGenerate:
 
     def test_labels_cover_every_edge(self):
         truth = generate(config())
-        assert set(truth.labels) == truth.graph.edges
+        assert set(truth.labels) == set(truth.graph.edge_keys)
 
     def test_deterministic_per_seed(self):
         a = generate(config(seed=42))
