@@ -204,18 +204,18 @@ def _core_source(args) -> str:
     return source
 
 
-def _build_core(args, source: str, graph: AsGraph) -> CoreGraph:
-    """The core that source names."""
+def _build_core(args, source: str, graph: AsGraph, siblings) -> CoreGraph:
+    """The core that source names, its files read through the sibling merge."""
     if source == "file":
         with _reading(args.core) as [(name, handle)]:
-            return read_core_file(handle, graph, name)
+            return read_core_file(handle, graph, name, siblings)
     if source == "clique":
         return greedy_max_clique(graph)
     if source == "kcore":
         return k_max_core(graph)
     if source == "external":
         with _reading(args.peer_edges) as [(name, handle)]:
-            return load_external_core(handle, graph, name)
+            return load_external_core(handle, graph, name, siblings)
     return grow_core(graph, args.grow_strategy, args.core_size)
 
 
@@ -239,7 +239,7 @@ def _write_json(payload: dict, path: str) -> None:
 
 def _run_window(args, source: str, configs, suffix: str = ""):
     siblings, report, graph = _load_graph(args, suffix)
-    core = _build_core(args, source, graph)
+    core = _build_core(args, source, graph, siblings)
     result = run_inference(graph, graph.corpus, core, *configs, siblings=siblings)
     return result, report, siblings
 
@@ -268,8 +268,8 @@ def cmd_infer(args) -> str:
 
 def cmd_build_core(args) -> str:
     source = _core_source(args)
-    _siblings, _report, graph = _load_graph(args)
-    core = _build_core(args, source, graph)
+    siblings, _report, graph = _load_graph(args)
+    core = _build_core(args, source, graph, siblings)
 
     with open(os.path.join(args.out, "core.txt"), "w", encoding="utf-8") as fh:
         write_core_file(core, fh)
@@ -285,19 +285,13 @@ def _parse_sizes(spec: str) -> Sequence[int]:
     spec = spec.strip()
     if not spec:
         raise ConfigurationError("core-sweep needs --sweep-sizes")
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3):
-            raise ConfigurationError(f"bad --sweep-sizes {spec!r}")
-        try:
-            lo, hi = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError:
-            raise ConfigurationError(f"bad --sweep-sizes {spec!r}") from None
-        if step < 1 or hi < lo:
-            raise ConfigurationError(f"bad --sweep-sizes {spec!r}")
-        return range(lo, hi + 1, step)
     try:
+        if ":" in spec:
+            lo, hi, *rest = map(int, spec.split(":"))
+            [step] = rest or [1]
+            if step < 1 or hi < lo:
+                raise ValueError(spec)
+            return range(lo, hi + 1, step)
         sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise ConfigurationError(f"bad --sweep-sizes {spec!r}") from None
@@ -343,7 +337,7 @@ def cmd_corruption(args) -> str:
         raise ConfigurationError("--corruption-seeds must be >= 1")
     siblings, _report, graph = _load_graph(args)
     reference = _load_reference(args, siblings)
-    core = _build_core(args, source, graph)
+    core = _build_core(args, source, graph, siblings)
     rows = corruption_sweep(
         graph, graph.corpus, core, fractions,
         range(args.seed, args.seed + args.corruption_seeds),

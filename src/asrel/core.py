@@ -144,18 +144,23 @@ def k_max_core(graph: AsGraph) -> CoreGraph:
 
 
 def load_external_core(
-    lines: Iterable[str], graph: AsGraph, source: str = "<peers>"
+    lines: Iterable[str],
+    graph: AsGraph,
+    source: str = "<peers>",
+    siblings: SiblingSet | None = None,
 ) -> CoreGraph:
     """Build a core from an external peering edge list.
 
     Accepted line shapes: ``ASN ASN`` or ``ASN|ASN|code``. Pipe-format lines
     whose relationship code is not 0 are skipped, which lets a full
-    relationship dump double as a peer list. Edges absent from the graph
-    are dropped, the largest connected component of what remains becomes
-    the core (ties: most edges, then smallest contained ASN), and every
-    retained edge is preassigned p2p.
+    relationship dump double as a peer list. Every AS is read as its
+    sibling representative, and a pair that collapses onto one AS is
+    skipped. Edges absent from the graph are dropped, the largest connected
+    component of what remains becomes the core (ties: most edges, then
+    smallest contained ASN), and every retained edge is preassigned p2p.
     """
     candidate: set[EdgeKey] = set()
+    flat = siblings.mapping() if siblings is not None else {}
 
     def parse(line: str) -> None:
         if "|" in line:
@@ -164,9 +169,9 @@ def load_external_core(
                 return
         else:
             a, b = parse_pair(line.split())
-        key = edge_key(a, b)
-        if graph.has_edge(*key):
-            candidate.add(key)
+        a, b = flat.get(a, a), flat.get(b, b)
+        if a != b and graph.has_edge(a, b):
+            candidate.add(edge_key(a, b))
 
     read_records(lines, source, parse)
     if not candidate:
@@ -274,32 +279,42 @@ def write_core_file(core: CoreGraph, stream: TextIO) -> None:
 
 
 def read_core_file(
-    lines: Iterable[str], graph: AsGraph | None = None, source: str = "<core>"
+    lines: Iterable[str],
+    graph: AsGraph,
+    source: str = "<core>",
+    siblings: SiblingSet | None = None,
 ) -> CoreGraph:
-    """Parse a core file.
+    """Parse a core file against the graph it anchors.
 
     Two ``e`` lines that give one edge different relationships are an
     error; an ``e`` line without one leaves an edge's relationship as is.
-    When a graph is given, core edges that do not exist in it are dropped
-    so that the core never references unobserved links; vertices are kept
-    either way, but at least one of them must be in the graph.
+    Every AS is read as its sibling representative: an ``e`` line whose
+    two ASes collapse onto one names that AS as a member and no edge.
+    Core edges that do not exist in the graph are dropped so that the core
+    never references unobserved links; vertices are kept either way, but
+    at least one of them must be in the graph.
     """
     vertices: set[int] = set()
     edges: set[EdgeKey] = set()
     preassigned: dict[EdgeKey, RelType] = {}
+    flat = siblings.mapping() if siblings is not None else {}
 
     def parse(line: str) -> None:
         kind, *tokens = line.split()
         if kind == "v" and len(tokens) == 1:
-            vertices.add(parse_asn(tokens[0]))
+            a = parse_asn(tokens[0])
+            vertices.add(flat.get(a, a))
         elif kind == "e" and len(tokens) in (2, 3):
             a, b = parse_pair(tokens[:2])
+            a, b = flat.get(a, a), flat.get(b, b)
+            vertices.update((a, b))
+            if len(tokens) == 3 and tokens[2] not in ("c2p", "p2c", "p2p"):
+                raise ValueError(f"unknown relationship {tokens[2]!r}")
+            if a == b:
+                return
             key = edge_key(a, b)
-            vertices.update(key)
             edges.add(key)
             if len(tokens) == 3:
-                if tokens[2] not in ("c2p", "p2c", "p2p"):
-                    raise ValueError(f"unknown relationship {tokens[2]!r}")
                 rel = RelType(tokens[2])
                 # The file stores the relationship in written (a, b) order;
                 # oriented() is its own inverse, so it also canonicalizes
@@ -311,11 +326,9 @@ def read_core_file(
     read_records(lines, source, parse)
     if not vertices:
         raise EmptyCoreError("core file contains no vertices")
-    if graph is not None:
-        if not any(v in graph.vertices for v in vertices):
-            raise EmptyCoreError("no core vertex appears in the observed graph")
-        kept = {k for k in edges if graph.has_edge(*k)}
-        preassigned = {k: r for k, r in preassigned.items() if k in kept}
-        edges = kept
-    return CoreGraph(vertices, edges, preassigned)
+    if not any(v in graph.vertices for v in vertices):
+        raise EmptyCoreError("no core vertex appears in the observed graph")
+    kept = {k for k in edges if graph.has_edge(*k)}
+    preassigned = {k: r for k, r in preassigned.items() if k in kept}
+    return CoreGraph(vertices, kept, preassigned)
 

@@ -97,9 +97,6 @@ class SiblingSet:
         """Declared sibling pairs, deduplicated, in sorted order."""
         return sorted(self._pairs)
 
-    def __len__(self) -> int:
-        return len(self._pairs)
-
 
 def read_records(
     lines: Iterable[str], source: str, parse: Callable[[str], None]

@@ -141,6 +141,49 @@ class TestInfer:
         rels = rel_table(out)
         assert rels[(100, 200)] == ("s2s", "sibling-db")
 
+    def infer_with_siblings(self, tmp_path, core_flags, text):
+        # With 1 and 2 siblings, the paths cross the merged edge (1, 3)
+        # once up to 3 and once down from 1.
+        paths = write(tmp_path / "p.txt", "2 3 4\n5 2 3\n1 3 6\n")
+        siblings = write(tmp_path / "s.txt", "1 2\n")
+        core = write(tmp_path / "c.txt", text)
+        out = tmp_path / "run"
+        code = cli.main(
+            [
+                "infer", "--paths-bgp", paths, "--siblings", siblings,
+                *core_flags, core, "--out", str(out),
+            ]
+        )
+        return code, out
+
+    @pytest.mark.parametrize(
+        "core_flags, text, method",
+        [
+            (["--core"], "v 2\nv 3\ne 2 3\n", "deterministic-p1"),
+            (
+                ["--core-method", "external", "--peer-edges"], "2|3|0\n",
+                "core-preassigned",
+            ),
+        ],
+        ids=["core", "peers"],
+    )
+    def test_core_files_read_through_the_sibling_merge(
+        self, tmp_path, core_flags, text, method
+    ):
+        # The core edge 2-3 is the merged edge (1, 3), so both of its ASes
+        # stay in the core and it is a peering.
+        code, out = self.infer_with_siblings(tmp_path, core_flags, text)
+        assert code == 0
+        assert rel_table(out)[(1, 3)] == ("p2p", method)
+
+    def test_core_labels_conflicting_after_the_merge(self, tmp_path, capsys):
+        # "e 2 3 c2p" and "e 1 3 p2c" label the merged edge (1, 3) both ways.
+        code, _ = self.infer_with_siblings(
+            tmp_path, ["--core"], "e 2 3 c2p\ne 1 3 p2c\n"
+        )
+        assert code == 1
+        assert "c.txt:2" in capsys.readouterr().err
+
 
 class TestRunCutShort:
     def test_closed_stdout_is_exit_one_without_traceback(self, tmp_path, uphill_corpus):
@@ -825,7 +868,9 @@ class TestExperiment:
             )
             assert code == 2
 
-    @pytest.mark.parametrize("spec", ["1:2:3:4", "a:5", "5:4", "4,x"])
+    @pytest.mark.parametrize(
+        "spec", ["1:2:3:4", "a:5", "5:4", "4,x", "4:8:0", "4:", "4:8:x"]
+    )
     def test_malformed_sweep_sizes(self, tmp_path, capsys, spec):
         paths = write(tmp_path / "p.txt", "1 2 3 4 5 6\n")
         code = cli.main(

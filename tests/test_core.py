@@ -22,6 +22,7 @@ from asrel.errors import (
     ParseError,
 )
 from asrel.graph import AsGraph, RelType
+from asrel.ingest import SiblingSet
 
 from oracles import (
     adjacency_from_edges,
@@ -31,6 +32,13 @@ from oracles import (
     corrupted_vertices,
     is_clique,
 )
+
+
+def siblings_of(*pairs):
+    merged = SiblingSet()
+    for a, b in pairs:
+        merged.merge(a, b)
+    return merged
 
 
 def graph_of(edges, extra_vertices=()):
@@ -246,6 +254,15 @@ class TestExternalCore:
         with pytest.raises(ParseError):
             load_external_core(["7 7\n"], self.graph())
 
+    def test_pair_collapsed_by_siblings_skipped(self):
+        # With 1 and 2 siblings, "1|2|0" names one AS and no peering, and
+        # "2 3" is the edge (1, 3).
+        graph, siblings = graph_of([(1, 3)]), siblings_of((1, 2))
+        core = load_external_core(["1|2|0\n", "2 3\n"], graph, siblings=siblings)
+        assert core.preassigned == {(1, 3): RelType.P2P}
+        with pytest.raises(EmptyCoreError):
+            load_external_core(["1|2|0\n"], graph, siblings=siblings)
+
     @given(random_edge_lists, random_edge_lists, st.booleans())
     @settings(max_examples=150)
     def test_choice_matches_brute_force(self, edges, peers, pipes):
@@ -384,7 +401,7 @@ class TestCoreFiles:
         )
         buf = io.StringIO()
         write_core_file(core, buf)
-        again = read_core_file(buf.getvalue().splitlines())
+        again = read_core_file(buf.getvalue().splitlines(), graph_of(core.edges))
         assert again.vertices == core.vertices
         assert again.edges == core.edges
         assert again.preassigned == core.preassigned
@@ -392,11 +409,11 @@ class TestCoreFiles:
     def test_relationship_read_in_written_order(self):
         # c2p on the line "e 7 3" means 7 is the customer, which is p2c
         # in canonical (3, 7) order.
-        core = read_core_file(["e 7 3 c2p\n"])
+        core = read_core_file(["e 7 3 c2p\n"], graph_of([(3, 7)]))
         assert core.preassigned == {(3, 7): RelType.P2C}
 
     def test_vertex_only_core(self):
-        core = read_core_file(["v 8\n"])
+        core = read_core_file(["v 8\n"], graph_of([(8, 9)]))
         assert core.vertices == {8} and core.n_edges == 0
 
     def test_graph_intersection_drops_unknown_edges(self):
@@ -407,20 +424,32 @@ class TestCoreFiles:
 
     def test_unknown_rel_token(self):
         with pytest.raises(ParseError):
-            read_core_file(["e 1 2 friend\n"])
+            read_core_file(["e 1 2 friend\n"], graph_of([(1, 2)]))
 
     def test_conflicting_labels_rejected(self):
         # Read in written order, "e 1 2 c2p" makes 1 the customer and
         # "e 2 1 c2p" makes 2 the customer.
         with pytest.raises(ParseError) as err:
-            read_core_file(["e 1 2 c2p\n", "e 2 1 c2p\n"], source="core.txt")
+            read_core_file(
+                ["e 1 2 c2p\n", "e 2 1 c2p\n"], graph_of([(1, 2)]), "core.txt"
+            )
         assert "core.txt:2" in str(err.value)
 
     def test_repeated_label_and_unlabeled_line_agree(self):
         lines = ["e 1 2 c2p\n", "e 2 1 p2c\n", "e 1 2\n", "e 3 4\n", "e 4 3 p2p\n"]
-        core = read_core_file(lines)
+        core = read_core_file(lines, graph_of([(1, 2), (3, 4)]))
         assert core.preassigned == {(1, 2): RelType.C2P, (3, 4): RelType.P2P}
+
+    def test_pair_collapsed_by_siblings_names_a_member(self):
+        # With 1 and 2 siblings, "e 1 2 c2p" names AS 1 and no edge, and
+        # "e 2 3 p2c" is the edge (1, 3) read in written order.
+        lines = ["e 1 2 c2p\n", "e 2 3 p2c\n", "v 4\n"]
+        graph = graph_of([(1, 3), (3, 4)])
+        core = read_core_file(lines, graph, siblings=siblings_of((1, 2), (4, 5)))
+        assert core.vertices == {1, 3, 4}
+        assert core.edges == {(1, 3)}
+        assert core.preassigned == {(1, 3): RelType.P2C}
 
     def test_empty_file_rejected(self):
         with pytest.raises(EmptyCoreError):
-            read_core_file(["# just a comment\n"])
+            read_core_file(["# just a comment\n"], graph_of([(1, 2)]))

@@ -1,9 +1,10 @@
 """Source hygiene of the asrel package, checked with the standard ast module:
 no module imports a name it never uses, no module-level private name is
 defined and never referenced, every public name, method and property is
-read outside the tests, the engine reads corpora only as arcs, the engine
-and the heuristics name hop labels only as label codes, and only errors.py
-words the message of a file that cannot be read."""
+read outside the tests, every parameter is read by its function, the
+engine reads corpora only as arcs, the engine and the heuristics name hop
+labels only as label codes, and only errors.py words the message of a file
+that cannot be read."""
 
 import ast
 from pathlib import Path
@@ -230,3 +231,39 @@ def test_only_errors_words_an_unreadable_file():
         and "cannot read" in node.value
     ]
     assert not spelled, f"'cannot read' raised outside errors.py: {', '.join(spelled)}"
+
+
+# Parameters a caller passes and the function does not read, as (module,
+# function, parameter). The benchmark replay passes phase1 its config;
+# ROADMAP item 4 deletes the parameter once the replay no longer does.
+UNREAD_PARAMETERS = {("engine.py", "phase1", "config")}
+
+
+def unread_parameters(path: Path) -> set[tuple[str, str, str]]:
+    """(module, function, parameter) of every parameter but self that its
+    function, nested functions included, never loads."""
+    unread = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += filter(None, (args.vararg, args.kwarg))
+            loaded = {
+                name.id
+                for statement in node.body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            unread.update(
+                (path.name, node.name, param.arg)
+                for param in params
+                if param.arg != "self" and param.arg not in loaded
+            )
+    return unread
+
+
+def test_every_parameter_is_read():
+    # An allowed parameter that is read or gone fails too, so the list
+    # cannot outlive the parameters it names.
+    unread = set().union(*map(unread_parameters, MODULES))
+    assert unread == UNREAD_PARAMETERS

@@ -508,6 +508,9 @@ def second_stream(load):
     return lambda streams: load(streams[1][1], source=streams[1][0])
 
 
+# The graph the core and peer readers read against.
+ONE_EDGE = build_graph([AsPath((1, 2))])
+
 # Each line loader, called on two (name, handle) streams, and the record
 # template of its input, formatted with three distinct AS numbers.
 LOADERS = {
@@ -515,11 +518,8 @@ LOADERS = {
     "trace": (lambda streams: load_corpus(trace_streams=streams), "a|{} {} {}"),
     "siblings": (second_stream(load_sibling_pairs), "{} {}"),
     "reference": (second_stream(load_reference), "{}|{}|0"),
-    "core": (second_stream(read_core_file), "v {}"),
-    "peers": (
-        second_stream(partial(load_external_core, graph=build_graph([AsPath((1, 2))]))),
-        "{} {}",
-    ),
+    "core": (second_stream(partial(read_core_file, graph=ONE_EDGE)), "v {}"),
+    "peers": (second_stream(partial(load_external_core, graph=ONE_EDGE)), "{} {}"),
 }
 
 

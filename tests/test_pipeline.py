@@ -1,6 +1,7 @@
 import csv
 import functools
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -578,10 +579,11 @@ class TestMetamorphic:
             assert int(invalid) == work.invalid[e]
 
     @staticmethod
-    def infer_outputs(root, files, siblings=None, flag="--paths-bgp"):
+    def infer_outputs(root, files, siblings=None, flag="--paths-bgp", core=None):
         """Bytes of the order-stable outputs of ``asrel infer`` run on the
-        given files, each a list of lines, passed as flag in order, and on
-        the sibling file whose lines are siblings, if given."""
+        given files, each a list of lines, passed as flag in order, on the
+        sibling file whose lines are siblings, if given, and on the core
+        file whose lines are core, or on the greedy clique."""
         run = Path(tempfile.mkdtemp(dir=root))
         names = []
         for i, lines in enumerate(files):
@@ -589,13 +591,14 @@ class TestMetamorphic:
             path.write_text("".join(lines), encoding="utf-8")
             names.append(str(path))
         out = run / "out"
-        argv = [
-            "infer", flag, *names, "--core-method", "clique",
-            "--tiebreak", "kshell", "--out", str(out),
-        ]
-        if siblings is not None:
-            (run / "siblings.txt").write_text("".join(siblings), encoding="utf-8")
-            argv += ["--siblings", str(run / "siblings.txt")]
+        argv = ["infer", flag, *names, "--tiebreak", "kshell", "--out", str(out)]
+        if core is None:
+            argv += ["--core-method", "clique"]
+        for option, lines in (("--siblings", siblings), ("--core", core)):
+            if lines is not None:
+                path = run / f"{option[2:]}.txt"
+                path.write_text("".join(lines), encoding="utf-8")
+                argv += [option, str(path)]
         assert cli.main(argv) == 0
         return {
             name: (out / name).read_bytes()
@@ -689,7 +692,49 @@ class TestMetamorphic:
         assert [r for r in records if "sibling-db" not in r] == (
             in_input["classifications.csv"].decode().splitlines()
         )
-        assert sum("sibling-db" in r for r in records) == len(merged)
+        assert sum("sibling-db" in r for r in records) == len(merged.pairs())
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.data())
+    def test_core_named_by_any_sibling_agrees(self, seed, data):
+        # A core file is read through the sibling merge: naming each core
+        # AS by any member of its group, and a merged pair by two of its
+        # members, must give what naming the representatives gives.
+        truth, raws = self.corpus(seed)
+        core = truth.true_core()
+        ases = sorted({h for raw in raws for h in raw.hops})
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(sorted(core.vertices)), st.sampled_from(ases))
+                .filter(lambda pair: pair[0] != pair[1]),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        merged = SiblingSet()
+        for a, b in pairs:
+            merged.merge(a, b)
+        rep = merged.representative
+        groups = {}
+        for asn in sorted({asn for pair in pairs for asn in pair}):
+            groups.setdefault(rep(asn), []).append(asn)
+        edges = {edge_key(rep(a), rep(b)) for a, b in core.edges if rep(a) != rep(b)}
+        labels = st.sampled_from(["", " c2p", " p2c", " p2p"])
+        by_rep = [f"v {rep(v)}\n" for v in sorted(core.vertices)]
+        by_rep += [f"e {a} {b}{data.draw(labels)}\n" for a, b in sorted(edges)]
+
+        def member(token):
+            asn = int(token[0])
+            return str(data.draw(st.sampled_from(groups.get(asn, [asn]))))
+
+        by_member = [re.sub(r"\b\d+\b", member, line) for line in by_rep]
+        by_member += [f"e {a} {b}\n" for a, b in pairs]
+        lines = [" ".join(map(str, raw.hops)) + "\n" for raw in raws]
+        siblings = [f"{a} {b}\n" for a, b in pairs]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            expected = self.infer_outputs(root, [lines], siblings, core=by_rep)
+            assert self.infer_outputs(root, [lines], siblings, core=by_member) == expected
 
     @staticmethod
     def labelled_core(seed, run, data):
