@@ -27,6 +27,7 @@ from .errors import CorruptionInfeasibleError, EmptyCoreError, ParameterError
 from .graph import AsGraph, EdgeKey, RelType, edge_key, oriented
 from .ingest import (
     SiblingSet,
+    components,
     parse_asn,
     parse_pair,
     parse_relationship,
@@ -151,13 +152,14 @@ def load_external_core(
 ) -> CoreGraph:
     """Build a core from an external peering edge list.
 
-    Accepted line shapes: ``ASN ASN`` or ``ASN|ASN|code``. Pipe-format lines
-    whose relationship code is not 0 are skipped, which lets a full
-    relationship dump double as a peer list. Every AS is read as its
-    sibling representative, and a pair that collapses onto one AS is
-    skipped. Edges absent from the graph are dropped, the largest connected
-    component of what remains becomes the core (ties: most edges, then
-    smallest contained ASN), and every retained edge is preassigned p2p.
+    Accepted line shapes: ``ASN ASN`` or ``ASN|ASN|code``, whose code is
+    one of -1, 0 and 1 as in a reference file. Pipe-format lines whose
+    code is not 0 are skipped, which lets a full relationship dump double
+    as a peer list. Every AS is read as its sibling representative, and a
+    pair that collapses onto one AS is skipped. Edges absent from the
+    graph are dropped, the largest connected component of what remains
+    (ingest.components) becomes the core (ties: most edges, then smallest
+    contained ASN), and every retained edge is preassigned p2p.
     """
     candidate: set[EdgeKey] = set()
     flat = siblings.mapping() if siblings is not None else {}
@@ -177,15 +179,12 @@ def load_external_core(
     if not candidate:
         raise EmptyCoreError("no usable peer edges after intersecting with the graph")
 
-    # Components by union-find, each named by its smallest ASN.
-    components = SiblingSet()
-    for a, b in candidate:
-        components.merge(a, b)
-    rep = components.representative
-    n_vertices = Counter(map(rep, {v for key in candidate for v in key}))
-    n_edges = Counter(rep(a) for a, _ in candidate)
+    # Each component is named by its smallest ASN.
+    rep = components(candidate)
+    n_vertices = Counter(rep.values())
+    n_edges = Counter(rep[a] for a, _ in candidate)
     best = min(n_edges, key=lambda r: (-n_vertices[r], -n_edges[r], r))
-    edges = {key for key in candidate if rep(key[0]) == best}
+    edges = {key for key in candidate if rep[key[0]] == best}
     return CoreGraph(
         {v for key in edges for v in key}, edges, {k: RelType.P2P for k in edges}
     )

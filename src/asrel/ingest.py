@@ -6,13 +6,17 @@ Input conventions:
   trailing ``weight=K`` token, ``#`` starts a comment line.
 * Traceroute path files: same, but each line is prefixed ``agent_id|``.
 * Sibling files: two AS numbers per line; each line declares the pair to
-  belong to one organisation.
+  belong to one organisation. The connected components of the pairs are
+  the sibling groups, each named by its smallest AS (SiblingSet, built
+  once from the pairs by components).
 
 Sibling, core, peer and reference files are line files of one kind: blank
 lines and ``#`` lines are skipped, every other line is one record, and a
 malformed record is a ParseError at its file and line (read_records). A
-record that names an AS pair names two distinct ASes (parse_pair), and two
-records that give one pair different labels are an error (set_label).
+record that names an AS pair names two distinct ASes (parse_pair), an
+``A|B|code`` record's code is exactly -1, 0 or 1 (parse_relationship),
+and two records that give one pair different labels are an error
+(set_label).
 Bytes that are not UTF-8 are a ParseError whose source is the file, read
 ``cannot read NAME: not UTF-8 text``, from read_records or read_path_file.
 
@@ -46,56 +50,49 @@ from .graph import (
 )
 
 
-class SiblingSet:
-    """Union-find over AS numbers; the representative is the smallest member.
+def components(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Every AS named in pairs, mapped to the smallest AS of its connected
+    component: a union-find with path halving whose roots are minima."""
+    parent: dict[int, int] = {}
 
-    ASes never mentioned in a sibling file are their own representative.
+    def find(a: int) -> int:
+        while (up := parent.setdefault(a, a)) != a:
+            # parent[a] is assigned before a: halve a's path, then step.
+            parent[a] = a = parent[up]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {asn: find(asn) for asn in parent}
+
+
+class SiblingSet:
+    """The sibling groups that a list of declared pairs makes: each group
+    is a connected component of the pairs, and its representative is its
+    smallest AS. An AS that no pair names is its own representative.
+
+    The value is built once from its pairs and never changes.
     """
 
-    def __init__(self):
-        self._parent: dict[int, int] = {}
-        self._pairs: set[EdgeKey] = set()
-        self._mapping: dict[int, int] | None = None
-
-    def representative(self, asn: int) -> int:
-        parent = self._parent
-        if asn not in parent:
-            return asn
-        root = asn
-        while parent[root] != root:
-            root = parent[root]
-        while parent[asn] != root:
-            parent[asn], asn = root, parent[asn]
-        return root
+    def __init__(self, pairs: Iterable[tuple[int, int]]):
+        self._pairs = tuple(sorted({edge_key(a, b) for a, b in pairs}))
+        self._mapping = {
+            asn: rep for asn, rep in components(self._pairs).items() if asn != rep
+        }
 
     def mapping(self) -> dict[int, int]:
         """Every AS that is not its own representative, mapped to it.
 
-        Built on first use and kept until the next merge, so hops are
-        mapped with one dict lookup each: ``map(flat.get, hops, hops)``,
-        and a path none of whose hops is a key maps to itself.
+        Hops are mapped with one dict lookup each: ``map(flat.get, hops,
+        hops)``, and a path none of whose hops is a key maps to itself.
         """
-        if self._mapping is None:
-            rep = self.representative
-            self._mapping = {asn: r for asn in self._parent if (r := rep(asn)) != asn}
         return self._mapping
-
-    def merge(self, a: int, b: int) -> None:
-        """Declare a and b siblings. Records the pair for later reporting."""
-        self._pairs.add(edge_key(a, b))
-        self._mapping = None
-        ra = self.representative(a)
-        rb = self.representative(b)
-        self._parent.setdefault(ra, ra)
-        self._parent.setdefault(rb, rb)
-        if ra == rb:
-            return
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self._parent[hi] = lo
 
     def pairs(self) -> list[EdgeKey]:
         """Declared sibling pairs, deduplicated, in sorted order."""
-        return sorted(self._pairs)
+        return list(self._pairs)
 
 
 def read_records(
@@ -143,16 +140,20 @@ def parse_pair(tokens: Sequence[str]) -> tuple[int, int]:
     return a, b
 
 
+# A relationship code's relationship of A to B, read in (A, B) order: -1
+# means A is a provider of B, 0 peering, and 1 that the pair are siblings.
+REFERENCE_CODES = {-1: RelType.P2C, 0: RelType.P2P, 1: RelType.S2S}
+
 # A well-formed ``A|B|code`` record, but for its AS numbers' range and
 # that they differ.
-_RELATIONSHIP = re.compile(r"([0-9]+)\|([0-9]+)\|(-?[0-9]+)")
+_RELATIONSHIP = re.compile(r"([0-9]+)\|([0-9]+)\|(-1|0|1)")
 
 
 def parse_relationship(line: str) -> tuple[int, int, int]:
     """(A, B, code) of one ``A|B|code`` record, the relationship format of
-    reference and peer files. The code is ASCII digits after an optional
-    ``-``; its value is not checked. Any other line is a ValueError that
-    names the field at fault."""
+    reference and peer files. The code field is exactly ``-1``, ``0`` or
+    ``1`` (REFERENCE_CODES). Any other line is a ValueError that names the
+    field at fault."""
     match = _RELATIONSHIP.fullmatch(line)
     if match is not None:
         a, b = int(match[1]), int(match[2])
@@ -176,9 +177,9 @@ def set_label(labels: dict[EdgeKey, RelType], key: EdgeKey, rel: RelType) -> Non
 
 def load_sibling_pairs(lines: Iterable[str], source: str = "<siblings>") -> SiblingSet:
     """Parse a sibling file, one ``ASN ASN`` pair per line, into a SiblingSet."""
-    siblings = SiblingSet()
-    read_records(lines, source, lambda line: siblings.merge(*parse_pair(line.split())))
-    return siblings
+    pairs: list[tuple[int, int]] = []
+    read_records(lines, source, lambda line: pairs.append(parse_pair(line.split())))
+    return SiblingSet(pairs)
 
 
 def normalize_path(

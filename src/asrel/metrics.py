@@ -33,7 +33,7 @@ from .graph import (
     oriented,
     vote_shares,
 )
-from .ingest import SiblingSet, parse_relationship, read_records, set_label
+from .ingest import REFERENCE_CODES, SiblingSet, parse_relationship, read_records, set_label
 
 HISTOGRAM_BINS = 20
 # Bin i is [edge i, edge i + 1); the last bin also holds 1.0. Edge i is
@@ -45,9 +45,6 @@ _HISTOGRAM_EDGES = [i * (1.0 / HISTOGRAM_BINS) for i in range(HISTOGRAM_BINS)] +
 # External relationship labels in canonical low->high order.
 ReferenceSet = dict[EdgeKey, RelType]
 
-# A reference code's relationship of A to B, read in (A, B) order.
-REFERENCE_CODES = {-1: RelType.P2C, 0: RelType.P2P, 1: RelType.S2S}
-
 
 def load_reference(
     lines: Iterable[str],
@@ -56,9 +53,10 @@ def load_reference(
 ) -> ReferenceSet:
     """Parse a reference file, mapping ASes through the sibling merge.
 
-    Records that collapse onto a single AS after merging are skipped. Two
-    records that disagree about the same pair make the file unusable and
-    raise a parse error.
+    Every record's code is checked as it is parsed (parse_relationship),
+    then records that collapse onto a single AS after merging are skipped.
+    Two records that disagree about the same pair make the file unusable
+    and raise a parse error.
     """
     rels: ReferenceSet = {}
     flat = siblings.mapping() if siblings is not None else {}
@@ -69,10 +67,7 @@ def load_reference(
         b = flat.get(b, b)
         if a == b:
             return
-        rel = REFERENCE_CODES.get(code)
-        if rel is None:
-            raise ValueError(f"unknown relationship code {code}")
-        set_label(rels, edge_key(a, b), oriented(rel, a, b))
+        set_label(rels, edge_key(a, b), oriented(REFERENCE_CODES[code], a, b))
 
     read_records(lines, source, parse)
     return rels

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 from .core import CoreGraph, _induced_edges
 from .errors import ParameterError
 from .graph import AsGraph, AsPath, EdgeKey, RelType, edge_key, oriented
-from .metrics import REFERENCE_CODES
+from .ingest import REFERENCE_CODES
 
 # The sampler's walk: the chance to climb one more provider hop, to cross
 # one peer link at the top, and to descend one more customer hop.
@@ -323,7 +323,7 @@ def write_paths_file(paths: Iterable[AsPath], stream: TextIO) -> None:
 def write_reference_file(
     labels: Mapping[EdgeKey, RelType], stream: TextIO
 ) -> None:
-    """Write labels as ``A|B|code`` lines, by metrics.REFERENCE_CODES: -1
+    """Write labels as ``A|B|code`` lines, by ingest.REFERENCE_CODES: -1
     provider first, 0 peer, 1 sibling."""
     codes = {rel: code for code, rel in REFERENCE_CODES.items()}
     for (low, high), rel in sorted(labels.items()):

@@ -43,8 +43,8 @@ from asrel.graph import (
     edge_key,
     oriented,
 )
-from asrel.ingest import SiblingSet, parse_pair, read_records, set_label
-from asrel.metrics import REFERENCE_CODES, ReferenceSet
+from asrel.ingest import REFERENCE_CODES, SiblingSet, parse_pair, read_records, set_label
+from asrel.metrics import ReferenceSet
 
 Adjacency = dict[int, set[int]]
 
@@ -55,6 +55,21 @@ def adjacency_from_edges(edges: list[tuple[int, int]]) -> Adjacency:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     return adj
+
+
+def components(pairs: list[tuple[int, int]]) -> dict[int, int]:
+    """Every AS named in pairs, mapped to the smallest AS it reaches by a
+    breadth-first search over the pairs."""
+    adj = adjacency_from_edges(pairs)
+    result: dict[int, int] = {}
+    for start in adj:
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            frontier = [w for v in frontier for w in adj[v] if w not in seen]
+            seen.update(frontier)
+        result[start] = min(seen)
+    return result
 
 
 def brute_force_core_numbers(adj: Adjacency) -> dict[int, int]:
@@ -606,13 +621,13 @@ def filter_single_agent_edges(
 
 
 def parse_relationship(line: str) -> tuple[int, int, int]:
-    """(A, B, code) of one ``A|B|code`` record, checked field by field."""
+    """(A, B, code) of one ``A|B|code`` record, checked field by field; the
+    code field is exactly ``-1``, ``0`` or ``1``."""
     fields = line.split("|")
     if len(fields) != 3:
         raise ValueError(f"expected A|B|code, got {line!r}")
     a, b = parse_pair(fields[:2])
-    digits = fields[2].removeprefix("-")
-    if not (digits.isdigit() and digits.isascii()):
+    if fields[2] not in ("-1", "0", "1"):
         raise ValueError(f"not a relationship code: {fields[2]!r}")
     return a, b, int(fields[2])
 
@@ -629,10 +644,7 @@ def load_reference(
         b = flat.get(b, b)
         if a == b:
             return
-        rel = REFERENCE_CODES.get(code)
-        if rel is None:
-            raise ValueError(f"unknown relationship code {code}")
-        set_label(rels, edge_key(a, b), oriented(rel, a, b))
+        set_label(rels, edge_key(a, b), oriented(REFERENCE_CODES[code], a, b))
 
     read_records(lines, source, parse)
     return rels

@@ -395,9 +395,10 @@ def test_criterion_8_ingest_property_suite():
             failures.append(label)
 
     while inputs < 10_000:
-        siblings = SiblingSet()
-        for _ in range(rng.randint(0, 4)):
-            siblings.merge(*rng.sample(pool, 2))
+        siblings = SiblingSet(
+            [tuple(rng.sample(pool, 2)) for _ in range(rng.randint(0, 4))]
+        )
+        flat = siblings.mapping()
         batch: list[RawPath] = []
         raw_hops: list[list[int]] = []
         for _ in range(50):
@@ -414,7 +415,7 @@ def test_criterion_8_ingest_property_suite():
                 batch.append(RawPath(tuple(hops), "trace", rng.choice(agents), 1))
 
             norm, truncated = normalize_path(hops, siblings)
-            collapsed = _collapse([siblings.representative(h) for h in hops])
+            collapsed = _collapse([flat.get(h, h) for h in hops])
             if norm is None:
                 # A drop is a loop cut short, or a path short to begin with.
                 note(truncated or len(collapsed) < 2, "drop without reason")
@@ -424,7 +425,7 @@ def test_criterion_8_ingest_property_suite():
             note(len(set(norm)) == len(norm), "revisit kept")
             note(len(norm) >= 2, "short path kept")
             note(
-                all(siblings.representative(h) == h for h in norm),
+                all(flat.get(h, h) == h for h in norm),
                 "non-representative hop",
             )
             note(

@@ -576,6 +576,39 @@ class TestInferErrors:
         assert code == 1
         assert "bad.txt:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("siblings", [[], ["--siblings"]], ids=["alone", "siblings"])
+    def test_reference_code_checked_with_or_without_siblings(
+        self, tmp_path, capsys, siblings
+    ):
+        # The record names the siblings 1 and 2; its code is read before
+        # the pair collapses, so --siblings does not hide a bad code.
+        paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n")
+        if siblings:
+            siblings.append(write(tmp_path / "s.txt", "1 2\n"))
+        ref = write(tmp_path / "ref.txt", "1|2|7\n")
+        code = cli.main(
+            [
+                "infer", "--paths-bgp", paths, *siblings, "--core-method", "clique",
+                "--reference", ref, "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "ref.txt:1: not a relationship code: '7'" in capsys.readouterr().err
+
+    def test_peer_code_outside_the_rule_is_input_error(self, tmp_path, capsys):
+        # Among valid peer and relationship lines, a code other than -1, 0
+        # and 1 is an error, not a skipped line.
+        paths = write(tmp_path / "p.txt", "1 2 3\n2 3 4\n")
+        peers = write(tmp_path / "peers.txt", "2|3|0\n3|4|7\n1|2|-1\n2 3\n")
+        code = cli.main(
+            [
+                "infer", "--paths-bgp", paths, "--core-method", "external",
+                "--peer-edges", peers, "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "peers.txt:2" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, text",
         [

@@ -35,10 +35,7 @@ from oracles import (
 
 
 def siblings_of(*pairs):
-    merged = SiblingSet()
-    for a, b in pairs:
-        merged.merge(a, b)
-    return merged
+    return SiblingSet(pairs)
 
 
 def graph_of(edges, extra_vertices=()):
@@ -236,6 +233,12 @@ class TestExternalCore:
         lines = ["8|9|-1\n", "9|10|0\n", "1|2|1\n"]
         core = load_external_core(lines, self.graph())
         assert core.vertices == {9, 10}
+
+    def test_code_outside_the_rule_is_an_error(self):
+        # Codes other than -1, 0 and 1 are not skipped like -1 and 1 are.
+        with pytest.raises(ParseError) as err:
+            load_external_core(["9|10|0\n", "8|9|2\n", "1|2|1\n"], self.graph(), "p.txt")
+        assert "p.txt:2" in str(err.value)
 
     def test_edges_not_in_graph_dropped(self):
         core = load_external_core(["1 2\n", "700 701\n"], self.graph())

@@ -29,7 +29,7 @@ def noedge_core(*vertices):
 
 
 def corpus_of(*paths):
-    return compile_corpus(build_graph(paths), paths)
+    return build_graph(paths).corpus
 
 
 def phase2_votes(g, paths, config):

@@ -11,6 +11,7 @@ from asrel.ingest import (
     RawPath,
     SiblingSet,
     build_graph,
+    components,
     ingest_paths,
     load_corpus,
     load_sibling_pairs,
@@ -20,50 +21,59 @@ from asrel.ingest import (
 )
 from asrel.metrics import load_reference
 
+from oracles import components as oracle_components
 from oracles import filter_single_agent_edges as reference_filter
 
 
 class TestSiblingSet:
     def test_representative_is_minimum_of_group(self):
-        s = SiblingSet()
-        s.merge(30, 10)
-        s.merge(10, 20)
-        assert s.representative(30) == 10
-        assert s.representative(20) == 10
-        assert s.representative(10) == 10
+        flat = SiblingSet([(30, 10), (10, 20)]).mapping()
+        assert flat.get(30, 30) == 10
+        assert flat.get(20, 20) == 10
+        assert flat.get(10, 10) == 10
 
     def test_unknown_as_maps_to_itself(self):
-        assert SiblingSet().representative(42) == 42
+        assert SiblingSet([]).mapping().get(42, 42) == 42
 
     def test_transitive_merge_across_groups(self):
-        s = SiblingSet()
-        s.merge(1, 2)
-        s.merge(3, 4)
-        s.merge(2, 3)
-        assert {s.representative(v) for v in (1, 2, 3, 4)} == {1}
+        flat = SiblingSet([(1, 2), (3, 4), (2, 3)]).mapping()
+        assert {flat.get(v, v) for v in (1, 2, 3, 4)} == {1}
 
     def test_pairs_lists_each_merge_once(self):
-        s = SiblingSet()
-        s.merge(5, 6)
-        s.merge(6, 5)
-        assert s.pairs() == [(5, 6)]
+        assert SiblingSet([(5, 6), (6, 5)]).pairs() == [(5, 6)]
 
     @given(st.lists(st.tuples(st.integers(1, 50), st.integers(1, 50)), max_size=30))
     def test_representative_idempotent(self, merges):
-        s = SiblingSet()
-        for a, b in merges:
-            if a != b:
-                s.merge(a, b)
+        flat = SiblingSet([(a, b) for a, b in merges if a != b]).mapping()
         for v in range(1, 51):
-            rep = s.representative(v)
-            assert s.representative(rep) == rep
+            rep = flat.get(v, v)
+            assert flat.get(rep, rep) == rep
             assert rep <= v
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), max_size=30),
+        st.randoms(use_true_random=False),
+    )
+    def test_groups_are_components_named_by_their_minimum(self, pairs, rng):
+        pairs = [(a, b) for a, b in pairs if a != b]
+        expected = oracle_components(pairs)
+        assert components(pairs) == expected
+        siblings = SiblingSet(pairs)
+        assert siblings.mapping() == {a: r for a, r in expected.items() if a != r}
+        assert siblings.pairs() == sorted({(min(p), max(p)) for p in pairs})
+        # The order, the orientation and repeats of the pairs change nothing.
+        varied = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+        varied += rng.sample(pairs, len(pairs) // 2)
+        rng.shuffle(varied)
+        assert components(varied) == expected
+        assert SiblingSet(varied).mapping() == siblings.mapping()
+        assert SiblingSet(varied).pairs() == siblings.pairs()
 
 
 class TestLoadSiblingPairs:
     def test_basic_file(self):
         s = load_sibling_pairs(["10 20\n", "# comment\n", "\n", "20 30\n"])
-        assert s.representative(30) == 10
+        assert s.mapping().get(30, 30) == 10
 
     def test_self_sibling_rejected(self):
         with pytest.raises(ParseError) as err:
@@ -104,8 +114,7 @@ class TestNormalizePath:
         assert normalize_path([9], None)[0] is None
 
     def test_sibling_merge_collapses_adjacent_group_members(self):
-        s = SiblingSet()
-        s.merge(20, 21)
+        s = SiblingSet([(20, 21)])
         hops, truncated = normalize_path([1, 20, 21, 3], s)
         assert hops == (1, 20, 3)
         assert not truncated
@@ -113,8 +122,7 @@ class TestNormalizePath:
     def test_sibling_merge_applies_before_loop_check(self):
         # 21 maps onto 20, so the revisit closes a loop that the raw
         # hop values hide.
-        s = SiblingSet()
-        s.merge(20, 21)
+        s = SiblingSet([(20, 21)])
         hops, truncated = normalize_path([20, 5, 21, 7], s)
         assert hops == (20, 5)
         assert truncated
@@ -122,12 +130,10 @@ class TestNormalizePath:
     def test_clean_tuple_returned_uncopied(self):
         hops = (1, 20, 3)
         assert normalize_path(hops, None)[0] is hops
-        s = SiblingSet()
-        s.merge(30, 31)
-        s.merge(1, 40)
+        s = SiblingSet([(30, 31), (1, 40)])
         # 1 is its group's representative, so no hop changes.
         assert normalize_path(hops, s)[0] is hops
-        s.merge(20, 2)
+        s = SiblingSet([(30, 31), (1, 40), (20, 2)])
         assert normalize_path(hops, s)[0] == (1, 2, 3)
 
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=12))
@@ -153,10 +159,7 @@ class TestNormalizePath:
     def test_loop_cut_never_drops_the_path(self, raw, merges):
         # Once consecutive duplicates are merged, the first repeated AS is
         # the third hop or later, so a cut keeps at least two hops.
-        siblings = SiblingSet()
-        for a, b in merges:
-            if a != b:
-                siblings.merge(a, b)
+        siblings = SiblingSet([(a, b) for a, b in merges if a != b])
         hops, truncated = normalize_path(raw, siblings)
         assert hops is not None or not truncated
 

@@ -72,8 +72,7 @@ class TestLoadReference:
         assert ref.get((2, 9)) is RelType.C2P
 
     def test_sibling_mapping_applied(self):
-        siblings = SiblingSet()
-        siblings.merge(20, 21)
+        siblings = SiblingSet([(20, 21)])
         ref = load_reference(["21|5|0\n"], siblings)
         assert ref.get((5, 20)) is RelType.P2P
 
@@ -83,8 +82,7 @@ class TestLoadReference:
         assert "ref.txt:2" in str(err.value)
 
     def test_pair_collapsing_to_one_as_skipped(self):
-        siblings = SiblingSet()
-        siblings.merge(20, 21)
+        siblings = SiblingSet([(20, 21)])
         ref = load_reference(["20|21|1\n"], siblings)
         assert len(ref) == 0
 
@@ -100,11 +98,17 @@ class TestLoadReference:
         with pytest.raises(ParseError):
             load_reference(["1|2|7\n"])
 
+    def test_code_checked_before_the_sibling_collapse(self):
+        # 1 and 2 are siblings, so the record names one AS; its code is
+        # still read, as it is without siblings.
+        with pytest.raises(ParseError) as err:
+            load_reference(["1|2|7\n"], SiblingSet([(1, 2)]), "ref.txt")
+        assert "ref.txt:1" in str(err.value)
+        assert "not a relationship code: '7'" in str(err.value)
+
     @given(st.lists(record_lines, max_size=8), st.booleans())
     def test_matches_a_parse_of_every_record(self, lines, merge):
-        siblings = SiblingSet()
-        if merge:
-            siblings.merge(20, 21)
+        siblings = SiblingSet([(20, 21)] if merge else [])
         lines = [line + "\n" for line in lines]
         try:
             expected = reference_load_reference(lines, siblings, "ref.txt")

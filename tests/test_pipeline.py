@@ -141,9 +141,7 @@ class TestSummarize:
     def test_sibling_pairs_counted_apart_from_edges(self):
         # Declared sibling pairs are not edges: they count only under their
         # own method, never in the edge count, shares or agreement.
-        siblings = SiblingSet()
-        siblings.merge(100, 200)
-        siblings.merge(300, 400)
+        siblings = SiblingSet([(100, 200), (300, 400)])
         paths = [trace(1, 2, 3, 4, 5)]
         graph = build_graph(paths)
         result = run_inference(graph, paths, CoreGraph({3}), siblings=siblings)
@@ -557,9 +555,7 @@ class TestMetamorphic:
                 max_size=6,
             )
         )
-        siblings = SiblingSet()
-        for a, b in pairs:
-            siblings.merge(a, b)
+        siblings = SiblingSet(pairs)
         result, _, _ = full_run(raws, truth, **run, siblings=siblings)
         work = result.graph
         header, *rows = classification_rows(result)
@@ -672,13 +668,11 @@ class TestMetamorphic:
                 max_size=6,
             )
         )
-        merged = SiblingSet()
-        for a, b in pairs:
-            merged.merge(a, b)
-        rep = merged.representative
+        merged = SiblingSet(pairs)
+        flat = merged.mapping()
         lines = [" ".join(map(str, raw.hops)) + "\n" for raw in raws]
         premerged = [
-            " ".join(str(rep(h)) for h in raw.hops) + "\n" for raw in raws
+            " ".join(str(flat.get(h, h)) for h in raw.hops) + "\n" for raw in raws
         ]
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
@@ -711,10 +705,11 @@ class TestMetamorphic:
                 max_size=4,
             )
         )
-        merged = SiblingSet()
-        for a, b in pairs:
-            merged.merge(a, b)
-        rep = merged.representative
+        flat = SiblingSet(pairs).mapping()
+
+        def rep(asn):
+            return flat.get(asn, asn)
+
         groups = {}
         for asn in sorted({asn for pair in pairs for asn in pair}):
             groups.setdefault(rep(asn), []).append(asn)
