@@ -106,9 +106,8 @@ def k_shell_decompose(graph: AsGraph) -> dict[int, int]:
     """Shell number of every vertex.
 
     shell(v) is the largest k such that v survives iterated pruning of
-    vertices with degree below k. Isolated vertices get shell 0. The index
-    is computed once per graph and kept as graph.shells, which adding a
-    vertex or an edge clears.
+    vertices with degree below k. The index is computed once per graph and
+    kept as graph.shells.
     """
     if graph.shells is not None:
         return graph.shells

@@ -135,16 +135,51 @@ class AsGraph:
     the edge, which never contribute to the shares (vote_shares).
     """
 
-    def __init__(self):
+    def __init__(self, edges: Iterable[tuple[int, int]] = ()):
+        """The graph of edges, (a, b) pairs in either orientation, built
+        once: it never changes afterwards. A pair given twice is one edge,
+        and edge ids follow first appearance. Each AS must be an int in
+        1..MAX_ASN (a ParameterError otherwise), and a pair of one AS is a
+        SelfLoopError. A (low, high) tuple is kept as the edge's key."""
         self._adj: dict[int, set[int]] = {}
         self.edge_index: dict[EdgeKey, int] = {}
         self.edge_keys: list[EdgeKey] = []
         # The corpus last compiled against the graph: build_graph's, or
-        # compile_corpus's; dropped, like shells, when the graph gains an edge.
+        # compile_corpus's.
         self.corpus: Corpus | None = None
         # The k-shell index, kept by core.k_shell_decompose on first use.
         self.shells: dict[int, int] | None = None
+        index = self.edge_index
+        try:
+            for pair in edges:
+                a, b = key = tuple(pair)
+                if b < a:
+                    key = (b, a)
+                if key not in index:
+                    self._new_edge(key)
+        except TypeError:
+            raise ParameterError(f"AS numbers that are not ints: {pair!r}") from None
         self._zero_counters()
+
+    def _new_edge(self, key: EdgeKey) -> int:
+        """Give key, a (low, high) pair that is not yet an edge, the next
+        edge id, and return it."""
+        low, high = key
+        if low == high:
+            raise SelfLoopError(f"self-loop on AS {low}")
+        adj = self._adj
+        for v in key:
+            if type(v) is not int:
+                raise ParameterError(f"AS number is not an int: {v!r}")
+            if not (1 <= v <= MAX_ASN):
+                raise ParameterError(f"AS number out of range: {v}")
+            if v not in adj:
+                adj[v] = set()
+        adj[low].add(high)
+        adj[high].add(low)
+        e = self.edge_index[key] = len(self.edge_keys)
+        self.edge_keys.append(key)
+        return e
 
     def _zero_counters(self) -> None:
         n = len(self.edge_keys)
@@ -164,31 +199,6 @@ class AsGraph:
     def n_edges(self) -> int:
         return len(self.edge_keys)
 
-    def add_vertex(self, v: int) -> None:
-        if type(v) is not int:
-            raise ParameterError(f"AS number is not an int: {v!r}")
-        if not (1 <= v <= MAX_ASN):
-            raise ParameterError(f"AS number out of range: {v}")
-        if v not in self._adj:
-            self._adj[v] = set()
-            self.shells = None
-
-    def add_edge(self, a: int, b: int) -> EdgeKey:
-        """Insert the undirected edge (a, b); a no-op if it already exists."""
-        key = edge_key(a, b)
-        if key not in self.edge_index:
-            self.add_vertex(a)
-            self.add_vertex(b)
-            self.shells = self.corpus = None
-            self._adj[a].add(b)
-            self._adj[b].add(a)
-            self.edge_index[key] = len(self.edge_keys)
-            self.edge_keys.append(key)
-            self.customer += (0, 0)
-            self.p2p.append(0)
-            self.invalid.append(0)
-        return key
-
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj.get(a, ())
 
@@ -200,12 +210,9 @@ class AsGraph:
         return 0 if adj is None else len(adj)
 
     def copy_unvoted(self) -> "AsGraph":
-        """A graph with the same vertices, edges and edge ids, and zero counters.
-
-        The copy shares this graph's adjacency, edge index and k-shell
-        index instead of copying them, so neither graph may gain edges
-        afterwards.
-        """
+        """A graph with the same vertices, edges and edge ids, and zero
+        counters; it shares this graph's adjacency, edge index and k-shell
+        index instead of copying them."""
         fresh = copy(self)
         fresh._zero_counters()
         return fresh
@@ -294,8 +301,7 @@ class EdgeLabels(Mapping[EdgeKey, Classification]):
 
 
 class Corpus:
-    """Paths compiled against one graph's edge ids; the graph must not gain
-    edges afterwards.
+    """Paths compiled against one graph's edge ids.
 
     paths is the AsPath list it was built from and weights their weights.
     arcs holds the arc id of every hop of every path in one 4-byte array:
@@ -313,8 +319,9 @@ class Corpus:
     def __init__(self, graph: AsGraph, paths: Iterable[AsPath], grow: bool = False):
         """Walk paths once, recording each hop's arc id. An edge missing
         from graph is an UnknownEdgeError, or with grow, is added to graph
-        as add_edge would, which rejects a repeated hop or an AS that is
-        not an int in range. Every path passes here before the engine, so
+        with the checks of AsGraph, which reject a repeated hop or an AS
+        that is not an int in range; graph's counters are then sized for
+        its edges. Every path passes here before the engine, so
         here a path of fewer than two hops, a hop that does not compare
         with an int, or a weight that is not an int in 1..MAX_WEIGHT is a
         ParameterError. A hop equal to an AS of a known edge, such as True
@@ -346,11 +353,13 @@ class Corpus:
                     if e is None:
                         if not grow:
                             raise UnknownEdgeError(f"edge {key} not in graph")
-                        e = index[graph.add_edge(u, v)]
+                        e = graph._new_edge(key)
                     arcs.append(2 * e + (u > v))
                 offsets.append(len(arcs))
         except TypeError:
             raise ParameterError(f"hops that are not AS numbers: {hops!r}") from None
+        if grow:
+            graph._zero_counters()
 
     @cached_property
     def incidence(self) -> tuple[array, array]:
@@ -421,8 +430,7 @@ def compile_corpus(graph: AsGraph, paths: Iterable[AsPath]) -> Corpus:
 
     graph.corpus is returned as is when paths is that corpus or equals its
     path list. Otherwise paths are compiled, and the result is kept as
-    graph.corpus, so a sweep compiles its paths once for all its runs.
-    add_edge drops graph.corpus, so a corpus is never reused stale. The
+    graph.corpus, so a sweep compiles its paths once for all its runs. The
     edge-to-path index is built on first use, by partition_paths before it
     takes any subset(), so the subsets share it.
     """

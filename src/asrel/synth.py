@@ -126,38 +126,20 @@ def _poisson(rng: random.Random, lam: float) -> int:
 def generate(config: GenConfig) -> GroundTruth:
     """Build a tiered topology with known labels, deterministic per seed."""
     rng = _stage_rng(config.seed, "generate")
-    graph = AsGraph()
     labels: dict[EdgeKey, RelType] = {}
     tiers: dict[int, int] = {}
-    providers: dict[int, list[int]] = {}
-    customers: dict[int, list[int]] = {}
-    peers: dict[int, list[int]] = {}
 
     tier_vertices: list[list[int]] = []
     next_asn = 1
-    for size in config.tier_sizes:
+    for depth, size in enumerate(config.tier_sizes, start=1):
         tier_vertices.append(list(range(next_asn, next_asn + size)))
+        tiers.update(dict.fromkeys(tier_vertices[-1], depth))
         next_asn += size
-
-    def add(u: int, v: int, rel: RelType) -> None:
-        # rel is read in (u, v) order
-        key = graph.add_edge(u, v)
-        labels[key] = oriented(rel, u, v)
-
-    for depth, members in enumerate(tier_vertices, start=1):
-        for v in members:
-            tiers[v] = depth
-            providers[v] = []
-            customers[v] = []
-            peers[v] = []
-            graph.add_vertex(v)
 
     top = tier_vertices[0]
     for i, u in enumerate(top):
         for v in top[i + 1 :]:
-            add(u, v, RelType.P2P)
-            peers[u].append(v)
-            peers[v].append(u)
+            labels[(u, v)] = RelType.P2P
 
     for depth in range(2, len(tier_vertices) + 1):
         members = tier_vertices[depth - 1]
@@ -169,27 +151,32 @@ def generate(config: GenConfig) -> GroundTruth:
         for v in members:
             want = 1 + _poisson(rng, config.multihome - 1.0)
             want = min(want, len(above))
+            # Each provider p is in the tier above, so p < v.
             for p in rng.sample(above, want):
-                add(v, p, RelType.C2P)
-                providers[v].append(p)
-                customers[p].append(v)
+                labels[(p, v)] = RelType.P2C
 
         if len(members) >= 2:
             target = int(config.peer_prob * len(members) / 2 ** (depth - 1))
-            chosen: set[EdgeKey] = set()
+            end = len(labels) + target
             attempts = 0
-            while len(chosen) < target and attempts < 50 * target + 50:
+            while len(labels) < end and attempts < 50 * target + 50:
                 attempts += 1
-                a, b = rng.sample(members, 2)
-                key = edge_key(a, b)
-                if key in chosen or key in labels:
+                key = edge_key(*rng.sample(members, 2))
+                if key in labels:
                     continue
-                chosen.add(key)
-                add(a, b, RelType.P2P)
-                peers[a].append(b)
-                peers[b].append(a)
+                labels[key] = RelType.P2P
 
-    return GroundTruth(graph, labels, tiers, providers, customers, peers)
+    providers: dict[int, list[int]] = {v: [] for v in tiers}
+    customers: dict[int, list[int]] = {v: [] for v in tiers}
+    peers: dict[int, list[int]] = {v: [] for v in tiers}
+    for (low, high), rel in labels.items():
+        if rel is RelType.P2P:
+            peers[low].append(high)
+            peers[high].append(low)
+        else:
+            providers[high].append(low)
+            customers[low].append(high)
+    return GroundTruth(AsGraph(labels), labels, tiers, providers, customers, peers)
 
 
 def _sample_clean(

@@ -529,9 +529,7 @@ def edge_labels(
     record is unclassified."""
     records = list(records)
     if graph is None:
-        graph = AsGraph()
-        for record in records:
-            graph.add_edge(*record.edge)
+        graph = AsGraph(record.edge for record in records)
     n = graph.n_edges
     labels = EdgeLabels(
         graph,

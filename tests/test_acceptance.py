@@ -23,8 +23,8 @@ import pytest
 
 from asrel.cli import main as cli_main
 from asrel.core import greedy_max_clique, k_shell_decompose
-from asrel.graph import AsGraph, RelType, edge_key
-from asrel.ingest import RawPath, SiblingSet, build_graph, ingest_paths, normalize_path
+from asrel.graph import AsGraph, AsPath, RelType, edge_key
+from asrel.ingest import SiblingSet, build_graph, ingest_paths, normalize_path
 from asrel.metrics import ReferenceSet, stability
 from asrel.pipeline import core_size_sweep, corruption_sweep, run_inference, summarize
 from asrel.synth import (
@@ -204,9 +204,7 @@ def test_criterion_3_oracle_equivalence():
         ]
         if not edges:
             edges = [(1, 2)]
-        graph = AsGraph()
-        for a, b in edges:
-            graph.add_edge(a, b)
+        graph = AsGraph(edges)
         adj = adjacency_from_edges(edges)
 
         shells = k_shell_decompose(graph)
@@ -399,7 +397,7 @@ def test_criterion_8_ingest_property_suite():
             [tuple(rng.sample(pool, 2)) for _ in range(rng.randint(0, 4))]
         )
         flat = siblings.mapping()
-        batch: list[RawPath] = []
+        batch: list[AsPath] = []
         raw_hops: list[list[int]] = []
         for _ in range(50):
             hops = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
@@ -410,9 +408,9 @@ def test_criterion_8_ingest_property_suite():
             inputs += 1
             raw_hops.append(hops)
             if rng.random() < 0.5:
-                batch.append(RawPath(tuple(hops), "bgp", "", 1))
+                batch.append(AsPath(tuple(hops), "bgp", "", 1))
             else:
-                batch.append(RawPath(tuple(hops), "trace", rng.choice(agents), 1))
+                batch.append(AsPath(tuple(hops), "trace", rng.choice(agents), 1))
 
             norm, truncated = normalize_path(hops, siblings)
             collapsed = _collapse([flat.get(h, h) for h in hops])

@@ -21,7 +21,7 @@ from asrel.errors import (
     ParameterError,
     ParseError,
 )
-from asrel.graph import AsGraph, RelType
+from asrel.graph import AsGraph, RelType, edge_key
 from asrel.ingest import SiblingSet
 
 from oracles import (
@@ -38,17 +38,8 @@ def siblings_of(*pairs):
     return SiblingSet(pairs)
 
 
-def graph_of(edges, extra_vertices=()):
-    g = AsGraph()
-    for a, b in edges:
-        g.add_edge(a, b)
-    for v in extra_vertices:
-        g.add_vertex(v)
-    return g
-
-
 def k4_with_pendant():
-    return graph_of([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 5)])
+    return AsGraph([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 5)])
 
 
 random_edge_lists = st.lists(
@@ -84,13 +75,13 @@ class TestCoreGraph:
 class TestGreedyMaxClique:
     def test_triangle_with_two_tails(self):
         # Degrees 1:3 2:3 3:2 4:2; vertex 4 misses the 3-4 edge.
-        g = graph_of([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+        g = AsGraph([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
         core = greedy_max_clique(g)
         assert core.vertices == {1, 2, 3}
         assert core.edges == {(1, 2), (1, 3), (2, 3)}
 
     def test_star_gives_center_and_first_leaf(self):
-        g = graph_of([(1, 2), (1, 3), (1, 4), (1, 5)])
+        g = AsGraph([(1, 2), (1, 3), (1, 4), (1, 5)])
         core = greedy_max_clique(g)
         assert core.vertices == {1, 2}
 
@@ -101,7 +92,7 @@ class TestGreedyMaxClique:
     @given(random_edge_lists)
     @settings(max_examples=150)
     def test_always_a_clique_no_larger_than_optimum(self, edges):
-        g = graph_of(edges)
+        g = AsGraph(edges)
         core = greedy_max_clique(g)
         adj = adjacency_from_edges(edges)
         assert is_clique(adj, core.vertices)
@@ -117,17 +108,13 @@ class TestKShell:
         assert index == {1: 3, 2: 3, 3: 3, 4: 3, 5: 1}
 
     def test_cycle_is_uniform_shell_two(self):
-        g = graph_of([(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+        g = AsGraph([(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
         index = k_shell_decompose(g)
         assert set(index.values()) == {2}
 
     def test_path_graph_shell_one(self):
-        index = k_shell_decompose(graph_of([(1, 2), (2, 3)]))
+        index = k_shell_decompose(AsGraph([(1, 2), (2, 3)]))
         assert set(index.values()) == {1}
-
-    def test_isolated_vertex_shell_zero(self):
-        index = k_shell_decompose(graph_of([(1, 2)], extra_vertices=[9]))
-        assert index[9] == 0
 
     def test_index_is_computed_once_per_graph(self):
         g = k4_with_pendant()
@@ -135,24 +122,6 @@ class TestKShell:
         assert g.shells is index
         assert k_shell_decompose(g) is index
         assert k_shell_decompose(g.copy_unvoted()) is index
-
-    def test_new_edge_resets_index(self):
-        g = k4_with_pendant()
-        index = k_shell_decompose(g)
-        g.add_edge(2, 1)
-        assert g.shells is index
-        g.add_edge(2, 5)
-        assert g.shells is None
-        assert k_shell_decompose(g)[5] == 2
-
-    def test_new_vertex_resets_index(self):
-        g = k4_with_pendant()
-        index = k_shell_decompose(g)
-        g.add_vertex(5)
-        assert g.shells is index
-        g.add_vertex(9)
-        assert g.shells is None
-        assert k_shell_decompose(g)[9] == 0
 
     def test_k_max_core_of_k4_with_pendant(self):
         core = k_max_core(k4_with_pendant())
@@ -166,7 +135,7 @@ class TestKShell:
     @given(random_edge_lists)
     @settings(max_examples=150)
     def test_matches_brute_force_oracle(self, edges):
-        g = graph_of(edges)
+        g = AsGraph(edges)
         index = k_shell_decompose(g)
         assert index == brute_force_core_numbers(adjacency_from_edges(edges))
 
@@ -174,7 +143,7 @@ class TestKShell:
 class TestGrowCore:
     def hub_graph(self):
         # K4 on 1-4 plus a high-degree low-shell hub 10.
-        return graph_of(
+        return AsGraph(
             [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 10)]
             + [(10, leaf) for leaf in (5, 6, 7, 8, 9)]
         )
@@ -205,9 +174,34 @@ class TestGrowCore:
         assert core.vertices == g.vertices
 
 
+class TestEdgeOrder:
+    @given(random_edge_lists, st.data())
+    def test_cores_follow_from_the_edges_not_their_order(self, edges, data):
+        # The same edges, shuffled, some pairs flipped and some given twice.
+        extra = data.draw(st.lists(st.sampled_from(edges), max_size=5))
+        given_again = data.draw(st.permutations(edges + extra))
+        n = len(given_again)
+        flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        given_again = [
+            (b, a) if flip else (a, b) for (a, b), flip in zip(given_again, flips)
+        ]
+        g, h = AsGraph(edges), AsGraph(given_again)
+        # Edge ids follow first appearance.
+        first_seen = list(dict.fromkeys(edge_key(a, b) for a, b in given_again))
+        assert h.edge_keys == first_seen
+        assert h.edge_index == {key: e for e, key in enumerate(first_seen)}
+        assert sorted(g.edge_keys) == sorted(h.edge_keys)
+        assert k_shell_decompose(g) == k_shell_decompose(h)
+        assert greedy_max_clique(g) == greedy_max_clique(h)
+        assert k_max_core(g) == k_max_core(h)
+        for strategy in ("degree", "kshell"):
+            for size in range(4, g.n_vertices + 1):
+                assert grow_core(g, strategy, size) == grow_core(h, strategy, size)
+
+
 class TestExternalCore:
     def graph(self):
-        return graph_of([(1, 2), (8, 9), (9, 10), (10, 8), (50, 51)])
+        return AsGraph([(1, 2), (8, 9), (9, 10), (10, 8), (50, 51)])
 
     def test_largest_component_wins(self):
         core = load_external_core(["1 2\n", "8 9\n", "9 10\n"], self.graph())
@@ -260,7 +254,7 @@ class TestExternalCore:
     def test_pair_collapsed_by_siblings_skipped(self):
         # With 1 and 2 siblings, "1|2|0" names one AS and no peering, and
         # "2 3" is the edge (1, 3).
-        graph, siblings = graph_of([(1, 3)]), siblings_of((1, 2))
+        graph, siblings = AsGraph([(1, 3)]), siblings_of((1, 2))
         core = load_external_core(["1|2|0\n", "2 3\n"], graph, siblings=siblings)
         assert core.preassigned == {(1, 3): RelType.P2P}
         with pytest.raises(EmptyCoreError):
@@ -271,7 +265,7 @@ class TestExternalCore:
     def test_choice_matches_brute_force(self, edges, peers, pipes):
         # The graph holds edges; the peer list names peers, some of which
         # the graph lacks, and some more than once.
-        graph = graph_of(edges)
+        graph = AsGraph(edges)
         candidate = {(min(e), max(e)) for e in peers if graph.has_edge(*e)}
         lines = [f"{a}|{b}|0" if pipes else f"{a} {b}" for a, b in peers]
         if not candidate:
@@ -303,7 +297,7 @@ class TestExternalCore:
 class TestCorruptCore:
     def graph(self):
         # Core triangle 1-2-3 with an outside fringe 4, 5, 6 hanging off it.
-        return graph_of(
+        return AsGraph(
             [(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (4, 5), (5, 6)]
         )
 
@@ -357,7 +351,7 @@ class TestCorruptCore:
         assert corrupted.vertices.isdisjoint({1, 2, 3})
 
     def test_no_adjacent_candidate_raises(self):
-        g = graph_of([(1, 2), (30, 31)])
+        g = AsGraph([(1, 2), (30, 31)])
         core = CoreGraph({1, 2}, {(1, 2)})
         with pytest.raises(CorruptionInfeasibleError):
             corrupt_core(core, g, 1, seed=0)
@@ -380,7 +374,7 @@ class TestCorruptCore:
     )
     def test_matches_rescanning_reference(self, edges, members, data, seed):
         # Members 13 and 14 are never graph vertices: a core file may name such ASes.
-        g = graph_of(edges)
+        g = AsGraph(edges)
         core = CoreGraph(members)
         # A full replacement leaves no surviving core to be adjacent to.
         replace = data.draw(
@@ -404,7 +398,7 @@ class TestCoreFiles:
         )
         buf = io.StringIO()
         write_core_file(core, buf)
-        again = read_core_file(buf.getvalue().splitlines(), graph_of(core.edges))
+        again = read_core_file(buf.getvalue().splitlines(), AsGraph(core.edges))
         assert again.vertices == core.vertices
         assert again.edges == core.edges
         assert again.preassigned == core.preassigned
@@ -412,42 +406,42 @@ class TestCoreFiles:
     def test_relationship_read_in_written_order(self):
         # c2p on the line "e 7 3" means 7 is the customer, which is p2c
         # in canonical (3, 7) order.
-        core = read_core_file(["e 7 3 c2p\n"], graph_of([(3, 7)]))
+        core = read_core_file(["e 7 3 c2p\n"], AsGraph([(3, 7)]))
         assert core.preassigned == {(3, 7): RelType.P2C}
 
     def test_vertex_only_core(self):
-        core = read_core_file(["v 8\n"], graph_of([(8, 9)]))
+        core = read_core_file(["v 8\n"], AsGraph([(8, 9)]))
         assert core.vertices == {8} and core.n_edges == 0
 
     def test_graph_intersection_drops_unknown_edges(self):
-        g = graph_of([(1, 2)])
+        g = AsGraph([(1, 2)])
         core = read_core_file(["e 1 2\n", "e 1 9\n"], g)
         assert core.edges == {(1, 2)}
         assert core.vertices == {1, 2, 9}
 
     def test_unknown_rel_token(self):
         with pytest.raises(ParseError):
-            read_core_file(["e 1 2 friend\n"], graph_of([(1, 2)]))
+            read_core_file(["e 1 2 friend\n"], AsGraph([(1, 2)]))
 
     def test_conflicting_labels_rejected(self):
         # Read in written order, "e 1 2 c2p" makes 1 the customer and
         # "e 2 1 c2p" makes 2 the customer.
         with pytest.raises(ParseError) as err:
             read_core_file(
-                ["e 1 2 c2p\n", "e 2 1 c2p\n"], graph_of([(1, 2)]), "core.txt"
+                ["e 1 2 c2p\n", "e 2 1 c2p\n"], AsGraph([(1, 2)]), "core.txt"
             )
         assert "core.txt:2" in str(err.value)
 
     def test_repeated_label_and_unlabeled_line_agree(self):
         lines = ["e 1 2 c2p\n", "e 2 1 p2c\n", "e 1 2\n", "e 3 4\n", "e 4 3 p2p\n"]
-        core = read_core_file(lines, graph_of([(1, 2), (3, 4)]))
+        core = read_core_file(lines, AsGraph([(1, 2), (3, 4)]))
         assert core.preassigned == {(1, 2): RelType.C2P, (3, 4): RelType.P2P}
 
     def test_pair_collapsed_by_siblings_names_a_member(self):
         # With 1 and 2 siblings, "e 1 2 c2p" names AS 1 and no edge, and
         # "e 2 3 p2c" is the edge (1, 3) read in written order.
         lines = ["e 1 2 c2p\n", "e 2 3 p2c\n", "v 4\n"]
-        graph = graph_of([(1, 3), (3, 4)])
+        graph = AsGraph([(1, 3), (3, 4)])
         core = read_core_file(lines, graph, siblings=siblings_of((1, 2), (4, 5)))
         assert core.vertices == {1, 3, 4}
         assert core.edges == {(1, 3)}
@@ -455,4 +449,4 @@ class TestCoreFiles:
 
     def test_empty_file_rejected(self):
         with pytest.raises(EmptyCoreError):
-            read_core_file(["# just a comment\n"], graph_of([(1, 2)]))
+            read_core_file(["# just a comment\n"], AsGraph([(1, 2)]))

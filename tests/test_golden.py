@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from asrel import cli
-from asrel.ingest import RawPath
+from asrel.graph import AsPath
 from asrel.synth import (
     GenConfig,
     NoiseConfig,
@@ -43,7 +43,7 @@ def inputs(tmp_path_factory):
     truth = generate(CONFIG)
     raws = sample_paths(truth, CONFIG)
     half = len(raws) // 2
-    bgp = [RawPath(raw.hops, "bgp", "", raw.weight) for raw in raws[:half]]
+    bgp = [AsPath(raw.hops, "bgp", "", raw.weight) for raw in raws[:half]]
     with open(root / "paths.bgp", "w", encoding="utf-8") as fh:
         write_paths_file(bgp, fh)
     with open(root / "paths.trace", "w", encoding="utf-8") as fh:

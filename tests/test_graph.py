@@ -93,8 +93,7 @@ class TestVoteTally:
         assert c2p + p2c + p2p == pytest.approx(1.0)
 
     def test_invalid_votes_excluded_from_shares(self):
-        g = AsGraph()
-        g.add_edge(1, 2)
+        g = AsGraph([(1, 2)])
         vote(g, 1, 2, RelType.C2P, weight=4)
         vote_invalid(g, 1, 2, weight=100)
         c2p, p2c, p2p, invalid = tally(g, (1, 2))
@@ -239,12 +238,9 @@ class TestAsPath:
 
 class TestAsGraph:
     def build(self):
-        g = AsGraph()
-        g.add_edge(1, 2)
-        g.add_edge(2, 3)
-        return g
+        return AsGraph([(1, 2), (2, 3)])
 
-    def test_add_edge_registers_vertices(self):
+    def test_edges_register_vertices(self):
         g = self.build()
         assert g.vertices == {1, 2, 3}
         assert g.n_edges == 2
@@ -258,25 +254,51 @@ class TestAsGraph:
         assert g.neighbors(2) == {1, 3}
         assert g.degree(99) == 0
 
-    def test_add_edge_idempotent(self):
-        g = self.build()
-        vote(g, 1, 2, RelType.C2P)
-        g.add_edge(1, 2)
-        assert g.n_edges == 2
-        assert tally(g, (1, 2)).votes() == 1
+    def test_edge_given_twice_is_one_edge(self):
+        # In either orientation; edge ids follow first appearance.
+        g = AsGraph([(3, 2), (1, 2), (2, 3), (2, 1)])
+        assert g.edge_keys == [(2, 3), (1, 2)]
+        assert g.edge_index == {(2, 3): 0, (1, 2): 1}
+        assert g.customer == [0] * 4 and g.p2p == g.invalid == [0, 0]
+
+    def test_low_high_pairs_kept_as_keys(self):
+        pairs = [(1, 2), (4, 3)]
+        g = AsGraph(pairs)
+        assert g.edge_keys[0] is pairs[0]
+        assert g.edge_keys[1] == (3, 4)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoopError):
-            self.build().add_edge(4, 4)
+        with pytest.raises(SelfLoopError, match="self-loop on AS 4"):
+            AsGraph([(1, 2), (4, 4)])
 
     def test_as_zero_rejected(self):
         # AS 0 is reserved, as AsPath and the input parsers hold.
-        g = AsGraph()
-        with pytest.raises(ParameterError):
-            g.add_vertex(0)
-        with pytest.raises(ParameterError):
-            g.add_edge(0, 1)
-        assert g.n_vertices == g.n_edges == 0
+        with pytest.raises(ParameterError, match="AS number out of range: 0"):
+            AsGraph([(0, 1)])
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((1, MAX_ASN + 1), f"AS number out of range: {MAX_ASN + 1}"),
+            ((True, 3), "AS number is not an int: True"),
+            ((2, 1.5), "AS number is not an int: 1.5"),
+            (("7", 1), "AS numbers that are not ints: ('7', 1)"),
+        ],
+    )
+    def test_bad_vertex_rejected(self, pair, message):
+        with pytest.raises(ParameterError) as raised:
+            AsGraph([(5, 6), pair])
+        assert raised.type is ParameterError
+        assert str(raised.value) == message
+
+    def test_bool_stands_for_as_1_only_on_a_known_edge(self):
+        # True equals AS 1, so (True, 2) is the edge (1, 2) given twice;
+        # a new edge with True is refused even when AS 1 is a vertex.
+        g = AsGraph([(1, 2), (True, 2)])
+        assert g.edge_keys == [(1, 2)]
+        assert {type(v) for v in g.vertices} == {int}
+        with pytest.raises(ParameterError, match="not an int: True"):
+            AsGraph([(1, 2), (True, 3)])
 
     def test_vote_maps_direction_to_canonical_counters(self):
         g = self.build()
@@ -329,12 +351,11 @@ class TestAsGraph:
             max_size=10,
         )
     )
-    def test_build_graph_matches_add_edge_per_hop(self, hop_lists):
+    def test_build_graph_matches_graph_of_hop_pairs(self, hop_lists):
         paths = [AsPath(hops) for hops in hop_lists]
-        expected = AsGraph()
-        for path in paths:
-            for u, v in zip(path.hops, path.hops[1:]):
-                expected.add_edge(u, v)
+        expected = AsGraph(
+            pair for path in paths for pair in zip(path.hops, path.hops[1:])
+        )
         built = build_graph(paths)
         assert list(built.vertices) == list(expected.vertices)
         assert built.edge_keys == expected.edge_keys
@@ -346,7 +367,8 @@ class TestAsGraph:
         arcs = built.corpus.arcs
         assert len(arcs) == len(hops)
         for a, (u, v) in zip(arcs, hops):
-            # The edge add_edge gave the hop, and whether it runs high to low.
+            # The edge the constructor gave the hop, and whether it runs
+            # high to low.
             assert a >> 1 == expected.edge_index[edge_key(u, v)]
             assert a & 1 == (u > v)
 
@@ -386,16 +408,6 @@ class TestCompileCorpus:
         again = compile_corpus(g, self.paths)
         assert again is g.corpus and again is not built
         assert corpus_fields(again) == corpus_fields(built)
-
-    def test_graph_that_gained_an_edge_compiles_fresh(self):
-        g = build_graph(self.paths)
-        g.add_edge(3, 2)  # already an edge: the corpus stays
-        assert compile_corpus(g, self.paths) is g.corpus
-        g.add_edge(5, 6)
-        assert g.corpus is None
-        corpus = compile_corpus(g, self.paths)
-        assert corpus_fields(corpus) == corpus_fields(Corpus(g, self.paths))
-        assert len(corpus.incidence[0]) == 6
 
     def test_path_off_the_graph_rejected(self):
         g = build_graph(self.paths)
@@ -477,9 +489,7 @@ class TestEdgeLabels:
 
     def test_same_labels_over_other_edge_ids_compare_as_mappings(self):
         a = self.run()
-        graph = AsGraph()
-        for key in reversed(a.edge_keys):
-            graph.add_edge(*key)
+        graph = AsGraph(reversed(a.edge_keys))
         b = edge_labels([], graph)
         for key, e in a.edge_index.items():
             b.update({graph.edge_index[key]: (a.rels[e], a.methods[e])})
@@ -507,9 +517,7 @@ class TestEdgeLabels:
         st.data(),
     )
     def test_reads_and_update_match_a_dict(self, keys, data):
-        graph = AsGraph()
-        for key in sorted(keys, key=str):
-            graph.add_edge(*key)
+        graph = AsGraph(sorted(keys, key=str))
         labels = edge_labels([], graph)
         expected = {
             key: Classification(key, RelType.UNCLASSIFIED, "unclassified")

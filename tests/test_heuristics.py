@@ -190,22 +190,16 @@ def tiebroken(graph, key, mode, kshell=None):
 
 
 def single_edge():
-    g = AsGraph()
-    g.add_edge(1, 2)
-    return g
+    return AsGraph([(1, 2)])
 
 
 class TestTiebreak:
     def degree_graph(self):
         # deg(1) = 5, deg(2) = 2, deg(3) = 2, deg(4) = 2.
-        g = AsGraph()
-        for w in (2, 30, 31, 32, 33):
-            g.add_edge(1, w)
-        g.add_edge(2, 40)
-        g.add_edge(3, 4)
-        g.add_edge(3, 41)
-        g.add_edge(4, 42)
-        return g
+        return AsGraph(
+            [(1, w) for w in (2, 30, 31, 32, 33)]
+            + [(2, 40), (3, 4), (3, 41), (4, 42)]
+        )
 
     def test_degree_band_means_peering(self):
         rel, method = tiebroken(self.degree_graph(), (3, 4), "degree")
@@ -220,12 +214,11 @@ class TestTiebreak:
     def test_band_is_closed(self, deg_1, deg_2):
         # A 4:5 degree ratio sits exactly on the band edge, whichever
         # endpoint has the lower AS number.
-        g = AsGraph()
-        g.add_edge(1, 2)
-        for w in range(10, 9 + deg_1):
-            g.add_edge(1, w)
-        for w in range(20, 19 + deg_2):
-            g.add_edge(2, w)
+        g = AsGraph(
+            [(1, 2)]
+            + [(1, w) for w in range(10, 9 + deg_1)]
+            + [(2, w) for w in range(20, 19 + deg_2)]
+        )
         assert (g.degree(1), g.degree(2)) == (deg_1, deg_2)
         rel, _ = tiebroken(g, (1, 2), "degree")
         assert rel is RelType.P2P
@@ -246,11 +239,11 @@ class TestTiebreak:
         # Degree mode peers within PEER_DEGREE_RATIO, k-shell mode peers
         # equal shells; otherwise the higher-ranked endpoint is the provider.
         # Leaves give 1 and 2 their degrees; every other AS has shell 1.
-        g = single_edge()
-        for w in range(100, 99 + rank_low):
-            g.add_edge(1, w)
-        for w in range(200, 199 + rank_high):
-            g.add_edge(2, w)
+        g = AsGraph(
+            [(1, 2)]
+            + [(1, w) for w in range(100, 99 + rank_low)]
+            + [(2, w) for w in range(200, 199 + rank_high)]
+        )
         kshell = None
         if mode == "kshell":
             kshell = dict.fromkeys(g.vertices, 1) | {1: rank_low, 2: rank_high}
@@ -278,11 +271,7 @@ class TestTiebreak:
 
 class TestApplyTiebreaks:
     def test_only_unclassified_non_valley_edges_touched(self):
-        g = AsGraph()
-        g.add_edge(1, 2)
-        g.add_edge(3, 4)
-        g.add_edge(5, 6)
-        g.add_edge(7, 8)
+        g = AsGraph([(1, 2), (3, 4), (5, 6), (7, 8)])
         vote_invalid(g, 5, 6, weight=2)
         # Split votes and an invalid one: unclassified, but not valley-only.
         vote(g, 7, 8, RelType.C2P)

@@ -3,8 +3,8 @@ no module imports a name it never uses, no module-level private name is
 defined and never referenced, every public name, method and property is
 read outside the tests, every parameter is read by its function, the
 engine reads corpora only as arcs, the engine and the heuristics name hop
-labels only as label codes, and only errors.py words the message of a file
-that cannot be read."""
+labels only as label codes, only errors.py words the message of a file
+that cannot be read, and only the graph build adds edges."""
 
 import ast
 from pathlib import Path
@@ -231,6 +231,43 @@ def test_only_errors_words_an_unreadable_file():
         and "cannot read" in node.value
     ]
     assert not spelled, f"'cannot read' raised outside errors.py: {', '.join(spelled)}"
+
+
+def functions(tree: ast.Module):
+    """(name, node) of every module-level function and method, a method
+    named Class.name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+
+
+def test_only_the_graph_build_adds_edges():
+    # An AsGraph is built once: its constructor and Corpus's grow walk, in
+    # build_graph, are the only code that names the edge-adder.
+    adder = "_new_edge"
+    allowed = {("graph.py", "AsGraph.__init__"), ("graph.py", "Corpus.__init__")}
+    named = []
+    for path in sorted(set(MODULES) | set(readers())):
+        tree = parse(path)
+        scope = {
+            id(node): name
+            for name, function in functions(tree)
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute) and node.attr == adder
+                or isinstance(node, ast.Name) and node.id == adder
+                or isinstance(node, ast.Constant) and node.value == adder
+            ):
+                where = (path.name, scope.get(id(node), "module level"))
+                if where not in allowed:
+                    named.append(f"{where[0]}: {where[1]} (line {node.lineno})")
+    assert not named, f"{adder} named outside the graph build: {', '.join(named)}"
 
 
 # Parameters a caller passes and the function does not read, as (module,

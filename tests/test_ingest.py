@@ -8,7 +8,6 @@ from asrel.core import load_external_core, read_core_file
 from asrel.errors import ParseError
 from asrel.graph import MAX_WEIGHT, AsPath
 from asrel.ingest import (
-    RawPath,
     SiblingSet,
     build_graph,
     components,
@@ -174,7 +173,7 @@ class TestNormalizePath:
 class TestParsePathLine:
     def test_bgp_line(self):
         raw = parse_path_line("701 7018 3356\n", "bgp")
-        assert raw == RawPath((701, 7018, 3356), "bgp", "", 1)
+        assert raw == AsPath((701, 7018, 3356), "bgp", "", 1)
 
     def test_trace_line_with_agent(self):
         raw = parse_path_line("probe-7|10 20 30\n", "trace")
@@ -215,13 +214,13 @@ class TestReadPathFile:
     def test_identical_lines_merge_into_one_weighted_path(self):
         raws = read_path_file([("p", ["1 2 3\n", "4 5\n", "1 2 3\n"])], "bgp")
         assert raws == [
-            RawPath((1, 2, 3), "bgp", "", 2),
-            RawPath((4, 5), "bgp", "", 1),
+            AsPath((1, 2, 3), "bgp", "", 2),
+            AsPath((4, 5), "bgp", "", 1),
         ]
 
     def test_repeated_weight_tokens_multiply(self):
         raws = read_path_file([("p", ["1 2 weight=3\n", "1 2 weight=3\n"])], "bgp")
-        assert raws == [RawPath((1, 2), "bgp", "", 6)]
+        assert raws == [AsPath((1, 2), "bgp", "", 6)]
 
     def test_repeated_malformed_line_reported_at_first_occurrence(self):
         with pytest.raises(ParseError) as err:
@@ -248,9 +247,9 @@ class TestReadPathFile:
             "bgp",
         )
         assert raws == [
-            RawPath((1, 2), "bgp", "", 3),
-            RawPath((3, 4), "bgp", "", 1),
-            RawPath((5, 6), "bgp", "", 1),
+            AsPath((1, 2), "bgp", "", 3),
+            AsPath((3, 4), "bgp", "", 1),
+            AsPath((5, 6), "bgp", "", 1),
         ]
 
     def test_malformed_line_reported_in_first_stream_holding_it(self):
@@ -408,10 +407,10 @@ class TestTwoAgentFilter:
 class TestIngestPipeline:
     def test_report_counts(self):
         raws = [
-            RawPath((1, 2, 3), "bgp", "", 1),
-            RawPath((4, 4), "bgp", "", 1),          # collapses to 1 hop
-            RawPath((1, 2, 3, 2, 5), "bgp", "", 1),  # loop trimmed
-            RawPath((7,), "bgp", "", 1),
+            AsPath((1, 2, 3), "bgp", "", 1),
+            AsPath((4, 4), "bgp", "", 1),          # collapses to 1 hop
+            AsPath((1, 2, 3, 2, 5), "bgp", "", 1),  # loop trimmed
+            AsPath((7,), "bgp", "", 1),
         ]
         paths, report = ingest_paths(raws)
         assert report.paths_read == 4
@@ -421,10 +420,10 @@ class TestIngestPipeline:
 
     def test_merge_keeps_agents_and_sources_apart(self):
         raws = [
-            RawPath((1, 2), "trace", "a", 1),
-            RawPath((1, 2), "trace", "b", 1),
-            RawPath((1, 2), "bgp", "", 1),
-            RawPath((1, 1, 2), "trace", "a", 2),  # normalizes onto the first
+            AsPath((1, 2), "trace", "a", 1),
+            AsPath((1, 2), "trace", "b", 1),
+            AsPath((1, 2), "bgp", "", 1),
+            AsPath((1, 1, 2), "trace", "a", 2),  # normalizes onto the first
         ]
         paths, report = ingest_paths(raws)
         assert [(p.source, p.agent, p.weight) for p in paths] == [
@@ -472,7 +471,7 @@ class TestIngestPipeline:
         )
     )
     def test_ingest_never_emits_singly_observed_trace_edges(self, spec):
-        raws = [RawPath(tuple(hops), "trace", agent, 1) for hops, agent in spec]
+        raws = [AsPath(tuple(hops), "trace", agent, 1) for hops, agent in spec]
         paths, _ = ingest_paths(raws)
         observers: dict[tuple[int, int], set[str]] = {}
         for raw in raws:
@@ -499,7 +498,7 @@ class TestIngestPipeline:
     )
     def test_ingest_returns_one_path_per_key(self, spec):
         raws = [
-            RawPath(tuple(hops), source, agent if source == "trace" else "", weight)
+            AsPath(tuple(hops), source, agent if source == "trace" else "", weight)
             for hops, source, agent, weight in spec
         ]
         paths, _ = ingest_paths(raws)

@@ -252,10 +252,7 @@ class TestStability:
 
 class TestHistogram:
     def test_counts_sum_to_voted_edges(self):
-        g = AsGraph()
-        g.add_edge(1, 2)
-        g.add_edge(3, 4)
-        g.add_edge(5, 6)
+        g = AsGraph([(1, 2), (3, 4), (5, 6)])
         vote(g, 1, 2, RelType.C2P)
         vote(g, 3, 4, RelType.P2C)
         vote_invalid(g, 5, 6)
@@ -264,9 +261,7 @@ class TestHistogram:
         assert sum(count for _, _, count in histogram) == 2
 
     def test_unanimous_edges_land_in_outer_bins(self):
-        g = AsGraph()
-        g.add_edge(1, 2)
-        g.add_edge(3, 4)
+        g = AsGraph([(1, 2), (3, 4)])
         for _ in range(5):
             vote(g, 1, 2, RelType.C2P)   # low customer: p2c share 0
             vote(g, 3, 4, RelType.P2C)   # high customer: p2c share 1
@@ -276,8 +271,7 @@ class TestHistogram:
         assert sum(count for _, _, count in histogram[1:-1]) == 0
 
     def test_split_vote_lands_mid_bin(self):
-        g = AsGraph()
-        g.add_edge(1, 2)
+        g = AsGraph([(1, 2)])
         vote(g, 1, 2, RelType.C2P)
         vote(g, 1, 2, RelType.P2C)
         histogram = vote_share_histogram(g)
@@ -293,8 +287,7 @@ class TestHistogram:
         # Edge i is i * (1 / 20). For k = 3, 6, 7, 12, 14, 17 and 19 that
         # lies just above k / 20, so a share of exactly k / 20 falls in the
         # bin below; a share of 1 falls in the last bin.
-        g = AsGraph()
-        g.add_edge(1, 2)
+        g = AsGraph([(1, 2)])
         vote(g, 1, 2, RelType.P2C, k)
         vote(g, 1, 2, RelType.C2P, 20 - k)
         counts = [count for _, _, count in vote_share_histogram(g)]
@@ -398,8 +391,7 @@ class TestCsvWriters:
 
     def test_classifications_format(self):
         buf = io.StringIO()
-        g = AsGraph()
-        g.add_edge(3, 7)
+        g = AsGraph([(3, 7)])
         vote(g, 3, 7, RelType.C2P, weight=5)
         vote_invalid(g, 3, 7)
         records = edge_labels([cls((3, 7), RelType.C2P)], g)

@@ -19,7 +19,7 @@ from asrel.engine import InferenceConfig
 from asrel.errors import CorruptionInfeasibleError
 from asrel.graph import AsPath, RelType, edge_key, vote_shares
 from asrel.heuristics import HeuristicConfig
-from asrel.ingest import RawPath, SiblingSet, build_graph, ingest_paths
+from asrel.ingest import SiblingSet, build_graph, ingest_paths
 from asrel.metrics import (
     CLASSIFICATION_HEADER,
     ReferenceSet,
@@ -93,19 +93,6 @@ class TestRunInference:
         graph = build_graph(paths)
         result = run_inference(graph, paths, CoreGraph({10, 11}))
         assert result.valley_paths == 1
-
-    def test_corpus_compiled_before_the_graph_gained_an_edge(self):
-        # The corpus's edge-to-path index is one edge short of the graph,
-        # so the run must compile the paths afresh.
-        paths = [trace(1, 2, 3), trace(3, 4, 5), trace(5, 6)]
-        graph = build_graph(paths)
-        stale = graph_module.compile_corpus(graph, paths)
-        graph.add_edge(8, 9)
-        core = CoreGraph({3})
-        labels = run_inference(graph, stale, core).classifications
-        fresh = graph_module.Corpus(graph, paths)
-        assert labels == run_inference(graph, fresh, core).classifications
-        assert graph_module.compile_corpus(graph, stale) is not stale
 
 
 class TestSummarize:
@@ -523,7 +510,7 @@ class TestMetamorphic:
     def test_weight_k_equals_k_copies(self, seed, weights, run):
         truth, raws = self.corpus(seed)
         weighted = [
-            RawPath(raw.hops, raw.source, raw.agent, k)
+            AsPath(raw.hops, raw.source, raw.agent, k)
             for raw, k in zip(raws, weights)
         ]
         copies = list(raws) + [
